@@ -375,16 +375,26 @@ class Subspace:
         raise AttributeError("Subspace is immutable")
 
     @classmethod
+    def _from_rref(cls, ambient_dim: int, rows: tuple, field) -> "Subspace":
+        """Trusted constructor: `rows` are already the nonzero rows of a
+        reduced row echelon form, with entries in `field`."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "ambient_dim", ambient_dim)
+        object.__setattr__(space, "basis", rows)
+        object.__setattr__(space, "field", field)
+        return space
+
+    @classmethod
     def zero(cls, ambient_dim: int, field=None) -> "Subspace":
-        return cls(ambient_dim, [], field=field)
+        return cls._from_rref(ambient_dim, (), field or RationalField())
 
     @classmethod
     def full(cls, ambient_dim: int, field=None) -> "Subspace":
         field = field or RationalField()
         one, zero = field.one(), field.zero()
-        basis = [[one if i == j else zero for j in range(ambient_dim)]
-                 for i in range(ambient_dim)]
-        return cls(ambient_dim, basis, field=field)
+        basis = tuple(tuple(one if i == j else zero for j in range(ambient_dim))
+                      for i in range(ambient_dim))
+        return cls._from_rref(ambient_dim, basis, field)
 
     @property
     def dim(self) -> int:
@@ -420,8 +430,8 @@ class Subspace:
 
 def row_space(matrix: ExactMatrix) -> Subspace:
     reduced = rref(matrix)
-    return Subspace(matrix.ncols, reduced.matrix.rows[: reduced.rank],
-                    field=matrix.field)
+    return Subspace._from_rref(matrix.ncols, reduced.matrix.rows[: reduced.rank],
+                               matrix.field)
 
 
 def kernel_basis(matrix: ExactMatrix) -> Subspace:

@@ -9,12 +9,11 @@ from .poly import (
     grlex_key,
     multi_index_factorial,
     multi_indices_upto,
-    polynomial_from_coefficients,
     uni_divmod,
     uni_gcd,
     uni_gcdex,
-    univariate_coefficients,
 )
+from .gcd import poly_gcd
 from .ratfunc import RationalFunction
 from .quotient import QuotientRingElement
 from .binform import (
@@ -48,11 +47,10 @@ __all__ = [
     "grlex_key",
     "multi_index_factorial",
     "multi_indices_upto",
-    "polynomial_from_coefficients",
     "uni_divmod",
     "uni_gcd",
     "uni_gcdex",
-    "univariate_coefficients",
+    "poly_gcd",
     "binary_coefficients",
     "binary_form_gcd",
     "check_binary_form",

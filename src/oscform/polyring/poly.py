@@ -175,14 +175,6 @@ class Polynomial:
     def coefficient(self, exps: Exponents) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 
-    def variables_used(self) -> tuple[str, ...]:
-        used = [False] * self.nvars
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used[i] = True
-        return tuple(v for v, u in zip(self.variables, used) if u)
-
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms in descending graded lexicographic order."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
@@ -452,13 +444,6 @@ class Polynomial:
             remainder = remainder - divisor * Polynomial.monomial(self.variables, q_exps, q_coeff)
         return Polynomial(self.variables, quotient)
 
-    def divides(self, other: "Polynomial") -> bool:
-        try:
-            other.exact_div(self)
-            return True
-        except InexactDivision:
-            return False
-
     # -- printing --------------------------------------------------------
 
     def _format_term(self, exps: Exponents, coeff: Fraction) -> str:
@@ -496,33 +481,6 @@ class Polynomial:
 
 
 # -- univariate helpers ------------------------------------------------
-
-def univariate_coefficients(p: Polynomial, index: int = 0) -> list[Fraction]:
-    """Coefficient list (low to high degree) of a polynomial using only
-
-    the index-th variable.  Raises if any other variable appears."""
-    for exps in p.terms:
-        for i, e in enumerate(exps):
-            if e and i != index:
-                raise ValueError(f"polynomial is not univariate in {p.variables[index]!r}")
-    if p.is_zero:
-        return []
-    coeffs = [Fraction(0)] * (p.degree_in(index) + 1)
-    for exps, coeff in p.terms.items():
-        coeffs[exps[index]] = coeff
-    return coeffs
-
-
-def polynomial_from_coefficients(variables: Sequence[str], index: int,
-                                 coeffs: Sequence[Scalar]) -> Polynomial:
-    variables = tuple(variables)
-    n = len(variables)
-    terms = {}
-    for e, c in enumerate(coeffs):
-        exps = tuple(e if i == index else 0 for i in range(n))
-        terms[exps] = c
-    return Polynomial(variables, terms)
-
 
 def _uni_trim(coeffs: list[Fraction]) -> list[Fraction]:
     while coeffs and not coeffs[-1]:

@@ -1,12 +1,10 @@
 """Rational functions: quotients of multivariate polynomials.
 
-Equality is exact (cross multiplication), so reduction to lowest terms
-is a best-effort normalization, not a correctness requirement.  The
-reduction pass cancels common monomial factors, runs a univariate gcd
-when both parts involve a single variable, and otherwise attempts exact
-division in either direction.  Denominators are normalized to have
-leading coefficient 1 under graded lex order, which makes equal reduced
-functions compare structurally equal as well.
+Every rational function is kept in a canonical form: numerator and
+denominator are coprime (divided by their multivariate gcd, see gcd.py)
+and the denominator has leading coefficient 1 under graded lex order.
+Equal functions therefore have identical numerators and denominators,
+so equality is structural and printing depends only on the value.
 """
 
 from __future__ import annotations
@@ -15,12 +13,8 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from ..errors import DenominatorVanishes, VariableMismatch, ZeroDivisionRequested
-from .poly import (
-    Polynomial,
-    polynomial_from_coefficients,
-    uni_gcd,
-    univariate_coefficients,
-)
+from .gcd import poly_gcd
+from .poly import Polynomial
 
 Scalar = Union[int, Fraction]
 
@@ -175,7 +169,7 @@ class RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.numerator * other.denominator == other.numerator * self.denominator
+        return self.numerator == other.numerator and self.denominator == other.denominator
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -219,50 +213,13 @@ class RationalFunction:
         return f"RationalFunction({self})"
 
 
-def _monomial_gcd(p: Polynomial) -> tuple[int, ...]:
-    """Componentwise minimum exponent over the support."""
-    mins = None
-    for exps in p.terms:
-        if mins is None:
-            mins = list(exps)
-        else:
-            mins = [min(a, b) for a, b in zip(mins, exps)]
-    return tuple(mins) if mins else (0,) * p.nvars
-
-
 def _reduce(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    variables = num.variables
-    one = Polynomial.constant(variables, 1)
+    """Canonical form of num/den: coprime parts, denominator with grlex
+    leading coefficient 1."""
     if num.is_zero:
-        return num, one
-    # Cancel the common monomial factor.
-    m_num = _monomial_gcd(num)
-    m_den = _monomial_gcd(den)
-    common = tuple(min(a, b) for a, b in zip(m_num, m_den))
-    if any(common):
-        monomial = Polynomial.monomial(variables, common)
-        num = num.exact_div(monomial)
-        den = den.exact_div(monomial)
-    # Univariate pair: full gcd reduction.
-    used = set(num.variables_used()) | set(den.variables_used())
-    if len(used) == 1:
-        index = variables.index(next(iter(used)))
-        g = uni_gcd(univariate_coefficients(num, index),
-                    univariate_coefficients(den, index))
-        if len(g) > 1:
-            g_poly = polynomial_from_coefficients(variables, index, g)
-            num = num.exact_div(g_poly)
-            den = den.exact_div(g_poly)
-    elif len(used) > 1:
-        # Multivariate: try exact division in either direction.
-        if den.total_degree() > 0:
-            if den.divides(num):
-                num = num.exact_div(den)
-                den = one
-            elif num.total_degree() > 0 and num.divides(den):
-                den = den.exact_div(num)
-                num = one
-    # Normalize: leading coefficient of the denominator is 1.
+        return num, Polynomial.constant(num.variables, 1)
+    if num.total_degree() > 0 and den.total_degree() > 0:
+        _, num, den = poly_gcd(num, den)
     _, lead = den.leading_term()
     if lead != 1:
         num = num / lead
