@@ -340,8 +340,7 @@ def _cmd_ruled_test(args) -> Report:
         while len(samples) < args.samples:
             samples.append(tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 6))
                                  for _ in obj.params))
-    diag = ruled_surface_diagnostic(obj, samples, order=args.order,
-                                    rng=seed, jobs=args.jobs)
+    diag = ruled_surface_diagnostic(obj, samples, order=args.order, rng=seed)
     report.mode = "point"
     report.inputs["seed"] = seed
     report.inputs["order"] = args.order
@@ -485,8 +484,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sample point (repeatable); random points fill the rest")
     p.add_argument("--samples", type=int, default=5, help="number of sample points")
     p.add_argument("--seed", type=int, help="seed for sample points and projection")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="thread count for independent sample points")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_ruled_test)
 

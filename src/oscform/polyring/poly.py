@@ -100,6 +100,20 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    @classmethod
+    def _trusted(cls, variables: tuple[str, ...],
+                 terms: dict[Exponents, Fraction]) -> "Polynomial":
+        """Wrap a fresh dict of arithmetic results without re-validating.
+
+        The caller guarantees a variable tuple taken from a Polynomial,
+        exponent tuples of matching length, and nonzero Fraction values;
+        the dict must not be shared.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "variables", variables)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -157,7 +171,7 @@ class Polynomial:
 
     def truncate(self, max_degree: int) -> "Polynomial":
         """Drop all terms of total degree exceeding max_degree."""
-        return Polynomial(
+        return Polynomial._trusted(
             self.variables,
             {e: c for e, c in self.terms.items() if sum(e) <= max_degree},
         )
@@ -206,12 +220,12 @@ class Polynomial:
                 terms[exps] = new
             else:
                 terms.pop(exps, None)
-        return Polynomial(self.variables, terms)
+        return Polynomial._trusted(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -243,7 +257,7 @@ class Polynomial:
                     terms[key] = new
                 else:
                     terms.pop(key, None)
-        return Polynomial(self.variables, terms)
+        return Polynomial._trusted(self.variables, terms)
 
     __rmul__ = __mul__
 

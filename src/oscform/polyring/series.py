@@ -3,9 +3,15 @@
 A series truncated at total degree d is just a Polynomial with no terms
 above degree d; the helpers here keep that invariant through products,
 composition, and inversion.  solve_series_system runs Newton iteration
-for an implicit system g(x_free, x_dep) = 0 around a point with
-invertible dependent Jacobian; each sweep doubles the correct order, so
-reaching order d costs O(log d) sweeps.
+with precision doubling (Brent & Kung 1978) for an implicit system
+g(x_free, x_dep) = 0 around a point with invertible dependent Jacobian.
+When the solution is right through degree k, one sweep composes the
+residual through degree 2k+1 (capped at the requested order) and the
+Jacobian only through degree k, since the residual has no terms below
+degree k+1; the two compositions share the powers of the substituted
+series.  Reaching order d takes ceil(log2(d+1)) sweeps, and only the
+last one works at full order.  A final residual check at full order
+certifies the result.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ def truncated_multiply(a: Polynomial, b: Polynomial, max_degree: int) -> Polynom
                 terms[key] = new
             else:
                 terms.pop(key, None)
-    return Polynomial(a.variables, terms)
+    return Polynomial._trusted(a.variables, terms)
 
 
 def truncated_power(a: Polynomial, exponent: int, max_degree: int) -> Polynomial:
@@ -49,34 +55,74 @@ def truncated_power(a: Polynomial, exponent: int, max_degree: int) -> Polynomial
     return result
 
 
-def truncated_compose(g: Polynomial, args: Sequence[Polynomial], max_degree: int) -> Polynomial:
-    """Substitute a series for each variable of g, truncating throughout."""
+PowerCache = dict[tuple[int, int], tuple[int, Polynomial]]
+
+
+def truncated_compose(g: Polynomial, args: Sequence[Polynomial], max_degree: int,
+                      *, powers: PowerCache | None = None) -> Polynomial:
+    """Substitute a series for each variable of g, truncating throughout.
+
+    Terms are grouped Horner-style by their exponent of each argument in
+    turn, so a group costs one series product and the innermost sums are
+    linear combinations of powers.  `powers` lets calls that substitute
+    the same `args` share those powers: it maps (i, e) to
+    (k, args[i]^e truncated past degree k), and an entry serves any call
+    with max_degree <= k.  Never pass one cache with different `args`.
+    """
     if len(args) != g.nvars:
         raise ValueError(f"expected {g.nvars} series, got {len(args)}")
-    target_vars = args[0].variables if args else ()
+    if not args:
+        return g
+    target_vars = args[0].variables
     for a in args:
         if a.variables != target_vars:
             raise ValueError("substituted series use different variables")
-    total = Polynomial.zero(target_vars)
-    power_cache: dict[tuple[int, int], Polynomial] = {}
+    if powers is None:
+        powers = {}
+    last = len(args) - 1
+    lowest = [min(map(sum, a.terms), default=0) for a in args]
+    zero_exps = (0,) * len(target_vars)
 
     def arg_power(i: int, e: int) -> Polynomial:
         if e == 0:
             return Polynomial.constant(target_vars, 1)
-        key = (i, e)
-        if key not in power_cache:
-            power_cache[key] = truncated_multiply(arg_power(i, e - 1), args[i], max_degree)
-        return power_cache[key]
+        cached = powers.get((i, e))
+        if cached is None or cached[0] < max_degree:
+            cached = (max_degree,
+                      truncated_multiply(arg_power(i, e - 1), args[i], max_degree))
+            powers[(i, e)] = cached
+        return cached[1]
 
-    for exps, coeff in g.terms.items():
-        term = Polynomial.constant(target_vars, coeff)
-        for i, e in enumerate(exps):
+    def nested(terms: list[tuple[tuple[int, ...], Fraction]], i: int,
+               budget: int) -> Polynomial:
+        """Sum of c * args[i]^e_i * ... * args[last]^e_last over the terms,
+        through degree budget."""
+        if i == last:
+            acc: dict[tuple[int, ...], Fraction] = {}
+            for exps, c in terms:
+                if exps[i]:
+                    items = arg_power(i, exps[i]).terms.items()
+                else:
+                    items = ((zero_exps, Fraction(1)),)
+                for key, v in items:
+                    if sum(key) <= budget:
+                        acc[key] = acc.get(key, Fraction(0)) + c * v
+            return Polynomial._trusted(target_vars, {k: v for k, v in acc.items() if v})
+        groups: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {}
+        for term in terms:
+            groups.setdefault(term[0][i], []).append(term)
+        total = Polynomial.zero(target_vars)
+        for e, group in groups.items():
+            low = e * lowest[i]
+            if low > budget:
+                continue
+            inner = nested(group, i + 1, budget - low)
             if e:
-                term = truncated_multiply(term, arg_power(i, e), max_degree)
-                if term.is_zero:
-                    break
-        total = total + term
-    return total
+                inner = truncated_multiply(arg_power(i, e), inner, budget)
+            total = total + inner
+        return total
+
+    return nested(list(g.terms.items()), 0, max_degree)
 
 
 def truncated_inverse(a: Polynomial, max_degree: int) -> Polynomial:
@@ -95,8 +141,13 @@ def truncated_inverse(a: Polynomial, max_degree: int) -> Polynomial:
 
 
 def _solve_linear_series(matrix: list[list[Polynomial]], rhs: list[Polynomial],
-                         max_degree: int) -> list[Polynomial]:
-    """Solve M x = rhs over truncated series; M(0) must be invertible."""
+                         matrix_degree: int, max_degree: int) -> list[Polynomial]:
+    """Solve M x = rhs over series truncated past max_degree.
+
+    M(0) must be invertible.  The rhs has no terms below degree
+    max_degree - matrix_degree, so M is only needed, and only worked
+    with, through degree matrix_degree.
+    """
     n = len(rhs)
     m = [row[:] for row in matrix]
     b = rhs[:]
@@ -106,13 +157,13 @@ def _solve_linear_series(matrix: list[list[Polynomial]], rhs: list[Polynomial],
             raise DomainError("linear series system is singular at the base point")
         m[k], m[pivot] = m[pivot], m[k]
         b[k], b[pivot] = b[pivot], b[k]
-        inv = truncated_inverse(m[k][k], max_degree)
-        m[k] = [truncated_multiply(inv, e, max_degree) for e in m[k]]
+        inv = truncated_inverse(m[k][k], matrix_degree)
+        m[k] = [truncated_multiply(inv, e, matrix_degree) for e in m[k]]
         b[k] = truncated_multiply(inv, b[k], max_degree)
         for i in range(n):
             if i != k and not m[i][k].is_zero:
                 factor = m[i][k]
-                m[i] = [e - truncated_multiply(factor, p, max_degree)
+                m[i] = [e - truncated_multiply(factor, p, matrix_degree)
                         for e, p in zip(m[i], m[k])]
                 b[i] = b[i] - truncated_multiply(factor, b[k], max_degree)
     return b
@@ -159,36 +210,29 @@ def solve_series_system(equations: Sequence[Polynomial],
     if not _fraction_determinant([row[:] for row in j0]):
         raise DomainError("dependent Jacobian is singular at the base point")
 
-    def offsets() -> list[Polynomial]:
-        out = []
-        for k, idx in enumerate(free):
-            u = Polynomial.variable(series_vars, series_vars[k])
-            out.append(u + point[idx])
-        return out
+    args: list[Polynomial] = [None] * len(variables)  # type: ignore[list-item]
+    for k, idx in enumerate(free):
+        args[idx] = Polynomial.variable(series_vars, series_vars[k]) + point[idx]
+    for idx in dep:
+        args[idx] = Polynomial.constant(series_vars, point[idx])
 
-    free_series = offsets()
-    solution = [Polynomial.constant(series_vars, point[i]) for i in dep]
-
-    def assemble() -> list[Polynomial]:
-        args: list[Polynomial] = [None] * len(variables)  # type: ignore[list-item]
-        for k, idx in enumerate(free):
-            args[idx] = free_series[k]
-        for k, idx in enumerate(dep):
-            args[idx] = solution[k]
-        return args
-
-    max_sweeps = max(order, 1).bit_length() + 2
-    for _ in range(max_sweeps):
-        args = assemble()
-        residual = [truncated_compose(g, args, order) for g in equations]
-        if all(r.is_zero for r in residual):
-            return solution
-        jac = [[truncated_compose(entry, args, order) for entry in row]
-               for row in jacobian]
-        delta = _solve_linear_series(jac, [-r for r in residual], order)
-        solution = [(s + d).truncate(order) for s, d in zip(solution, delta)]
-    args = assemble()
+    # The point solves the system, so the constant terms are right: done = 0.
+    done = 0
+    while done < order:
+        target = min(2 * done + 1, order)
+        powers: PowerCache = {}
+        residual = [truncated_compose(g, args, target, powers=powers)
+                    for g in equations]
+        if any(residual):
+            jac = [[truncated_compose(entry, args, target - done - 1, powers=powers)
+                    for entry in row]
+                   for row in jacobian]
+            delta = _solve_linear_series(jac, [-r for r in residual],
+                                         target - done - 1, target)
+            for idx, d in zip(dep, delta):
+                args[idx] = args[idx] + d
+        done = target
     residual = [truncated_compose(g, args, order) for g in equations]
-    if all(r.is_zero for r in residual):
-        return solution
-    raise InvariantViolation("series Newton iteration failed to converge")
+    if any(residual):
+        raise InvariantViolation("series Newton iteration failed to converge")
+    return [args[idx] for idx in dep]

@@ -700,8 +700,7 @@ def ruled_surface_diagnostic(surface: Union[Parameterization, ImplicitVariety],
                              sample_points: Sequence[Sequence],
                              order: int = 4,
                              projection: Sequence[Sequence] | None = None,
-                             rng: random.Random | int | None = None,
-                             jobs: int = 1) -> RuledDiagnostic:
+                             rng: random.Random | int | None = None) -> RuledDiagnostic:
     """Evidence-gathering ruledness test at finitely many sample points.
 
     At each point: build the Monge chart, test whether f2 and f3 share a
@@ -710,8 +709,7 @@ def ruled_surface_diagnostic(surface: Union[Parameterization, ImplicitVariety],
     "not-ruled-evidence" requires an empty intersection somewhere;
     anything else is "inconclusive".  This samples a generic condition
     at finitely many points: it is evidence, never a proof.  Points are
-    independent; jobs > 1 runs them on a thread pool, with the report
-    order fixed by the input order either way.
+    examined and reported in input order.
     """
     used_projection = None
     if isinstance(surface, Parameterization) and surface.ambient_dim > 3:
@@ -729,13 +727,7 @@ def ruled_surface_diagnostic(surface: Union[Parameterization, ImplicitVariety],
             return PointDiagnostic(sample, None, None, [], False,
                                    f"{type(exc).__name__}: {exc}")
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(examine, sample_points))
-    else:
-        reports = [examine(sample) for sample in sample_points]
+    reports = [examine(sample) for sample in sample_points]
     if reports and all(r.error is None and r.has_contact_4 for r in reports):
         verdict = "ruled-evidence"
     elif any(r.intersects is False for r in reports):

@@ -238,9 +238,6 @@ def test_diagnostic_ruled_evidence_on_quadric():
     assert diag.verdict == "ruled-evidence"
     assert all(p.has_contact_4 for p in diag.points)
     assert "evidence, not a proof" in diag.disclaimer
-    threaded = ruled_surface_diagnostic(
-        quadric, [(0, 0), (1, 2), (-1, Fraction(1, 3))], jobs=2)
-    assert threaded.points == diag.points
 
 
 def test_diagnostic_not_ruled_on_generic_graph():

@@ -1,0 +1,166 @@
+"""Tests for the truncated series layer: the Newton precision schedule,
+the shared power cache of truncated_compose, series reversion, and the
+trusted Polynomial constructor behind arithmetic results.
+
+Oracles: untruncated composition (`evaluate_in`) followed by `truncate`,
+calls with and without a power cache, and the validating constructor.
+"""
+
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from oscform.jets import ImplicitVariety, Parameterization
+from oscform.polyring import Polynomial, parse_polynomial
+from oscform.polyring import series
+from oscform.polyring.series import (
+    solve_series_system,
+    truncated_compose,
+    truncated_multiply,
+)
+from oscform.ruled import monge_form
+
+XY = ("x", "y")
+
+
+def P(text, variables=XY):
+    return parse_polynomial(text, variables)
+
+
+def count_compositions(monkeypatch):
+    """Route the solver's compositions through a counter by degree."""
+    degrees = Counter()
+    original = series.truncated_compose
+
+    def counting(g, args, max_degree, **kwargs):
+        degrees[max_degree] += 1
+        return original(g, args, max_degree, **kwargs)
+
+    monkeypatch.setattr(series, "truncated_compose", counting)
+    return degrees
+
+
+def test_order_8_monge_chart_composes_at_full_order_at_most_2n_times(monkeypatch):
+    surface = Parameterization(("t", "s"), [
+        P(expr, ("t", "s")) for expr in ("1 + t*s", "t + s^2", "s + t^2*s", "t^3 + s^3 + t*s")])
+    degrees = count_compositions(monkeypatch)
+    md = monge_form(surface, (1, 2), order=8)
+    # Two equations: the last sweep's residual and the final check.
+    assert degrees[8] <= 4
+    assert max(degrees) == 8
+    assert md.f_series.total_degree() == 8
+
+
+def test_implicit_monge_chart_composes_at_full_order_at_most_twice(monkeypatch):
+    variables = ("x0", "x1", "x2", "x3")
+    g = P("x0*x3^2 + x1^3 + x1*x2^2 + x2^3 - x0^2*x3 - x0^2*x1", variables)
+    surface = ImplicitVariety([g], point=(1, 1, 0, 0))
+    degrees = count_compositions(monkeypatch)
+    md = monge_form(surface, order=7)
+    assert degrees[7] <= 2
+    assert max(degrees) == 7
+    assert not md.f2.is_zero
+
+
+def test_power_cache_matches_uncached_compose_at_lower_then_higher_degree():
+    g = P("3*x^4*y - x^2*y^3 + 5*x*y + y^2 - 7*x + 2")
+    args = [P("1 + x - 2*y + x*y^2"), P("y + 3*x^2 - x*y + y^3")]
+    cache = {}
+    for degree in (3, 7, 2, 7, 5):
+        shared = truncated_compose(g, args, degree, powers=cache)
+        assert shared == truncated_compose(g, args, degree)
+        assert shared == g.evaluate_in(args).truncate(degree)
+    # The degree-7 call replaced the entries built at degree 3 and later
+    # calls at lower degrees reused them.
+    assert cache and all(k == 7 for k, _ in cache.values())
+
+
+def test_compose_keeps_zero_and_constant_arguments():
+    g = P("x^2*y + 4*y - 1")
+    zero = Polynomial.zero(XY)
+    assert truncated_compose(g, [P("x + 1"), zero], 4) == P("-1")
+    assert truncated_compose(g, [P("2"), P("x")], 0) == P("-1")
+
+
+def _invertible_maps():
+    from hypothesis import assume
+    from hypothesis import strategies as st
+
+    small = st.integers(-4, 4)
+    higher = st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda e: 2 <= sum(e) <= 3),
+        small.filter(bool), max_size=2)
+
+    @st.composite
+    def maps(draw):
+        linear = [[draw(small) for _ in range(2)] for _ in range(2)]
+        assume(linear[0][0] * linear[1][1] != linear[0][1] * linear[1][0])
+        base = tuple(Fraction(draw(small), draw(st.integers(1, 3))) for _ in range(2))
+        components = []
+        for i in range(2):
+            terms = {(1, 0): linear[i][0], (0, 1): linear[i][1]}
+            for exps, c in draw(higher).items():
+                terms[exps] = terms.get(exps, 0) + c
+            components.append(Polynomial(("u1", "u2"), terms))
+        return components, base, draw(st.integers(0, 9))
+
+    return maps()
+
+
+def test_reversion_inverts_random_maps_through_its_order():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+    @hypothesis.given(_invertible_maps())
+    def check(case):
+        components, base, order = case
+        u_vars = ("u1", "u2")
+        combined = ("x1", "x2") + u_vars
+        # Solve T(u) = x around u = base; skip bases where the Jacobian
+        # of T is singular.
+        jac = [[t.partial(j).evaluate(base) for j in range(2)] for t in components]
+        hypothesis.assume(jac[0][0] * jac[1][1] != jac[0][1] * jac[1][0])
+        image = [t.evaluate(base) for t in components]
+        equations = [t.extend_variables(combined) - Polynomial.variable(combined, x)
+                     for t, x in zip(components, ("x1", "x2"))]
+        inverse = solve_series_system(equations, free=[0, 1], dep=[2, 3],
+                                      point=list(image) + list(base), order=order)
+        assert [s.constant_term() for s in inverse] == list(base)
+        assert all(s.total_degree() <= order for s in inverse)
+        # T(U(x)) = x through degree `order`, in offsets from the image point.
+        for t, x, c in zip(components, ("x1", "x2"), image):
+            composed = t.evaluate_in(inverse)
+            expected = Polynomial.variable(("x1", "x2"), x) + c
+            assert composed.truncate(order) == expected.truncate(order)
+
+    check()
+
+
+def _polynomials():
+    from hypothesis import strategies as st
+
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    return st.dictionaries(exps, coeffs, max_size=6)
+
+
+def test_trusted_arithmetic_results_equal_validated_polynomials():
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(_polynomials(), _polynomials(), st.integers(0, 6))
+    def check(a, b, degree):
+        a, b = Polynomial(XY, a), Polynomial(XY, b)
+        results = [a + b, a - b, a + (-a), -a, a * b, (a - b) * (a + b),
+                   a.truncate(degree), truncated_multiply(a, b, degree),
+                   truncated_multiply(a - b, a + b, degree)]
+        for r in results:
+            assert r == Polynomial(XY, r.terms)
+            assert type(r.variables) is tuple
+            assert all(type(c) is Fraction and c for c in r.terms.values())
+        assert (a + (-a)).is_zero
+        assert truncated_multiply(a, b, degree) == (a * b).truncate(degree)
+
+    check()
