@@ -35,11 +35,11 @@ from .polyring import parse_rational
 from .report import Report, fmt, fmt_point, render
 from .ruled import (
     RuledParameterization,
-    dim_bound_check,
     fubini_intersection_test,
     heat_equation_check,
     monge_form,
     pushdown_rank_check,
+    ruled_dim_bound,
     ruled_surface_diagnostic,
     ruling_fixed_component_check,
     scroll,
@@ -273,7 +273,9 @@ def _cmd_ruling_check(args) -> Report:
     if getattr(args, "at", None) is not None:
         point = _parse_rational_tuple(args.at, "--at")
     result = ruling_fixed_component_check(ruled, args.order, point=point)
-    bound = dim_bound_check(ruled, args.order)
+    # dim |Phi_m| in the report's own mode; the bound holds at every point.
+    dim = result.system.projective_dim
+    bound = ruled_dim_bound(ruled, args.order)
     _record_point_mode(report, point)
     report.inputs["base_params"] = " ".join(ruled.base_params)
     report.inputs["fiber_params"] = " ".join(ruled.fiber_params)
@@ -284,9 +286,9 @@ def _cmd_ruling_check(args) -> Report:
                "n/a" if result.singular_along_ruling is None
                else result.singular_along_ruling)
     report.add("fixed_component", result.fixed_component or "none")
-    report.add("dim", bound.dim)
-    report.add("bound", bound.bound)
-    report.add("within_bound", bound.ok)
+    report.add("dim", dim)
+    report.add("bound", bound)
+    report.add("within_bound", dim <= bound)
     return report
 
 

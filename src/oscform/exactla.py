@@ -9,6 +9,22 @@ the scaled matrix, avoiding expression swell.  Row scaling changes
 neither row space, kernel, rank, nor reduced echelon form, so results
 are exact and canonical.
 
+Every question below costs one such elimination, and all of them share
+one scaling path (`_domain_rows`) and one sweep (`_forward_eliminate`):
+
+- `rank(M)`: the rank of M;
+- `determinant(M)`: the determinant of a square M;
+- `rref(M)`: the reduced row echelon form, its rank and pivot columns;
+- `prefix_ranks(M, ends)`: the rank of every leading block of rows,
+  read off the pivot columns of one RREF of the transpose;
+- `kernel_vectors(M)`: a basis of the right kernel read off one RREF,
+  one vector per free column (not canonical);
+- `row_space(M)`: the canonical basis of the row space.
+
+`kernel_basis(M)` wraps `kernel_vectors` in the checked `Subspace`
+constructor, which runs a second RREF to make the basis canonical; use
+it only where the canonical kernel itself is the answer.
+
 Subspaces are stored by their reduced-row-echelon basis; since that
 basis is unique for a given row space, value equality of subspaces is
 entrywise equality of bases.
@@ -189,10 +205,10 @@ def _scale_row_rational(row: Sequence[Fraction]) -> tuple[list[int], Fraction]:
     return ints, multiplier
 
 
-def _scale_row_function(row: Sequence[RationalFunction]) -> tuple[list[Polynomial], object]:
-    """Clear polynomial denominators and rational content from a row."""
-    if not row:
-        return [], Fraction(1)
+def _scale_row_function(row: Sequence[RationalFunction]) -> tuple[list[Polynomial], Polynomial]:
+    """Clear polynomial denominators and rational content from a row;
+
+    returns (polynomial row, multiplier)."""
     variables = row[0].variables
     one = Polynomial.constant(variables, 1)
     common = one
@@ -214,7 +230,8 @@ def _scale_row_function(row: Sequence[RationalFunction]) -> tuple[list[Polynomia
         )
     if content and content != 1:
         polys = [p / content for p in polys]
-    return polys, (common, content)
+        common = common / content
+    return polys, common
 
 
 def _int_exact_div(a: int, b: int) -> int:
@@ -262,13 +279,16 @@ def _forward_eliminate(work: list[list], one, exact_div) -> tuple[list[int], int
 
 
 def _domain_rows(matrix: ExactMatrix):
-    """Scaled domain copy of the rows plus the domain's helpers."""
+    """Scaled domain copy of the rows, the multiplier each row was scaled
+
+    by, and the domain's helpers."""
     if isinstance(matrix.field, RationalField):
-        work = [_scale_row_rational(r)[0] for r in matrix.rows]
-        return work, 1, _int_exact_div
-    work = [_scale_row_function(r)[0] for r in matrix.rows]
-    one = Polynomial.constant(matrix.field.variables, 1)
-    return work, one, _poly_exact_div
+        scaled = [_scale_row_rational(r) for r in matrix.rows]
+        one, exact_div = 1, _int_exact_div
+    else:
+        scaled = [_scale_row_function(r) for r in matrix.rows]
+        one, exact_div = Polynomial.constant(matrix.field.variables, 1), _poly_exact_div
+    return [s[0] for s in scaled], [s[1] for s in scaled], one, exact_div
 
 
 class RrefResult:
@@ -289,7 +309,7 @@ def rref(matrix: ExactMatrix) -> RrefResult:
     field = matrix.field
     if matrix.nrows == 0 or matrix.ncols == 0:
         return RrefResult(matrix, 0, ())
-    work, one, exact_div = _domain_rows(matrix)
+    work, _, one, exact_div = _domain_rows(matrix)
     pivots, _ = _forward_eliminate(work, one, exact_div)
     rank = len(pivots)
     rows = [[field.coerce(e) for e in work[i]] for i in range(rank)]
@@ -311,7 +331,7 @@ def rref(matrix: ExactMatrix) -> RrefResult:
 def rank(matrix: ExactMatrix) -> int:
     if matrix.nrows == 0 or matrix.ncols == 0:
         return 0
-    work, one, exact_div = _domain_rows(matrix)
+    work, _, one, exact_div = _domain_rows(matrix)
     pivots, _ = _forward_eliminate(work, one, exact_div)
     return len(pivots)
 
@@ -323,31 +343,17 @@ def determinant(matrix: ExactMatrix) -> Entry:
     field = matrix.field
     if matrix.nrows == 0:
         return field.one()
-    if isinstance(field, RationalField):
-        scaled = [_scale_row_rational(r) for r in matrix.rows]
-        work = [s[0] for s in scaled]
-        multiplier = Fraction(1)
-        for _, m in scaled:
-            multiplier *= m
-        one, exact_div = 1, _int_exact_div
-    else:
-        work = []
-        multiplier = field.one()
-        for r in matrix.rows:
-            polys, (common, content) = _scale_row_function(r)
-            work.append(polys)
-            scale = RationalFunction(common)
-            if content:
-                scale = scale / content
-            multiplier = multiplier * scale
-        one, exact_div = Polynomial.constant(field.variables, 1), _poly_exact_div
+    work, multipliers, one, exact_div = _domain_rows(matrix)
     pivots, sign = _forward_eliminate(work, one, exact_div)
     if len(pivots) < matrix.nrows:
         return field.zero()
     det = field.coerce(work[-1][pivots[-1]])
     if sign < 0:
         det = -det
-    return det / multiplier
+    scale = one
+    for multiplier in multipliers:
+        scale = scale * multiplier
+    return det / field.coerce(scale)
 
 
 class Subspace:
@@ -434,23 +440,43 @@ def row_space(matrix: ExactMatrix) -> Subspace:
                                matrix.field)
 
 
-def kernel_basis(matrix: ExactMatrix) -> Subspace:
-    """Right kernel {v : M v = 0} with canonical echelon basis."""
+def prefix_ranks(matrix: ExactMatrix, ends: Sequence[int]) -> list[int]:
+    """Rank of the first `end` rows, for each end, from one elimination.
+
+    The pivot columns of the RREF of the transpose are the rows that do
+    not lie in the span of the rows above them, so the rank of a leading
+    block of rows is the number of pivot columns inside it.
+    """
+    pivots = rref(matrix.transpose()).pivot_columns
+    return [sum(1 for p in pivots if p < end) for end in ends]
+
+
+def kernel_vectors(matrix: ExactMatrix) -> list[list[Entry]]:
+    """A basis of the right kernel {v : M v = 0}, read off one RREF.
+
+    There is one vector per free column: 1 in that column, 0 in the
+    other free columns, and minus the RREF entries in the pivot
+    columns.  The basis is not canonical; `kernel_basis` makes it so.
+    """
     reduced = rref(matrix)
     pivots = set(reduced.pivot_columns)
     field = matrix.field
     zero, one = field.zero(), field.one()
     vectors = []
-    pivot_list = list(reduced.pivot_columns)
     for free_col in range(matrix.ncols):
         if free_col in pivots:
             continue
         v = [zero] * matrix.ncols
         v[free_col] = one
-        for i, pc in enumerate(pivot_list):
+        for i, pc in enumerate(reduced.pivot_columns):
             v[pc] = -reduced.matrix[i, free_col]
         vectors.append(v)
-    return Subspace(matrix.ncols, vectors, field=field)
+    return vectors
+
+
+def kernel_basis(matrix: ExactMatrix) -> Subspace:
+    """Right kernel {v : M v = 0} with canonical echelon basis."""
+    return Subspace(matrix.ncols, kernel_vectors(matrix), field=matrix.field)
 
 
 def span_contains(outer: Subspace, inner: Subspace) -> bool:

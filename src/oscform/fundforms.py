@@ -27,7 +27,8 @@ from .exactla import (
     FunctionField,
     RationalField,
     Subspace,
-    kernel_basis,
+    kernel_vectors,
+    rank,
     span_contains,
 )
 from .jets import JetMatrix, Parameterization, jet_matrix
@@ -278,23 +279,21 @@ def fundamental_form(f: Parameterization, m: int,
     """The m-th fundamental form |Phi_m| at a point or generically.
 
     Applies the |I| = m jet rows to a kernel basis of the order-(m-1)
-    jet matrix.  The generator count always equals s(m) - s(m-1); this
-    dimension law is asserted on every call.
+    jet matrix M_(m-1), read off its one RREF; `LinearSystem` makes the
+    span canonical.  The generator count always equals
+    s(m) - s(m-1) = rank(M_m) - rank(M_(m-1)); this dimension law is
+    asserted on every call.
     """
     if m < 2:
         raise DomainError(
             f"fundamental forms start at m = 2 (the first form is the identity); got {m}"
         )
     jm = jet_matrix(f, m, point)
-    upper_rows = [i for i, I in enumerate(jm.row_indices) if sum(I) <= m - 1]
-    upper = jm.matrix.submatrix_rows(upper_rows)
-    kernel_prev = kernel_basis(upper)
-    kernel_full = kernel_basis(jm.matrix)
-    top_indices = jm.top_block_indices()
-    top = [jm.matrix.row(i) for i in top_indices]
+    kernel_prev = kernel_vectors(jm.prefix(m - 1))
+    top = [jm.matrix.row(i) for i in jm.top_block_indices()]
     field = jm.matrix.field
     vectors = []
-    for g in kernel_prev.basis:
+    for g in kernel_prev:
         vec = []
         for row in top:
             total = field.zero()
@@ -308,7 +307,8 @@ def fundamental_form(f: Parameterization, m: int,
     system = LinearSystem(m, tangent_vars, vectors,
                           "generic" if point is None else tuple(Fraction(v) for v in point),
                           field)
-    expected = kernel_prev.dim - kernel_full.dim
+    # rank(M_(m-1)) = columns - dim K_(m-1).
+    expected = rank(jm.matrix) - (jm.matrix.ncols - len(kernel_prev))
     if system.generator_count != expected:
         raise InvariantViolation(
             f"|Phi_{m}| has {system.generator_count} independent generators but "
@@ -381,8 +381,8 @@ def verify_phibar_relation(f: Parameterization, m: int,
 
     fundamental form.
 
-    For every kernel basis vector g of the order-(m-1) jet matrix, two
-    identities are checked symbolically over the function field:
+    For every vector g of a kernel basis of the order-(m-1) jet matrix,
+    two identities are checked symbolically over the function field:
 
       (a) sum_j d(g_j)/du_k * D_I x_j = 0 for all |I| <= m-2 (the map
           factors through the symmetric-power inclusion);
@@ -392,14 +392,18 @@ def verify_phibar_relation(f: Parameterization, m: int,
     The multiset monomial du^I maps to v^I with coefficient 1; with that
     convention the -m identity is exact.  When a point is supplied, both
     sides are additionally specialized there.
+
+    Any basis over the function field will do.  If g = sum_i c_i b_i,
+    the extra terms sum_i d(c_i)/du_k (sum_j b_ij D_I x_j) vanish for
+    |I| <= m-1, so both identities hold for one basis exactly when they
+    hold for every other; the basis read off the RREF is used as is.
     """
     if m < 2:
         raise DomainError(f"the relation starts at m = 2, got {m}")
     jm = jet_matrix(f, m, None)
     field = jm.matrix.field
     r = f.source_dim
-    upper_rows = [i for i, I in enumerate(jm.row_indices) if sum(I) <= m - 1]
-    kernel_prev = kernel_basis(jm.matrix.submatrix_rows(upper_rows))
+    kernel_prev = kernel_vectors(jm.prefix(m - 1))
     rows_by_index = {I: jm.matrix.row(i) for i, I in enumerate(jm.row_indices)}
 
     lower_ok = True
@@ -409,11 +413,11 @@ def verify_phibar_relation(f: Parameterization, m: int,
         # The identity is established symbolically below, hence at every
         # point where the kernel specializes; evaluating the kernel here
         # surfaces DenominatorVanishes for invalid points.
-        for g in kernel_prev.basis:
+        for g in kernel_prev:
             for entry in g:
                 entry.evaluate(point_tuple)
 
-    for g in kernel_prev.basis:
+    for g in kernel_prev:
         dg = [[entry.partial(k) for entry in g] for k in range(r)]
         # (a) lower-order components vanish identically.
         for I in jm.row_indices:
@@ -450,7 +454,7 @@ def verify_phibar_relation(f: Parameterization, m: int,
                 symmetric_ok = False
     holds = lower_ok and symmetric_ok
     return PhibarReport(m, holds, lower_ok, symmetric_ok,
-                        kernel_prev.dim, m, point_tuple)
+                        len(kernel_prev), m, point_tuple)
 
 
 @dataclass

@@ -32,7 +32,9 @@ from .exactla import (
     FunctionField,
     RationalField,
     Subspace,
+    determinant,
     kernel_basis,
+    prefix_ranks,
     rank,
     row_space,
     span_contains,
@@ -46,7 +48,6 @@ from .polyring import (
     solve_series_system,
     truncated_compose,
 )
-from .polyring.binform import _fraction_determinant
 
 DEFAULT_SEED = 104729
 
@@ -167,6 +168,23 @@ class JetMatrix:
         self.point = point
         self.params = params
 
+    def prefix_end(self, order: int) -> int:
+        """Number of rows with |I| <= order; degree-major order puts
+
+        them first."""
+        return sum(1 for I in self.row_indices if sum(I) <= order)
+
+    def prefix(self, order: int) -> ExactMatrix:
+        """The order-`order` jet matrix: the rows with |I| <= order."""
+        return self.matrix.submatrix_rows(range(self.prefix_end(order)))
+
+    def order_ranks(self) -> list[int]:
+        """Ranks of the order-0 through order-`order` jet matrices, from
+
+        one elimination."""
+        return prefix_ranks(self.matrix,
+                            [self.prefix_end(i) for i in range(self.order + 1)])
+
     def top_block_indices(self) -> list[int]:
         """Row positions of the |I| = order block."""
         return [i for i, I in enumerate(self.row_indices) if sum(I) == self.order]
@@ -253,11 +271,7 @@ def _ranks_at_sample(f: Parameterization, m_max: int, rng: random.Random,
                 jm = jet_matrix(f, m_max, point)
         except (DenominatorVanishes, DomainError):
             continue
-        ranks = []
-        for i in range(m_max + 1):
-            upper = [j for j, I in enumerate(jm.row_indices) if sum(I) <= i]
-            ranks.append(rank(jm.matrix.submatrix_rows(upper)))
-        return point, ranks
+        return point, jm.order_ranks()
     raise DomainError("could not sample a point off the coordinate denominators")
 
 
@@ -276,18 +290,12 @@ def osculating_profile(f: Parameterization, m_max: int,
         raise DomainError(f"m_max must be at least 1, got {m_max}")
     if point is not None:
         jm = jet_matrix(f, m_max, point)
-        dims = []
-        for i in range(m_max + 1):
-            upper = [j for j, I in enumerate(jm.row_indices) if sum(I) <= i]
-            dims.append(rank(jm.matrix.submatrix_rows(upper)) - 1)
+        dims = [r - 1 for r in jm.order_ranks()]
         return OsculatingProfile(dims, tuple(Fraction(v) for v in point), "point",
                                  None, f.source_dim, f.ambient_dim)
     if symbolic:
         jm = jet_matrix(f, m_max, None)
-        dims = []
-        for i in range(m_max + 1):
-            upper = [j for j, I in enumerate(jm.row_indices) if sum(I) <= i]
-            dims.append(rank(jm.matrix.submatrix_rows(upper)) - 1)
+        dims = [r - 1 for r in jm.order_ranks()]
         return OsculatingProfile(dims, "generic", "generic-symbolic",
                                  None, f.source_dim, f.ambient_dim)
     if rng is None:
@@ -320,10 +328,7 @@ def kernel_chain(f: Parameterization, m: int,
     """Kernels K_0 through K_m of the jet matrices, nesting verified."""
     _check_jet_order(f, m)
     jm = jet_matrix(f, m, point)
-    chain = []
-    for i in range(m + 1):
-        upper = [j for j, I in enumerate(jm.row_indices) if sum(I) <= i]
-        chain.append(kernel_basis(jm.matrix.submatrix_rows(upper)))
+    chain = [kernel_basis(jm.prefix(i)) for i in range(m + 1)]
     for i in range(1, len(chain)):
         if not span_contains(chain[i - 1], chain[i]):
             raise ChainBroken(
@@ -431,7 +436,7 @@ def jet_parameterize(iv: ImplicitVariety, order: int,
 
     def block_invertible(dep: list[int]) -> bool:
         jac = [[g.partial(j).evaluate(affine_point) for j in dep] for g in affine_eqs]
-        return bool(_fraction_determinant(jac))
+        return bool(determinant(ExactMatrix(jac, field=RationalField())))
 
     if free_coords is not None:
         wanted = list(free_coords)

@@ -9,9 +9,6 @@ from .poly import (
     grlex_key,
     multi_index_factorial,
     multi_indices_upto,
-    uni_divmod,
-    uni_gcd,
-    uni_gcdex,
 )
 from .gcd import poly_gcd
 from .ratfunc import RationalFunction
@@ -23,6 +20,7 @@ from .binform import (
     form_from_coefficients,
     gen_divmod,
     gen_gcd,
+    gen_gcdex,
     gen_trim,
     rational_zeros,
     resultant_binary,
@@ -47,9 +45,6 @@ __all__ = [
     "grlex_key",
     "multi_index_factorial",
     "multi_indices_upto",
-    "uni_divmod",
-    "uni_gcd",
-    "uni_gcdex",
     "poly_gcd",
     "binary_coefficients",
     "binary_form_gcd",
@@ -57,6 +52,7 @@ __all__ = [
     "form_from_coefficients",
     "gen_divmod",
     "gen_gcd",
+    "gen_gcdex",
     "gen_trim",
     "rational_zeros",
     "resultant_binary",

@@ -7,9 +7,10 @@ v1^(d-i) * v2^i, so c_0 = 0 detects the zero (1:0) and c_d = 0 the zero
 runs the Euclidean algorithm on dehomogenized coefficient lists and
 rehomogenizes; with both inputs stripped no zeros can hide at infinity.
 
-The list-level helpers (gen_trim, gen_divmod, gen_gcd) only use field
-operations through operators, so they also run on coefficient lists of
-rational functions; the fundamental-form module uses them that way.
+The list-level helpers (gen_trim, gen_divmod, gen_gcd, gen_gcdex) only
+use field operations through operators, so they also run on coefficient
+lists of rational functions; the fundamental-form module uses them that
+way, and the quotient ring uses them over the rationals.
 """
 
 from __future__ import annotations
@@ -61,6 +62,37 @@ def gen_gcd(f: list, g: list) -> list:
         inv = a[-1] ** (-1)
         a = [c * inv for c in a]
     return a
+
+
+def _gen_sub_product(a: list, q: list, b: list) -> list:
+    """a - q*b on coefficient lists over any field."""
+    if not q or not b:
+        return list(a)
+    out = list(a) + [q[0] * 0] * max(0, len(q) + len(b) - 1 - len(a))
+    for i, qi in enumerate(q):
+        if qi:
+            for j, bj in enumerate(b):
+                out[i + j] = out[i + j] - qi * bj
+    return gen_trim(out)
+
+
+def gen_gcdex(f: list, g: list) -> tuple[list, list, list]:
+    """Extended Euclid over any field: (s, t, d) with s*f + t*g = d, the
+
+    monic gcd.  f and g must not both be zero."""
+    r0, r1 = gen_trim(list(f)), gen_trim(list(g))
+    if not r0 and not r1:
+        raise ZeroDivisionRequested("gcd of two zero polynomials")
+    one = (r0 or r1)[-1] ** 0
+    s0, s1 = [one], []
+    t0, t1 = [], [one]
+    while r1:
+        q, r = gen_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _gen_sub_product(s0, q, s1)
+        t0, t1 = t1, _gen_sub_product(t0, q, t1)
+    inv = r0[-1] ** (-1)
+    return [c * inv for c in s0], [c * inv for c in t0], [c * inv for c in r0]
 
 
 # -- binary forms over the rationals ----------------------------------------
@@ -137,6 +169,9 @@ def resultant_binary(f: Polynomial, g: Polynomial) -> Fraction:
     vanishing extreme coefficients (zeros at (1:0) or (0:1)) are kept
     and common zeros there are detected.
     """
+    # exactla imports polyring, so it is imported here, not at module level.
+    from ..exactla import ExactMatrix, RationalField, determinant
+
     m = check_binary_form(f)
     n = check_binary_form(g)
     if f.variables != g.variables:
@@ -155,40 +190,7 @@ def resultant_binary(f: Polynomial, g: Polynomial) -> Fraction:
         for i, c in enumerate(gc):
             row[shift + i] = c
         rows.append(row)
-    return _fraction_determinant(rows)
-
-
-def _fraction_determinant(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction-free elimination on a scaled integer matrix."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    work: list[list[int]] = []
-    for row in rows:
-        lcm = 1
-        for c in row:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        scale *= lcm
-        work.append([int(c * lcm) for c in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        pivot_row = next((i for i in range(k, n) if work[i][k]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            work[k], work[pivot_row] = work[pivot_row], work[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                value = work[k][k] * work[i][j] - work[i][k] * work[k][j]
-                quotient, remainder = divmod(value, prev)
-                assert not remainder, "fraction-free elimination divisibility failed"
-                work[i][j] = quotient
-            work[i][k] = 0
-        prev = work[k][k]
-    return Fraction(sign * work[n - 1][n - 1]) / scale
+    return determinant(ExactMatrix(rows, field=RationalField()))
 
 
 def rational_zeros(p: Polynomial) -> list[tuple[Fraction, Fraction]]:

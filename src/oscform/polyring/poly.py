@@ -492,82 +492,3 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
-
-
-# -- univariate helpers ------------------------------------------------
-
-def _uni_trim(coeffs: list[Fraction]) -> list[Fraction]:
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
-def uni_divmod(f: list[Fraction], g: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder on coefficient lists (low to high)."""
-    f = _uni_trim(list(f))
-    g = _uni_trim(list(g))
-    if not g:
-        raise ZeroDivisionRequested("univariate division by zero")
-    if len(f) < len(g):
-        return [], f
-    q = [Fraction(0)] * (len(f) - len(g) + 1)
-    r = list(f)
-    inv_lead = Fraction(1) / g[-1]
-    for i in range(len(q) - 1, -1, -1):
-        coeff = r[i + len(g) - 1] * inv_lead
-        q[i] = coeff
-        if coeff:
-            for j, gj in enumerate(g):
-                r[i + j] -= coeff * gj
-    return _uni_trim(q), _uni_trim(r)
-
-
-def uni_gcd(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    """Monic greatest common divisor of coefficient lists."""
-    a = _uni_trim(list(f))
-    b = _uni_trim(list(g))
-    while b:
-        _, r = uni_divmod(a, b)
-        a, b = b, r
-    if a:
-        inv = Fraction(1) / a[-1]
-        a = [c * inv for c in a]
-    return a
-
-
-def uni_gcdex(f: list[Fraction], g: list[Fraction]) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
-    """Extended Euclid: returns (s, t, d) with s*f + t*g = d, d monic gcd."""
-
-    def add(a, b):
-        out = [Fraction(0)] * max(len(a), len(b))
-        for i, c in enumerate(a):
-            out[i] += c
-        for i, c in enumerate(b):
-            out[i] += c
-        return _uni_trim(out)
-
-    def mul(a, b):
-        if not a or not b:
-            return []
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return _uni_trim(out)
-
-    def scale(a, c):
-        return _uni_trim([x * c for x in a])
-
-    r0, r1 = _uni_trim(list(f)), _uni_trim(list(g))
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = uni_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, add(s0, scale(mul(q, s1), Fraction(-1)))
-        t0, t1 = t1, add(t0, scale(mul(q, t1), Fraction(-1)))
-    if r0:
-        inv = Fraction(1) / r0[-1]
-        r0, s0, t0 = scale(r0, inv), scale(s0, inv), scale(t0, inv)
-    return s0, t0, r0

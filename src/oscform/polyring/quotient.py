@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from ..errors import DomainError, NotInvertible, ZeroDivisionRequested
-from .poly import uni_divmod, uni_gcd, uni_gcdex
+from .binform import gen_divmod, gen_gcd, gen_gcdex
 
 Scalar = Union[int, Fraction]
 
@@ -38,9 +38,9 @@ class QuotientRingElement:
         if modulus[-1] != 1:
             raise DomainError("modulus must be monic")
         derivative = [c * i for i, c in enumerate(modulus)][1:]
-        if len(uni_gcd(modulus, derivative)) != 1:
+        if len(gen_gcd(modulus, derivative)) != 1:
             raise DomainError("modulus must be squarefree")
-        _, reduced = uni_divmod(_coerce_list(coeffs), modulus)
+        _, reduced = gen_divmod(_coerce_list(coeffs), modulus)
         object.__setattr__(self, "modulus", tuple(modulus))
         object.__setattr__(self, "coeffs", tuple(reduced))
 
@@ -116,7 +116,7 @@ class QuotientRingElement:
     def inverse(self) -> "QuotientRingElement":
         if self.is_zero:
             raise ZeroDivisionRequested("inverse of zero in quotient ring")
-        s, _, d = uni_gcdex(list(self.coeffs), list(self.modulus))
+        s, _, d = gen_gcdex(list(self.coeffs), list(self.modulus))
         if len(d) != 1:
             raise NotInvertible(
                 f"element shares factor {d} with the modulus"

@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..errors import DomainError, InvariantViolation, ZeroDivisionRequested
-from .binform import _fraction_determinant
 from .poly import Polynomial
 
 
@@ -183,6 +182,9 @@ def solve_series_system(equations: Sequence[Polynomial],
     in offsets u_k = x_{free_k} - point_{free_k}, truncated past total
     degree `order`; the constant terms are the point values.
     """
+    # exactla imports polyring, so it is imported here, not at module level.
+    from ..exactla import ExactMatrix, RationalField, determinant
+
     if not equations:
         raise ValueError("no equations supplied")
     variables = equations[0].variables
@@ -207,7 +209,7 @@ def solve_series_system(equations: Sequence[Polynomial],
     jacobian = [[g.partial(j) for j in dep] for g in equations]
     j0 = [[Fraction(row[j].evaluate(point)) for j in range(len(dep))]
           for row in jacobian]
-    if not _fraction_determinant([row[:] for row in j0]):
+    if not determinant(ExactMatrix(j0, field=RationalField())):
         raise DomainError("dependent Jacobian is singular at the base point")
 
     args: list[Polynomial] = [None] * len(variables)  # type: ignore[list-item]

@@ -251,17 +251,28 @@ class DimBoundReport:
     ok: bool
 
 
-def dim_bound_check(f: RuledParameterization, m: int) -> DimBoundReport:
-    """dim |Phi_m| against the ruled-variety bound
+def ruled_dim_bound(f: RuledParameterization, m: int) -> int:
+    """C(n+m-1, m) + e*C(n+m-2, m-1) - 1, the bound on dim |Phi_m| of a
 
-    C(n+m-1, m) + e*C(n+m-2, m-1) - 1."""
+    variety ruled by e-planes over an n-dimensional base.
+
+    The bound is one less than the number of degree-m monomials of fiber
+    degree <= 1.  It holds at every point, not only generically: the
+    coordinates are affine-linear in the fiber parameters, so every jet
+    row of fiber degree >= 2 vanishes identically and no generator of
+    |Phi_m| has a monomial outside that count."""
+    n = f.base_count
+    e = f.fiber_count
+    return comb(n + m - 1, m) + e * comb(n + m - 2, m - 1) - 1
+
+
+def dim_bound_check(f: RuledParameterization, m: int) -> DimBoundReport:
+    """Generic dim |Phi_m| against `ruled_dim_bound`."""
     if m < 2:
         raise DomainError(f"fundamental forms start at m = 2, got {m}")
     tangent = f.tangent_vars()
     system = fundamental_form(f.underlying, m, None, tangent_vars=tangent)
-    n = f.base_count
-    e = f.fiber_count
-    bound = comb(n + m - 1, m) + e * comb(n + m - 2, m - 1) - 1
+    bound = ruled_dim_bound(f, m)
     dim = system.projective_dim
     return DimBoundReport(m, dim, bound, dim <= bound)
 
@@ -380,14 +391,19 @@ class MongeData:
 
 
 def _complete_basis(rows: list[list[Fraction]]) -> list[Fraction]:
-    """First standard basis vector extending the rows to a basis."""
+    """First standard basis vector extending the rows to a basis.
+
+    e_k lies in the row space exactly when k is a pivot column of the
+    RREF whose row is e_k itself, so one RREF decides every k.
+    """
     n = len(rows[0])
-    base = ExactMatrix(rows, field=RationalField())
-    base_rank = rank(base)
+    reduced = rref(ExactMatrix(rows, field=RationalField()))
+    pivot_rows = dict(zip(reduced.pivot_columns, reduced.matrix.rows))
     for k in range(n):
-        candidate = [Fraction(0)] * n
-        candidate[k] = Fraction(1)
-        if rank(ExactMatrix(rows + [candidate], field=RationalField())) > base_rank:
+        row = pivot_rows.get(k)
+        if row is None or any(row[j] for j in range(n) if j != k):
+            candidate = [Fraction(0)] * n
+            candidate[k] = Fraction(1)
             return candidate
     raise SingularPoint("cannot complete the tangent frame to a basis")
 

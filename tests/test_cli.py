@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from oscform import exactla
 from oscform.cli import main
 from oscform.gallery import example_names, example_text
 from oscform.varfile import parse_variety, print_variety
@@ -134,6 +135,23 @@ def test_example_prints_variety_file(capsys):
     code, out, _ = run(capsys, ["example", "togliatti"])
     assert code == 0
     assert parse_variety(out) == parse_variety(example_text("togliatti"))
+
+
+def test_ruling_check_at_a_point_eliminates_only_over_the_rationals(
+        capsys, examples, monkeypatch):
+    original = exactla._domain_rows
+
+    def rationals_only(matrix):
+        if not isinstance(matrix.field, exactla.RationalField):
+            pytest.fail(f"point-mode ruling-check eliminated over {matrix.field.name}")
+        return original(matrix)
+
+    monkeypatch.setattr(exactla, "_domain_rows", rationals_only)
+    code, out, err = run(capsys, ["ruling-check", "--order", "2", "--at", "1,2",
+                                  str(examples / "scroll-3-3.var")])
+    assert code == 0, err
+    assert "mode: point" in out
+    assert "dim: 1\nbound: 1\nwithin_bound: true" in out
 
 
 def test_reports_are_deterministic(capsys, examples):

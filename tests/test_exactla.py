@@ -1,8 +1,9 @@
 """Unit tests for exact linear algebra.
 
 Oracles: naive Leibniz determinant expansion local to this file, direct
-matrix-vector products over Fraction, and invariance of canonical
-results under row mixing.
+matrix-vector products over Fraction, invariance of canonical results
+under row mixing, one rank elimination per row prefix, and sympy where
+it is installed.
 """
 
 import itertools
@@ -19,6 +20,8 @@ from oscform.exactla import (
     Subspace,
     determinant,
     kernel_basis,
+    kernel_vectors,
+    prefix_ranks,
     rank,
     row_space,
     rref,
@@ -214,3 +217,102 @@ def test_full_and_zero_subspaces():
 def test_subspace_rejects_wrong_ambient():
     with pytest.raises(AmbientMismatch):
         Subspace(3, [[1, 2]])
+
+
+def test_kernel_vectors_span_the_canonical_kernel():
+    rng = random.Random(131)
+    for _ in range(25):
+        m = random_matrix(rng, rng.randint(0, 4), rng.randint(1, 5))
+        vectors = kernel_vectors(m)
+        assert len(vectors) == m.ncols - rank(m)
+        for v in vectors:
+            assert all(entry == 0 for entry in matvec(m, v))
+        assert Subspace(m.ncols, vectors) == kernel_basis(m)
+
+
+def _prefix_matrices():
+    from hypothesis import strategies as st
+
+    entries = st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-1),
+                               Fraction(2), Fraction(1, 2), Fraction(-3, 2)])
+
+    @st.composite
+    def matrices(draw):
+        nrows = draw(st.integers(0, 7))
+        ncols = draw(st.integers(1, 5))
+        rows = []
+        for _ in range(nrows):
+            if rows and draw(st.booleans()):
+                # A combination of earlier rows, so prefixes lose rank.
+                a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+                c = draw(entries)
+                rows.append([x + c * y for x, y in zip(a, b)])
+            else:
+                rows.append([draw(entries) for _ in range(ncols)])
+        return ExactMatrix(rows, field=RationalField(), ncols=ncols)
+
+    return matrices()
+
+
+def test_prefix_ranks_match_one_rank_per_prefix():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(_prefix_matrices())
+    def check(m):
+        ends = list(range(m.nrows + 1))
+        expected = [rank(m.submatrix_rows(range(end))) for end in ends]
+        assert prefix_ranks(m, ends) == expected
+
+    check()
+
+
+def _random_rational_function(rng, names):
+    def poly(max_terms):
+        terms = {}
+        for _ in range(rng.randint(1, max_terms)):
+            exps = tuple(rng.randint(0, 2) for _ in names)
+            terms[exps] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        return Polynomial(names, terms)
+
+    numerator = poly(3)
+    denominator = poly(2) if rng.random() < 0.4 else Polynomial.constant(names, 1)
+    if denominator.is_zero:
+        denominator = Polynomial.constant(names, 1)
+    return RationalFunction(numerator, denominator)
+
+
+def test_function_field_rank_kernel_and_determinant_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    names = ("x", "y")
+    field = FunctionField(names)
+    symbols = sympy.symbols(names)
+    domain = sympy.QQ.frac_field(*symbols)
+
+    def to_sympy(e: RationalFunction):
+        def poly(p):
+            return sum((sympy.Rational(c.numerator, c.denominator)
+                        * sympy.Mul(*(s ** k for s, k in zip(symbols, exps)))
+                        for exps, c in p.terms.items()), sympy.Integer(0))
+        return domain.from_sympy(poly(e.numerator) / poly(e.denominator))
+
+    rng = random.Random(137)
+    for _ in range(24):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[_random_rational_function(rng, names) for _ in range(ncols)]
+                for _ in range(nrows)]
+        if nrows >= 3 and rng.random() < 0.5:
+            # The last row depends on the first two, so the rank drops.
+            c = _random_rational_function(rng, names)
+            rows[-1] = [a + c * b for a, b in zip(rows[0], rows[1])]
+        m = ExactMatrix(rows, field=field)
+        dm = DomainMatrix([[to_sympy(e) for e in row] for row in rows],
+                          (nrows, ncols), domain)
+        assert rank(m) == dm.rank()
+        nullity = dm.nullspace().shape[0]
+        assert kernel_basis(m).dim == nullity
+        assert len(kernel_vectors(m)) == nullity
+        if nrows == ncols:
+            assert to_sympy(determinant(m)) == dm.det()

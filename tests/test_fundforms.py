@@ -11,11 +11,13 @@ from fractions import Fraction
 import pytest
 
 from oscform.errors import (
+    DenominatorVanishes,
     DomainError,
     HyperplaneContainsAllOsculating,
     HyperplaneMissesPoint,
     UnsupportedAmbient,
 )
+from oscform import exactla
 from oscform.exactla import RationalField, kernel_basis, span_contains
 from oscform.fundforms import (
     LinearSystem,
@@ -29,7 +31,7 @@ from oscform.fundforms import (
     verify_phibar_relation,
 )
 from oscform.jets import Parameterization, jet_matrix, osculating_profile
-from oscform.polyring import Polynomial, parse_polynomial
+from oscform.polyring import Polynomial, parse_polynomial, parse_rational
 
 XY = ("x", "y")
 V = ("v1", "v2")
@@ -120,6 +122,17 @@ def test_phibar_relation_holds_on_surfaces():
     assert at_point.holds and at_point.point_checked == (1, 1)
     with pytest.raises(DomainError):
         verify_phibar_relation(togliatti(), 1)
+
+
+def test_phibar_relation_specializes_where_its_kernel_basis_does():
+    # The kernel basis read off the RREF of the polynomial jet matrix has
+    # polynomial entries here, so it specializes on the coordinate axes.
+    assert verify_phibar_relation(togliatti(), 2, point=(0, 0)).holds
+    f = Parameterization(XY, [parse_rational(s, XY) for s in
+                              ("1", "x", "y", "x*y^2", "x^2*y", "y^2/(x - 1)")])
+    assert verify_phibar_relation(f, 2, point=(2, 1)).holds
+    with pytest.raises(DenominatorVanishes):
+        verify_phibar_relation(f, 2, point=(1, 1))
 
 
 def test_base_locus_of_constructed_pencil():
@@ -233,3 +246,49 @@ def test_tangent_form_evaluate_and_partial():
     with pytest.raises(DomainError):
         TangentForm.from_polynomial(parse_polynomial("v1 + 1", V),
                                     RationalField())
+
+
+def count_eliminations(monkeypatch):
+    """Route every elimination (rank, rref, determinant) through a counter."""
+    calls = []
+    original = exactla._forward_eliminate
+
+    def counting(work, one, exact_div):
+        calls.append(len(work))
+        return original(work, one, exact_div)
+
+    monkeypatch.setattr(exactla, "_forward_eliminate", counting)
+    return calls
+
+
+def test_point_fundamental_form_runs_one_elimination_per_question(monkeypatch):
+    calls = count_eliminations(monkeypatch)
+    system = fundamental_form(togliatti(), 2, point=(1, 1))
+    assert system.generator_count == 2
+    # The immersion check, the RREF of M_1, rank(M_2) for the dimension
+    # law, and the canonical span of the generators.
+    assert len(calls) <= 4
+
+
+def test_point_profile_runs_one_elimination_for_all_orders(monkeypatch):
+    calls = count_eliminations(monkeypatch)
+    profile = osculating_profile(togliatti(), 3, point=(1, 1))
+    assert profile.dims == (0, 2, 4, 5)
+    # The immersion check and one RREF of the transposed M_3.
+    assert len(calls) <= 2
+
+
+def test_generic_fundamental_form_runs_one_elimination_per_question(monkeypatch):
+    calls = count_eliminations(monkeypatch)
+    system = fundamental_form(togliatti(), 2)
+    assert system.generator_count == 2
+    # The RREF of M_1, rank(M_2) and the canonical span.
+    assert len(calls) <= 3
+
+
+def test_phibar_relation_runs_one_elimination(monkeypatch):
+    calls = count_eliminations(monkeypatch)
+    report = verify_phibar_relation(togliatti(), 2)
+    assert report.holds and report.kernel_dim == 3
+    # The RREF of M_1 only.
+    assert len(calls) <= 1

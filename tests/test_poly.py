@@ -26,6 +26,9 @@ from oscform.polyring import (
     binary_form_gcd,
     degree_block,
     form_from_coefficients,
+    gen_divmod,
+    gen_gcd,
+    gen_gcdex,
     multi_indices_upto,
     parse_polynomial,
     parse_rational,
@@ -36,9 +39,6 @@ from oscform.polyring import (
     truncated_compose,
     truncated_inverse,
     truncated_multiply,
-    uni_divmod,
-    uni_gcd,
-    uni_gcdex,
 )
 
 VARS = ("x", "y")
@@ -231,15 +231,15 @@ def test_homogeneous_components_sum_to_polynomial():
         (p.homogeneous_component(d) for d in range(3)), Polynomial.zero(VARS))
 
 
-def test_uni_gcd_and_gcdex_identities():
+def test_gen_gcd_and_gcdex_identities():
     rng = random.Random(61)
     for _ in range(20):
         f = [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 5))]
         g = [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 5))]
         if not any(f) or not any(g):
             continue
-        d = uni_gcd(f, g)
-        s, t, d2 = uni_gcdex(f, g)
+        d = gen_gcd(f, g)
+        s, t, d2 = gen_gcdex(f, g)
         assert d == d2
         assert d[-1] == 1
         # s*f + t*g = d, checked coefficientwise.
@@ -253,9 +253,29 @@ def test_uni_gcd_and_gcdex_identities():
         while acc and not acc[-1]:
             acc.pop()
         assert acc == list(d)
-        _, rf = uni_divmod(f, d)
-        _, rg = uni_divmod(g, d)
+        _, rf = gen_divmod(f, d)
+        _, rg = gen_divmod(g, d)
         assert rf == [] and rg == []
+
+
+def test_gen_gcdex_over_a_function_field():
+    t = ("t",)
+    one = parse_rational("1", t)
+    a = parse_rational("t", t)
+    b = parse_rational("1/(t + 1)", t)
+    # f = (s - a)(s - b), g = (s - a)(s + 2): the gcd is s - a.
+    f = [a * b, -(a + b), one]
+    g = [a * -2, 2 - a, one]
+    s, u, d = gen_gcdex(f, g)
+    assert d == [-a, one]
+    combination = [parse_rational("0", t)] * 4
+    for i, x in enumerate(s):
+        for j, y in enumerate(f):
+            combination[i + j] = combination[i + j] + x * y
+    for i, x in enumerate(u):
+        for j, y in enumerate(g):
+            combination[i + j] = combination[i + j] + x * y
+    assert combination[:2] == d and all(c.is_zero for c in combination[2:])
 
 
 # -- binary forms -------------------------------------------------------------

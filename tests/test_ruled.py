@@ -17,6 +17,7 @@ from oscform.errors import (
     NotASurfaceInP3,
     SingularPoint,
 )
+from oscform.exactla import ExactMatrix, RationalField, rank
 from oscform.jets import ImplicitVariety, Parameterization
 from oscform.polyring import Polynomial, parse_polynomial, parse_rational
 from oscform.ruled import (
@@ -29,7 +30,9 @@ from oscform.ruled import (
     line_contact_order,
     monge_form,
     project_to_p3,
+    _complete_basis,
     pushdown_rank_check,
+    ruled_dim_bound,
     ruled_surface_diagnostic,
     ruling_fixed_component_check,
     scroll,
@@ -157,6 +160,38 @@ def test_dim_bound_strict_for_two_dimensional_base():
     report = dim_bound_check(f, 2)
     assert report.ok
     assert report.bound == 4
+
+
+def test_dim_bound_holds_at_points_of_a_two_dimensional_base():
+    names = ("u1", "u2", "t")
+    coords = [parse_polynomial(s, names)
+              for s in ("1", "u1", "u2", "t", "u1*t", "u2*t",
+                        "u1^2 + u2*t", "u1*u2 + u1^2*t")]
+    f = RuledParameterization(("u1", "u2"), ("t",), coords)
+    assert ruled_dim_bound(f, 2) == dim_bound_check(f, 2).bound == 4
+    rng = random.Random(223)
+    for _ in range(6):
+        point = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in names]
+        for m in (2, 3):
+            report = ruling_fixed_component_check(f, m, point)
+            assert report.system.projective_dim <= ruled_dim_bound(f, m)
+
+
+def test_complete_basis_picks_the_first_vector_outside_the_span():
+    # e_0 = (1,1,0,0) - e_1 is outside the span although column 0 is a pivot.
+    frame = [[Fraction(v) for v in row]
+             for row in ((1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
+    assert _complete_basis(frame) == [1, 0, 0, 0]
+    # Oracle: the first standard basis vector that raises the rank.
+    rng = random.Random(227)
+    values = [Fraction(0)] * 4 + [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3)]
+    for _ in range(200):
+        rows = [[rng.choice(values) for _ in range(4)] for _ in range(3)]
+        base = rank(ExactMatrix(rows, field=RationalField()))
+        expected = next(
+            e for e in ([Fraction(int(j == k)) for j in range(4)] for k in range(4))
+            if rank(ExactMatrix(rows + [e], field=RationalField())) > base)
+        assert _complete_basis(rows) == expected
 
 
 def test_monge_chart_of_quadric_parameterization():
