@@ -24,7 +24,6 @@ from .fundforms import (
 )
 from .gallery import example_names, example_text
 from .jets import (
-    DEFAULT_SEED,
     ImplicitVariety,
     Parameterization,
     jet_parameterize,
@@ -34,6 +33,7 @@ from .jets import (
 from .polyring import parse_rational
 from .report import Report, fmt, fmt_point, render
 from .ruled import (
+    DEFAULT_SEED,
     RuledParameterization,
     fubini_intersection_test,
     heat_equation_check,
@@ -135,33 +135,15 @@ def _as_ruled(f: Parameterization) -> RuledParameterization:
 def _cmd_osc(args) -> Report:
     vf, report = _load(args)
     f, point = _resolve_surface(vf, args, report, args.order)
+    _record_point_mode(report, point)
     if args.max:
-        profile = osculating_profile(f, args.order, point=point,
-                                     symbolic=args.symbolic, rng=args.seed)
-        report.mode = profile.mode
-        if point is not None:
-            report.inputs["at"] = fmt_point(point)
-        if profile.sample_points:
-            report.sampled_points = [fmt_point(p) for p in profile.sample_points]
-        if profile.mode == "generic-sampled":
-            report.inputs["seed"] = args.seed if args.seed is not None else DEFAULT_SEED
-        report.add("dims", list(profile.dims))
-        return report
-    if point is not None:
+        report.add("dims", list(osculating_profile(f, args.order, point=point).dims))
+    elif point is not None:
         space = osculating_space(f, args.order, point)
-        report.mode = "point"
-        report.inputs["at"] = fmt_point(point)
         report.add("dim", space.dim - 1)
         report.add("basis", [fmt_point(row) for row in space.basis])
-        return report
-    profile = osculating_profile(f, args.order, symbolic=args.symbolic,
-                                 rng=args.seed)
-    report.mode = profile.mode
-    if profile.sample_points:
-        report.sampled_points = [fmt_point(p) for p in profile.sample_points]
-    if profile.mode == "generic-sampled":
-        report.inputs["seed"] = args.seed if args.seed is not None else DEFAULT_SEED
-    report.add("dim", profile.dims[-1])
+    else:
+        report.add("dim", osculating_profile(f, args.order).dims[-1])
     return report
 
 
@@ -201,7 +183,6 @@ def _cmd_phibar_check(args) -> Report:
         point = None
     result = verify_phibar_relation(f, args.order, point=point)
     _record_point_mode(report, point)
-    report.mode = "generic-symbolic" if point is None else report.mode
     report.add("order", result.order)
     report.add("holds", result.holds)
     report.add("lower_order_vanishes", result.lower_order_vanishes)
@@ -429,9 +410,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, order_required=True)
     p.add_argument("--max", action="store_true",
                    help="report s(0..m) instead of order m only")
-    p.add_argument("--symbolic", action="store_true",
-                   help="certify generic ranks over the function field")
-    p.add_argument("--seed", type=int, help="seed for generic-point sampling")
     p.set_defaults(handler=_cmd_osc)
 
     p = commands.add_parser("fundform", help="generators of the m-th fundamental form")

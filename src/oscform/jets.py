@@ -12,14 +12,12 @@ power-series chart solved at a smooth rational point.
 from __future__ import annotations
 
 import itertools
-import random
 import warnings
 from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import (
     ChainBroken,
-    DenominatorVanishes,
     DomainError,
     InvariantViolation,
     NotHomogeneous,
@@ -48,8 +46,6 @@ from .polyring import (
     solve_series_system,
     truncated_compose,
 )
-
-DEFAULT_SEED = 104729
 
 
 class NonImmersivePoint(UserWarning):
@@ -231,10 +227,10 @@ def jet_matrix(f: Parameterization, m: int, point: Sequence | None = None) -> Je
 class OsculatingProfile:
     """Osculating dimensions s(0..m) with the mode that produced them."""
 
-    __slots__ = ("dims", "point", "mode", "sample_points", "source_dim", "ambient_dim")
+    __slots__ = ("dims", "point", "mode", "source_dim", "ambient_dim")
 
     def __init__(self, dims: Sequence[int], point, mode: str,
-                 sample_points, source_dim: int, ambient_dim: int):
+                 source_dim: int, ambient_dim: int):
         dims = tuple(dims)
         if dims[0] != 0:
             raise InvariantViolation(f"s(0) = {dims[0]}, expected 0")
@@ -248,7 +244,6 @@ class OsculatingProfile:
         self.dims = dims
         self.point = point
         self.mode = mode
-        self.sample_points = sample_points
         self.source_dim = source_dim
         self.ambient_dim = ambient_dim
 
@@ -256,64 +251,23 @@ class OsculatingProfile:
         return f"OsculatingProfile(dims={list(self.dims)}, mode={self.mode})"
 
 
-def _sample_point(f: Parameterization, rng: random.Random) -> tuple[Fraction, ...]:
-    return tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 6))
-                 for _ in range(f.source_dim))
-
-
-def _ranks_at_sample(f: Parameterization, m_max: int, rng: random.Random,
-                     attempts: int = 60) -> tuple[tuple[Fraction, ...], list[int]]:
-    for _ in range(attempts):
-        point = _sample_point(f, rng)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", NonImmersivePoint)
-                jm = jet_matrix(f, m_max, point)
-        except (DenominatorVanishes, DomainError):
-            continue
-        return point, jm.order_ranks()
-    raise DomainError("could not sample a point off the coordinate denominators")
-
-
 def osculating_profile(f: Parameterization, m_max: int,
-                       point: Sequence | None = None,
-                       symbolic: bool = False,
-                       rng: random.Random | int | None = None) -> OsculatingProfile:
+                       point: Sequence | None = None) -> OsculatingProfile:
     """Dimensions s(0), ..., s(m_max) of the osculating spaces.
 
-    At a point the ranks are exact.  Generically, the default strategy
-    samples random rational points until two agree (a third breaks
-    ties by maximum); --symbolic instead eliminates over the rational
-    function field, which is certified but slower.
+    At a point the ranks are exact over Q.  Generically they come from
+    one elimination of the jet matrix over the rational function field
+    of the parameters, so the generic profile is certified too.
     """
     if m_max < 1:
         raise DomainError(f"m_max must be at least 1, got {m_max}")
-    if point is not None:
-        jm = jet_matrix(f, m_max, point)
-        dims = [r - 1 for r in jm.order_ranks()]
-        return OsculatingProfile(dims, tuple(Fraction(v) for v in point), "point",
-                                 None, f.source_dim, f.ambient_dim)
-    if symbolic:
-        jm = jet_matrix(f, m_max, None)
-        dims = [r - 1 for r in jm.order_ranks()]
-        return OsculatingProfile(dims, "generic", "generic-symbolic",
-                                 None, f.source_dim, f.ambient_dim)
-    if rng is None:
-        rng = random.Random(DEFAULT_SEED)
-    elif isinstance(rng, int):
-        rng = random.Random(rng)
-    p1, r1 = _ranks_at_sample(f, m_max, rng)
-    p2, r2 = _ranks_at_sample(f, m_max, rng)
-    samples = [p1, p2]
-    if r1 == r2:
-        ranks = r1
+    if point is None:
+        where, mode = "generic", "generic-symbolic"
     else:
-        p3, r3 = _ranks_at_sample(f, m_max, rng)
-        samples.append(p3)
-        ranks = [max(a, b, c) for a, b, c in zip(r1, r2, r3)]
-    dims = [v - 1 for v in ranks]
-    return OsculatingProfile(dims, "generic", "generic-sampled",
-                             tuple(samples), f.source_dim, f.ambient_dim)
+        where, mode = tuple(Fraction(v) for v in point), "point"
+    ranks = jet_matrix(f, m_max, point).order_ranks()
+    return OsculatingProfile([r - 1 for r in ranks], where, mode,
+                             f.source_dim, f.ambient_dim)
 
 
 def osculating_space(f: Parameterization, m: int, point: Sequence) -> Subspace:

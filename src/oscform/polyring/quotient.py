@@ -44,6 +44,16 @@ class QuotientRingElement:
         object.__setattr__(self, "modulus", tuple(modulus))
         object.__setattr__(self, "coeffs", tuple(reduced))
 
+    def _trusted(self, coeffs: Sequence[Scalar]) -> "QuotientRingElement":
+        """Element of this ring with the given coefficients, reduced
+
+        modulo the modulus the constructor has already checked."""
+        element = object.__new__(QuotientRingElement)
+        _, reduced = gen_divmod(_coerce_list(coeffs), self.modulus)
+        object.__setattr__(element, "modulus", self.modulus)
+        object.__setattr__(element, "coeffs", tuple(reduced))
+        return element
+
     def __setattr__(self, name, value):
         raise AttributeError("QuotientRingElement is immutable")
 
@@ -66,7 +76,7 @@ class QuotientRingElement:
                 raise DomainError("quotient ring moduli differ")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuotientRingElement(self.modulus, [other])
+            return self._trusted([other])
         return NotImplemented
 
     def __add__(self, other):
@@ -79,12 +89,12 @@ class QuotientRingElement:
             out[i] += c
         for i, c in enumerate(other.coeffs):
             out[i] += c
-        return QuotientRingElement(self.modulus, out)
+        return self._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuotientRingElement(self.modulus, [-c for c in self.coeffs])
+        return self._trusted([-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -103,13 +113,13 @@ class QuotientRingElement:
         if other is NotImplemented:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
-            return QuotientRingElement(self.modulus, [])
+            return self._trusted([])
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return QuotientRingElement(self.modulus, out)
+        return self._trusted(out)
 
     __rmul__ = __mul__
 
@@ -121,7 +131,7 @@ class QuotientRingElement:
             raise NotInvertible(
                 f"element shares factor {d} with the modulus"
             )
-        return QuotientRingElement(self.modulus, s)
+        return self._trusted(s)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -140,7 +150,7 @@ class QuotientRingElement:
             raise ValueError("exponent must be an integer")
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = QuotientRingElement(self.modulus, [1])
+        result = self._trusted([1])
         base = self
         e = exponent
         while e:

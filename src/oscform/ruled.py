@@ -28,10 +28,9 @@ from .errors import (
     NotASurfaceInP3,
     SingularPoint,
 )
-from .exactla import ExactMatrix, RationalField, kernel_basis, rank, rref
+from .exactla import ExactMatrix, RationalField, kernel_basis, prefix_ranks, rank, rref
 from .fundforms import LinearSystem, fundamental_form
 from .jets import (
-    DEFAULT_SEED,
     ImplicitVariety,
     NonImmersivePoint,
     Parameterization,
@@ -49,6 +48,9 @@ from .polyring import (
     truncated_inverse,
     truncated_multiply,
 )
+
+# Seed of the sample points and projections when the caller gives none.
+DEFAULT_SEED = 104729
 
 
 class ScrollSpec:
@@ -506,14 +508,13 @@ def _monge_from_implicit(iv: ImplicitVariety, order: int) -> MongeData:
     point = list(iv.point)
     gradient = [g.partial(j).evaluate(point) for j in range(4)]
     normal = ExactMatrix([gradient], field=RationalField())
-    tangent = kernel_basis(normal)
-    frame_rows = [point]
-    for vector in tangent.basis:
-        if rank(ExactMatrix(frame_rows + [list(vector)], field=RationalField())) \
-                > len(frame_rows):
-            frame_rows.append(list(vector))
-        if len(frame_rows) == 3:
-            break
+    # The point, then the first two tangent vectors off the span of the
+    # rows above them: the rows where the prefix rank rises.
+    candidates = [point] + [list(v) for v in kernel_basis(normal).basis]
+    ranks = prefix_ranks(ExactMatrix(candidates, field=RationalField()),
+                         range(1, len(candidates) + 1))
+    frame_rows = [row for row, r, before in zip(candidates, ranks, [0] + ranks)
+                  if r > before][:3]
     if len(frame_rows) < 3:
         raise SingularPoint(f"tangent plane is degenerate at {tuple(point)}")
     frame_rows.append(_complete_basis(frame_rows))
@@ -713,7 +714,7 @@ def project_to_p3(f: Parameterization, matrix: Sequence[Sequence] | None = None,
 
 
 def ruled_surface_diagnostic(surface: Union[Parameterization, ImplicitVariety],
-                             sample_points: Sequence[Sequence],
+                             samples: Sequence[Sequence],
                              order: int = 4,
                              projection: Sequence[Sequence] | None = None,
                              rng: random.Random | int | None = None) -> RuledDiagnostic:
@@ -743,7 +744,7 @@ def ruled_surface_diagnostic(surface: Union[Parameterization, ImplicitVariety],
             return PointDiagnostic(sample, None, None, [], False,
                                    f"{type(exc).__name__}: {exc}")
 
-    reports = [examine(sample) for sample in sample_points]
+    reports = [examine(sample) for sample in samples]
     if reports and all(r.error is None and r.has_contact_4 for r in reports):
         verdict = "ruled-evidence"
     elif any(r.intersects is False for r in reports):

@@ -25,7 +25,6 @@ from oscform.fundforms import (
 )
 from oscform.gallery import example_names, example_text
 from oscform.jets import (
-    DEFAULT_SEED,
     Parameterization,
     jet_matrix,
     jet_parameterize,
@@ -34,6 +33,7 @@ from oscform.jets import (
 )
 from oscform.polyring import Polynomial, parse_polynomial, parse_rational
 from oscform.ruled import (
+    DEFAULT_SEED,
     RuledParameterization,
     ScrollSpec,
     dim_bound_check,
@@ -226,7 +226,7 @@ def test_criterion_2_shifrin_golden_suite():
         sh = shifrin()
         assert heat_equation_check(sh, 1)
 
-        prof = osculating_profile(sh, 2, symbolic=True)
+        prof = osculating_profile(sh, 2)
         assert tuple(prof.dims) == (0, 2, 4)
 
         v12 = ("v1", "v2")
@@ -393,12 +393,32 @@ def test_criterion_8_dimension_law_cross_check():
             (scroll(ScrollSpec([2, 2])).underlying, (Fraction(1, 2), 3)),
         ]
         for f, point in cases:
-            prof = osculating_profile(f, 3, point=point, symbolic=point is None)
+            prof = osculating_profile(f, 3, point=point)
             dims = list(prof.dims)
             for m in (2, 3):
                 phi = fundamental_form(f, m, point)
                 assert phi.generator_count == dims[m] - dims[m - 1]
                 assert phi.projective_dim == dims[m] - dims[m - 1] - 1
+
+
+def test_generic_profile_is_symbolic_and_bounds_point_profile():
+    # The generic osculating dimensions come from one elimination over
+    # Q(u).  Specializing the jet matrix to a point can only drop its
+    # rank, so at a sample point each s(m) is at most the generic one.
+    with criterion("generic osc", 30):
+        for seed in range(25):
+            rng = random.Random(seed)
+            n, e = rng.choice([(1, 1), (1, 2), (2, 1), (2, 2)])
+            f = random_ruled(rng, n, e).underlying
+            generic = osculating_profile(f, 3)
+            assert generic.mode == "generic-symbolic"
+            point = tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 6))
+                          for _ in f.params)
+            with warnings.catch_warnings():
+                # A sample point may be non-immersive; its ranks still count.
+                warnings.simplefilter("ignore")
+                at_point = osculating_profile(f, 3, point=point)
+            assert all(g >= p for g, p in zip(generic.dims, at_point.dims))
 
 
 def test_criterion_9_ruledness_diagnostic_smoke():

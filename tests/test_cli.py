@@ -7,6 +7,7 @@ reports for every built-in example.
 
 import io
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from oscform.gallery import example_names, example_text
 from oscform.varfile import parse_variety, print_variety
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # One report per built-in example, pinned byte-for-byte.
 GOLDEN_COMMANDS = {
@@ -173,6 +175,65 @@ def test_seed_changes_sampled_points(capsys, examples):
     code, b, err = run(capsys, argv + ["--seed", "6"])
     assert code == 0, err
     assert a != b
+
+
+def test_generic_osc_is_certified_symbolic(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(example_text("scroll-2-2")))
+    code, out, err = run(capsys, ["osc", "--order", "2", "--max", "-"])
+    assert code == 0, err
+    lines = out.splitlines()
+    assert "mode: generic-symbolic" in lines
+    assert "dims: [0, 2, 4]" in lines
+    assert not [line for line in lines
+                if line.startswith(("seed:", "sampled_points:"))]
+
+
+@pytest.mark.parametrize("flag", [["--symbolic"], ["--seed", "5"]])
+def test_osc_has_no_sampling_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["osc", "--order", "2", "--max", *flag, "-"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def readme_commands():
+    """(command line, output lines shown under it) for every `$ oscform`
+
+    line of README's shell block."""
+    block = next(b for b in README.read_text().split("```sh\n")[1:]
+                 if b.startswith("$ oscform")).split("```")[0]
+    commands = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            commands.append((line[2:], []))
+        elif line.strip():
+            commands[-1][1].append(line)
+    return commands
+
+
+def test_readme_command_block(capsys, monkeypatch, tmp_path):
+    # The lines run in order in one directory, so a file written by
+    # `> name.var` is there for the lines below it; `a | b -` feeds the
+    # report of a to b on stdin.
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) >= 8
+    assert sum(len(shown) for _, shown in commands) >= 8
+    for line, shown in commands:
+        out = ""
+        for stage in line.split(" | "):
+            argv = shlex.split(stage, comments=True)
+            target = None
+            if ">" in argv:
+                argv, target = argv[:argv.index(">")], argv[-1]
+            assert argv[0] == "oscform", line
+            monkeypatch.setattr("sys.stdin", io.StringIO(out))
+            code, out, err = run(capsys, argv[1:])
+            assert code == 0, f"{line}: {err}"
+            if target is not None:
+                Path(target).write_text(out)
+        for expected in shown:
+            assert expected in out.splitlines(), f"{line}: {expected!r} not in\n{out}"
 
 
 def test_heat_check_subcommand(capsys, tmp_path):

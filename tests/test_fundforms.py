@@ -83,7 +83,7 @@ def test_shifrin_forms_and_base_point():
 def test_dimension_law_matches_profile():
     for f in (togliatti(), shifrin()):
         for point in ((1, 1), (2, -3), None):
-            profile = osculating_profile(f, 3, point=point, symbolic=point is None)
+            profile = osculating_profile(f, 3, point=point)
             for m in (2, 3):
                 system = fundamental_form(f, m, point=point)
                 assert system.generator_count == \

@@ -492,6 +492,58 @@ def test_quotient_ring_reports_non_invertible():
         QuotientRingElement(mod, [0]).inverse()
 
 
+def test_quotient_ring_results_equal_checked_construction():
+    # Arithmetic results skip the modulus checks and only reduce; each
+    # must equal the checked constructor applied to the same unreduced
+    # coefficients, computed here by schoolbook list arithmetic.
+    rng = random.Random(31)
+
+    def product(a, b):
+        out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def same(result, coeffs):
+        expected = QuotientRingElement(mod, coeffs)
+        assert result.modulus == expected.modulus
+        assert result.coeffs == expected.coeffs
+
+    checked = 0
+    while checked < 40:
+        mod = [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))] + [1]
+        try:
+            QuotientRingElement(mod, [])
+        except DomainError:  # not squarefree
+            continue
+        checked += 1
+        raw_a = [Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                 for _ in range(rng.randint(1, 2 * len(mod)))]
+        raw_b = [Fraction(rng.randint(-9, 9)) for _ in range(rng.randint(1, 2 * len(mod)))]
+        a, b = QuotientRingElement(mod, raw_a), QuotientRingElement(mod, raw_b)
+        width = max(len(a.coeffs), len(b.coeffs))
+        pad_a = list(a.coeffs) + [Fraction(0)] * (width - len(a.coeffs))
+        pad_b = list(b.coeffs) + [Fraction(0)] * (width - len(b.coeffs))
+        same(a + b, [x + y for x, y in zip(pad_a, pad_b)])
+        same(a - b, [x - y for x, y in zip(pad_a, pad_b)])
+        negated = [-x for x in a.coeffs]
+        same(-a, negated)
+        same(3 - a, [3 + negated[0], *negated[1:]] if negated else [3])
+        same(a * b, product(a.coeffs, b.coeffs))
+        power = [Fraction(1)]
+        for _ in range(3):
+            power = product(power, a.coeffs)
+        same(a ** 3, power)
+        try:
+            inverse = a.inverse()
+        except (NotInvertible, ZeroDivisionRequested):
+            continue
+        same(inverse, list(inverse.coeffs))
+        same(inverse * a, [1])
+        same(a ** -2, product(inverse.coeffs, inverse.coeffs))
+
+
 def test_quotient_ring_validates_modulus():
     with pytest.raises(DomainError):
         QuotientRingElement([0, 0, 1], [1])
