@@ -1,26 +1,193 @@
-"""Truncated multivariate power series built on sparse polynomials.
+"""Truncated multivariate power series on integer numerators.
 
-A series truncated at total degree d is just a Polynomial with no terms
-above degree d; the helpers here keep that invariant through products,
-composition, and inversion.  solve_series_system runs Newton iteration
-with precision doubling (Brent & Kung 1978) for an implicit system
-g(x_free, x_dep) = 0 around a point with invertible dependent Jacobian.
-When the solution is right through degree k, one sweep composes the
-residual through degree 2k+1 (capped at the requested order) and the
-Jacobian only through degree k, since the residual has no terms below
-degree k+1; the two compositions share the powers of the substituted
-series.  Reaching order d takes ceil(log2(d+1)) sweeps, and only the
-last one works at full order.  A final residual check at full order
-certifies the result.
+A series truncated at total degree d is, at this module's public
+boundary, a Polynomial with no terms above degree d.  Inside, a series
+is a `_Series`: a dict of integer numerators over one positive integer
+denominator.  Sums and products of coefficients are then integer
+operations, and a result is brought to lowest terms once, by one
+`math.gcd(den, *nums)`, instead of once per coefficient as Fraction
+arithmetic does.  Every `_Series` a helper returns is normalized: its
+numerators are nonzero and the denominator is coprime to them all.
+
+The dict keys pack a monomial into one integer: the total degree in the
+top slot and the exponents of all variables but the last in the slots
+below it, each slot `_BITS` bits wide.  Multiplying monomials adds keys,
+a key's degree is a shift away, and every key of degree above d is at
+least `_limit(n, d)`, so truncation is one comparison.  Slots cannot
+overflow below degree `_MAX_DEGREE`, the cap on any truncation degree.
+
+Conversion happens only where a public function takes or returns a
+Polynomial: `_from_poly` clears denominators (the lcm of the Fraction
+denominators is already coprime to the numerators), and `_to_poly`
+builds one Fraction per coefficient.  The power cache of
+`truncated_compose` holds the substituted series and their powers in
+integer form, so calls that share a cache convert each argument once.
+
+solve_series_system runs Newton iteration with precision doubling
+(Brent & Kung 1978) for an implicit system g(x_free, x_dep) = 0 around a
+point with invertible dependent Jacobian.  The iterate and the linear
+solve are in integer form; the compositions go through
+`truncated_compose`, whose Polynomial results are converted back.  When
+the solution is right through degree k, one sweep composes the residual
+through degree 2k+1 (capped at the requested order) and the Jacobian
+only through degree k, since the residual has no terms below degree
+k+1; the two compositions share the powers of the substituted series.
+Reaching order d takes ceil(log2(d+1)) sweeps, and only the last one
+works at full order.  A final residual check at full order certifies
+the result.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from ..errors import DomainError, InvariantViolation, ZeroDivisionRequested
 from .poly import Polynomial
+
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+_MAX_DEGREE = _MASK
+
+
+class _Series:
+    """sum(nums[key] * monomial(key)) / den, with keys packed as above."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: dict[int, int], den: int):
+        self.nums = nums
+        self.den = den
+
+
+_ONE = _Series({0: 1}, 1)
+
+
+def _shift(nvars: int) -> int:
+    """Bit position of the degree slot of a key in nvars variables."""
+    return _BITS * (nvars - 1) if nvars else 0
+
+
+def _limit(nvars: int, degree: int) -> int:
+    """Smallest key of total degree above `degree`."""
+    return (degree + 1) << _shift(nvars)
+
+
+def _pack(exps: tuple[int, ...]) -> int:
+    key = sum(exps)
+    for e in reversed(exps[:-1]):
+        key = (key << _BITS) | e
+    return key
+
+
+def _unpack(key: int, nvars: int) -> tuple[int, ...]:
+    if not nvars:
+        return ()
+    exps = []
+    for _ in range(nvars - 1):
+        exps.append(key & _MASK)
+        key >>= _BITS
+    exps.append(key - sum(exps))
+    return tuple(exps)
+
+
+def _check_degree(max_degree: int) -> None:
+    if max_degree > _MAX_DEGREE:
+        raise ValueError(f"truncation degree {max_degree} exceeds {_MAX_DEGREE}")
+
+
+def _reduced(nums: dict[int, int], den: int) -> _Series:
+    """Drop zero numerators and divide out the common factor; den > 0."""
+    g = math.gcd(den, *nums.values())
+    if g != 1:
+        return _Series({k: v // g for k, v in nums.items() if v}, den // g)
+    if 0 in nums.values():
+        nums = {k: v for k, v in nums.items() if v}
+    return _Series(nums, den)
+
+
+def _from_poly(p: Polynomial, max_degree: int) -> _Series:
+    """Terms of p through max_degree; already in lowest terms."""
+    items = [(e, c) for e, c in p.terms.items() if sum(e) <= max_degree]
+    den = math.lcm(*(c.denominator for _, c in items))
+    return _Series({_pack(e): c.numerator * (den // c.denominator) for e, c in items}, den)
+
+
+def _to_poly(s: _Series, variables: tuple[str, ...]) -> Polynomial:
+    n, den = len(variables), s.den
+    return Polynomial._trusted(
+        variables, {_unpack(k, n): Fraction(v, den) for k, v in s.nums.items()})
+
+
+def _mul(a: _Series, b: _Series, limit: int) -> _Series:
+    """Product keeping the keys below limit."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    b_items = sorted(b.nums.items())
+    for k1, c1 in a.nums.items():
+        room = limit - k1
+        for k2, c2 in b_items:
+            if k2 >= room:
+                break
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+    return _reduced(acc, a.den * b.den)
+
+
+def _combine(parts: list[tuple[int, _Series]], limit: int) -> _Series:
+    """sum(c * s for c, s in parts), keeping the keys below limit."""
+    den = math.lcm(*(s.den for _, s in parts))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for c, s in parts:
+        scale = c * (den // s.den)
+        for k, v in s.nums.items():
+            if k < limit:
+                acc[k] = get(k, 0) + scale * v
+    return _reduced(acc, den)
+
+
+def _inverse(a: _Series, nvars: int, max_degree: int) -> _Series:
+    """1/a through max_degree, by the degree recurrence on integers.
+
+    With a = (a0 + T) / den for an integer constant a0 and T_j the
+    degree-j part of the rest, 1/a = den * sum_d E_d a0^(D-d) / a0^(D+1)
+    where E_0 = 1 and E_d = -sum_{j=1..d} T_j E_{d-j} a0^(j-1).
+    """
+    a0 = a.nums.get(0)
+    if not a0:
+        raise ZeroDivisionRequested("series with zero constant term has no inverse")
+    top = max(max_degree, 0)
+    shift = _shift(nvars)
+    rest: list[list[tuple[int, int]]] = [[] for _ in range(top + 1)]
+    for k, v in a.nums.items():
+        d = k >> shift
+        if 0 < d <= top:
+            rest[d].append((k, v))
+    a0_powers = [1]
+    for _ in range(top + 1):
+        a0_powers.append(a0_powers[-1] * a0)
+    blocks: list[dict[int, int]] = [{0: 1}]
+    for d in range(1, top + 1):
+        acc: dict[int, int] = {}
+        get = acc.get
+        for j in range(1, d + 1):
+            inner = blocks[d - j].items()
+            for kt, vt in rest[j]:
+                vt *= -a0_powers[j - 1]
+                for ke, ve in inner:
+                    k = kt + ke
+                    acc[k] = get(k, 0) + vt * ve
+        blocks.append(acc)
+    den = a0_powers[top + 1]
+    sign = 1 if den > 0 else -1
+    nums = {}
+    for d, block in enumerate(blocks):
+        scale = sign * a.den * a0_powers[top - d]
+        for k, v in block.items():
+            nums[k] = v * scale
+    return _reduced(nums, sign * den)
 
 
 def truncated_multiply(a: Polynomial, b: Polynomial, max_degree: int) -> Polynomial:
@@ -28,33 +195,23 @@ def truncated_multiply(a: Polynomial, b: Polynomial, max_degree: int) -> Polynom
 
     Terms that cannot contribute are skipped before multiplying.
     """
-    terms: dict[tuple[int, ...], Fraction] = {}
-    b_items = [(e, c, sum(e)) for e, c in b.terms.items()]
-    for e1, c1 in a.terms.items():
-        d1 = sum(e1)
-        if d1 > max_degree:
-            continue
-        budget = max_degree - d1
-        for e2, c2, d2 in b_items:
-            if d2 > budget:
-                continue
-            key = tuple(x + y for x, y in zip(e1, e2))
-            new = terms.get(key, Fraction(0)) + c1 * c2
-            if new:
-                terms[key] = new
-            else:
-                terms.pop(key, None)
-    return Polynomial._trusted(a.variables, terms)
+    _check_degree(max_degree)
+    limit = _limit(a.nvars, max_degree)
+    return _to_poly(_mul(_from_poly(a, max_degree), _from_poly(b, max_degree), limit),
+                    a.variables)
 
 
 def truncated_power(a: Polynomial, exponent: int, max_degree: int) -> Polynomial:
-    result = Polynomial.constant(a.variables, 1)
+    _check_degree(max_degree)
+    limit = _limit(a.nvars, max_degree)
+    base = _from_poly(a, max_degree)
+    result = _ONE
     for _ in range(exponent):
-        result = truncated_multiply(result, a, max_degree)
-    return result
+        result = _mul(result, base, limit)
+    return _to_poly(result, a.variables)
 
 
-PowerCache = dict[tuple[int, int], tuple[int, Polynomial]]
+PowerCache = dict[tuple[int, int], tuple[int, _Series]]
 
 
 def truncated_compose(g: Polynomial, args: Sequence[Polynomial], max_degree: int,
@@ -66,7 +223,9 @@ def truncated_compose(g: Polynomial, args: Sequence[Polynomial], max_degree: int
     linear combinations of powers.  `powers` lets calls that substitute
     the same `args` share those powers: it maps (i, e) to
     (k, args[i]^e truncated past degree k), and an entry serves any call
-    with max_degree <= k.  Never pass one cache with different `args`.
+    with max_degree <= k.  The e = 1 entries hold the arguments
+    themselves, so a shared cache also converts each argument only once.
+    Never pass one cache with different `args`.
     """
     if len(args) != g.nvars:
         raise ValueError(f"expected {g.nvars} series, got {len(args)}")
@@ -76,71 +235,61 @@ def truncated_compose(g: Polynomial, args: Sequence[Polynomial], max_degree: int
     for a in args:
         if a.variables != target_vars:
             raise ValueError("substituted series use different variables")
+    _check_degree(max_degree)
     if powers is None:
         powers = {}
+    nvars = len(target_vars)
     last = len(args) - 1
-    lowest = [min(map(sum, a.terms), default=0) for a in args]
-    zero_exps = (0,) * len(target_vars)
+    top_limit = _limit(nvars, max_degree)
 
-    def arg_power(i: int, e: int) -> Polynomial:
+    def arg_power(i: int, e: int) -> _Series:
         if e == 0:
-            return Polynomial.constant(target_vars, 1)
+            return _ONE
         cached = powers.get((i, e))
         if cached is None or cached[0] < max_degree:
-            cached = (max_degree,
-                      truncated_multiply(arg_power(i, e - 1), args[i], max_degree))
-            powers[(i, e)] = cached
+            power = (_from_poly(args[i], max_degree) if e == 1 else
+                     _mul(arg_power(i, e - 1), arg_power(i, 1), top_limit))
+            cached = powers[(i, e)] = (max_degree, power)
         return cached[1]
 
-    def nested(terms: list[tuple[tuple[int, ...], Fraction]], i: int,
-               budget: int) -> Polynomial:
+    shift = _shift(nvars)
+    lowest = [min(arg_power(i, 1).nums, default=0) >> shift for i in range(len(args))]
+
+    def nested(terms: list[tuple[tuple[int, ...], int]], i: int, budget: int) -> _Series:
         """Sum of c * args[i]^e_i * ... * args[last]^e_last over the terms,
         through degree budget."""
+        limit = _limit(nvars, budget)
         if i == last:
-            acc: dict[tuple[int, ...], Fraction] = {}
-            for exps, c in terms:
-                if exps[i]:
-                    items = arg_power(i, exps[i]).terms.items()
-                else:
-                    items = ((zero_exps, Fraction(1)),)
-                for key, v in items:
-                    if sum(key) <= budget:
-                        acc[key] = acc.get(key, Fraction(0)) + c * v
-            return Polynomial._trusted(target_vars, {k: v for k, v in acc.items() if v})
-        groups: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {}
+            return _combine([(c, arg_power(i, exps[i])) for exps, c in terms], limit)
+        groups: dict[int, list[tuple[tuple[int, ...], int]]] = {}
         for term in terms:
             groups.setdefault(term[0][i], []).append(term)
-        total = Polynomial.zero(target_vars)
+        parts = []
         for e, group in groups.items():
             low = e * lowest[i]
             if low > budget:
                 continue
             inner = nested(group, i + 1, budget - low)
             if e:
-                inner = truncated_multiply(arg_power(i, e), inner, budget)
-            total = total + inner
-        return total
+                inner = _mul(arg_power(i, e), inner, limit)
+            parts.append((1, inner))
+        return _combine(parts, limit)
 
-    return nested(list(g.terms.items()), 0, max_degree)
+    g_den = math.lcm(*(c.denominator for c in g.terms.values()))
+    result = nested([(e, c.numerator * (g_den // c.denominator)) for e, c in g.terms.items()],
+                    0, max_degree)
+    return _to_poly(_reduced(result.nums, result.den * g_den), target_vars)
 
 
 def truncated_inverse(a: Polynomial, max_degree: int) -> Polynomial:
     """Multiplicative inverse of a series with nonzero constant term."""
-    c = a.constant_term()
-    if not c:
-        raise ZeroDivisionRequested("series with zero constant term has no inverse")
-    result = Polynomial.constant(a.variables, Fraction(1) / c)
-    precision = 1
-    while precision <= max_degree:
-        precision *= 2
-        cut = min(precision - 1, max_degree)
-        correction = 2 - truncated_multiply(a.truncate(cut), result, cut)
-        result = truncated_multiply(result, correction, cut)
-    return result
+    _check_degree(max_degree)
+    return _to_poly(_inverse(_from_poly(a, max(max_degree, 0)), a.nvars, max_degree),
+                    a.variables)
 
 
-def _solve_linear_series(matrix: list[list[Polynomial]], rhs: list[Polynomial],
-                         matrix_degree: int, max_degree: int) -> list[Polynomial]:
+def _solve_linear_series(matrix: list[list[_Series]], rhs: list[_Series], nvars: int,
+                         matrix_degree: int, max_degree: int) -> list[_Series]:
     """Solve M x = rhs over series truncated past max_degree.
 
     M(0) must be invertible.  The rhs has no terms below degree
@@ -150,21 +299,23 @@ def _solve_linear_series(matrix: list[list[Polynomial]], rhs: list[Polynomial],
     n = len(rhs)
     m = [row[:] for row in matrix]
     b = rhs[:]
+    m_limit = _limit(nvars, matrix_degree)
+    b_limit = _limit(nvars, max_degree)
     for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k].constant_term()), None)
+        pivot = next((i for i in range(k, n) if 0 in m[i][k].nums), None)
         if pivot is None:
             raise DomainError("linear series system is singular at the base point")
         m[k], m[pivot] = m[pivot], m[k]
         b[k], b[pivot] = b[pivot], b[k]
-        inv = truncated_inverse(m[k][k], matrix_degree)
-        m[k] = [truncated_multiply(inv, e, matrix_degree) for e in m[k]]
-        b[k] = truncated_multiply(inv, b[k], max_degree)
+        inv = _inverse(m[k][k], nvars, matrix_degree)
+        m[k] = [_mul(inv, e, m_limit) for e in m[k]]
+        b[k] = _mul(inv, b[k], b_limit)
         for i in range(n):
-            if i != k and not m[i][k].is_zero:
+            if i != k and m[i][k].nums:
                 factor = m[i][k]
-                m[i] = [e - truncated_multiply(factor, p, matrix_degree)
+                m[i] = [_combine([(1, e), (-1, _mul(factor, p, m_limit))], m_limit)
                         for e, p in zip(m[i], m[k])]
-                b[i] = b[i] - truncated_multiply(factor, b[k], max_degree)
+                b[i] = _combine([(1, b[i]), (-1, _mul(factor, b[k], b_limit))], b_limit)
     return b
 
 
@@ -173,7 +324,8 @@ def solve_series_system(equations: Sequence[Polynomial],
                         dep: Sequence[int],
                         point: Sequence[Fraction],
                         order: int,
-                        series_vars: Sequence[str] | None = None) -> list[Polynomial]:
+                        series_vars: Sequence[str] | None = None,
+                        *, powers: PowerCache | None = None) -> list[Polynomial]:
     """Solve g_i(x) = 0 for the dependent coordinates as truncated series.
 
     The equations live over one variable tuple; `free` and `dep` are
@@ -181,6 +333,11 @@ def solve_series_system(equations: Sequence[Polynomial],
     system.  The result expresses each dependent coordinate as a series
     in offsets u_k = x_{free_k} - point_{free_k}, truncated past total
     degree `order`; the constant terms are the point values.
+
+    The final residual check substitutes the solution at full order; a
+    caller that composes with the solution again can pass `powers` to
+    receive that check's power cache, keyed by the equations' variable
+    slots.
     """
     # exactla imports polyring, so it is imported here, not at module level.
     from ..exactla import ExactMatrix, RationalField, determinant
@@ -196,11 +353,13 @@ def solve_series_system(equations: Sequence[Polynomial],
         raise DomainError(
             f"{len(equations)} equations cannot determine {len(dep)} coordinates"
         )
+    _check_degree(order)
     point = [Fraction(v) for v in point]
     if series_vars is None:
         series_vars = tuple(variables[i] for i in free)
     else:
         series_vars = tuple(series_vars)
+    nvars = len(series_vars)
 
     for g in equations:
         if g.evaluate(point):
@@ -217,24 +376,31 @@ def solve_series_system(equations: Sequence[Polynomial],
         args[idx] = Polynomial.variable(series_vars, series_vars[k]) + point[idx]
     for idx in dep:
         args[idx] = Polynomial.constant(series_vars, point[idx])
+    # The iterate, in integer form; args holds it as the Polynomials that
+    # truncated_compose substitutes.
+    solution = [_from_poly(args[idx], 0) for idx in dep]
 
     # The point solves the system, so the constant terms are right: done = 0.
     done = 0
     while done < order:
         target = min(2 * done + 1, order)
-        powers: PowerCache = {}
-        residual = [truncated_compose(g, args, target, powers=powers)
+        jac_degree = target - done - 1
+        sweep_powers: PowerCache = {}
+        residual = [_from_poly(truncated_compose(g, args, target, powers=sweep_powers), target)
                     for g in equations]
-        if any(residual):
-            jac = [[truncated_compose(entry, args, target - done - 1, powers=powers)
+        if any(r.nums for r in residual):
+            jac = [[_from_poly(truncated_compose(entry, args, jac_degree, powers=sweep_powers),
+                               jac_degree)
                     for entry in row]
                    for row in jacobian]
-            delta = _solve_linear_series(jac, [-r for r in residual],
-                                         target - done - 1, target)
-            for idx, d in zip(dep, delta):
-                args[idx] = args[idx] + d
+            delta = _solve_linear_series(jac, residual, nvars, jac_degree, target)
+            solution = [_combine([(1, s), (-1, d)], _limit(nvars, target))
+                        for s, d in zip(solution, delta)]
+            for idx, s in zip(dep, solution):
+                args[idx] = _to_poly(s, series_vars)
         done = target
-    residual = [truncated_compose(g, args, order) for g in equations]
-    if any(residual):
+    if powers is None:
+        powers = {}
+    if any(truncated_compose(g, args, order, powers=powers) for g in equations):
         raise InvariantViolation("series Newton iteration failed to converge")
     return [args[idx] for idx in dep]

@@ -48,6 +48,7 @@ from .polyring import (
     truncated_inverse,
     truncated_multiply,
 )
+from .polyring.series import PowerCache
 
 # Seed of the sample points and projections when the caller gives none.
 DEFAULT_SEED = 104729
@@ -429,22 +430,15 @@ def _invert_rational(matrix: ExactMatrix) -> ExactMatrix:
 def _shifted_series(value: RationalFunction, point: tuple[Fraction, ...],
                     order: int, series_vars: tuple[str, ...]) -> Polynomial:
     """Taylor series of the function around the point, truncated past
-
-    `order`, in offset variables.  Composition with the shift is exact
-    polynomial arithmetic and the denominator is inverted as a series,
-    so nothing ever leaves the polynomial ring."""
+    `order`, in offset variables.  Numerator and denominator are composed
+    with the shift as truncated series and the denominator is inverted as
+    a series, so nothing ever leaves the polynomial ring."""
     shift = [Polynomial.variable(series_vars, v) + p
              for v, p in zip(series_vars, point)]
-
-    def compose(p: Polynomial) -> Polynomial:
-        out = p.evaluate_in(shift)
-        if not isinstance(out, Polynomial):
-            out = Polynomial.constant(series_vars, out)
-        return out.truncate(order)
-
-    return truncated_multiply(compose(value.numerator),
-                              truncated_inverse(compose(value.denominator), order),
-                              order)
+    return truncated_multiply(
+        truncated_compose(value.numerator, shift, order),
+        truncated_inverse(truncated_compose(value.denominator, shift, order), order),
+        order)
 
 
 def _monge_from_parameterization(f: Parameterization, point: Sequence,
@@ -485,10 +479,15 @@ def _monge_from_parameterization(f: Parameterization, point: Sequence,
         ti = taylors[i].extend_variables(combined)
         xi = Polynomial.variable(combined, x_vars[i])
         equations.append(ti - xi)
+    powers: PowerCache = {}
     inverse_series = solve_series_system(equations, free=[0, 1], dep=[2, 3],
                                          point=[Fraction(0)] * 4, order=order,
-                                         series_vars=x_vars)
-    f_series = truncated_compose(taylors[2], inverse_series, order)
+                                         series_vars=x_vars, powers=powers)
+    # The solver's final check built the powers of the reversion in slots
+    # 2 and 3 of its variables; here they are slots 0 and 1.
+    f_series = truncated_compose(taylors[2], inverse_series, order,
+                                 powers={(i - 2, e): v for (i, e), v in powers.items()
+                                         if i >= 2})
     if f_series.constant_term() or not f_series.homogeneous_component(1).is_zero:
         raise SingularPoint("Monge chart has unexpected constant or linear part")
     ambient = tuple(c.evaluate(point) for c in f.coords)

@@ -1,8 +1,9 @@
 """Unit tests for the exact polynomial rings.
 
 Expected values come from independent oracles: hand-computed examples,
-dictionary-level derivative code local to this file, or construction
-(multiply first, then check division recovers the factor).
+dictionary-level derivative code local to this file, construction
+(multiply first, then check division recovers the factor), or sympy
+for the binary-form gcd, resultant and rational zeros.
 """
 
 import math
@@ -23,6 +24,7 @@ from oscform.polyring import (
     Polynomial,
     QuotientRingElement,
     RationalFunction,
+    binary_coefficients,
     binary_form_gcd,
     degree_block,
     form_from_coefficients,
@@ -360,6 +362,109 @@ def test_split_rational_linear_factors():
 def test_form_from_coefficients_round_trip():
     p = form_from_coefficients(V, [Fraction(2), Fraction(0), Fraction(-1)])
     assert p == parse_polynomial("2*v1^2 - v2^2", V)
+
+
+def _random_form(rng, n_factors):
+    """A product of seeded random factors: linear forms (so rational zeros),
+    quadratic forms, the coordinate forms v1 and v2, and a rational scalar."""
+    v1 = Polynomial.variable(V, "v1")
+    v2 = Polynomial.variable(V, "v2")
+    form = Polynomial.constant(V, Fraction(rng.choice([-1, 1]) * rng.randint(1, 6),
+                                           rng.randint(1, 6)))
+    for _ in range(n_factors):
+        kind = rng.randrange(4)
+        if kind == 0:
+            form = form * rng.choice([v1, v2])
+        elif kind == 1:
+            a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+            form = form * (v1 * a + v2 * b if a or b else v1)
+        else:
+            c = [rng.randint(-5, 5) for _ in range(3)]
+            if not any(c):
+                c[0] = 1
+            form = form * (v1 * v1 * c[0] + v1 * v2 * c[1] + v2 * v2 * c[2])
+    return form
+
+
+def _to_sympy(sympy, p, symbols):
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * symbols[0] ** e1 * symbols[1] ** e2
+                for (e1, e2), c in p.terms.items()), sympy.Integer(0))
+
+
+def _form_pairs(rng, count):
+    """Pairs sharing a random factor about half the time."""
+    for _ in range(count):
+        f, g = _random_form(rng, rng.randint(1, 3)), _random_form(rng, rng.randint(1, 3))
+        if rng.random() < 0.5:
+            common = _random_form(rng, rng.randint(1, 2))
+            f, g = f * common, g * common
+        yield f, g
+
+
+def test_binary_form_gcd_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    s = sympy.symbols("s1 s2")
+    rng = random.Random(8101)
+    for f, g in _form_pairs(rng, 60):
+        expected = sympy.Poly(sympy.gcd(_to_sympy(sympy, f, s), _to_sympy(sympy, g, s)),
+                              *s, domain="QQ").monic()
+        got = sympy.Poly(_to_sympy(sympy, binary_form_gcd(f, g), s), *s, domain="QQ")
+        assert got == expected, (f, g)
+
+
+def _euclid_resultant(f, g):
+    """Res(f, g) of univariate sympy Polys by the Euclidean recursion
+    Res(f, g) = (-1)^(mn) lc(g)^(m - deg r) Res(g, r), r = f mod g."""
+    m, n = f.degree(), g.degree()
+    if n == 0:
+        return g.LC() ** m
+    r = f.rem(g)
+    if r.is_zero:
+        return 0
+    return (-1) ** (m * n) * g.LC() ** (m - r.degree()) * _euclid_resultant(g, r)
+
+
+def test_resultant_binary_agrees_with_sympy():
+    # sympy.resultant itself is not the oracle: sympy 1.14 returns
+    # -39 for Res(s^3 + s + 1, s^5 + 2), whose Sylvester determinant,
+    # and lc(f)^5 times the product of g over the roots of f, are 39.
+    sympy = pytest.importorskip("sympy")
+    s = sympy.symbols("s1 s2")
+    rng = random.Random(8102)
+    full_degree = 0
+    for f, g in _form_pairs(rng, 60):
+        res = resultant_binary(f, g)
+        F, G = _to_sympy(sympy, f, s), _to_sympy(sympy, g, s)
+        common = sympy.Poly(sympy.gcd(F, G), *s).total_degree()
+        assert (res == 0) == (common > 0), (f, g)
+        # With nonzero v1^deg coefficients the forms keep their degrees in
+        # s1 at s2 = 1, where the Sylvester determinant is the resultant.
+        if binary_coefficients(f)[0] and binary_coefficients(g)[0]:
+            full_degree += 1
+            expected = _euclid_resultant(sympy.Poly(F.subs(s[1], 1), s[0], domain="QQ"),
+                                         sympy.Poly(G.subs(s[1], 1), s[0], domain="QQ"))
+            assert res == Fraction(int(sympy.numer(expected)), int(sympy.denom(expected))), (f, g)
+    assert full_degree >= 10
+
+
+def test_rational_zeros_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    s = sympy.symbols("s1 s2")
+    rng = random.Random(8103)
+    for _ in range(60):
+        p = _random_form(rng, rng.randint(1, 4))
+        expected = set()
+        for factor, _ in sympy.factor_list(_to_sympy(sympy, p, s))[1]:
+            poly = sympy.Poly(factor, *s)
+            if poly.total_degree() == 1:
+                # a*s1 + b*s2 vanishes at (b : -a).
+                a, b = (Fraction(int(c.p), int(c.q)) for c in
+                        (poly.coeff_monomial(s[0]), poly.coeff_monomial(s[1])))
+                expected.add((Fraction(1), -a / b) if b else (Fraction(0), Fraction(1)))
+        zeros = rational_zeros(p)
+        assert len(zeros) == len(set(zeros)), p
+        assert set(zeros) == expected, p
 
 
 # -- rational functions -------------------------------------------------------

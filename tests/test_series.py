@@ -1,9 +1,12 @@
 """Tests for the truncated series layer: the Newton precision schedule,
-the shared power cache of truncated_compose, series reversion, and the
-trusted Polynomial constructor behind arithmetic results.
+the shared power cache of truncated_compose, series reversion, the
+integer core (numerators over one normalized denominator, packed
+monomial keys), and the trusted Polynomial constructor behind
+arithmetic results.
 
-Oracles: untruncated composition (`evaluate_in`) followed by `truncate`,
-calls with and without a power cache, and the validating constructor.
+Oracles: untruncated composition (`evaluate_in`) and `Fraction`
+products followed by `truncate`, calls with and without a power cache,
+and the validating constructor.
 """
 
 from collections import Counter
@@ -12,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from oscform.jets import ImplicitVariety, Parameterization
-from oscform.polyring import Polynomial, parse_polynomial
+from oscform.polyring import Polynomial, multi_indices_upto, parse_polynomial
 from oscform.polyring import series
 from oscform.polyring.series import (
     solve_series_system,
@@ -164,3 +167,89 @@ def test_trusted_arithmetic_results_equal_validated_polynomials():
         assert truncated_multiply(a, b, degree) == (a * b).truncate(degree)
 
     check()
+
+
+# -- the integer core -----------------------------------------------------------
+
+
+def _series_in(variables, max_degree):
+    """Series with numerators up to 10^12 and denominators up to 10^6:
+    the zero series, constants, and general ones through max_degree."""
+    from hypothesis import strategies as st
+
+    n = len(variables)
+    coeffs = st.builds(Fraction, st.integers(-10**12, 10**12).filter(bool),
+                       st.integers(1, 10**6))
+    exps = st.sampled_from(multi_indices_upto(n, max_degree))
+    zero = st.just(Polynomial.zero(variables))
+    constant = coeffs.map(lambda c: Polynomial.constant(variables, c))
+    general = st.dictionaries(exps, coeffs, min_size=1, max_size=6).map(
+        lambda terms: Polynomial(variables, terms))
+    return st.one_of(zero, constant, general)
+
+
+def _assert_normalized(s):
+    """A stored series: positive denominator, nonzero numerators, no common factor."""
+    import math
+
+    assert s.den > 0
+    assert all(s.nums.values())
+    assert math.gcd(s.den, *s.nums.values()) == 1
+
+
+def test_integer_core_matches_fraction_arithmetic():
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    @st.composite
+    def cases(draw):
+        source = ("s1", "s2", "s3", "s4")[:draw(st.integers(2, 4))]
+        target = ("t1", "t2", "t3", "t4")[:draw(st.integers(2, 4))]
+        g = draw(_series_in(source, 3))
+        args = [draw(_series_in(target, 3)) for _ in source]
+        a, b = draw(_series_in(target, 4)), draw(_series_in(target, 4))
+        # A unit: a with its constant term replaced by a nonzero one.
+        unit = a - a.constant_term() + draw(_series_in((), 0).filter(bool)).constant_term()
+        return g, args, a, b, unit, draw(st.integers(0, 8))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(cases())
+    def check(case):
+        g, args, a, b, unit, degree = case
+        assert truncated_multiply(a, b, degree) == (a * b).truncate(degree)
+        composed = g.evaluate_in(args)
+        if not isinstance(composed, Polynomial):
+            composed = Polynomial.constant(args[0].variables, composed)
+        cache = {}
+        for d in (degree, max(degree - 2, 0), degree):
+            expected = composed.truncate(d)
+            assert truncated_compose(g, args, d) == expected
+            assert truncated_compose(g, args, d, powers=cache) == expected
+        for _, power in cache.values():
+            _assert_normalized(power)
+        inverse = series.truncated_inverse(unit, degree)
+        assert inverse.total_degree() <= degree
+        assert (unit * inverse).truncate(degree) == Polynomial.constant(unit.variables, 1)
+        # The helpers behind the public functions return normalized series.
+        limit = series._limit(a.nvars, degree)
+        sa, sb = series._from_poly(a, degree), series._from_poly(b, degree)
+        for s in (sa, sb, series._mul(sa, sb, limit),
+                  series._combine([(3, sa), (-2, sb)], limit),
+                  series._inverse(series._from_poly(unit, degree), unit.nvars, degree)):
+            _assert_normalized(s)
+
+    check()
+
+
+def test_truncation_drops_the_lowest_monomial_past_the_degree():
+    # y^(d+1), the last variable alone, packs to the smallest key above
+    # degree d.
+    for variables in (("y",), XY, ("x", "z", "y")):
+        y = Polynomial.variable(variables, "y")
+        for d in range(4):
+            for k in range(d + 2):
+                assert truncated_multiply(y ** k, y ** (d + 1 - k), d).is_zero
+                assert truncated_compose(P("x*y"), [y ** k, y ** (d + 1 - k)], d).is_zero
+    # Past the widest exponent a key slot holds, truncation degrees are refused.
+    with pytest.raises(ValueError):
+        truncated_multiply(P("x"), P("y"), series._MAX_DEGREE + 1)
