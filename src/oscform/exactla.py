@@ -1,19 +1,22 @@
 """Exact linear algebra over the rationals and rational function fields.
 
 Matrices carry a field tag: either the rationals (Fraction entries) or
-the field of rational functions in a fixed variable tuple.  Elimination
-is fraction-free: each row is first scaled into the underlying domain
-(integers, or integer-coefficient polynomials made primitive), then a
-one-step division-free sweep keeps every intermediate entry a minor of
-the scaled matrix, avoiding expression swell.  Row scaling changes
-neither row space, kernel, rank, nor reduced echelon form, so results
-are exact and canonical.
+the field of rational functions in a fixed variable tuple.  Both fields
+keep every entry in lowest terms (Fraction by itself, RationalFunction
+by its multivariate gcd), so elimination works on the entries directly:
+one Gauss-Jordan loop (`_eliminate`) divides each pivot row by its pivot
+and clears the pivot column below it, and for a reduced form above it
+too.  At each column the pivot is the smallest nonzero candidate (bit
+length of numerator plus denominator over Q, term count of numerator
+plus denominator over Q(u)), which keeps intermediate entries small.
+The reduced row echelon form is unique for the row space, so results do
+not depend on the pivot order and are canonical.
 
-Every question below costs one such elimination, and all of them share
-one scaling path (`_domain_rows`) and one sweep (`_forward_eliminate`):
+Every question below costs one run of that loop:
 
 - `rank(M)`: the rank of M;
-- `determinant(M)`: the determinant of a square M;
+- `determinant(M)`: the determinant of a square M, the signed product
+  of the pivots;
 - `rref(M)`: the reduced row echelon form, its rank and pivot columns;
 - `prefix_ranks(M, ends)`: the rank of every leading block of rows,
   read off the pivot columns of one RREF of the transpose;
@@ -32,7 +35,6 @@ entrywise equality of bases.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -185,110 +187,63 @@ class ExactMatrix:
         return f"ExactMatrix({self.nrows}x{self.ncols} over {self.field.name})"
 
 
-# -- domain scaling ----------------------------------------------------------
+# -- elimination --------------------------------------------------------------
 
 
-def _scale_row_rational(row: Sequence[Fraction]) -> tuple[list[int], Fraction]:
-    """Clear denominators and content; returns (integer row, multiplier)."""
-    lcm = 1
-    for c in row:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in row]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-        multiplier = Fraction(lcm, g)
-    else:
-        multiplier = Fraction(lcm)
-    return ints, multiplier
+def _entry_size(entry: Entry) -> int:
+    """Pivot cost: the bit lengths of a fraction's numerator and
+    denominator, or the term counts of a rational function's, added."""
+    if isinstance(entry, Fraction):
+        return entry.numerator.bit_length() + entry.denominator.bit_length()
+    return len(entry.numerator.terms) + len(entry.denominator.terms)
 
 
-def _scale_row_function(row: Sequence[RationalFunction]) -> tuple[list[Polynomial], Polynomial]:
-    """Clear polynomial denominators and rational content from a row;
+def _eliminate(matrix: ExactMatrix, reduce: bool) -> tuple[list[list], list[int], Entry]:
+    """Gauss-Jordan elimination on the field entries.
 
-    returns (polynomial row, multiplier)."""
-    variables = row[0].variables
-    one = Polynomial.constant(variables, 1)
-    common = one
-    seen: list[Polynomial] = []
-    for e in row:
-        den = e.denominator
-        if den == one or any(den == s for s in seen):
-            continue
-        seen.append(den)
-        common = common * den
-    polys = [e.numerator * common.exact_div(e.denominator) for e in row]
-    content = Fraction(0)
-    for p in polys:
-        c = p.content()
-        content = c if not content else Fraction(
-            math.gcd(content.numerator, c.numerator),
-            (content.denominator * c.denominator
-             // math.gcd(content.denominator, c.denominator)),
-        )
-    if content and content != 1:
-        polys = [p / content for p in polys]
-        common = common / content
-    return polys, common
-
-
-def _int_exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    assert not r, "fraction-free elimination divisibility failed"
-    return q
-
-
-def _poly_exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
-    return a.exact_div(b)
-
-
-def _forward_eliminate(work: list[list], one, exact_div) -> tuple[list[int], int]:
-    """One-step fraction-free forward elimination, in place.
-
-    Returns (pivot column list, sign of the row permutation).  After the
-    sweep, row k has its pivot at pivots[k] and zeros below every pivot.
+    Returns (rows, pivot columns, signed pivot product).  Row k has pivot
+    1 at pivots[k] and zeros below it; with `reduce`, zeros above it as
+    well, which makes the rows the reduced row echelon form.  The rows
+    past the rank are zero.  The signed pivot product is the product of
+    the pivots divided out, negated once per row swap: the determinant
+    when the matrix is square of full rank.  At each column the pivot is
+    the smallest nonzero candidate (`_entry_size`).
     """
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
+    rows = [list(r) for r in matrix.rows]
+    nrows, ncols = matrix.nrows, matrix.ncols
+    one, zero = matrix.field.one(), matrix.field.zero()
     pivots: list[int] = []
-    sign = 1
-    prev = one
+    product = one
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if work[i][c]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-            sign = -sign
-        pivot = work[r][c]
-        for i in range(r + 1, nrows):
-            row_i = work[i]
-            head = row_i[c]
-            for j in range(c + 1, ncols):
-                row_i[j] = exact_div(pivot * row_i[j] - head * work[r][j], prev)
-            row_i[c] = head * 0
-        prev = pivot
-        pivots.append(c)
-        r += 1
         if r == nrows:
             break
-    return pivots, sign
-
-
-def _domain_rows(matrix: ExactMatrix):
-    """Scaled domain copy of the rows, the multiplier each row was scaled
-
-    by, and the domain's helpers."""
-    if isinstance(matrix.field, RationalField):
-        scaled = [_scale_row_rational(r) for r in matrix.rows]
-        one, exact_div = 1, _int_exact_div
-    else:
-        scaled = [_scale_row_function(r) for r in matrix.rows]
-        one, exact_div = Polynomial.constant(matrix.field.variables, 1), _poly_exact_div
-    return [s[0] for s in scaled], [s[1] for s in scaled], one, exact_div
+        candidates = [i for i in range(r, nrows) if rows[i][c]]
+        if not candidates:
+            continue
+        p = min(candidates, key=lambda i: _entry_size(rows[i][c]))
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            product = -product
+        pivot_row = rows[r]
+        pivot = pivot_row[c]
+        product = product * pivot
+        for j in range(c + 1, ncols):
+            if pivot_row[j]:
+                pivot_row[j] = pivot_row[j] / pivot
+        pivot_row[c] = one
+        for i in range(0 if reduce else r + 1, nrows):
+            row = rows[i]
+            head = row[c]
+            if i == r or not head:
+                continue
+            for j in range(c + 1, ncols):
+                if pivot_row[j]:
+                    row[j] = row[j] - head * pivot_row[j]
+            row[c] = zero
+        pivots.append(c)
+        r += 1
+    return rows, pivots, product
 
 
 class RrefResult:
@@ -306,54 +261,29 @@ def rref(matrix: ExactMatrix) -> RrefResult:
     The returned matrix has the same shape, with zero rows at the
     bottom, each pivot equal to one, and zeros above and below pivots.
     """
-    field = matrix.field
     if matrix.nrows == 0 or matrix.ncols == 0:
         return RrefResult(matrix, 0, ())
-    work, _, one, exact_div = _domain_rows(matrix)
-    pivots, _ = _forward_eliminate(work, one, exact_div)
-    rank = len(pivots)
-    rows = [[field.coerce(e) for e in work[i]] for i in range(rank)]
-    for k in range(rank - 1, -1, -1):
-        pc = pivots[k]
-        pivot = rows[k][pc]
-        rows[k] = [e / pivot for e in rows[k]]
-        for i in range(k):
-            factor = rows[i][pc]
-            if factor:
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
-    zero = field.zero()
-    for _ in range(matrix.nrows - rank):
-        rows.append([zero] * matrix.ncols)
-    return RrefResult(ExactMatrix(rows, field=field, ncols=matrix.ncols),
-                      rank, tuple(pivots))
+    rows, pivots, _ = _eliminate(matrix, True)
+    return RrefResult(ExactMatrix(rows, field=matrix.field, ncols=matrix.ncols),
+                      len(pivots), tuple(pivots))
 
 
 def rank(matrix: ExactMatrix) -> int:
     if matrix.nrows == 0 or matrix.ncols == 0:
         return 0
-    work, _, one, exact_div = _domain_rows(matrix)
-    pivots, _ = _forward_eliminate(work, one, exact_div)
-    return len(pivots)
+    return len(_eliminate(matrix, False)[1])
 
 
 def determinant(matrix: ExactMatrix) -> Entry:
     """Determinant of a square matrix, exact over the matrix's field."""
     if matrix.nrows != matrix.ncols:
         raise ShapeMismatch(f"determinant of {matrix.nrows}x{matrix.ncols} matrix")
-    field = matrix.field
     if matrix.nrows == 0:
-        return field.one()
-    work, multipliers, one, exact_div = _domain_rows(matrix)
-    pivots, sign = _forward_eliminate(work, one, exact_div)
+        return matrix.field.one()
+    _, pivots, product = _eliminate(matrix, False)
     if len(pivots) < matrix.nrows:
-        return field.zero()
-    det = field.coerce(work[-1][pivots[-1]])
-    if sign < 0:
-        det = -det
-    scale = one
-    for multiplier in multipliers:
-        scale = scale * multiplier
-    return det / field.coerce(scale)
+        return matrix.field.zero()
+    return product
 
 
 class Subspace:

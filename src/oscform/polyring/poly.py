@@ -413,27 +413,7 @@ class Polynomial:
             terms[tuple(new_exps)] = coeff
         return Polynomial(variables, terms)
 
-    # -- content and exact division --------------------------------------
-
-    def content(self) -> Fraction:
-        """Positive rational content: gcd of numerators over lcm of denominators.
-
-        Sign is chosen so that content(p) > 0; content(0) = 0.
-        """
-        if not self.terms:
-            return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for coeff in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(coeff.numerator))
-            den_lcm = den_lcm * coeff.denominator // math.gcd(den_lcm, coeff.denominator)
-        return Fraction(num_gcd, den_lcm)
-
-    def primitive_part(self) -> "Polynomial":
-        c = self.content()
-        if not c:
-            return self
-        return self / c
+    # -- exact division -------------------------------------------------
 
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
         """Exact quotient self / divisor; raises InexactDivision otherwise.

@@ -112,7 +112,11 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.numerator, self.denominator)
+        # -num/den is still coprime with a monic denominator: no gcd.
+        negated = object.__new__(RationalFunction)
+        object.__setattr__(negated, "numerator", -self.numerator)
+        object.__setattr__(negated, "denominator", self.denominator)
+        return negated
 
     def __sub__(self, other):
         other = self._coerce(other)

@@ -421,6 +421,20 @@ def test_generic_profile_is_symbolic_and_bounds_point_profile():
             assert all(g >= p for g, p in zip(generic.dims, at_point.dims))
 
 
+def test_generic_dim_bound_on_random_ruled_draws_within_budget():
+    # Generic second and third forms over Q(u1[, u2], t1[, t2]) on the
+    # same 25 draws, n = 2 bases included: every dim |Phi_m| is within
+    # the ruled bound, and all 50 eliminations finish inside 30 s
+    # (about half a second on a 2-core VM).
+    with criterion("generic dim bound", 30):
+        for seed in range(25):
+            rng = random.Random(seed)
+            n, e = rng.choice([(1, 1), (1, 2), (2, 1), (2, 2)])
+            f = random_ruled(rng, n, e)
+            for m in (2, 3):
+                assert dim_bound_check(f, m).ok, (seed, m)
+
+
 def test_criterion_9_ruledness_diagnostic_smoke():
     # The doubly ruled quadric reports ruled-evidence at 5 seeded
     # points; a generic graph surface reports not-ruled-evidence with a

@@ -141,14 +141,14 @@ def test_example_prints_variety_file(capsys):
 
 def test_ruling_check_at_a_point_eliminates_only_over_the_rationals(
         capsys, examples, monkeypatch):
-    original = exactla._domain_rows
+    original = exactla._eliminate
 
-    def rationals_only(matrix):
+    def rationals_only(matrix, reduce):
         if not isinstance(matrix.field, exactla.RationalField):
             pytest.fail(f"point-mode ruling-check eliminated over {matrix.field.name}")
-        return original(matrix)
+        return original(matrix, reduce)
 
-    monkeypatch.setattr(exactla, "_domain_rows", rationals_only)
+    monkeypatch.setattr(exactla, "_eliminate", rationals_only)
     code, out, err = run(capsys, ["ruling-check", "--order", "2", "--at", "1,2",
                                   str(examples / "scroll-3-3.var")])
     assert code == 0, err

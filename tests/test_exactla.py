@@ -299,6 +299,7 @@ def test_function_field_rank_kernel_and_determinant_match_sympy():
         return domain.from_sympy(poly(e.numerator) / poly(e.denominator))
 
     rng = random.Random(137)
+    pivot_choices = 0
     for _ in range(24):
         nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
         rows = [[_random_rational_function(rng, names) for _ in range(ncols)]
@@ -307,6 +308,7 @@ def test_function_field_rank_kernel_and_determinant_match_sympy():
             # The last row depends on the first two, so the rank drops.
             c = _random_rational_function(rng, names)
             rows[-1] = [a + c * b for a, b in zip(rows[0], rows[1])]
+        pivot_choices += _first_pivot_is_not_smallest(rows, _term_count)
         m = ExactMatrix(rows, field=field)
         dm = DomainMatrix([[to_sympy(e) for e in row] for row in rows],
                           (nrows, ncols), domain)
@@ -314,5 +316,67 @@ def test_function_field_rank_kernel_and_determinant_match_sympy():
         nullity = dm.nullspace().shape[0]
         assert kernel_basis(m).dim == nullity
         assert len(kernel_vectors(m)) == nullity
+        _assert_rref_matches(rref(m), dm, to_sympy)
         if nrows == ncols:
             assert to_sympy(determinant(m)) == dm.det()
+    assert pivot_choices >= 3
+
+
+def test_rational_rref_rank_and_determinant_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    def to_sympy(e: Fraction):
+        return sympy.QQ(e.numerator, e.denominator)
+
+    def entry(rng):
+        # Zeros, small entries and wide ones side by side, so the first
+        # nonzero entry of a column is often not the smallest.
+        kind = rng.random()
+        if kind < 0.2:
+            return Fraction(0)
+        if kind < 0.6:
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        return Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**6))
+
+    rng = random.Random(139)
+    pivot_choices = 0
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows >= 3 and rng.random() < 0.4:
+            c = entry(rng)
+            rows[-1] = [a + c * b for a, b in zip(rows[0], rows[1])]
+        pivot_choices += _first_pivot_is_not_smallest(rows, _bit_size)
+        m = ExactMatrix(rows, field=RationalField())
+        dm = DomainMatrix([[to_sympy(e) for e in row] for row in rows],
+                          (nrows, ncols), sympy.QQ)
+        assert rank(m) == dm.rank()
+        _assert_rref_matches(rref(m), dm, to_sympy)
+        if nrows == ncols:
+            assert to_sympy(determinant(m)) == dm.det()
+    assert pivot_choices >= 10
+
+
+def _term_count(e: RationalFunction) -> int:
+    return len(e.numerator.terms) + len(e.denominator.terms)
+
+
+def _bit_size(e: Fraction) -> int:
+    return abs(e.numerator).bit_length() + e.denominator.bit_length()
+
+
+def _first_pivot_is_not_smallest(rows, size) -> bool:
+    """True when the first nonzero entry of column 0 is larger than
+    another nonzero entry below it, so elimination must pick its pivot."""
+    column = [row[0] for row in rows if row[0]]
+    return bool(column) and size(column[0]) > min(size(e) for e in column)
+
+
+def _assert_rref_matches(ours, dm, to_sympy):
+    reduced, pivots = dm.rref()
+    assert ours.pivot_columns == tuple(pivots)
+    assert ours.rank == len(pivots)
+    for i in range(dm.shape[0]):
+        for j in range(dm.shape[1]):
+            assert to_sympy(ours.matrix[i, j]) == reduced[i, j].element

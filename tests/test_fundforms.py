@@ -251,13 +251,13 @@ def test_tangent_form_evaluate_and_partial():
 def count_eliminations(monkeypatch):
     """Route every elimination (rank, rref, determinant) through a counter."""
     calls = []
-    original = exactla._forward_eliminate
+    original = exactla._eliminate
 
-    def counting(work, one, exact_div):
-        calls.append(len(work))
-        return original(work, one, exact_div)
+    def counting(matrix, reduce):
+        calls.append(matrix.nrows)
+        return original(matrix, reduce)
 
-    monkeypatch.setattr(exactla, "_forward_eliminate", counting)
+    monkeypatch.setattr(exactla, "_eliminate", counting)
     return calls
 
 

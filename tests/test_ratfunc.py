@@ -73,6 +73,23 @@ def test_reduction_is_path_independent():
         assert direct.denominator.leading_term()[1] == 1
 
 
+def test_negation_keeps_the_canonical_form():
+    # Negation skips the gcd; reducing -num/den from scratch must give
+    # the same numerator and denominator, zero and constants included.
+    rng = random.Random(13)
+    for _ in range(40):
+        variables = VARS[: rng.randint(1, 3)]
+        a, b = random_polynomial(rng, variables), random_polynomial(rng, variables)
+        if b.is_zero:
+            continue
+        r = RationalFunction(a, b * Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)))
+        negated = -r
+        reduced = RationalFunction(-r.numerator, r.denominator)
+        assert negated.numerator == reduced.numerator
+        assert negated.denominator == reduced.denominator
+        assert negated + r == 0
+
+
 def test_equality_is_structural_on_canonical_forms():
     x_over_y = RationalFunction(P("x"), P("y"))
     assert RationalFunction(P("2*x"), P("2*y")) == x_over_y
