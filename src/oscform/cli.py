@@ -250,9 +250,7 @@ def _cmd_ruling_check(args) -> Report:
         ruled = _as_ruled(obj)
     else:
         raise DomainError("ruling-check needs a parameterization or scroll file")
-    point = None
-    if getattr(args, "at", None) is not None:
-        point = _parse_rational_tuple(args.at, "--at")
+    point = _parameter_point(args, ruled.underlying)
     result = ruling_fixed_component_check(ruled, args.order, point=point)
     # dim |Phi_m| in the report's own mode; the bound holds at every point.
     dim = result.system.projective_dim
@@ -287,9 +285,8 @@ def _cmd_monge(args) -> Report:
             raise DomainError("monge needs --at or a point recorded in the file")
         md = monge_form(obj, point, order=args.order)
     else:
-        md = monge_form(scroll(obj).underlying,
-                        _parameter_point(args, scroll(obj).underlying),
-                        order=args.order)
+        f = scroll(obj).underlying
+        md = monge_form(f, _parameter_point(args, f), order=args.order)
     report.mode = "point"
     report.inputs["order"] = args.order
     report.add("ambient_point", fmt_point(md.ambient_point))

@@ -340,9 +340,6 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.basis
 
-    def basis_matrix(self) -> ExactMatrix:
-        return ExactMatrix(self.basis, field=self.field, ncols=self.ambient_dim)
-
     def contains_vector(self, vector: Sequence) -> bool:
         if len(vector) != self.ambient_dim:
             raise AmbientMismatch(

@@ -128,10 +128,6 @@ class TangentForm:
                if all(exps[i] == 0 for i in index_set)}
         return TangentForm(self.tangent_vars, self.degree, out, self.field)
 
-    def block_degrees(self, indices: Sequence[int]) -> set[int]:
-        """Total degrees in the given variable block across the support."""
-        return {sum(exps[i] for i in indices) for exps in self.coeffs}
-
     def as_polynomial(self) -> Polynomial:
         """Conversion for rational-coefficient forms."""
         terms = {}

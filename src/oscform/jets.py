@@ -5,8 +5,10 @@ per divided derivative D_I, |I| <= m, in degree-major order, and one
 column per homogeneous coordinate function.  Its rank at a point is
 s(m) + 1 where s(m) is the projective dimension of the m-th osculating
 space; its right kernel K_m consists of the hyperplanes osculating to
-order m.  Implicit complete intersections enter through a truncated
-power-series chart solved at a smooth rational point.
+order m.  At a rational point the jets are Taylor coefficients, read off
+the expansions of the coordinates there with no symbolic derivative.
+Implicit complete intersections enter through a truncated power-series
+chart solved at a smooth rational point.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .polyring import (
     multi_index_factorial,
     multi_indices_upto,
     solve_series_system,
+    taylor_expansions,
     truncated_compose,
 )
 
@@ -125,7 +128,7 @@ def _check_jet_order(f: Parameterization, m: int) -> None:
 
 
 def _derivative_rows(f: Parameterization, indices: list[Exponents]):
-    """D_I of every coordinate, one list per multi-index."""
+    """D_I of every coordinate, one list per multi-index (generic rows)."""
     rows = []
     if f.is_polynomial():
         polys = [c.numerator for c in f.coords]
@@ -185,10 +188,6 @@ class JetMatrix:
         """Row positions of the |I| = order block."""
         return [i for i, I in enumerate(self.row_indices) if sum(I) == self.order]
 
-    def top_block(self) -> ExactMatrix:
-        """The |I| = order rows, realizing the symmetric-power quotient."""
-        return self.matrix.submatrix_rows(self.top_block_indices())
-
     def row_for(self, index: Exponents) -> tuple:
         return self.matrix.row(self.row_indices.index(tuple(index)))
 
@@ -197,22 +196,32 @@ class JetMatrix:
         return f"JetMatrix(order {self.order}, {self.matrix.nrows}x{self.matrix.ncols}, at {where})"
 
 
-def jet_matrix(f: Parameterization, m: int, point: Sequence | None = None) -> JetMatrix:
-    """Order-m jet matrix, symbolic or exactly evaluated at a point."""
-    _check_jet_order(f, m)
-    indices = multi_indices_upto(f.source_dim, m)
-    rows = _derivative_rows(f, indices)
-    if point is None:
-        field = FunctionField(f.params)
-        matrix = ExactMatrix(rows, field=field)
-        return JetMatrix(m, tuple(indices), matrix, None, f.params)
+def point_expansions(f: Parameterization, order: int, point: Sequence,
+                     series_vars: Sequence[str] | None = None
+                     ) -> tuple[tuple[Fraction, ...], list[Polynomial]]:
+    """The point as rationals, and each coordinate's Taylor expansion there
+    through total degree `order`, in offsets named `series_vars` (by
+    default the parameters): u^I has coefficient D_I x_j at the point."""
     point = tuple(Fraction(v) for v in point)
     if len(point) != f.source_dim:
         raise DomainError(f"point {point} has wrong length for {f.source_dim} parameters")
-    evaluated = [[entry.evaluate(point) for entry in row] for row in rows]
-    if not any(evaluated[0]):
+    expansions = taylor_expansions(f.coords, point, order, series_vars or f.params)
+    if not any(e.constant_term() for e in expansions):
         raise DomainError(f"all coordinates vanish at {point}; not a projective point")
-    matrix = ExactMatrix(evaluated, field=RationalField())
+    return point, expansions
+
+
+def jet_matrix(f: Parameterization, m: int, point: Sequence | None = None) -> JetMatrix:
+    """Order-m jet matrix: symbolic, or at a point the Taylor coefficients
+    of the coordinates there."""
+    _check_jet_order(f, m)
+    indices = multi_indices_upto(f.source_dim, m)
+    if point is None:
+        matrix = ExactMatrix(_derivative_rows(f, indices), field=FunctionField(f.params))
+        return JetMatrix(m, tuple(indices), matrix, None, f.params)
+    point, expansions = point_expansions(f, m, point)
+    matrix = ExactMatrix([[e.coefficient(I) for e in expansions] for I in indices],
+                         field=RationalField())
     if m >= 1:
         first_block = matrix.submatrix_rows(range(1 + f.source_dim))
         if rank(first_block) < f.source_dim + 1:

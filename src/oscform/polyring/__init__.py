@@ -30,10 +30,10 @@ from .binform import (
 from .exprparse import parse_polynomial, parse_rational
 from .series import (
     solve_series_system,
+    taylor_expansions,
     truncated_compose,
     truncated_inverse,
     truncated_multiply,
-    truncated_power,
 )
 
 __all__ = [
@@ -61,8 +61,8 @@ __all__ = [
     "parse_polynomial",
     "parse_rational",
     "solve_series_system",
+    "taylor_expansions",
     "truncated_compose",
     "truncated_inverse",
     "truncated_multiply",
-    "truncated_power",
 ]

@@ -23,6 +23,9 @@ builds one Fraction per coefficient.  The power cache of
 `truncated_compose` holds the substituted series and their powers in
 integer form, so calls that share a cache convert each argument once.
 
+taylor_expansions, the one routine that expands rational functions
+around a rational point, gives the jets there as Taylor coefficients.
+
 solve_series_system runs Newton iteration with precision doubling
 (Brent & Kung 1978) for an implicit system g(x_free, x_dep) = 0 around a
 point with invertible dependent Jacobian.  The iterate and the linear
@@ -43,7 +46,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from ..errors import DomainError, InvariantViolation, ZeroDivisionRequested
+from ..errors import DenominatorVanishes, DomainError, InvariantViolation, ZeroDivisionRequested
 from .poly import Polynomial
 
 _BITS = 16
@@ -201,16 +204,6 @@ def truncated_multiply(a: Polynomial, b: Polynomial, max_degree: int) -> Polynom
                     a.variables)
 
 
-def truncated_power(a: Polynomial, exponent: int, max_degree: int) -> Polynomial:
-    _check_degree(max_degree)
-    limit = _limit(a.nvars, max_degree)
-    base = _from_poly(a, max_degree)
-    result = _ONE
-    for _ in range(exponent):
-        result = _mul(result, base, limit)
-    return _to_poly(result, a.variables)
-
-
 PowerCache = dict[tuple[int, int], tuple[int, _Series]]
 
 
@@ -236,9 +229,14 @@ def truncated_compose(g: Polynomial, args: Sequence[Polynomial], max_degree: int
         if a.variables != target_vars:
             raise ValueError("substituted series use different variables")
     _check_degree(max_degree)
-    if powers is None:
-        powers = {}
-    nvars = len(target_vars)
+    return _to_poly(_compose(g, args, max_degree, {} if powers is None else powers),
+                    target_vars)
+
+
+def _compose(g: Polynomial, args: Sequence[Polynomial], max_degree: int,
+             powers: PowerCache) -> _Series:
+    """truncated_compose in integer form, for arguments already checked."""
+    nvars = args[0].nvars
     last = len(args) - 1
     top_limit = _limit(nvars, max_degree)
 
@@ -278,7 +276,32 @@ def truncated_compose(g: Polynomial, args: Sequence[Polynomial], max_degree: int
     g_den = math.lcm(*(c.denominator for c in g.terms.values()))
     result = nested([(e, c.numerator * (g_den // c.denominator)) for e, c in g.terms.items()],
                     0, max_degree)
-    return _to_poly(_reduced(result.nums, result.den * g_den), target_vars)
+    return _reduced(result.nums, result.den * g_den)
+
+
+def taylor_expansions(functions: Sequence, point: tuple[Fraction, ...], order: int,
+                      series_vars: Sequence[str]) -> list[Polynomial]:
+    """Expansions of RationalFunctions in the offsets u = x - point, named
+    `series_vars`, through total degree `order`: the coefficient of u^I is
+    D_I of the function at the point.  Every numerator and denominator is
+    composed with the shift through one power cache; a denominator other
+    than 1 is inverted as a series, or raises DenominatorVanishes."""
+    _check_degree(order)
+    series_vars = tuple(series_vars)
+    nvars = len(series_vars)
+    shift = [Polynomial.variable(series_vars, v) + p for v, p in zip(series_vars, point)]
+    powers: PowerCache = {}
+    out = []
+    for f in functions:
+        s = _compose(f.numerator, shift, order, powers)
+        if not f.is_polynomial():
+            den = _compose(f.denominator, shift, order, powers)
+            if 0 not in den.nums:
+                raise DenominatorVanishes(f"denominator {f.denominator} vanishes at {point}",
+                                          denominator=f.denominator)
+            s = _mul(s, _inverse(den, nvars, order), _limit(nvars, order))
+        out.append(_to_poly(s, series_vars))
+    return out
 
 
 def truncated_inverse(a: Polynomial, max_degree: int) -> Polynomial:

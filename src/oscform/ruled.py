@@ -30,12 +30,7 @@ from .errors import (
 )
 from .exactla import ExactMatrix, RationalField, kernel_basis, prefix_ranks, rank, rref
 from .fundforms import LinearSystem, fundamental_form
-from .jets import (
-    ImplicitVariety,
-    NonImmersivePoint,
-    Parameterization,
-    jet_matrix,
-)
+from .jets import ImplicitVariety, Parameterization, jet_matrix, point_expansions
 from .polyring import (
     Polynomial,
     QuotientRingElement,
@@ -411,7 +406,7 @@ def _complete_basis(rows: list[list[Fraction]]) -> list[Fraction]:
     raise SingularPoint("cannot complete the tangent frame to a basis")
 
 
-def _invert_rational(matrix: ExactMatrix) -> ExactMatrix:
+def _invert_rational(matrix: ExactMatrix, singular: str) -> ExactMatrix:
     n = matrix.nrows
     one = Fraction(1)
     zero = Fraction(0)
@@ -421,24 +416,12 @@ def _invert_rational(matrix: ExactMatrix) -> ExactMatrix:
         field=RationalField(),
     )
     reduced = rref(augmented)
-    if reduced.rank < n:
-        raise SingularPoint("chart matrix is singular")
+    # [M | I] always has rank n; M is invertible when its own columns
+    # hold all n pivots.
+    if reduced.pivot_columns[n - 1] >= n:
+        raise SingularPoint(singular)
     return ExactMatrix([list(reduced.matrix.row(i))[n:] for i in range(n)],
                        field=RationalField())
-
-
-def _shifted_series(value: RationalFunction, point: tuple[Fraction, ...],
-                    order: int, series_vars: tuple[str, ...]) -> Polynomial:
-    """Taylor series of the function around the point, truncated past
-    `order`, in offset variables.  Numerator and denominator are composed
-    with the shift as truncated series and the denominator is inverted as
-    a series, so nothing ever leaves the polynomial ring."""
-    shift = [Polynomial.variable(series_vars, v) + p
-             for v, p in zip(series_vars, point)]
-    return truncated_multiply(
-        truncated_compose(value.numerator, shift, order),
-        truncated_inverse(truncated_compose(value.denominator, shift, order), order),
-        order)
 
 
 def _monge_from_parameterization(f: Parameterization, point: Sequence,
@@ -448,37 +431,26 @@ def _monge_from_parameterization(f: Parameterization, point: Sequence,
             f"Monge charts need a surface in P^3; got source {f.source_dim}, "
             f"ambient {f.ambient_dim}"
         )
-    point = tuple(Fraction(v) for v in point)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonImmersivePoint)
-        jm = jet_matrix(f, 1, point)
-    frame = [list(jm.matrix.row(i)) for i in range(3)]
-    if rank(ExactMatrix(frame, field=RationalField())) < 3:
-        raise SingularPoint(f"the parameterization is not immersive at {point}")
+    u_vars = ("u1", "u2")
+    point, coord_series = point_expansions(f, order, point, u_vars)
+    # The frame is the order-1 jet matrix: the values, then D_(1,0), D_(0,1).
+    frame = [[s.coefficient(I) for s in coord_series] for I in ((0, 0), (1, 0), (0, 1))]
     frame.append(_complete_basis(frame))
     chart = ExactMatrix(frame, field=RationalField())
-    inverse = _invert_rational(chart.transpose())
-    u_vars = ("u1", "u2")
-    coord_series = [_shifted_series(c, point, order, u_vars) for c in f.coords]
-    z = []
-    for i in range(4):
-        total = Polynomial.zero(u_vars)
-        for j in range(4):
-            c = inverse[i, j]
-            if c:
-                total = total + coord_series[j] * c
-        z.append(total)
+    # The added row lies off the span of the frame, so the chart is
+    # singular exactly when the frame is dependent.
+    inverse = _invert_rational(chart.transpose(),
+                               f"the parameterization is not immersive at {point}")
+    z = [sum((coord_series[j] * inverse[i, j] for j in range(4) if inverse[i, j]),
+             Polynomial.zero(u_vars)) for i in range(4)]
     if not z[0].constant_term():
         raise SingularPoint("chart normalization failed at the point")
     inverse_z0 = truncated_inverse(z[0], order)
     taylors = [truncated_multiply(z[i], inverse_z0, order) for i in (1, 2, 3)]
     x_vars = ("x1", "x2")
     combined = ("x1", "x2", "u1", "u2")
-    equations = []
-    for i in range(2):
-        ti = taylors[i].extend_variables(combined)
-        xi = Polynomial.variable(combined, x_vars[i])
-        equations.append(ti - xi)
+    equations = [taylors[i].extend_variables(combined) - Polynomial.variable(combined, x)
+                 for i, x in enumerate(x_vars)]
     powers: PowerCache = {}
     inverse_series = solve_series_system(equations, free=[0, 1], dep=[2, 3],
                                          point=[Fraction(0)] * 4, order=order,
@@ -490,8 +462,7 @@ def _monge_from_parameterization(f: Parameterization, point: Sequence,
                                          if i >= 2})
     if f_series.constant_term() or not f_series.homogeneous_component(1).is_zero:
         raise SingularPoint("Monge chart has unexpected constant or linear part")
-    ambient = tuple(c.evaluate(point) for c in f.coords)
-    return MongeData(ambient, point, chart, order, x_vars, f_series,
+    return MongeData(tuple(frame[0]), point, chart, order, x_vars, f_series,
                      f_series.homogeneous_component(2),
                      f_series.homogeneous_component(3),
                      f_series.homogeneous_component(4))

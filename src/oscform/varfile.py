@@ -19,7 +19,7 @@ point is required and lives in the ambient projective space.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConsistencyError, ParseError
@@ -50,6 +50,8 @@ class VarietyFile:
     equations: tuple[str, ...] | None = None
     point: tuple[Fraction, ...] | None = None
     degrees: tuple[int, ...] | None = None
+    # The coords or equations parsed by validation; equality is the text's.
+    parsed: tuple = field(default=(), compare=False, repr=False)
 
 
 def _split_names(value: str, key: str, line: int) -> tuple[str, ...]:
@@ -88,13 +90,15 @@ def _split_degrees(value: str, line: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _check_expressions(entries, names, key, parser, lines):
+def _parse_expressions(entries, names, key, parser, lines) -> tuple:
+    parsed = []
     for k, text in enumerate(entries):
         try:
-            parser(text, names)
+            parsed.append(parser(text, names))
         except ParseError as exc:
             raise ParseError(f"{key} entry {k + 1}: {exc}",
                              line=lines.get(key)) from None
+    return tuple(parsed)
 
 
 def parse_variety(text: str) -> VarietyFile:
@@ -141,6 +145,7 @@ def parse_variety(text: str) -> VarietyFile:
 
     label = raw.get("label") or None
     params = variables = coords = equations = point = degrees = None
+    parsed = ()
     if "params" in raw:
         params = _split_names(raw["params"], "params", where["params"])
     if "vars" in raw:
@@ -162,7 +167,7 @@ def parse_variety(text: str) -> VarietyFile:
             raise ConsistencyError(
                 f"{len(coords)} coordinates cannot parameterize a variety "
                 f"with {len(params)} parameters")
-        _check_expressions(coords, params, "coords", parse_rational, where)
+        parsed = _parse_expressions(coords, params, "coords", parse_rational, where)
         if point is not None and len(point) != len(params):
             raise ConsistencyError(
                 f"point has {len(point)} entries for {len(params)} parameters",
@@ -176,8 +181,8 @@ def parse_variety(text: str) -> VarietyFile:
             raise ConsistencyError(
                 f"point has {len(point)} entries for {len(variables)} variables",
                 line=where["point"])
-        _check_expressions(equations, variables, "equations", parse_polynomial,
-                           where)
+        parsed = _parse_expressions(equations, variables, "equations",
+                                    parse_polynomial, where)
     else:
         if degrees is None:
             raise ConsistencyError("kind scroll needs 'degrees:'")
@@ -187,7 +192,8 @@ def parse_variety(text: str) -> VarietyFile:
 
     return VarietyFile(kind=kind, label=label, params=params,
                        variables=variables, coords=coords,
-                       equations=equations, point=point, degrees=degrees)
+                       equations=equations, point=point, degrees=degrees,
+                       parsed=parsed)
 
 
 def print_variety(vf: VarietyFile) -> str:
@@ -216,9 +222,7 @@ def print_variety(vf: VarietyFile) -> str:
 def build_variety(vf: VarietyFile):
     """Turn a parsed file into the matching geometric object."""
     if vf.kind == "parameterization":
-        coords = [parse_rational(c, vf.params) for c in vf.coords]
-        return Parameterization(vf.params, coords, label=vf.label)
+        return Parameterization(vf.params, vf.parsed, label=vf.label)
     if vf.kind == "implicit":
-        equations = [parse_polynomial(e, vf.variables) for e in vf.equations]
-        return ImplicitVariety(equations, vf.point, label=vf.label)
+        return ImplicitVariety(vf.parsed, vf.point, label=vf.label)
     return ScrollSpec(vf.degrees)

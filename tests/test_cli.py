@@ -121,6 +121,22 @@ def test_domain_error_exits_1(capsys, examples):
     assert "--at has 3 entries for 2 parameters" in err
 
 
+def test_ruling_check_at_reports_the_arity_like_every_command(capsys, examples):
+    code, _, err = run(capsys, ["ruling-check", "--order", "2", "--at", "1",
+                                str(examples / "scroll-3-3.var")])
+    assert code == 1
+    assert "--at has 1 entries for 2 parameters" in err
+
+
+def test_malformed_coordinate_names_its_entry_and_line(capsys, tmp_path):
+    bad = tmp_path / "bad.var"
+    bad.write_text("kind: parameterization\n# comment\nparams: x y\n"
+                   "coords: 1, x*), y, x*y\n")
+    code, _, err = run(capsys, ["osc", "--order", "2", str(bad)])
+    assert code == 2
+    assert err.startswith("error: line 4: coords entry 2: ")
+
+
 def test_missing_file_exits_1(capsys):
     code, _, err = run(capsys, ["osc", "--order", "2", "no-such-file.var"])
     assert code == 1

@@ -1,18 +1,25 @@
 """Unit tests for jet matrices, osculating profiles, and implicit charts.
 
 Oracles: closed-form row counts, invariance under coordinate and
-parameter changes, and the binomial series for the circle chart
-computed locally in the test.
+parameter changes, the binomial series for the circle chart computed
+locally in the test, and the symbolic jet matrix evaluated entrywise,
+for the point matrix read off Taylor expansions.
 """
 
 import random
+import re
+import warnings
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
+from oscform import jets
+from oscform.cli import main
 from oscform.errors import (
     ChainBroken,
+    DenominatorVanishes,
     DomainError,
     NotHomogeneous,
     PointNotOnVariety,
@@ -30,7 +37,14 @@ from oscform.jets import (
     osculating_profile,
     osculating_space,
 )
-from oscform.polyring import Polynomial, parse_polynomial, parse_rational
+from oscform.gallery import example_names, example_text
+from oscform.polyring import (
+    Polynomial,
+    RationalFunction,
+    multi_indices_upto,
+    parse_polynomial,
+    parse_rational,
+)
 
 XY = ("x", "y")
 
@@ -165,6 +179,91 @@ def test_truncated_parameterization_rejects_deep_jets():
     jet_matrix(series, 2, point=(0, 0))
     with pytest.raises(TruncationOrderExceeded):
         jet_matrix(series, 3, point=(0, 0))
+
+
+def random_parameterization(rng: random.Random, nparams: int) -> Parameterization:
+    """Two more coordinates than parameters; about half of them have a
+    non-constant denominator."""
+    names = ("a", "b", "c")[:nparams]
+    exponents = multi_indices_upto(nparams, 2)
+
+    def poly(nterms: int) -> Polynomial:
+        return Polynomial(names, {rng.choice(exponents): Fraction(rng.randint(-5, 5),
+                                                                  rng.randint(1, 3))
+                                  for _ in range(nterms)})
+
+    coords = []
+    for _ in range(nparams + 2):
+        num, den = poly(3), poly(2) + 1
+        coords.append(num if den.is_zero or rng.random() < 0.5
+                      else RationalFunction(num, den))
+    return Parameterization(names, coords)
+
+
+def test_point_jet_matrix_is_the_symbolic_one_evaluated():
+    rng = random.Random(8123)
+    checked = 0
+    while checked < 18:
+        nparams = 1 + checked % 3
+        m = 1 + checked % 4
+        f = random_parameterization(rng, nparams)
+        point = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                      for _ in range(nparams))
+        if any(not c.denominator.evaluate(point) for c in f.coords) or \
+                not any(c.evaluate(point) for c in f.coords):
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonImmersivePoint)
+            at_point = jet_matrix(f, m, point)
+        generic = jet_matrix(f, m, None)
+        assert at_point.row_indices == generic.row_indices
+        assert at_point.matrix.rows == tuple(
+            tuple(entry.evaluate(point) for entry in row) for row in generic.matrix.rows)
+        checked += 1
+
+
+def test_point_jet_matrix_on_a_pole_names_the_denominator():
+    ts = ("t", "s")
+    f = Parameterization(ts, [parse_rational(e, ts)
+                              for e in ("1", "t", "s/(s + 2)", "t*s/(t - 1)")])
+    message = "denominator t - 1 vanishes at (Fraction(1, 1), Fraction(0, 1))"
+    with pytest.raises(DenominatorVanishes, match=re.escape(message)):
+        jet_matrix(f, 2, (1, 0))
+    message = "denominator s + 2 vanishes at (Fraction(1, 1), Fraction(-2, 1))"
+    with pytest.raises(DenominatorVanishes, match=re.escape(message)):
+        jet_matrix(f, 2, (1, -2))
+
+
+POINT_COMMANDS = [
+    ["osc", "--order", "3", "--max", "togliatti.var"],
+    ["osc", "--order", "2", "togliatti.var"],
+    ["fundform", "--order", "2", "togliatti.var"],
+    ["jacobian-check", "--order", "3", "togliatti.var"],
+    ["base-locus", "--order", "2", "shifrin.var"],
+    ["tangent-cone", "--hyperplane", "1,-1,0,0,0,0", "togliatti.var"],
+    ["ruling-check", "--order", "2", "--at", "1,2", "scroll-3-3.var"],
+    ["monge", "--at", "1,2", "graph.var"],
+    ["ruled-test", "--samples", "2", "scroll-2-2.var"],
+]
+
+
+@pytest.mark.parametrize("argv", POINT_COMMANDS, ids=lambda argv: argv[0])
+def test_point_commands_differentiate_nothing_symbolically(argv, capsys, tmp_path,
+                                                           monkeypatch):
+    for name in example_names():
+        (tmp_path / f"{name}.var").write_text(example_text(name))
+    # The gallery has no parameterized surface in P^3 for `monge`.
+    (tmp_path / "graph.var").write_text(
+        "kind: parameterization\nparams: t s\ncoords: 1, t, s, t^3/(1 + s^2) + t*s\n")
+
+    def forbidden(f, indices):
+        pytest.fail("a point-mode command differentiated symbolically")
+
+    monkeypatch.setattr(jets, "_derivative_rows", forbidden)
+    code = main(argv[:-1] + [str(Path(tmp_path, argv[-1]))])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert "mode: point" in out
 
 
 # -- implicit varieties -------------------------------------------------------
