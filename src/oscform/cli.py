@@ -8,6 +8,7 @@ codes: 0 success, 1 domain error, 2 parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import warnings
@@ -396,7 +397,13 @@ def _add_common(sub, order_default=None, order_required=False, with_at=True):
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Nothing mutates it after it is built, and every parse_args call
+    returns a fresh Namespace, so calls to main share it safely.
+    """
     parser = argparse.ArgumentParser(
         prog="oscform",
         description="Osculating spaces, fundamental forms, and ruledness "

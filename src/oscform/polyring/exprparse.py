@@ -13,18 +13,28 @@ operator this is just ordinary parsing.  Exponents must be nonnegative
 integer literals.  Identifiers must belong to the declared variable
 tuple.  Implicit multiplication is not supported: write 2*x, not 2x.
 
-Everything is parsed into a RationalFunction; parse_polynomial then
-checks the denominator is trivial.
+Values stay Polynomials while the expression is polynomial: atoms are
+built directly, and sums, products, powers and divisions by nonzero
+constants are polynomial arithmetic.  A value becomes a
+RationalFunction only when it is divided by a non-constant, and a
+quotient whose denominator cancels is a Polynomial again.  parse_rational
+wraps a polynomial result in its canonical RationalFunction once, at
+the end; since the canonical form (coprime parts, monic grlex-leading
+denominator) is unique, the result is the same as evaluating every node
+in RationalFunction arithmetic.  parse_polynomial rejects a result with
+a nontrivial denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, Union
 
 from ..errors import ParseError
 from .poly import Polynomial
 from .ratfunc import RationalFunction
+
+Value = Union[Polynomial, RationalFunction]
 
 
 class _Token:
@@ -79,9 +89,12 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, tokens: list[_Token], variables: tuple[str, ...]):
+        if len(set(variables)) != len(variables):
+            raise ValueError(f"duplicate variable names in {variables}")
         self.tokens = tokens
         self.pos = 0
         self.variables = variables
+        self.origin = (0,) * len(variables)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -100,7 +113,7 @@ class _Parser:
             )
         return self.advance()
 
-    def parse_expr(self) -> RationalFunction:
+    def parse_expr(self) -> Value:
         value = self.parse_term()
         while self.peek().kind in ("+", "-"):
             op = self.advance()
@@ -108,7 +121,7 @@ class _Parser:
             value = value + right if op.kind == "+" else value - right
         return value
 
-    def parse_term(self) -> RationalFunction:
+    def parse_term(self) -> Value:
         value = self.parse_unary()
         while self.peek().kind in ("*", "/"):
             op = self.advance()
@@ -118,10 +131,10 @@ class _Parser:
             else:
                 if right.is_zero:
                     raise ParseError("division by zero", op.line, op.column)
-                value = value / right
+                value = _divide(value, right)
         return value
 
-    def parse_unary(self) -> RationalFunction:
+    def parse_unary(self) -> Value:
         sign = 1
         while self.peek().kind in ("+", "-"):
             if self.advance().kind == "-":
@@ -129,7 +142,7 @@ class _Parser:
         value = self.parse_power()
         return value if sign > 0 else -value
 
-    def parse_power(self) -> RationalFunction:
+    def parse_power(self) -> Value:
         base = self.parse_atom()
         if self.peek().kind == "^":
             caret = self.advance()
@@ -141,11 +154,13 @@ class _Parser:
             return base ** int(exponent_token.text)
         return base
 
-    def parse_atom(self) -> RationalFunction:
+    def parse_atom(self) -> Value:
         token = self.peek()
         if token.kind == "int":
             self.advance()
-            return RationalFunction.from_scalar(self.variables, Fraction(int(token.text)))
+            value = int(token.text)
+            terms = {self.origin: Fraction(value)} if value else {}
+            return Polynomial._trusted(self.variables, terms)
         if token.kind == "ident":
             self.advance()
             if token.text not in self.variables:
@@ -153,7 +168,9 @@ class _Parser:
                     f"unknown variable {token.text!r}; declared: {', '.join(self.variables)}",
                     token.line, token.column,
                 )
-            return RationalFunction.variable(self.variables, token.text)
+            index = self.variables.index(token.text)
+            exps = self.origin[:index] + (1,) + self.origin[index + 1:]
+            return Polynomial._trusted(self.variables, {exps: Fraction(1)})
         if token.kind == "(":
             self.advance()
             value = self.parse_expr()
@@ -165,10 +182,24 @@ class _Parser:
         )
 
 
-def parse_rational(text: str, variables: Sequence[str]) -> RationalFunction:
-    """Parse an expression into a rational function over the variables."""
-    variables = tuple(variables)
-    parser = _Parser(_tokenize(text), variables)
+def _divide(left: Value, right: Value) -> Value:
+    """left / right for a nonzero right, a Polynomial where possible."""
+    if isinstance(right, Polynomial) and right.total_degree() == 0:
+        c = right.constant_term()
+        if isinstance(left, Polynomial):
+            return Polynomial._trusted(
+                left.variables, {e: v / c for e, v in left.terms.items()})
+        return left / c
+    quotient = _as_rational(left) / _as_rational(right)
+    return quotient.numerator if quotient.is_polynomial() else quotient
+
+
+def _as_rational(value: Value) -> RationalFunction:
+    return RationalFunction(value) if isinstance(value, Polynomial) else value
+
+
+def _parse(text: str, variables: Sequence[str]) -> Value:
+    parser = _Parser(_tokenize(text), tuple(variables))
     value = parser.parse_expr()
     end = parser.peek()
     if end.kind != "end":
@@ -176,9 +207,16 @@ def parse_rational(text: str, variables: Sequence[str]) -> RationalFunction:
     return value
 
 
+def parse_rational(text: str, variables: Sequence[str]) -> RationalFunction:
+    """Parse an expression into a rational function over the variables."""
+    return _as_rational(_parse(text, variables))
+
+
 def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
     """Parse an expression that must simplify to a polynomial."""
-    value = parse_rational(text, variables)
+    value = _parse(text, variables)
+    if isinstance(value, Polynomial):
+        return value
     if not value.is_polynomial():
         raise ParseError(f"expression {text!r} is not a polynomial")
     return value.numerator

@@ -264,12 +264,14 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        result = Polynomial.constant(self.variables, 1)
+        if not exponent:
+            return Polynomial.constant(self.variables, 1)
+        result = None
         base = self
         e = exponent
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if e > 1 else base
             e >>= 1
         return result
@@ -301,8 +303,9 @@ class Polynomial:
             e = exps[index]
             if e:
                 key = exps[:index] + (e - 1,) + exps[index + 1:]
-                terms[key] = terms.get(key, Fraction(0)) + coeff * e
-        return Polynomial(self.variables, terms)
+                terms[key] = coeff * e
+        # Distinct monomials have distinct derivatives: no cancellation.
+        return Polynomial._trusted(self.variables, terms)
 
     def hasse_derivative(self, order: Exponents) -> "Polynomial":
         """Divided derivative D_I = (1/I!) d^I.

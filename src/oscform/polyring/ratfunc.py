@@ -26,7 +26,12 @@ class RationalFunction:
 
     def __init__(self, numerator: Polynomial, denominator: Polynomial | None = None):
         if denominator is None:
-            denominator = Polynomial.constant(numerator.variables, 1)
+            # A polynomial over 1 is already in canonical form: no gcd.
+            one = {(0,) * len(numerator.variables): Fraction(1)}
+            object.__setattr__(self, "numerator", numerator)
+            object.__setattr__(self, "denominator",
+                               Polynomial._trusted(numerator.variables, one))
+            return
         if numerator.variables != denominator.variables:
             raise VariableMismatch(
                 f"variables {numerator.variables} vs {denominator.variables}"
@@ -61,7 +66,8 @@ class RationalFunction:
         return self.numerator.is_zero
 
     def is_polynomial(self) -> bool:
-        return self.denominator == Polynomial.constant(self.variables, 1)
+        terms = self.denominator.terms
+        return len(terms) == 1 and terms.get((0,) * len(self.variables)) == 1
 
     def as_polynomial(self) -> Polynomial:
         if self.is_polynomial():

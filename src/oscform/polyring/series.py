@@ -117,6 +117,31 @@ def _from_poly(p: Polynomial, max_degree: int) -> _Series:
     return _Series({_pack(e): c.numerator * (den // c.denominator) for e, c in items}, den)
 
 
+def _scaled_values(polys: Sequence[Polynomial], point: Sequence[Fraction]) -> list[int]:
+    """The values of the polynomials at a rational point, all times one
+    positive integer: L * D^d * p(point), for D the lcm of the point's
+    denominators, and L and d the lcm of the coefficient denominators and
+    the top degree over all the polynomials.  A zero test, or the zero
+    test of a determinant whose rows are scaled so, then needs no
+    Fraction arithmetic."""
+    den = math.lcm(*(v.denominator for v in point))
+    nums = [v.numerator * (den // v.denominator) for v in point]
+    coeff_den = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    top = max((sum(e) for p in polys for e in p.terms), default=0)
+    den_powers = [den ** k for k in range(top + 1)]
+    values = []
+    for p in polys:
+        total = 0
+        for exps, c in p.terms.items():
+            term = c.numerator * (coeff_den // c.denominator) * den_powers[top - sum(exps)]
+            for v, e in zip(nums, exps):
+                if e:
+                    term *= v ** e
+            total += term
+        values.append(total)
+    return values
+
+
 def _to_poly(s: _Series, variables: tuple[str, ...]) -> Polynomial:
     n, den = len(variables), s.den
     return Polynomial._trusted(
@@ -378,19 +403,21 @@ def solve_series_system(equations: Sequence[Polynomial],
         )
     _check_degree(order)
     point = [Fraction(v) for v in point]
+    if len(point) != len(variables):
+        raise ValueError(f"expected {len(variables)} values, got {len(point)}")
     if series_vars is None:
         series_vars = tuple(variables[i] for i in free)
     else:
         series_vars = tuple(series_vars)
     nvars = len(series_vars)
 
-    for g in equations:
-        if g.evaluate(point):
+    # Both checks are zero tests, so they run on integer values.
+    for g, value in zip(equations, _scaled_values(equations, point)):
+        if value:
             raise DomainError(f"base point does not satisfy {g}")
 
     jacobian = [[g.partial(j) for j in dep] for g in equations]
-    j0 = [[Fraction(row[j].evaluate(point)) for j in range(len(dep))]
-          for row in jacobian]
+    j0 = [_scaled_values(row, point) for row in jacobian]
     if not determinant(ExactMatrix(j0, field=RationalField())):
         raise DomainError("dependent Jacobian is singular at the base point")
 

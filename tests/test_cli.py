@@ -5,6 +5,7 @@ seeded reports, the variety-file round trip, and the checked-in golden
 reports for every built-in example.
 """
 
+import argparse
 import io
 import json
 import shlex
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from oscform import exactla
+from oscform import cli, exactla
 from oscform.cli import main
 from oscform.gallery import example_names, example_text
 from oscform.varfile import parse_variety, print_variety
@@ -191,6 +192,56 @@ def test_seed_changes_sampled_points(capsys, examples):
     code, b, err = run(capsys, argv + ["--seed", "6"])
     assert code == 0, err
     assert a != b
+
+
+def test_one_parser_serves_every_call(capsys, examples, monkeypatch):
+    # main builds its parser once per process; no call may see an
+    # earlier call's arguments, and an argparse error must not break the
+    # calls after it.
+    surface = examples / "graph.var"
+    surface.write_text("kind: parameterization\nparams: x y\n"
+                       "coords: 1, x, y, x*y + x^3 - 1/2*y^2\n")
+    builds = []
+    original_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(kwargs.get("prog"))
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+
+    def report(argv):
+        code, out, err = run(capsys, argv)
+        assert code == 0, f"{argv}: {err}"
+        return out
+
+    ruled = ["ruled-test", "--samples", "3", "--seed", "5",
+             str(examples / "scroll-2-2.var")]
+    without_at = report(ruled)
+    parsers_per_build = len(builds)
+    assert builds[0] == "oscform"
+    with_at = report(ruled[:1] + ["--at", "1,2"] + ruled[1:])
+    assert "sampled_points: [(1, 2), " in with_at
+    assert report(ruled) == without_at
+
+    with pytest.raises(SystemExit) as exc:
+        main(["osc", "--order", "two", str(surface)])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+
+    commands = {
+        "osc": ["osc", "--order", "3", "--max", "--at", "1,2", str(surface)],
+        "fundform": ["fundform", "--order", "2", "--at", "1,2", str(surface)],
+        "monge": ["monge", "--at", "1,2", str(surface)],
+    }
+    first = {name: report(argv) for name, argv in commands.items()}
+    for name in ("monge", "osc", "monge", "fundform", "osc", "fundform"):
+        assert report(commands[name]) == first[name], name
+
+    assert len(builds) == parsers_per_build
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 12)
 
 
 def test_generic_osc_is_certified_symbolic(capsys, monkeypatch):

@@ -151,6 +151,124 @@ def test_parse_polynomial_rejects_true_quotient():
         parse_polynomial("1/x", VARS)
 
 
+# -- differential tests of the expression parser ----------------------------
+#
+# A random expression tree is written out as text and evaluated alongside
+# by an oracle.  Each node is (text, value, level): level 4 is an atom
+# (integer or variable), 3 a power or unary minus, 2 a product, quotient
+# or a/b literal, 1 a sum; an operand below the level its slot needs is
+# parenthesized, so the text parses back into the same tree.
+
+def _operand(node, level):
+    text, _, own = node
+    return text if own >= level else f"({text})"
+
+
+def random_expression(rng, depth, ops):
+    """(text, value, level) of a random tree; `ops` supplies the oracle's
+    int, ratio, var, add, sub, mul, div, pow and neg."""
+    if depth == 0 or rng.random() < 0.2:
+        kind = rng.choice(("int", "int", "ratio", "var", "var", "var"))
+        if kind == "int":
+            n = rng.randint(0, 9)
+            return str(n), ops["int"](n), 4
+        if kind == "ratio":
+            a, b = rng.randint(-9, 9), rng.randint(1, 9)
+            return f"{a}/{b}", ops["ratio"](a, b), 2
+        name = rng.choice(VARS)
+        return name, ops["var"](name), 4
+    shape = rng.choice(("+", "-", "*", "*", "/const", "/", "/", "^", "neg"))
+    left = random_expression(rng, depth - 1, ops)
+    if shape == "^":
+        e = rng.choice((0, 1, 2, 2, 3))
+        return f"{_operand(left, 4)}^{e}", ops["pow"](left[1], e), 3
+    if shape == "neg":
+        return f"-{_operand(left, 3)}", ops["neg"](left[1]), 3
+    if shape == "/const":
+        a, b = rng.choice((-3, -1, 2, 5)), rng.randint(1, 4)
+        right = (str(a), ops["int"](a), 4) if b == 1 else (f"{a}/{b}", ops["ratio"](a, b), 2)
+        return f"{_operand(left, 2)}/{_operand(right, 3)}", ops["div"](left[1], right[1]), 2
+    right = random_expression(rng, depth - 1, ops)
+    if shape == "/":
+        if ops["is_zero"](right[1]):
+            right = ("y", ops["var"]("y"), 4)
+        return f"{_operand(left, 2)}/{_operand(right, 3)}", ops["div"](left[1], right[1]), 2
+    if shape == "*":
+        return f"{_operand(left, 2)}*{_operand(right, 3)}", ops["mul"](left[1], right[1]), 2
+    combine = ops["add"] if shape == "+" else ops["sub"]
+    return f"{_operand(left, 1)} {shape} {_operand(right, 2)}", combine(left[1], right[1]), 1
+
+
+RATIONAL_OPS = {
+    "int": lambda n: RationalFunction.from_scalar(VARS, n),
+    "ratio": lambda a, b: RationalFunction.from_scalar(VARS, Fraction(a, b)),
+    "var": lambda name: RationalFunction.variable(VARS, name),
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+    "pow": lambda a, e: a ** e,
+    "neg": lambda a: -a,
+    "is_zero": lambda a: a.is_zero,
+}
+
+
+def expression_trees(ops, count=60, seed=41):
+    rng = random.Random(seed)
+    return [random_expression(rng, rng.randint(2, 4), ops) for _ in range(count)]
+
+
+def test_parse_rational_matches_rational_function_arithmetic():
+    trees = expression_trees(RATIONAL_OPS)
+    texts = [text for text, _, _ in trees]
+    assert any("/(" in t for t in texts) and any("^" in t for t in texts)
+    assert any(t.startswith("-") or "*-" in t or "(-" in t for t in texts)
+    quotients = 0
+    for text, expected, _ in trees:
+        parsed = parse_rational(text, VARS)
+        assert parsed.numerator == expected.numerator, text
+        assert parsed.denominator == expected.denominator, text
+        assert str(parsed) == str(expected), text
+        if expected.is_polynomial():
+            assert parse_polynomial(text, VARS) == expected.numerator, text
+        else:
+            quotients += 1
+            with pytest.raises(ParseError, match="is not a polynomial"):
+                parse_polynomial(text, VARS)
+    assert 5 <= quotients <= 55
+
+
+def test_parse_rational_matches_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    symbols = dict(zip(VARS, sympy.symbols(VARS)))
+    ops = {
+        "int": sympy.Integer,
+        "ratio": sympy.Rational,
+        "var": symbols.__getitem__,
+        "add": lambda a, b: a + b,
+        "sub": lambda a, b: a - b,
+        "mul": lambda a, b: a * b,
+        "div": lambda a, b: a / b,
+        "pow": lambda a, e: a ** e,
+        "neg": lambda a: -a,
+        "is_zero": lambda a: sympy.cancel(a) == 0,
+    }
+    gens = [symbols[v] for v in VARS]
+
+    def as_terms(expr):
+        poly = sympy.Poly(expr, *gens, domain=sympy.QQ)
+        return {exps: Fraction(int(c.p), int(c.q)) for exps, c in poly.terms() if c}
+
+    for text, value, _ in expression_trees(ops):
+        num, den = sympy.fraction(sympy.cancel(sympy.together(value)))
+        # sympy scales differently; this parser's denominators are monic
+        # in grlex order.
+        lead = sympy.Poly(den, *gens, domain=sympy.QQ).LC(order="grlex")
+        parsed = parse_rational(text, VARS)
+        assert parsed.numerator.terms == as_terms(num / lead), text
+        assert parsed.denominator.terms == as_terms(den / lead), text
+
+
 def test_degree_block_order_is_lex_descending():
     assert degree_block(2, 2) == [(2, 0), (1, 1), (0, 2)]
     assert degree_block(3, 2)[:3] == [(2, 0, 0), (1, 1, 0), (1, 0, 1)]
