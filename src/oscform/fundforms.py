@@ -11,7 +11,7 @@ canonical echelon basis of the coefficient span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -23,7 +23,6 @@ from .errors import (
     UnsupportedAmbient,
 )
 from .exactla import (
-    ExactMatrix,
     FunctionField,
     RationalField,
     Subspace,
@@ -31,7 +30,13 @@ from .exactla import (
     rank,
     span_contains,
 )
-from .jets import JetMatrix, Parameterization, jet_matrix
+from .jets import (
+    JetMatrix,
+    Parameterization,
+    _check_jet_order,
+    _immersive_expansions,
+    jet_matrix,
+)
 from .polyring import Exponents, Polynomial, RationalFunction, degree_block
 from .polyring.binform import gen_gcd, rational_zeros
 
@@ -269,6 +274,36 @@ class LinearSystem:
                 f"generators, at {self.point})")
 
 
+def _pair(row: Sequence, vector: Sequence, zero):
+    """sum_j row_j * vector_j, skipping zero factors."""
+    total = zero
+    for a, b in zip(row, vector):
+        if a and b:
+            total = total + a * b
+    return total
+
+
+def _form(jm: JetMatrix, m: int, tangent_vars: Sequence[str]) -> LinearSystem:
+    """|Phi_m| read off a jet matrix of order >= m.
+
+    The |I| = m rows are applied to a kernel basis of M_(m-1), and the
+    dimension law is asserted against rank(M_m)."""
+    kernel_prev = kernel_vectors(jm.prefix(m - 1))
+    top = jm.matrix.rows[jm.prefix_end(m - 1):jm.prefix_end(m)]
+    field = jm.matrix.field
+    vectors = [[_pair(row, g, field.zero()) for row in top] for g in kernel_prev]
+    system = LinearSystem(m, tangent_vars, vectors,
+                          "generic" if jm.point is None else jm.point, field)
+    # rank(M_(m-1)) = columns - dim K_(m-1).
+    expected = rank(jm.prefix(m)) - (jm.matrix.ncols - len(kernel_prev))
+    if system.generator_count != expected:
+        raise InvariantViolation(
+            f"|Phi_{m}| has {system.generator_count} independent generators but "
+            f"s({m}) - s({m - 1}) = {expected}; dimension law violated"
+        )
+    return system
+
+
 def fundamental_form(f: Parameterization, m: int,
                      point: Sequence | None = None,
                      tangent_vars: Sequence[str] | None = None) -> LinearSystem:
@@ -284,33 +319,9 @@ def fundamental_form(f: Parameterization, m: int,
         raise DomainError(
             f"fundamental forms start at m = 2 (the first form is the identity); got {m}"
         )
-    jm = jet_matrix(f, m, point)
-    kernel_prev = kernel_vectors(jm.prefix(m - 1))
-    top = [jm.matrix.row(i) for i in jm.top_block_indices()]
-    field = jm.matrix.field
-    vectors = []
-    for g in kernel_prev:
-        vec = []
-        for row in top:
-            total = field.zero()
-            for a, b in zip(row, g):
-                if a and b:
-                    total = total + a * b
-            vec.append(total)
-        vectors.append(vec)
     if tangent_vars is None:
         tangent_vars = default_tangent_vars(f.source_dim)
-    system = LinearSystem(m, tangent_vars, vectors,
-                          "generic" if point is None else tuple(Fraction(v) for v in point),
-                          field)
-    # rank(M_(m-1)) = columns - dim K_(m-1).
-    expected = rank(jm.matrix) - (jm.matrix.ncols - len(kernel_prev))
-    if system.generator_count != expected:
-        raise InvariantViolation(
-            f"|Phi_{m}| has {system.generator_count} independent generators but "
-            f"s({m}) - s({m - 1}) = {expected}; dimension law violated"
-        )
-    return system
+    return _form(jet_matrix(f, m, point), m, tangent_vars)
 
 
 def jacobian_system(system: LinearSystem) -> LinearSystem:
@@ -346,8 +357,10 @@ def check_jacobian_containment(f: Parameterization, m: int,
     failure indicates an arithmetic bug or an invalid evaluation point."""
     if m < 3:
         raise DomainError(f"containment Jacobian(Phi_m) in Phi_(m-1) needs m >= 3, got {m}")
-    current = fundamental_form(f, m, point)
-    previous = fundamental_form(f, m - 1, point)
+    jm = jet_matrix(f, m, point)
+    tangent_vars = default_tangent_vars(f.source_dim)
+    current = _form(jm, m, tangent_vars)
+    previous = _form(jm, m - 1, tangent_vars)
     jac = jacobian_system(current)
     contained = span_contains(previous.coefficient_span, jac.coefficient_span)
     equal = contained and jac.generator_count == previous.generator_count
@@ -421,10 +434,7 @@ def verify_phibar_relation(f: Parameterization, m: int,
                 continue
             row = rows_by_index[I]
             for k in range(r):
-                total = field.zero()
-                for a, b in zip(row, dg[k]):
-                    total = total + a * b
-                if not total.is_zero:
+                if _pair(row, dg[k], field.zero()):
                     lower_ok = False
         # (b) the symmetric component equals -m times the fundamental form.
         phibar: dict[tuple[int, ...], RationalFunction] = {}
@@ -433,18 +443,12 @@ def verify_phibar_relation(f: Parameterization, m: int,
                 continue
             row = rows_by_index[I]
             for k in range(r):
-                total = field.zero()
-                for a, b in zip(row, dg[k]):
-                    total = total + a * b
                 J = I[:k] + (I[k] + 1,) + I[k + 1:]
-                phibar[J] = phibar.get(J, field.zero()) + total
+                phibar[J] = phibar.get(J, field.zero()) + _pair(row, dg[k], field.zero())
         for J in jm.row_indices:
             if sum(J) != m:
                 continue
-            row = rows_by_index[J]
-            phi = field.zero()
-            for a, b in zip(row, g):
-                phi = phi + a * b
+            phi = _pair(rows_by_index[J], g, field.zero())
             difference = phibar.get(J, field.zero()) + phi * m
             if not difference.is_zero:
                 symmetric_ok = False
@@ -550,11 +554,13 @@ def hyperplane_tangent_cone(f: Parameterization, h: Sequence,
                             max_order: int = 12) -> TangentConeReport:
     """Initial form of a hyperplane section at the point.
 
-    Finds the first order m at which the jet rows applied to h are not
-    all zero and returns sum_{|I|=m} (sum_j h_j D_I x_j) v^I, the
-    projectivized tangent cone of the section; it is a member of
-    |Phi_m|.  The order-0 value must vanish (the hyperplane must pass
-    through the point).
+    The section sum_j h_j x_j is expanded at the point through order
+    `max_order`; its lowest nonzero homogeneous piece, of degree m, is
+    sum_{|I|=m} (sum_j h_j D_I x_j) v^I, the projectivized tangent cone
+    of the section, and a member of |Phi_m|.  The constant term must
+    vanish (the hyperplane must pass through the point).  h is a vector
+    of rationals.  Generically the section has no expansion to read: it
+    either misses the generic point or vanishes identically.
     """
     if len(h) != len(f.coords):
         raise DomainError(
@@ -564,40 +570,26 @@ def hyperplane_tangent_cone(f: Parameterization, h: Sequence,
     cap = max_order
     if f.truncated_order is not None:
         cap = min(cap, f.truncated_order - 1)
-    jm = jet_matrix(f, cap, point)
-    field = jm.matrix.field
-    hv = [field.coerce(e) for e in h]
-    tangent_vars = default_tangent_vars(f.source_dim)
-
-    def pairing(I: Exponents):
-        row = jm.row_for(I)
-        total = field.zero()
-        for a, b in zip(row, hv):
-            total = total + a * b
-        return total
-
-    zero_value = pairing((0,) * f.source_dim)
-    if zero_value:
+    _check_jet_order(f, cap)
+    if point is None:
+        jets, zero = f.coords, FunctionField(f.params).zero()
+    else:
+        point, jets = _immersive_expansions(f, cap, point)
+        zero = Polynomial.zero(f.params)
+    section = _pair(jets, [RationalField().coerce(e) for e in h], zero)
+    # Generically the section is its own order-0 value.
+    if (section if point is None else section.constant_term()):
         raise HyperplaneMissesPoint(
             "the hyperplane does not vanish at the point (order-0 pairing nonzero)"
         )
-    for m in range(1, cap + 1):
-        coeffs = {}
-        any_nonzero = False
-        for I in jm.row_indices:
-            if sum(I) != m:
-                continue
-            value = pairing(I)
-            if value:
-                any_nonzero = True
-            coeffs[I] = value
-        if any_nonzero:
-            form = TangentForm(tangent_vars, m, coeffs, field)
-            return TangentConeReport(m, form,
-                                     "generic" if point is None
-                                     else tuple(Fraction(v) for v in point))
-    raise HyperplaneContainsAllOsculating(
-        f"the hyperplane annihilates every jet up to order {cap}; it may "
-        "contain the whole variety",
-        max_order=cap,
-    )
+    if not section:
+        raise HyperplaneContainsAllOsculating(
+            f"the hyperplane annihilates every jet up to order {cap}; it may "
+            "contain the whole variety",
+            max_order=cap,
+        )
+    m = min(sum(I) for I in section.terms)
+    form = TangentForm(default_tangent_vars(f.source_dim), m,
+                       {I: c for I, c in section.terms.items() if sum(I) == m},
+                       RationalField())
+    return TangentConeReport(m, form, point)

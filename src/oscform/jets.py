@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import (
     ChainBroken,
@@ -49,6 +49,7 @@ from .polyring import (
     taylor_expansions,
     truncated_compose,
 )
+from .report import fmt_point
 
 
 class NonImmersivePoint(UserWarning):
@@ -184,13 +185,6 @@ class JetMatrix:
         return prefix_ranks(self.matrix,
                             [self.prefix_end(i) for i in range(self.order + 1)])
 
-    def top_block_indices(self) -> list[int]:
-        """Row positions of the |I| = order block."""
-        return [i for i, I in enumerate(self.row_indices) if sum(I) == self.order]
-
-    def row_for(self, index: Exponents) -> tuple:
-        return self.matrix.row(self.row_indices.index(tuple(index)))
-
     def __repr__(self) -> str:
         where = "generic" if self.point is None else str(self.point)
         return f"JetMatrix(order {self.order}, {self.matrix.nrows}x{self.matrix.ncols}, at {where})"
@@ -211,6 +205,24 @@ def point_expansions(f: Parameterization, order: int, point: Sequence,
     return point, expansions
 
 
+def _immersive_expansions(f: Parameterization, order: int, point: Sequence
+                          ) -> tuple[tuple[Fraction, ...], list[Polynomial]]:
+    """`point_expansions`, and for order >= 1 a NonImmersivePoint warning
+    when the order-1 jets at the point have rank below r + 1."""
+    point, expansions = point_expansions(f, order, point)
+    if order >= 1:
+        first = multi_indices_upto(f.source_dim, 1)
+        block = ExactMatrix([[e.coefficient(I) for e in expansions] for I in first],
+                            field=RationalField())
+        if rank(block) < f.source_dim + 1:
+            warnings.warn(
+                f"parameterization is not an immersion at {fmt_point(point)}",
+                NonImmersivePoint,
+                stacklevel=3,
+            )
+    return point, expansions
+
+
 def jet_matrix(f: Parameterization, m: int, point: Sequence | None = None) -> JetMatrix:
     """Order-m jet matrix: symbolic, or at a point the Taylor coefficients
     of the coordinates there."""
@@ -219,17 +231,9 @@ def jet_matrix(f: Parameterization, m: int, point: Sequence | None = None) -> Je
     if point is None:
         matrix = ExactMatrix(_derivative_rows(f, indices), field=FunctionField(f.params))
         return JetMatrix(m, tuple(indices), matrix, None, f.params)
-    point, expansions = point_expansions(f, m, point)
+    point, expansions = _immersive_expansions(f, m, point)
     matrix = ExactMatrix([[e.coefficient(I) for e in expansions] for I in indices],
                          field=RationalField())
-    if m >= 1:
-        first_block = matrix.submatrix_rows(range(1 + f.source_dim))
-        if rank(first_block) < f.source_dim + 1:
-            warnings.warn(
-                f"parameterization is not an immersion at {point}",
-                NonImmersivePoint,
-                stacklevel=2,
-            )
     return JetMatrix(m, tuple(indices), matrix, point, f.params)
 
 

@@ -176,7 +176,7 @@ def test_criterion_1_togliatti_golden_suite():
                                     "-x", "-y", "1")]], field=field)
 
         k1 = kernel_basis(jm.matrix.submatrix_rows([0, 1, 2]))
-        top_rows = [jm.matrix.row(i) for i in jm.top_block_indices()]
+        top_rows = jm.matrix.rows[jm.prefix_end(1):jm.prefix_end(2)]
 
         def pair(vec):
             out = []

@@ -173,6 +173,18 @@ def test_ruling_check_at_a_point_eliminates_only_over_the_rationals(
     assert "dim: 1\nbound: 1\nwithin_bound: true" in out
 
 
+@pytest.mark.parametrize("command", ["fundform", "jacobian-check"])
+def test_non_immersive_point_warns_once_in_report_notation(capsys, tmp_path, command):
+    # d/dx vanishes at the origin: x enters only through x^2, x^3 and x*y.
+    path = tmp_path / "fold.var"
+    path.write_text("kind: parameterization\nparams: x y\n"
+                    "coords: 1, x^2, y, x^3, x*y, y^2\n")
+    code, out, err = run(capsys, [command, "--order", "3", "--at=0,0", str(path)])
+    assert code == 0, err
+    warnings = [line for line in out.splitlines() if line.startswith("warning:")]
+    assert warnings == ["warning: parameterization is not an immersion at (0, 0)"]
+
+
 def test_reports_are_deterministic(capsys, examples):
     argv = ["ruled-test", "--samples", "3", "--seed", "5",
             str(examples / "scroll-2-2.var")]

@@ -6,6 +6,7 @@ computed by an independent rank elimination.
 """
 
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from oscform.errors import (
     HyperplaneMissesPoint,
     UnsupportedAmbient,
 )
-from oscform import exactla
+from oscform import exactla, fundforms, jets
 from oscform.exactla import RationalField, kernel_basis, span_contains
 from oscform.fundforms import (
     LinearSystem,
@@ -25,13 +26,27 @@ from oscform.fundforms import (
     base_locus_pencil,
     check_jacobian_containment,
     contains_candidate_point,
+    default_tangent_vars,
     fundamental_form,
     hyperplane_tangent_cone,
     jacobian_system,
     verify_phibar_relation,
 )
-from oscform.jets import Parameterization, jet_matrix, osculating_profile
-from oscform.polyring import Polynomial, parse_polynomial, parse_rational
+from oscform.jets import (
+    ImplicitVariety,
+    NonImmersivePoint,
+    Parameterization,
+    jet_matrix,
+    jet_parameterize,
+    osculating_profile,
+)
+from oscform.polyring import (
+    Polynomial,
+    RationalFunction,
+    multi_indices_upto,
+    parse_polynomial,
+    parse_rational,
+)
 
 XY = ("x", "y")
 V = ("v1", "v2")
@@ -292,3 +307,189 @@ def test_phibar_relation_runs_one_elimination(monkeypatch):
     assert report.holds and report.kernel_dim == 3
     # The RREF of M_1 only.
     assert len(calls) <= 1
+
+
+def count_calls(monkeypatch, module, name, *more_modules):
+    """Route calls of module.name (and its bindings in more_modules)
+    through a counter."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for owner in (module,) + more_modules:
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_point_jacobian_check_reads_both_forms_off_one_jet_matrix(monkeypatch):
+    eliminations = count_eliminations(monkeypatch)
+    builds = count_calls(monkeypatch, jets, "jet_matrix", fundforms)
+    report = check_jacobian_containment(togliatti(), 3, (1, 1))
+    assert report.contained and report.equal
+    assert len(builds) == 1
+    # The immersion check; per form the RREF of M_(m-1), the canonical
+    # span and rank(M_m); the Jacobian's span; the containment rank.
+    assert len(eliminations) <= 9
+
+
+def test_generic_jacobian_check_differentiates_once(monkeypatch):
+    rows = count_calls(monkeypatch, jets, "_derivative_rows")
+    assert check_jacobian_containment(togliatti(), 3).contained
+    assert len(rows) == 1
+
+
+def test_tangent_cone_builds_no_jet_matrix(monkeypatch):
+    builds = count_calls(monkeypatch, jets, "jet_matrix", fundforms)
+    rows = count_calls(monkeypatch, jets, "_derivative_rows")
+    report = hyperplane_tangent_cone(togliatti(), (1, 0, 0, 0, 0, -1), point=(1, 1))
+    assert report.order == 1
+    with pytest.raises(HyperplaneMissesPoint):
+        hyperplane_tangent_cone(togliatti(), (1, 0, 0, 0, 0, -1))
+    assert builds == [] and rows == []
+
+
+def tangent_cone_oracle(f, h, point, max_order):
+    """The jet-matrix algorithm: pair h with every row of one order-cap
+    jet matrix, then look for the first order with a nonzero pairing."""
+    cap = max_order
+    if f.truncated_order is not None:
+        cap = min(cap, f.truncated_order - 1)
+    jm = jet_matrix(f, cap, point)
+    field = jm.matrix.field
+    hv = [field.coerce(e) for e in h]
+    values = {}
+    for I, row in zip(jm.row_indices, jm.matrix.rows):
+        total = field.zero()
+        for a, b in zip(row, hv):
+            total = total + a * b
+        values[I] = total
+    if values[(0,) * f.source_dim]:
+        raise HyperplaneMissesPoint("order-0 pairing nonzero")
+    for m in range(1, cap + 1):
+        coeffs = {I: v for I, v in values.items() if sum(I) == m}
+        if any(coeffs.values()):
+            return m, TangentForm(default_tangent_vars(f.source_dim), m, coeffs, field)
+    raise HyperplaneContainsAllOsculating("every pairing vanishes", max_order=cap)
+
+
+def tangent_cone_outcome(compute):
+    """(order, form), or the DomainError class with its max_order."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonImmersivePoint)
+        try:
+            return compute()
+        except DomainError as exc:
+            return type(exc), getattr(exc, "max_order", None)
+
+
+def assert_tangent_cone_matches_oracle(f, h, point, max_order):
+    expected = tangent_cone_outcome(
+        lambda: tangent_cone_oracle(f, h, point, max_order))
+    report = tangent_cone_outcome(
+        lambda: hyperplane_tangent_cone(f, h, point=point, max_order=max_order))
+    got = report if isinstance(report, tuple) else (report.order, report.form)
+    assert got == expected, (f, h, point, max_order)
+    return got
+
+
+def random_cubic_map(rng: random.Random, nparams: int, rational: bool) -> Parameterization:
+    """Two to six more coordinates than parameters, of degree at most 3;
+    with `rational`, the last one has a non-constant denominator."""
+    names = ("a", "b", "c")[:nparams]
+    exponents = multi_indices_upto(nparams, 3)
+
+    def poly(nterms: int) -> Polynomial:
+        return Polynomial(names, {rng.choice(exponents): Fraction(rng.randint(-5, 5),
+                                                                  rng.randint(1, 3))
+                                  for _ in range(nterms)})
+
+    coords = [Polynomial.constant(names, 1)] + [poly(3) for _ in
+                                                range(nparams + 1 + rng.randint(0, 4))]
+    if rational:
+        den = poly(2) + Polynomial.variable(names, names[0]) + 1
+        coords[-1] = RationalFunction(coords[-1], den)
+    return Parameterization(names, coords)
+
+
+def integer_combination(rng: random.Random, basis) -> list[Fraction]:
+    vector = [Fraction(0)] * len(basis[0])
+    for row in basis:
+        c = rng.randint(-3, 3) or 1
+        vector = [v + c * e for v, e in zip(vector, row)]
+    return vector
+
+
+def test_tangent_cone_matches_the_jet_matrix_oracle():
+    rng = random.Random(2024)
+    seen = set()
+    draws = 0
+    while draws < 20:
+        nparams = 1 + draws % 3
+        f = random_cubic_map(rng, nparams, rational=draws % 2 == 1)
+        point = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                      for _ in range(nparams))
+        if any(not c.denominator.evaluate(point) for c in f.coords):
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonImmersivePoint)
+            jm = jet_matrix(f, 2, point)
+        # A random hyperplane (it mostly misses the point), then transverse
+        # (K_0), tangent (K_1) and osculating (K_2) ones: a random integer
+        # combination of each kernel basis and its first two vectors.
+        hyperplanes = [[Fraction(rng.randint(-3, 3)) for _ in f.coords]]
+        for order in (0, 1, 2):
+            kernel = kernel_basis(jm.prefix(order)).basis
+            if kernel:
+                hyperplanes.append(integer_combination(rng, kernel))
+                hyperplanes.extend(list(row) for row in kernel[:2])
+        for h in hyperplanes:
+            got = assert_tangent_cone_matches_oracle(f, h, point, 4)
+            seen.add(got[0] if isinstance(got[0], int) else got[0].__name__)
+        draws += 1
+    assert {1, 2, 3, "HyperplaneMissesPoint", "HyperplaneContainsAllOsculating"} <= seen
+
+
+def test_tangent_cone_edge_cases_match_the_oracle():
+    f = togliatti()
+    transverse = (1, 0, 0, 0, 0, -1)
+    # max_order 0 reads only the constant term.
+    assert assert_tangent_cone_matches_oracle(f, transverse, (1, 1), 0) == \
+        (HyperplaneContainsAllOsculating, 0)
+    assert assert_tangent_cone_matches_oracle(f, (0, 0, 0, 0, 0, 1), (1, 1), 0) == \
+        (HyperplaneMissesPoint, None)
+    for point in ((1, 1), None):
+        with pytest.raises(DomainError):
+            hyperplane_tangent_cone(f, transverse, point=point, max_order=-1)
+    # A truncated chart caps the order at its truncation order minus one.
+    XYZ = ("X", "Y", "Z", "W")
+    sphere = ImplicitVariety([parse_polynomial("X^2 + Y^2 + Z^2 - W^2", XYZ)],
+                             (0, 0, 1, 1))
+    chart = jet_parameterize(sphere, 4)
+    for h in ((1, 0, 0, 0), (0, 0, 1, -1), (0, 0, 0, 0)):
+        assert_tangent_cone_matches_oracle(chart, h, (0, 0), 12)
+    assert tangent_cone_outcome(
+        lambda: hyperplane_tangent_cone(chart, (0, 0, 0, 0), point=(0, 0))) == \
+        (HyperplaneContainsAllOsculating, 3)
+    # Generic sections: nonzero misses the point, zero contains the variety.
+    line = Parameterization(("t",), [parse_polynomial(s, ("t",))
+                                     for s in ("1", "t", "1 + t")])
+    for g, h in ((f, transverse), (line, (1, 1, -1)), (line, (0, 1, 0))):
+        assert_tangent_cone_matches_oracle(g, h, None, 3)
+    assert tangent_cone_outcome(
+        lambda: hyperplane_tangent_cone(line, (1, 1, -1), max_order=5)) == \
+        (HyperplaneContainsAllOsculating, 5)
+
+
+def test_tangent_cone_pole_and_non_rational_hyperplane():
+    f = Parameterization(XY, [parse_rational(s, XY) for s in
+                              ("1", "x", "y", "x*y^2", "x^2*y", "y^2/(x - 1)")])
+    # The pole sits in a coordinate the hyperplane ignores.
+    with pytest.raises(DenominatorVanishes):
+        hyperplane_tangent_cone(f, (1, -1, 0, 0, 0, 0), point=(1, 1))
+    h = (parse_rational("x", XY), 0, 0, 0, 0, 0)
+    for point in ((2, 1), None):
+        with pytest.raises(TypeError):
+            hyperplane_tangent_cone(f, h, point=point)

@@ -75,14 +75,14 @@ def test_jet_matrix_row_count_and_order():
         assert jm.matrix.nrows == comb(2 + m, 2)
     jm = jet_matrix(f, 2, point=(1, 1))
     assert jm.row_indices == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
-    assert jm.top_block_indices() == [3, 4, 5]
+    assert list(range(jm.prefix_end(1), jm.prefix_end(2))) == [3, 4, 5]
 
 
 def test_jet_matrix_symbolic_entries_are_divided_derivatives():
     f = togliatti()
     jm = jet_matrix(f, 2, point=None)
     # D_(0,2) of x*y^2 is x; the ordinary second derivative would be 2x.
-    row = jm.row_for((0, 2))
+    row = jm.matrix.row(jm.row_indices.index((0, 2)))
     assert row[3] == parse_rational("x", XY)
     assert row[5] == parse_rational("x^2", XY)
 
