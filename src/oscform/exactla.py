@@ -21,7 +21,9 @@ Every question below costs one run of that loop:
 - `prefix_ranks(M, ends)`: the rank of every leading block of rows,
   read off the pivot columns of one RREF of the transpose;
 - `kernel_vectors(M)`: a basis of the right kernel read off one RREF,
-  one vector per free column (not canonical);
+  one vector per free column (not canonical); the phibar check
+  differentiates these (the fundamental forms need none: their
+  canonical basis is part of the RREF of the transposed jet matrix);
 - `row_space(M)`: the canonical basis of the row space.
 
 `kernel_basis(M)` wraps `kernel_vectors` in the checked `Subspace`

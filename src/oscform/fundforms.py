@@ -2,11 +2,13 @@
 
 The m-th fundamental form at x is spanned by the degree-m forms
 sum_{|I|=m} (sum_j g_j D_I x_j) v^I, one for each kernel vector g of
-the order-(m-1) jet matrix.  At a rational point the coefficients are
-rationals; at the generic point they are rational functions of the
-parameters.  Both cases share one representation: a homogeneous form in
-the tangent variables whose coefficients are field elements, plus the
-canonical echelon basis of the coefficient span.
+the order-(m-1) jet matrix.  Their canonical echelon basis is read off
+one RREF of the transposed jet matrix, which serves every order.  At a
+rational point the coefficients are rationals; at the generic point they
+are rational functions of the parameters.  Both cases share one
+representation: a homogeneous form in the tangent variables whose
+coefficients are field elements, plus the canonical echelon basis of the
+coefficient span.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .exactla import (
     Subspace,
     kernel_vectors,
     rank,
+    rref,
     span_contains,
 )
 from .jets import (
@@ -84,12 +87,10 @@ class TangentForm:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def monomial_basis(self) -> list[Exponents]:
-        return degree_block(len(self.tangent_vars), self.degree)
-
     def coefficient_vector(self) -> list:
         zero = self.field.zero()
-        return [self.coeffs.get(exps, zero) for exps in self.monomial_basis()]
+        return [self.coeffs.get(exps, zero)
+                for exps in degree_block(len(self.tangent_vars), self.degree)]
 
     @classmethod
     def from_vector(cls, tangent_vars: Sequence[str], degree: int,
@@ -202,32 +203,31 @@ class TangentForm:
 
 
 class LinearSystem:
-    """Canonicalized linear system of degree-m forms on the tangent space."""
+    """Linear system of degree-m forms on the tangent space, held by the
+    canonical echelon basis of its coefficient span."""
 
     __slots__ = ("degree", "tangent_vars", "generators", "point", "field",
                  "coefficient_span")
 
-    def __init__(self, degree: int, tangent_vars: Sequence[str],
-                 vectors: Sequence[Sequence], point, field):
+    def __init__(self, degree: int, tangent_vars: Sequence[str], span: Subspace, point):
+        """`span` is already canonical, over the degree-`degree` monomials
+        in graded order; `from_vectors` and `from_forms` make it so."""
         tangent_vars = tuple(tangent_vars)
-        basis_size = len(degree_block(len(tangent_vars), degree))
-        for v in vectors:
-            if len(v) != basis_size:
-                raise DomainError(
-                    f"coefficient vector of length {len(v)}; degree-{degree} "
-                    f"basis has {basis_size} monomials"
-                )
-        span = Subspace(basis_size, [list(v) for v in vectors], field=field)
-        generators = tuple(
-            TangentForm.from_vector(tangent_vars, degree, row, field)
-            for row in span.basis
-        )
         self.degree = degree
         self.tangent_vars = tangent_vars
-        self.generators = generators
+        self.generators = tuple(
+            TangentForm.from_vector(tangent_vars, degree, row, span.field)
+            for row in span.basis
+        )
         self.point = point
-        self.field = field
+        self.field = span.field
         self.coefficient_span = span
+
+    @classmethod
+    def from_vectors(cls, degree: int, tangent_vars: Sequence[str],
+                     vectors: Sequence[Sequence], point, field) -> "LinearSystem":
+        size = len(degree_block(len(tangent_vars), degree))
+        return cls(degree, tangent_vars, Subspace(size, list(vectors), field=field), point)
 
     @classmethod
     def from_forms(cls, degree: int, tangent_vars: Sequence[str],
@@ -238,7 +238,7 @@ class LinearSystem:
                 f = TangentForm.from_polynomial(
                     f.extend_variables(tangent_vars), field, degree)
             vectors.append(f.coefficient_vector())
-        return cls(degree, tangent_vars, vectors, point, field)
+        return cls.from_vectors(degree, tangent_vars, vectors, point, field)
 
     @property
     def generator_count(self) -> int:
@@ -252,9 +252,6 @@ class LinearSystem:
     @property
     def is_empty(self) -> bool:
         return not self.generators
-
-    def monomial_basis(self) -> list[Exponents]:
-        return degree_block(len(self.tangent_vars), self.degree)
 
     def span_equals(self, other: "LinearSystem") -> bool:
         return (self.degree == other.degree
@@ -283,25 +280,31 @@ def _pair(row: Sequence, vector: Sequence, zero):
     return total
 
 
-def _form(jm: JetMatrix, m: int, tangent_vars: Sequence[str]) -> LinearSystem:
-    """|Phi_m| read off a jet matrix of order >= m.
+def _forms(jm: JetMatrix, orders: Sequence[int],
+           tangent_vars: Sequence[str]) -> list[LinearSystem]:
+    """|Phi_m| for each m in `orders`, read off one RREF of M^T.
 
-    The |I| = m rows are applied to a kernel basis of M_(m-1), and the
-    dimension law is asserted against rank(M_m)."""
-    kernel_prev = kernel_vectors(jm.prefix(m - 1))
-    top = jm.matrix.rows[jm.prefix_end(m - 1):jm.prefix_end(m)]
-    field = jm.matrix.field
-    vectors = [[_pair(row, g, field.zero()) for row in top] for g in kernel_prev]
-    system = LinearSystem(m, tangent_vars, vectors,
-                          "generic" if jm.point is None else jm.point, field)
-    # rank(M_(m-1)) = columns - dim K_(m-1).
-    expected = rank(jm.prefix(m)) - (jm.matrix.ncols - len(kernel_prev))
-    if system.generator_count != expected:
-        raise InvariantViolation(
-            f"|Phi_{m}| has {system.generator_count} independent generators but "
-            f"s({m}) - s({m - 1}) = {expected}; dimension law violated"
-        )
-    return system
+    Row j of M^T holds the jets of x_j, so an RREF row with its pivot
+    among the |I| = m columns is sum_j g_j x_j with g in K_(m-1); cut to
+    those columns, such rows are the canonical basis of |Phi_m|."""
+    echelon = rref(jm.matrix.transpose())
+    pivots = echelon.pivot_columns
+    systems = []
+    for m in orders:
+        start, end = jm.prefix_end(m - 1), jm.prefix_end(m)
+        rows = tuple(row[start:end] for row, p in zip(echelon.matrix.rows, pivots)
+                     if start <= p < end)
+        # The dimension law, against an independent elimination of M_m.
+        expected = rank(jm.prefix(m)) - sum(1 for p in pivots if p < start)
+        if len(rows) != expected:
+            raise InvariantViolation(
+                f"|Phi_{m}| has {len(rows)} independent generators but "
+                f"s({m}) - s({m - 1}) = {expected}; dimension law violated"
+            )
+        span = Subspace._from_rref(end - start, rows, jm.matrix.field)
+        systems.append(LinearSystem(m, tangent_vars, span,
+                                    "generic" if jm.point is None else jm.point))
+    return systems
 
 
 def fundamental_form(f: Parameterization, m: int,
@@ -309,11 +312,12 @@ def fundamental_form(f: Parameterization, m: int,
                      tangent_vars: Sequence[str] | None = None) -> LinearSystem:
     """The m-th fundamental form |Phi_m| at a point or generically.
 
-    Applies the |I| = m jet rows to a kernel basis of the order-(m-1)
-    jet matrix M_(m-1), read off its one RREF; `LinearSystem` makes the
-    span canonical.  The generator count always equals
+    The generators are the |I| = m parts of the RREF rows of the
+    transposed jet matrix M_m^T whose pivots lie in the |I| = m columns:
+    the canonical basis of the forms sum_{|I|=m} (sum_j g_j D_I x_j) v^I,
+    g in the kernel of M_(m-1).  The generator count always equals
     s(m) - s(m-1) = rank(M_m) - rank(M_(m-1)); this dimension law is
-    asserted on every call.
+    asserted on every call, against a separate elimination of M_m.
     """
     if m < 2:
         raise DomainError(
@@ -321,7 +325,7 @@ def fundamental_form(f: Parameterization, m: int,
         )
     if tangent_vars is None:
         tangent_vars = default_tangent_vars(f.source_dim)
-    return _form(jet_matrix(f, m, point), m, tangent_vars)
+    return _forms(jet_matrix(f, m, point), [m], tangent_vars)[0]
 
 
 def jacobian_system(system: LinearSystem) -> LinearSystem:
@@ -357,10 +361,8 @@ def check_jacobian_containment(f: Parameterization, m: int,
     failure indicates an arithmetic bug or an invalid evaluation point."""
     if m < 3:
         raise DomainError(f"containment Jacobian(Phi_m) in Phi_(m-1) needs m >= 3, got {m}")
-    jm = jet_matrix(f, m, point)
-    tangent_vars = default_tangent_vars(f.source_dim)
-    current = _form(jm, m, tangent_vars)
-    previous = _form(jm, m - 1, tangent_vars)
+    current, previous = _forms(jet_matrix(f, m, point), [m, m - 1],
+                               default_tangent_vars(f.source_dim))
     jac = jacobian_system(current)
     contained = span_contains(previous.coefficient_span, jac.coefficient_span)
     equal = contained and jac.generator_count == previous.generator_count
@@ -410,10 +412,8 @@ def verify_phibar_relation(f: Parameterization, m: int,
     if m < 2:
         raise DomainError(f"the relation starts at m = 2, got {m}")
     jm = jet_matrix(f, m, None)
-    field = jm.matrix.field
-    r = f.source_dim
+    zero = jm.matrix.field.zero()
     kernel_prev = kernel_vectors(jm.prefix(m - 1))
-    rows_by_index = {I: jm.matrix.row(i) for i, I in enumerate(jm.row_indices)}
 
     lower_ok = True
     symmetric_ok = True
@@ -427,30 +427,20 @@ def verify_phibar_relation(f: Parameterization, m: int,
                 entry.evaluate(point_tuple)
 
     for g in kernel_prev:
-        dg = [[entry.partial(k) for entry in g] for k in range(r)]
-        # (a) lower-order components vanish identically.
-        for I in jm.row_indices:
-            if sum(I) > m - 2:
-                continue
-            row = rows_by_index[I]
-            for k in range(r):
-                if _pair(row, dg[k], field.zero()):
-                    lower_ok = False
-        # (b) the symmetric component equals -m times the fundamental form.
+        dg = [[entry.partial(k) for entry in g] for k in range(f.source_dim)]
         phibar: dict[tuple[int, ...], RationalFunction] = {}
-        for I in jm.row_indices:
-            if sum(I) != m - 1:
-                continue
-            row = rows_by_index[I]
-            for k in range(r):
-                J = I[:k] + (I[k] + 1,) + I[k + 1:]
-                phibar[J] = phibar.get(J, field.zero()) + _pair(row, dg[k], field.zero())
-        for J in jm.row_indices:
-            if sum(J) != m:
-                continue
-            phi = _pair(rows_by_index[J], g, field.zero())
-            difference = phibar.get(J, field.zero()) + phi * m
-            if not difference.is_zero:
+        # Degree-major rows: the |I| = m-1 rows fill phibar before the
+        # |I| = m rows read it.
+        for I, row in zip(jm.row_indices, jm.matrix.rows):
+            if sum(I) <= m - 2:
+                # (a) lower-order components vanish identically.
+                lower_ok = lower_ok and not any(_pair(row, d, zero) for d in dg)
+            elif sum(I) == m - 1:
+                # (b) the symmetric component equals -m times the form.
+                for k, d in enumerate(dg):
+                    J = I[:k] + (I[k] + 1,) + I[k + 1:]
+                    phibar[J] = phibar.get(J, zero) + _pair(row, d, zero)
+            elif phibar.get(I, zero) + _pair(row, g, zero) * m:
                 symmetric_ok = False
     holds = lower_ok and symmetric_ok
     return PhibarReport(m, holds, lower_ok, symmetric_ok,

@@ -198,10 +198,12 @@ def point_expansions(f: Parameterization, order: int, point: Sequence,
     default the parameters): u^I has coefficient D_I x_j at the point."""
     point = tuple(Fraction(v) for v in point)
     if len(point) != f.source_dim:
-        raise DomainError(f"point {point} has wrong length for {f.source_dim} parameters")
+        raise DomainError(
+            f"point {fmt_point(point)} has wrong length for {f.source_dim} parameters")
     expansions = taylor_expansions(f.coords, point, order, series_vars or f.params)
     if not any(e.constant_term() for e in expansions):
-        raise DomainError(f"all coordinates vanish at {point}; not a projective point")
+        raise DomainError(
+            f"all coordinates vanish at {fmt_point(point)}; not a projective point")
     return point, expansions
 
 
@@ -334,7 +336,7 @@ class ImplicitVariety:
             raise DomainError("the zero vector is not a projective point")
         for g in equations:
             if g.evaluate(point):
-                raise PointNotOnVariety(f"{g} does not vanish at {point}")
+                raise PointNotOnVariety(f"{g} does not vanish at {fmt_point(point)}")
         if len(equations) >= len(variables):
             raise DomainError(
                 f"{len(equations)} equations in P^{len(variables) - 1} leave no "
@@ -349,7 +351,7 @@ class ImplicitVariety:
                for g in affine_eqs]
         if rank(ExactMatrix(jac)) < len(equations):
             raise SingularPoint(
-                f"Jacobian rank below {len(equations)} at {point}; the point is "
+                f"Jacobian rank below {len(equations)} at {fmt_point(point)}; the point is "
                 "singular or the equations are not transverse there"
             )
 

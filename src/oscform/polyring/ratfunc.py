@@ -207,7 +207,8 @@ class RationalFunction:
         den = self.denominator.evaluate(values)
         if not den:
             raise DenominatorVanishes(
-                f"denominator {self.denominator} vanishes at {tuple(values)}",
+                f"denominator {self.denominator} vanishes at "
+                f"({', '.join(str(v) for v in values)})",
                 denominator=self.denominator,
             )
         return self.numerator.evaluate(values) / den

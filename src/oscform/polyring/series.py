@@ -322,7 +322,8 @@ def taylor_expansions(functions: Sequence, point: tuple[Fraction, ...], order: i
         if not f.is_polynomial():
             den = _compose(f.denominator, shift, order, powers)
             if 0 not in den.nums:
-                raise DenominatorVanishes(f"denominator {f.denominator} vanishes at {point}",
+                raise DenominatorVanishes(f"denominator {f.denominator} vanishes at "
+                                          f"({', '.join(str(v) for v in point)})",
                                           denominator=f.denominator)
             s = _mul(s, _inverse(den, nvars, order), _limit(nvars, order))
         out.append(_to_poly(s, series_vars))

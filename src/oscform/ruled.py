@@ -44,6 +44,7 @@ from .polyring import (
     truncated_multiply,
 )
 from .polyring.series import PowerCache
+from .report import fmt_point
 
 # Seed of the sample points and projections when the caller gives none.
 DEFAULT_SEED = 104729
@@ -440,7 +441,7 @@ def _monge_from_parameterization(f: Parameterization, point: Sequence,
     # The added row lies off the span of the frame, so the chart is
     # singular exactly when the frame is dependent.
     inverse = _invert_rational(chart.transpose(),
-                               f"the parameterization is not immersive at {point}")
+                               f"the parameterization is not immersive at {fmt_point(point)}")
     z = [sum((coord_series[j] * inverse[i, j] for j in range(4) if inverse[i, j]),
              Polynomial.zero(u_vars)) for i in range(4)]
     if not z[0].constant_term():

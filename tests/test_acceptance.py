@@ -15,11 +15,13 @@ import warnings
 from contextlib import contextmanager
 from fractions import Fraction
 
-from oscform.exactla import ExactMatrix, Subspace, kernel_basis, rank
+from oscform.exactla import ExactMatrix, Subspace, kernel_basis, kernel_vectors, rank
 from oscform.fundforms import (
     LinearSystem,
+    _forms,
     base_locus_pencil,
     check_jacobian_containment,
+    default_tangent_vars,
     fundamental_form,
     verify_phibar_relation,
 )
@@ -198,7 +200,7 @@ def test_criterion_1_togliatti_golden_suite():
 
         phi2 = fundamental_form(tog, 2)
         # 2y v1 v2 + x v2^2 and y v1^2 + 2x v1 v2 on basis (2,0),(1,1),(0,2).
-        assert phi2.span_equals(LinearSystem(
+        assert phi2.span_equals(LinearSystem.from_vectors(
             2, phi2.tangent_vars,
             [[rfun("0"), rfun("2*y"), rfun("x")],
              [rfun("y"), rfun("2*x"), rfun("0")]],
@@ -206,7 +208,7 @@ def test_criterion_1_togliatti_golden_suite():
 
         phi3 = fundamental_form(tog, 3)
         # y v1^2 v2 + x v1 v2^2 on basis (3,0),(2,1),(1,2),(0,3).
-        assert phi3.span_equals(LinearSystem(
+        assert phi3.span_equals(LinearSystem.from_vectors(
             3, phi3.tangent_vars,
             [[rfun("0"), rfun("y"), rfun("x"), rfun("0")]],
             "generic", phi3.field))
@@ -433,6 +435,54 @@ def test_generic_dim_bound_on_random_ruled_draws_within_budget():
             f = random_ruled(rng, n, e)
             for m in (2, 3):
                 assert dim_bound_check(f, m).ok, (seed, m)
+
+
+def kernel_pairing_basis(jm, m):
+    """The canonical basis of |Phi_m| by the kernel construction: the
+    |I| = m rows of the jet matrix paired with a kernel basis of M_(m-1),
+    then made canonical by `Subspace`."""
+    field = jm.matrix.field
+    top = jm.matrix.rows[jm.prefix_end(m - 1):jm.prefix_end(m)]
+    vectors = [[sum((a * b for a, b in zip(row, g)), field.zero()) for row in top]
+               for g in kernel_vectors(jm.prefix(m - 1))]
+    return [list(row) for row in Subspace(len(top), vectors, field=field).basis]
+
+
+def test_fundamental_forms_match_the_kernel_pairing_oracle():
+    # Every gallery surface and 25 random ruled draws, generically and at
+    # a sample point: |Phi_2| and |Phi_3| from `fundamental_form`, and
+    # both forms that `check_jacobian_containment` reads off one order-3
+    # jet matrix, equal the kernel construction's canonical generators
+    # entry by entry.
+    with criterion("fundform oracle", 60):
+        rng = random.Random(DEFAULT_SEED + 3)
+        surfaces = []
+        for name in example_names():
+            obj = build_variety(parse_variety(example_text(name)))
+            if isinstance(obj, ScrollSpec):
+                obj = scroll(obj).underlying
+            elif not isinstance(obj, Parameterization):
+                obj = jet_parameterize(obj, 4)
+            surfaces.append(obj)
+        for seed in range(25):
+            draw = random.Random(seed)
+            surfaces.append(random_ruled(draw, *draw.choice(
+                [(1, 1), (1, 2), (2, 1), (2, 2)])).underlying)
+        for f in surfaces:
+            point = tuple(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+                          for _ in f.params)
+            tangent = default_tangent_vars(f.source_dim)
+            for where in (None, point):
+                with warnings.catch_warnings():
+                    # A sample point may be non-immersive; its forms still count.
+                    warnings.simplefilter("ignore")
+                    jm = jet_matrix(f, 3, where)
+                    got = {m: fundamental_form(f, m, where) for m in (2, 3)}
+                for m, system in zip((3, 2), _forms(jm, [3, 2], tangent)):
+                    expected = kernel_pairing_basis(jm, m)
+                    for form in (system, got[m]):
+                        generators = [g.coefficient_vector() for g in form.generators]
+                        assert generators == expected, (f, where, m)
 
 
 def test_criterion_9_ruledness_diagnostic_smoke():

@@ -185,6 +185,19 @@ def test_non_immersive_point_warns_once_in_report_notation(capsys, tmp_path, com
     assert warnings == ["warning: parameterization is not an immersion at (0, 0)"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["fundform", "--order", "2"],
+    ["tangent-cone", "--hyperplane", "0,0,0,0,0,1"],
+], ids=lambda argv: argv[0])
+def test_pole_error_prints_the_point_in_report_notation(capsys, tmp_path, argv):
+    path = tmp_path / "pole.var"
+    path.write_text("kind: parameterization\nparams: x y\n"
+                    "coords: 1, x, y, x*y^2, x^2*y, y^2/(x - 1)\n")
+    code, out, err = run(capsys, argv + ["--at", "1,1", str(path)])
+    assert code == 1 and out == ""
+    assert err == "error: denominator x - 1 vanishes at (1, 1)\n"
+
+
 def test_reports_are_deterministic(capsys, examples):
     argv = ["ruled-test", "--samples", "3", "--seed", "5",
             str(examples / "scroll-2-2.var")]

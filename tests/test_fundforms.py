@@ -16,6 +16,7 @@ from oscform.errors import (
     DomainError,
     HyperplaneContainsAllOsculating,
     HyperplaneMissesPoint,
+    InvariantViolation,
     UnsupportedAmbient,
 )
 from oscform import exactla, fundforms, jets
@@ -189,7 +190,7 @@ def test_base_locus_needs_binary_forms():
 
 
 def test_empty_system_is_all_base_points():
-    system = LinearSystem(2, V, [], (0, 0), RationalField())
+    system = LinearSystem.from_vectors(2, V, [], (0, 0), RationalField())
     locus = base_locus_pencil(system)
     assert locus.has_base_point and locus.factor_degree == -1
 
@@ -247,7 +248,7 @@ def test_linear_system_canonicalizes_generators():
     assert a.span_equals(b)
     assert [str(g) for g in a.generators] == ["v1^2", "v2^2"]
     with pytest.raises(DomainError):
-        LinearSystem(2, V, [[1, 2]], (0, 0), RationalField())
+        LinearSystem.from_vectors(2, V, [[1, 2]], (0, 0), RationalField())
 
 
 def test_tangent_form_evaluate_and_partial():
@@ -280,9 +281,9 @@ def test_point_fundamental_form_runs_one_elimination_per_question(monkeypatch):
     calls = count_eliminations(monkeypatch)
     system = fundamental_form(togliatti(), 2, point=(1, 1))
     assert system.generator_count == 2
-    # The immersion check, the RREF of M_1, rank(M_2) for the dimension
-    # law, and the canonical span of the generators.
-    assert len(calls) <= 4
+    # The immersion check, the RREF of the transposed M_2 (the canonical
+    # generators), and rank(M_2) for the dimension law.
+    assert len(calls) <= 3
 
 
 def test_point_profile_runs_one_elimination_for_all_orders(monkeypatch):
@@ -297,8 +298,8 @@ def test_generic_fundamental_form_runs_one_elimination_per_question(monkeypatch)
     calls = count_eliminations(monkeypatch)
     system = fundamental_form(togliatti(), 2)
     assert system.generator_count == 2
-    # The RREF of M_1, rank(M_2) and the canonical span.
-    assert len(calls) <= 3
+    # The RREF of the transposed M_2 and rank(M_2) for the dimension law.
+    assert len(calls) <= 2
 
 
 def test_phibar_relation_runs_one_elimination(monkeypatch):
@@ -330,15 +331,35 @@ def test_point_jacobian_check_reads_both_forms_off_one_jet_matrix(monkeypatch):
     report = check_jacobian_containment(togliatti(), 3, (1, 1))
     assert report.contained and report.equal
     assert len(builds) == 1
-    # The immersion check; per form the RREF of M_(m-1), the canonical
-    # span and rank(M_m); the Jacobian's span; the containment rank.
-    assert len(eliminations) <= 9
+    # The immersion check; the RREF of the transposed M_3, which holds
+    # both forms; rank(M_3) and rank(M_2) for the two dimension laws; the
+    # Jacobian's canonical span; the containment rank.
+    assert len(eliminations) <= 6
 
 
 def test_generic_jacobian_check_differentiates_once(monkeypatch):
     rows = count_calls(monkeypatch, jets, "_derivative_rows")
     assert check_jacobian_containment(togliatti(), 3).contained
     assert len(rows) == 1
+
+
+def test_generic_jacobian_check_reads_both_forms_off_one_echelon(monkeypatch):
+    eliminations = count_eliminations(monkeypatch)
+    report = check_jacobian_containment(togliatti(), 3)
+    assert report.contained and report.equal
+    # The RREF of the transposed M_3, which holds both forms; rank(M_3)
+    # and rank(M_2) for the two dimension laws; the Jacobian's canonical
+    # span; the containment rank.
+    assert len(eliminations) <= 5
+
+
+@pytest.mark.parametrize("point", [(1, 1), None])
+def test_dimension_law_violation_raises(monkeypatch, point):
+    # A rank(M_m) one short of the echelon's count breaks the law.
+    original = fundforms.rank
+    monkeypatch.setattr(fundforms, "rank", lambda matrix: original(matrix) - 1)
+    with pytest.raises(InvariantViolation, match="dimension law violated"):
+        fundamental_form(togliatti(), 2, point=point)
 
 
 def test_tangent_cone_builds_no_jet_matrix(monkeypatch):

@@ -226,10 +226,10 @@ def test_point_jet_matrix_on_a_pole_names_the_denominator():
     ts = ("t", "s")
     f = Parameterization(ts, [parse_rational(e, ts)
                               for e in ("1", "t", "s/(s + 2)", "t*s/(t - 1)")])
-    message = "denominator t - 1 vanishes at (Fraction(1, 1), Fraction(0, 1))"
+    message = "denominator t - 1 vanishes at (1, 0)"
     with pytest.raises(DenominatorVanishes, match=re.escape(message)):
         jet_matrix(f, 2, (1, 0))
-    message = "denominator s + 2 vanishes at (Fraction(1, 1), Fraction(-2, 1))"
+    message = "denominator s + 2 vanishes at (1, -2)"
     with pytest.raises(DenominatorVanishes, match=re.escape(message)):
         jet_matrix(f, 2, (1, -2))
 
