@@ -29,6 +29,7 @@ from .binform import (
 )
 from .exprparse import parse_polynomial, parse_rational
 from .series import (
+    graph_series,
     solve_series_system,
     taylor_expansions,
     truncated_compose,
@@ -60,6 +61,7 @@ __all__ = [
     "strip_valuations",
     "parse_polynomial",
     "parse_rational",
+    "graph_series",
     "solve_series_system",
     "taylor_expansions",
     "truncated_compose",

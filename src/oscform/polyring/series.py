@@ -26,6 +26,11 @@ integer form, so calls that share a cache convert each argument once.
 taylor_expansions, the one routine that expands rational functions
 around a rational point, gives the jets there as Taylor coefficients.
 
+graph_series writes a parameterized surface chart as a graph
+x3 = f(x1, x2).  The chart coordinates are the identity to first order,
+so f is solved degree by degree on integers, with no reversion; the
+residual left at the end certifies it.
+
 solve_series_system runs Newton iteration with precision doubling
 (Brent & Kung 1978) for an implicit system g(x_free, x_dep) = 0 around a
 point with invertible dependent Jacobian.  The iterate and the linear
@@ -46,7 +51,13 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from ..errors import DenominatorVanishes, DomainError, InvariantViolation, ZeroDivisionRequested
+from ..errors import (
+    DenominatorVanishes,
+    DomainError,
+    InvariantViolation,
+    SingularPoint,
+    ZeroDivisionRequested,
+)
 from .poly import Polynomial
 
 _BITS = 16
@@ -330,6 +341,69 @@ def taylor_expansions(functions: Sequence, point: tuple[Fraction, ...], order: i
     return out
 
 
+def graph_series(coords: Sequence[Polynomial], mixing: Sequence[Sequence[Fraction]],
+                 order: int, graph_vars: Sequence[str]) -> Polynomial:
+    """The graph x3 = f(x1, x2) of a surface chart, through degree `order`,
+    as a Polynomial in `graph_vars`.
+
+    `coords` are four series in the same two variables (u1, u2).  The chart
+    coordinates are z = mixing . coords and t_i = z_i / z_0, and the
+    mixing must make t1 = u1 + O(2) and t2 = u2 + O(2).  Then the f with
+    f(t1, t2) = t3 is unique, and its degree-d part is the degree-d part
+    of the running residual t3 - f_<d(t1, t2); each step subtracts
+    f_d(t1, t2), built from cached products t1^a t2^b.  Raises
+    SingularPoint when z_0 has no constant term, and InvariantViolation
+    unless the first-order condition holds and the final residual
+    vanishes through `order`.
+    """
+    _check_degree(order)
+    nvars = 2
+    limit = _limit(nvars, order)
+    expansions = [_from_poly(c, order) for c in coords]
+    z = []
+    for row in mixing:
+        den = math.lcm(*(m.denominator for m in row))
+        mixed = _combine([(m.numerator * (den // m.denominator), c)
+                          for m, c in zip(row, expansions) if m], limit)
+        z.append(_reduced(mixed.nums, mixed.den * den))
+    if not z[0].nums.get(0):
+        raise SingularPoint("chart normalization failed at the point")
+    inverse_z0 = _inverse(z[0], nvars, order)
+    t1, t2, residual = (_mul(zi, inverse_z0, limit) for zi in z[1:])
+    key_1, key_2 = _pack((1, 0)), _pack((0, 1))
+    quadratic = _limit(nvars, 1)
+    for t, key in ((t1, key_1), (t2, key_2)):
+        if {k: v for k, v in t.nums.items() if k < quadratic} != {key: t.den}:
+            raise InvariantViolation("chart coordinates are not the identity to first order")
+    # f and the t_i both have two variables, so the key of x1^a x2^b is
+    # that of u1^a u2^b: products[k] holds t1^a t2^b for that key.
+    products = {0: _ONE}
+
+    def product(k: int) -> _Series:
+        cached = products.get(k)
+        if cached is None:
+            cached = products[k] = (_mul(product(k - key_1), t1, limit) if k & _MASK
+                                    else _mul(product(k - key_2), t2, limit))
+        return cached
+
+    coefficients: dict[int, Fraction] = {}
+    for d in range(order + 1):
+        low, high = _limit(nvars, d - 1), _limit(nvars, d)
+        block = [(k, v) for k, v in residual.nums.items() if low <= k < high]
+        if not block:
+            continue
+        for k, v in block:
+            coefficients[k] = Fraction(v, residual.den)
+        # f_d(t1, t2) = sum(v * product(k)) / residual.den
+        image = _combine([(v, product(k)) for k, v in block], limit)
+        residual = _combine([(1, residual), (-1, _Series(image.nums, image.den * residual.den))],
+                            limit)
+    if residual.nums:
+        raise InvariantViolation("graph series residual does not vanish")
+    return Polynomial._trusted(tuple(graph_vars),
+                               {_unpack(k, nvars): c for k, c in coefficients.items()})
+
+
 def truncated_inverse(a: Polynomial, max_degree: int) -> Polynomial:
     """Multiplicative inverse of a series with nonzero constant term."""
     _check_degree(max_degree)
@@ -373,20 +447,16 @@ def solve_series_system(equations: Sequence[Polynomial],
                         dep: Sequence[int],
                         point: Sequence[Fraction],
                         order: int,
-                        series_vars: Sequence[str] | None = None,
-                        *, powers: PowerCache | None = None) -> list[Polynomial]:
+                        series_vars: Sequence[str] | None = None) -> list[Polynomial]:
     """Solve g_i(x) = 0 for the dependent coordinates as truncated series.
 
     The equations live over one variable tuple; `free` and `dep` are
     disjoint index lists covering it, and `point` is a solution of the
     system.  The result expresses each dependent coordinate as a series
     in offsets u_k = x_{free_k} - point_{free_k}, truncated past total
-    degree `order`; the constant terms are the point values.
-
-    The final residual check substitutes the solution at full order; a
-    caller that composes with the solution again can pass `powers` to
-    receive that check's power cache, keyed by the equations' variable
-    slots.
+    degree `order`; the constant terms are the point values.  A final
+    residual check substitutes the solution at full order and raises
+    InvariantViolation unless every equation vanishes through `order`.
     """
     # exactla imports polyring, so it is imported here, not at module level.
     from ..exactla import ExactMatrix, RationalField, determinant
@@ -450,8 +520,7 @@ def solve_series_system(equations: Sequence[Polynomial],
             for idx, s in zip(dep, solution):
                 args[idx] = _to_poly(s, series_vars)
         done = target
-    if powers is None:
-        powers = {}
-    if any(truncated_compose(g, args, order, powers=powers) for g in equations):
+    final_powers: PowerCache = {}
+    if any(truncated_compose(g, args, order, powers=final_powers) for g in equations):
         raise InvariantViolation("series Newton iteration failed to converge")
     return [args[idx] for idx in dep]

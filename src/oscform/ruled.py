@@ -10,7 +10,11 @@ diagnostic for surfaces in P^3 works in a Monge chart at each sample
 point: the quadratic piece f2 and the Fubini cubic f3 must share a zero
 (detected by the resultant), and the tangent line along a shared zero
 must meet the surface to order at least 4; the output is evidence from
-finitely many points, never a proof.
+finitely many points, never a proof.  The chart of a parameterized
+surface is the identity to first order in the parameters, so its graph
+is solved degree by degree (`polyring.series.graph_series`, certified by
+its final residual); an implicit surface's chart runs the Newton series
+solve.
 """
 
 from __future__ import annotations
@@ -36,14 +40,11 @@ from .polyring import (
     QuotientRingElement,
     RationalFunction,
     binary_form_gcd,
+    graph_series,
     resultant_binary,
     solve_series_system,
     split_rational_linear_factors,
-    truncated_compose,
-    truncated_inverse,
-    truncated_multiply,
 )
-from .polyring.series import PowerCache
 from .report import fmt_point
 
 # Seed of the sample points and projections when the caller gives none.
@@ -442,25 +443,10 @@ def _monge_from_parameterization(f: Parameterization, point: Sequence,
     # singular exactly when the frame is dependent.
     inverse = _invert_rational(chart.transpose(),
                                f"the parameterization is not immersive at {fmt_point(point)}")
-    z = [sum((coord_series[j] * inverse[i, j] for j in range(4) if inverse[i, j]),
-             Polynomial.zero(u_vars)) for i in range(4)]
-    if not z[0].constant_term():
-        raise SingularPoint("chart normalization failed at the point")
-    inverse_z0 = truncated_inverse(z[0], order)
-    taylors = [truncated_multiply(z[i], inverse_z0, order) for i in (1, 2, 3)]
+    # The chart coordinates z = inverse . coord_series are (1, u1, u2, 0)
+    # to first order, so x_i = z_i / z_0 is a graph over (x1, x2).
     x_vars = ("x1", "x2")
-    combined = ("x1", "x2", "u1", "u2")
-    equations = [taylors[i].extend_variables(combined) - Polynomial.variable(combined, x)
-                 for i, x in enumerate(x_vars)]
-    powers: PowerCache = {}
-    inverse_series = solve_series_system(equations, free=[0, 1], dep=[2, 3],
-                                         point=[Fraction(0)] * 4, order=order,
-                                         series_vars=x_vars, powers=powers)
-    # The solver's final check built the powers of the reversion in slots
-    # 2 and 3 of its variables; here they are slots 0 and 1.
-    f_series = truncated_compose(taylors[2], inverse_series, order,
-                                 powers={(i - 2, e): v for (i, e), v in powers.items()
-                                         if i >= 2})
+    f_series = graph_series(coord_series, inverse.rows, order, x_vars)
     if f_series.constant_term() or not f_series.homogeneous_component(1).is_zero:
         raise SingularPoint("Monge chart has unexpected constant or linear part")
     return MongeData(tuple(frame[0]), point, chart, order, x_vars, f_series,

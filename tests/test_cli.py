@@ -21,16 +21,19 @@ from oscform.varfile import parse_variety, print_variety
 GOLDEN = Path(__file__).resolve().parent / "golden"
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-# One report per built-in example, pinned byte-for-byte.
+# Reports pinned byte-for-byte: golden file stem -> (example, command).
+# One per built-in example, plus the Monge chart and the ruledness test.
 GOLDEN_COMMANDS = {
-    "togliatti": ["osc", "--order", "3", "--max"],
-    "shifrin": ["base-locus", "--order", "2"],
-    "dye": ["fundform", "--order", "2"],
-    "togliatti-implicit": ["implicit-jet", "--order", "4"],
-    "scroll-2-2": ["scroll"],
-    "scroll-2-4": ["scroll"],
-    "scroll-3-3": ["ruling-check", "--order", "2"],
-    "scroll-3-3-3": ["scroll", "--order", "3"],
+    "togliatti": ("togliatti", ["osc", "--order", "3", "--max"]),
+    "shifrin": ("shifrin", ["base-locus", "--order", "2"]),
+    "dye": ("dye", ["fundform", "--order", "2"]),
+    "togliatti-implicit": ("togliatti-implicit", ["implicit-jet", "--order", "4"]),
+    "scroll-2-2": ("scroll-2-2", ["scroll"]),
+    "scroll-2-4": ("scroll-2-4", ["scroll"]),
+    "scroll-3-3": ("scroll-3-3", ["ruling-check", "--order", "2"]),
+    "scroll-3-3-3": ("scroll-3-3-3", ["scroll", "--order", "3"]),
+    "scroll-1-1-monge": ("scroll-1-1", ["monge", "--order", "8", "--at", "1/2,3"]),
+    "scroll-2-2-ruled-test": ("scroll-2-2", ["ruled-test"]),
 }
 
 
@@ -345,8 +348,12 @@ def test_gallery_round_trip(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
 def test_golden_reports(capsys, examples, name):
+    example, command = GOLDEN_COMMANDS[name]
+    path = examples / f"{example}.var"
+    if not path.exists():
+        path.write_text(example_text(example))
     # Goldens record the relative path in their input line.
-    argv = GOLDEN_COMMANDS[name] + [str(examples / f"{name}.var")]
+    argv = command + [str(path)]
     code, out, err = run(capsys, argv)
     assert code == 0, err
     assert out == (GOLDEN / f"{name}.txt").read_text()

@@ -1,12 +1,13 @@
 """Tests for the truncated series layer: the Newton precision schedule,
 the shared power cache of truncated_compose, series reversion, the
-integer core (numerators over one normalized denominator, packed
-monomial keys), and the trusted Polynomial constructor behind
-arithmetic results.
+degree-by-degree graph solve of parameterized Monge charts, the integer
+core (numerators over one normalized denominator, packed monomial keys),
+and the trusted Polynomial constructor behind arithmetic results.
 
 Oracles: untruncated composition (`evaluate_in`) and `Fraction`
 products followed by `truncate`, calls with and without a power cache,
-and the validating constructor.
+reversion by the Newton solver followed by composition, and the
+validating constructor.
 """
 
 from collections import Counter
@@ -14,12 +15,16 @@ from fractions import Fraction
 
 import pytest
 
+from oscform import ruled
+from oscform.errors import InvariantViolation, SingularPoint
 from oscform.jets import ImplicitVariety, Parameterization
 from oscform.polyring import Polynomial, multi_indices_upto, parse_polynomial
 from oscform.polyring import series
 from oscform.polyring.series import (
+    graph_series,
     solve_series_system,
     truncated_compose,
+    truncated_inverse,
     truncated_multiply,
 )
 from oscform.ruled import monge_form
@@ -44,15 +49,27 @@ def count_compositions(monkeypatch):
     return degrees
 
 
-def test_order_8_monge_chart_composes_at_full_order_at_most_2n_times(monkeypatch):
+def test_order_8_parameterized_monge_chart_runs_no_newton_solve_or_compose(monkeypatch):
+    degrees = count_compositions(monkeypatch)
+    solves = Counter()
+    original = series.solve_series_system
+
+    def counting(*args, **kwargs):
+        solves["calls"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(series, "solve_series_system", counting)
+    monkeypatch.setattr(ruled, "solve_series_system", counting)
     surface = Parameterization(("t", "s"), [
         P(expr, ("t", "s")) for expr in ("1 + t*s", "t + s^2", "s + t^2*s", "t^3 + s^3 + t*s")])
-    degrees = count_compositions(monkeypatch)
     md = monge_form(surface, (1, 2), order=8)
-    # Two equations: the last sweep's residual and the final check.
-    assert degrees[8] <= 4
-    assert max(degrees) == 8
+    assert not solves and not degrees
     assert md.f_series.total_degree() == 8
+    # The counters see the implicit chart, which still runs Newton.
+    variables = ("x0", "x1", "x2", "x3")
+    g = P("x0*x3^2 + x1^3 + x1*x2^2 + x2^3 - x0^2*x3 - x0^2*x1", variables)
+    monge_form(ImplicitVariety([g], point=(1, 1, 0, 0)), order=4)
+    assert solves["calls"] == 1 and degrees[4]
 
 
 def test_implicit_monge_chart_composes_at_full_order_at_most_twice(monkeypatch):
@@ -138,6 +155,65 @@ def test_reversion_inverts_random_maps_through_its_order():
             assert composed.truncate(order) == expected.truncate(order)
 
     check()
+
+
+def _graph_by_reversion(coords, mixing, order):
+    """The graph of the chart x_i = z_i / z_0, z = mixing . coords, by
+    reverting (x1, x2)(u) with the Newton solver and composing x3 with
+    the reversion."""
+    u_vars = coords[0].variables
+    z = [sum((c * m for c, m in zip(coords, row) if m), Polynomial.zero(u_vars))
+         for row in mixing]
+    inverse_z0 = truncated_inverse(z[0], order)
+    chart = [truncated_multiply(zi, inverse_z0, order) for zi in z[1:]]
+    combined = ("x1", "x2") + u_vars
+    equations = [t.extend_variables(combined) - Polynomial.variable(combined, x)
+                 for t, x in zip(chart, ("x1", "x2"))]
+    reversion = solve_series_system(equations, free=[0, 1], dep=[2, 3],
+                                    point=[Fraction(0)] * 4, order=order,
+                                    series_vars=("x1", "x2"))
+    return truncated_compose(chart[2], reversion, order)
+
+
+def test_graph_series_equals_reversion_then_compose():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+    @hypothesis.given(_invertible_maps())
+    def check(case):
+        (t1, t2), (a, b), drawn = case
+        order = 3 + drawn % 6
+        u = t1.variables
+        one = Polynomial.constant(u, 1)
+        coords = [one + t2 - t1 * t2, t1, t2, t1 * t1 - 2 * t2 ** 3 + t1 * t2 * P("u1", u)]
+        # The rows mixing (t1, t2) invert their linear part, so the chart is
+        # the identity to first order; the last row adds a linear part to x3.
+        (l00, l01), (l10, l11) = [[t.coefficient(e) for e in ((1, 0), (0, 1))]
+                                  for t in (t1, t2)]
+        det = l00 * l11 - l01 * l10
+        zero = Fraction(0)
+        mixing = [[Fraction(1), zero, zero, zero],
+                  [zero, l11 / det, -l01 / det, zero],
+                  [zero, -l10 / det, l00 / det, zero],
+                  [zero, a, b, Fraction(1)]]
+        f = graph_series(coords, mixing, order, ("x1", "x2"))
+        assert f == _graph_by_reversion(coords, mixing, order)
+
+    check()
+
+
+def test_graph_series_guards():
+    u = ("u1", "u2")
+    identity = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    # x1 = 2*u1 to first order: not the identity.
+    with pytest.raises(InvariantViolation):
+        graph_series([P(e, u) for e in ("1", "2*u1", "u2", "u1^2")], identity, 4, XY)
+    # x1 = u1 + 1: a constant term is off the identity too.
+    with pytest.raises(InvariantViolation):
+        graph_series([P(e, u) for e in ("1", "u1 + 1", "u2", "u1^2")], identity, 4, XY)
+    # z0 vanishes at the point.
+    with pytest.raises(SingularPoint):
+        graph_series([P(e, u) for e in ("u1 + u2", "u1", "u2", "u1^2")], identity, 4, XY)
 
 
 def _polynomials():
