@@ -225,20 +225,17 @@ def _cmd_scroll(args) -> Report:
     spec = build_variety(vf)
     if not hasattr(spec, "degrees"):
         raise DomainError("the scroll command needs a file with kind: scroll")
-    orders = [args.order] if args.order else list(range(1, spec.degrees[0] + 1))
+    orders = list(range(1, spec.degrees[0] + 1)) if args.order is None else [args.order]
     report.mode = "generic-symbolic"
-    all_ok = True
-    for m in orders:
-        rc = scroll_rank_check(spec, m)
-        pd = pushdown_rank_check(spec, m)
-        all_ok = all_ok and rc.match and pd.match
+    checks = list(zip(scroll_rank_check(spec, orders), pushdown_rank_check(spec, orders)))
+    for rc, pd in checks:
         report.add(
-            f"m={m}",
+            f"m={rc.order}",
             f"rank {rc.rank} expected {rc.expected} "
             f"({'ok' if rc.match else 'MISMATCH'}); pushdown blocks "
             f"{pd.block_ranks} expected {pd.expected_ranks} structure "
             f"{'ok' if pd.structure_ok else 'BROKEN'}")
-    report.add("all_match", all_ok)
+    report.add("all_match", all(rc.match and pd.match for rc, pd in checks))
     return report
 
 
@@ -505,8 +502,9 @@ def main(argv=None) -> int:
         if isinstance(result, str):
             sys.stdout.write(result)
         else:
-            for w in caught:
-                result.warnings.append(str(w.message))
+            # A warning raised once per order or per sample point is
+            # listed once, at its first occurrence.
+            result.warnings.extend(dict.fromkeys(str(w.message) for w in caught))
             sys.stdout.write(render(result, args.format))
         return 0
     except ParseError as exc:

@@ -5,16 +5,19 @@ ruledness diagnostic.
 A ruled parameterization separates its parameters into base and fiber
 variables with every coordinate affine-linear in the fiber block; the
 fiber directions form the subspace {v_base = 0} of the tangent space.
-Scrolls are the special case over the projective line.  The ruledness
-diagnostic for surfaces in P^3 works in a Monge chart at each sample
-point: the quadratic piece f2 and the Fubini cubic f3 must share a zero
-(detected by the resultant), and the tangent line along a shared zero
-must meet the surface to order at least 4; the output is evidence from
-finitely many points, never a proof.  The chart of a parameterized
-surface is the identity to first order in the parameters, so its graph
-is solved degree by degree (`polyring.series.graph_series`, certified by
-its final residual); an implicit surface's chart runs the Newton series
-solve.
+Scrolls are the special case over the projective line; each scroll
+check builds one jet matrix at the largest order asked and reads every
+order off its leading rows.  The ruledness diagnostic for surfaces in
+P^3 works in a Monge chart at each sample point: the quadratic piece f2
+and the Fubini cubic f3 must share a zero (detected by the resultant),
+and the tangent line along a shared zero must meet the surface to order
+at least 4; the output is evidence from finitely many points, never a
+proof.  The chart of a parameterized surface is the identity to first
+order in the parameters, so its graph is solved degree by degree
+(`polyring.series.graph_series`, certified by its final residual); one
+RREF completes its frame to a basis and inverts it.  An implicit
+surface's chart takes its completion from the gradient and runs the
+Newton series solve.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .errors import (
 )
 from .exactla import ExactMatrix, RationalField, kernel_basis, prefix_ranks, rank, rref
 from .fundforms import LinearSystem, fundamental_form
-from .jets import ImplicitVariety, Parameterization, jet_matrix, point_expansions
+from .jets import ImplicitVariety, JetMatrix, Parameterization, jet_matrix, point_expansions
 from .polyring import (
     Polynomial,
     QuotientRingElement,
@@ -177,21 +180,31 @@ class ScrollRankReport:
     match: bool
 
 
-def scroll_rank_check(spec: ScrollSpec, m: int) -> ScrollRankReport:
-    """Generic jet rank of a scroll against the closed formula m(e+1)+1.
+def _scroll_jets(spec: ScrollSpec, orders: Sequence[int]) -> JetMatrix:
+    """The generic jet matrix of the scroll at the largest of `orders`,
+    whose leading rows serve every smaller order.
 
-    The formula is stated for 2 <= m <= d0 but also holds at m = 1
-    (immersion rank r + 1 = e + 2); orders above d0 are rejected.
+    The closed formulas are stated for 2 <= m <= d0 but also hold at
+    m = 1 (immersion rank r + 1 = e + 2); orders above d0 are rejected.
     """
-    if m < 1 or m > spec.degrees[0]:
-        raise DomainError(
-            f"order {m} outside the valid range 1..{spec.degrees[0]} for {spec}"
-        )
-    f = scroll(spec)
-    jm = jet_matrix(f.underlying, m, None)
-    r = rank(jm.matrix)
-    expected = m * (spec.fiber_count + 1) + 1
-    return ScrollRankReport(spec.degrees, m, r, expected, r == expected)
+    for m in orders:
+        if m < 1 or m > spec.degrees[0]:
+            raise DomainError(
+                f"order {m} outside the valid range 1..{spec.degrees[0]} for {spec}"
+            )
+    return jet_matrix(scroll(spec).underlying, max(orders, default=0), None)
+
+
+def scroll_rank_check(spec: ScrollSpec, orders: Sequence[int]) -> list[ScrollRankReport]:
+    """Generic jet rank of a scroll against the closed formula m(e+1)+1,
+    one report per order, all read off one jet matrix."""
+    ranks = _scroll_jets(spec, orders).order_ranks()
+    reports = []
+    for m in orders:
+        expected = m * (spec.fiber_count + 1) + 1
+        reports.append(ScrollRankReport(spec.degrees, m, ranks[m], expected,
+                                        ranks[m] == expected))
+    return reports
 
 
 @dataclass
@@ -277,18 +290,6 @@ def dim_bound_check(f: RuledParameterization, m: int) -> DimBoundReport:
     return DimBoundReport(m, dim, bound, dim <= bound)
 
 
-def _m_row(d: int, k: int, t: Polynomial) -> list[Polynomial]:
-    """Row of order-k divided derivatives of (1, t, ..., t^d)."""
-    out = []
-    variables = t.variables
-    for j in range(d + 1):
-        if j < k:
-            out.append(Polynomial.zero(variables))
-        else:
-            out.append(comb(j, k) * t ** (j - k))
-    return out
-
-
 @dataclass
 class PushdownReport:
     degrees: tuple[int, ...]
@@ -301,74 +302,62 @@ class PushdownReport:
     match: bool
 
 
-def pushdown_rank_check(spec: ScrollSpec, m: int) -> PushdownReport:
-    """Block structure of the scroll jet matrix along the base line.
+def pushdown_rank_check(spec: ScrollSpec, orders: Sequence[int]) -> list[PushdownReport]:
+    """Block structure of the scroll jet matrix along the base line, one
+    report per order, all read off one jet matrix.
 
     The pure-t derivative rows, split into the coordinate blocks of the
     splitting type, must have block ranks min(m+1, d_i+1) — the jet
-    ranks of the line bundles O(d_i) on the base — and the |I| = m rows
-    must reproduce the binomial rows C(j,k) t^{j-k} blockwise.
+    ranks of the line bundles O(d_i) on the base — and every row must
+    reproduce the binomial rows C(j,k) t^{j-k} blockwise.
     """
-    if m < 1 or m > spec.degrees[0]:
-        raise DomainError(
-            f"order {m} outside the valid range 1..{spec.degrees[0]} for {spec}"
-        )
-    f = scroll(spec)
-    jm = jet_matrix(f.underlying, m, None)
-    params = f.underlying.params
+    jm = _scroll_jets(spec, orders)
+    params = jm.params
     t = Polynomial.variable(params, "t")
-    e = spec.fiber_count
-    offsets = []
-    start = 0
-    for d in spec.degrees:
-        offsets.append((start, start + d + 1))
-        start += d + 1
+    one, zero = Polynomial.constant(params, 1), Polynomial.zero(params)
+    # Column c holds the coordinate s_b t^j for (b, j) = columns[c], with s_0 = 1.
+    columns = [(b, j) for b, d in enumerate(spec.degrees) for j in range(d + 1)]
+    scales = [one] + [Polynomial.variable(params, s) for s in params[1:]]
+    # The fiber exponents of s_b; those of s_0 = 1 are all zero.
+    units = [tuple(int(i == b - 1) for i in range(spec.fiber_count))
+             for b in range(len(spec.degrees))]
 
-    pure_rows = []
-    for i, I in enumerate(jm.row_indices):
-        if all(I[k] == 0 for k in range(1, len(I))):
-            pure_rows.append(i)
-    block_ranks = []
-    expected_ranks = []
-    for lo, hi in offsets:
-        block = [[jm.matrix[i, j] for j in range(lo, hi)] for i in pure_rows]
-        block_ranks.append(rank(ExactMatrix(block, field=jm.matrix.field)))
-    for d in spec.degrees:
-        expected_ranks.append(min(m + 1, d + 1))
+    def expected(k: int, fiber: tuple[int, ...], b: int, j: int) -> Polynomial:
+        """D_(k, fiber)(s_b t^j): C(j,k) t^(j-k) times s_b when the fiber
+        part is 0, times 1 when it is the unit vector of s_b, else 0."""
+        if j < k:
+            return zero
+        if not any(fiber):
+            return scales[b] * comb(j, k) * t ** (j - k)
+        return comb(j, k) * t ** (j - k) if fiber == units[b] else zero
 
-    structure_ok = True
+    # The smallest |I| of a row off the pattern: the orders below it keep
+    # their structure.
     field = jm.matrix.field
-    s_vars = [Polynomial.variable(params, f"s{i}") for i in range(1, e + 1)]
-    for i, I in enumerate(jm.row_indices):
-        k = I[0]
-        fiber_part = I[1:]
-        fiber_total = sum(fiber_part)
-        row = jm.matrix.row(i)
-        if fiber_total > 1:
-            if any(entry for entry in row):
-                structure_ok = False
-            continue
-        if fiber_total == 1:
-            which = fiber_part.index(1)
-            for b, (lo, hi) in enumerate(offsets):
-                expected_block = (_m_row(spec.degrees[b], k, t)
-                                  if b == which + 1
-                                  else [Polynomial.zero(params)] * (hi - lo))
-                for j, p in zip(range(lo, hi), expected_block):
-                    if row[j] != field.coerce(p):
-                        structure_ok = False
-        else:
-            for b, (lo, hi) in enumerate(offsets):
-                base_row = _m_row(spec.degrees[b], k, t)
-                scale = Polynomial.constant(params, 1) if b == 0 else s_vars[b - 1]
-                for j, p in zip(range(lo, hi), base_row):
-                    if row[j] != field.coerce(scale * p):
-                        structure_ok = False
-    total = sum(block_ranks)
-    expected_total = sum(expected_ranks)
-    return PushdownReport(spec.degrees, m, block_ranks, expected_ranks,
-                          total, expected_total, structure_ok,
-                          block_ranks == expected_ranks and structure_ok)
+    broken = min((sum(I) for I, row in zip(jm.row_indices, jm.matrix.rows)
+                  if any(entry != field.coerce(expected(I[0], I[1:], b, j))
+                         for (b, j), entry in zip(columns, row))),
+                 default=jm.order + 1)
+
+    pure_rows = [i for i, I in enumerate(jm.row_indices) if not any(I[1:])]
+    ends = [m + 1 for m in orders]
+    per_block = []
+    lo = 0
+    for d in spec.degrees:
+        block = [[jm.matrix[i, j] for j in range(lo, lo + d + 1)] for i in pure_rows]
+        per_block.append(prefix_ranks(ExactMatrix(block, field=field), ends))
+        lo += d + 1
+
+    reports = []
+    for n, m in enumerate(orders):
+        block_ranks = [ranks[n] for ranks in per_block]
+        expected_ranks = [min(m + 1, d + 1) for d in spec.degrees]
+        structure_ok = m < broken
+        reports.append(PushdownReport(
+            spec.degrees, m, block_ranks, expected_ranks, sum(block_ranks),
+            sum(expected_ranks), structure_ok,
+            block_ranks == expected_ranks and structure_ok))
+    return reports
 
 
 # -- Monge charts and the ruledness diagnostic -------------------------------
@@ -390,63 +379,58 @@ class MongeData:
         return self.f_series.homogeneous_component(m)
 
 
-def _complete_basis(rows: list[list[Fraction]]) -> list[Fraction]:
-    """First standard basis vector extending the rows to a basis.
+def _check_surface_in_p3(surface: Union[Parameterization, ImplicitVariety]) -> None:
+    if isinstance(surface, ImplicitVariety):
+        if surface.ambient_dim != 3 or surface.codim != 1:
+            raise NotASurfaceInP3(
+                f"Monge charts need a hypersurface in P^3; got {surface.codim} "
+                f"equations in P^{surface.ambient_dim}"
+            )
+    elif surface.ambient_dim != 3 or surface.source_dim != 2:
+        raise NotASurfaceInP3(
+            f"Monge charts need a surface in P^3; got source {surface.source_dim}, "
+            f"ambient {surface.ambient_dim}"
+        )
 
-    e_k lies in the row space exactly when k is a pivot column of the
-    RREF whose row is e_k itself, so one RREF decides every k.
+
+def _complete_and_invert(frame: list[list[Fraction]], point: tuple[Fraction, ...]
+                         ) -> tuple[ExactMatrix, tuple[tuple[Fraction, ...], ...]]:
+    """The chart: the three frame rows and the first e_k off their span;
+    and the inverse of its transpose, both from one RREF of [frameᵀ | I].
+
+    For a frame of rank 3 the pivots are columns 0-2 and 3 + k, and the
+    last row is (0 | v) with v spanning the annihilator of the frame; e_j
+    lies in the span exactly when v_j = 0, so k picks the first e_k off
+    it.  The RREF clears column 3 + k above that row, so the right block
+    E sends e_k to the last unit vector as well as frameᵀ to the first
+    three: E = (chartᵀ)⁻¹.
     """
-    n = len(rows[0])
-    reduced = rref(ExactMatrix(rows, field=RationalField()))
-    pivot_rows = dict(zip(reduced.pivot_columns, reduced.matrix.rows))
-    for k in range(n):
-        row = pivot_rows.get(k)
-        if row is None or any(row[j] for j in range(n) if j != k):
-            candidate = [Fraction(0)] * n
-            candidate[k] = Fraction(1)
-            return candidate
-    raise SingularPoint("cannot complete the tangent frame to a basis")
-
-
-def _invert_rational(matrix: ExactMatrix, singular: str) -> ExactMatrix:
-    n = matrix.nrows
-    one = Fraction(1)
-    zero = Fraction(0)
-    augmented = ExactMatrix(
-        [list(matrix.row(i)) + [one if j == i else zero for j in range(n)]
-         for i in range(n)],
+    one, zero = Fraction(1), Fraction(0)
+    reduced = rref(ExactMatrix(
+        [[row[j] for row in frame] + [one if i == j else zero for i in range(4)]
+         for j in range(4)],
         field=RationalField(),
-    )
-    reduced = rref(augmented)
-    # [M | I] always has rank n; M is invertible when its own columns
-    # hold all n pivots.
-    if reduced.pivot_columns[n - 1] >= n:
-        raise SingularPoint(singular)
-    return ExactMatrix([list(reduced.matrix.row(i))[n:] for i in range(n)],
-                       field=RationalField())
+    ))
+    pivots = reduced.pivot_columns
+    if pivots[2] != 2:
+        raise SingularPoint(f"the parameterization is not immersive at {fmt_point(point)}")
+    completion = [one if j == pivots[3] - 3 else zero for j in range(4)]
+    chart = ExactMatrix(frame + [completion], field=RationalField())
+    return chart, tuple(row[3:] for row in reduced.matrix.rows)
 
 
 def _monge_from_parameterization(f: Parameterization, point: Sequence,
                                  order: int) -> MongeData:
-    if f.ambient_dim != 3 or f.source_dim != 2:
-        raise NotASurfaceInP3(
-            f"Monge charts need a surface in P^3; got source {f.source_dim}, "
-            f"ambient {f.ambient_dim}"
-        )
+    _check_surface_in_p3(f)
     u_vars = ("u1", "u2")
     point, coord_series = point_expansions(f, order, point, u_vars)
     # The frame is the order-1 jet matrix: the values, then D_(1,0), D_(0,1).
     frame = [[s.coefficient(I) for s in coord_series] for I in ((0, 0), (1, 0), (0, 1))]
-    frame.append(_complete_basis(frame))
-    chart = ExactMatrix(frame, field=RationalField())
-    # The added row lies off the span of the frame, so the chart is
-    # singular exactly when the frame is dependent.
-    inverse = _invert_rational(chart.transpose(),
-                               f"the parameterization is not immersive at {fmt_point(point)}")
+    chart, inverse = _complete_and_invert(frame, point)
     # The chart coordinates z = inverse . coord_series are (1, u1, u2, 0)
     # to first order, so x_i = z_i / z_0 is a graph over (x1, x2).
     x_vars = ("x1", "x2")
-    f_series = graph_series(coord_series, inverse.rows, order, x_vars)
+    f_series = graph_series(coord_series, inverse, order, x_vars)
     if f_series.constant_term() or not f_series.homogeneous_component(1).is_zero:
         raise SingularPoint("Monge chart has unexpected constant or linear part")
     return MongeData(tuple(frame[0]), point, chart, order, x_vars, f_series,
@@ -456,11 +440,7 @@ def _monge_from_parameterization(f: Parameterization, point: Sequence,
 
 
 def _monge_from_implicit(iv: ImplicitVariety, order: int) -> MongeData:
-    if iv.ambient_dim != 3 or iv.codim != 1:
-        raise NotASurfaceInP3(
-            f"Monge charts need a hypersurface in P^3; got {iv.codim} "
-            f"equations in P^{iv.ambient_dim}"
-        )
+    _check_surface_in_p3(iv)
     g = iv.equations[0]
     point = list(iv.point)
     gradient = [g.partial(j).evaluate(point) for j in range(4)]
@@ -474,7 +454,10 @@ def _monge_from_implicit(iv: ImplicitVariety, order: int) -> MongeData:
                   if r > before][:3]
     if len(frame_rows) < 3:
         raise SingularPoint(f"tangent plane is degenerate at {tuple(point)}")
-    frame_rows.append(_complete_basis(frame_rows))
+    # The frame spans the tangent plane {gradient . x = 0}, which holds the
+    # point by Euler's relation, so e_k lies off it exactly when g_k != 0.
+    k = next(j for j, v in enumerate(gradient) if v)
+    frame_rows.append([Fraction(int(j == k)) for j in range(4)])
     chart = ExactMatrix(frame_rows, field=RationalField())
     z_vars = ("z0", "x1", "x2", "x3")
     substituted = g.evaluate_in([
@@ -683,11 +666,18 @@ def ruled_surface_diagnostic(surface: Union[Parameterization, ImplicitVariety],
     "not-ruled-evidence" requires an empty intersection somewhere;
     anything else is "inconclusive".  This samples a generic condition
     at finitely many points: it is evidence, never a proof.  Points are
-    examined and reported in input order.
+    examined and reported in input order.  Input that no sample point
+    can serve (no samples, an order below 3, or no surface in P^3 after
+    projection) raises before any point is examined.
     """
+    if order < 3:
+        raise DomainError(f"Monge order must be at least 3, got {order}")
+    if not samples:
+        raise DomainError("the ruledness test needs at least one sample point")
     used_projection = None
     if isinstance(surface, Parameterization) and surface.ambient_dim > 3:
         surface, used_projection = project_to_p3(surface, projection, rng)
+    _check_surface_in_p3(surface)
 
     def examine(sample) -> PointDiagnostic:
         sample = tuple(Fraction(v) for v in sample)

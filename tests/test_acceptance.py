@@ -337,8 +337,10 @@ def test_criterion_6_scroll_suite():
             e = spec.fiber_count
             f = scroll(spec)
             tangent = f.tangent_vars()
-            for m in range(2, spec.degrees[0] + 1):
-                ranks = scroll_rank_check(spec, m)
+            orders = range(2, spec.degrees[0] + 1)
+            rank_reports = scroll_rank_check(spec, orders)
+            for m, ranks in zip(orders, rank_reports, strict=True):
+                assert ranks.order == m
                 assert ranks.match
                 assert ranks.rank == m * (e + 1) + 1
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from oscform import cli, exactla
+from oscform import cli, exactla, ruled
 from oscform.cli import main
 from oscform.gallery import example_names, example_text
 from oscform.varfile import parse_variety, print_variety
@@ -199,6 +199,88 @@ def test_pole_error_prints_the_point_in_report_notation(capsys, tmp_path, argv):
     code, out, err = run(capsys, argv + ["--at", "1,1", str(path)])
     assert code == 1 and out == ""
     assert err == "error: denominator x - 1 vanishes at (1, 1)\n"
+
+
+def run_stdin(capsys, monkeypatch, argv, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    return run(capsys, argv + ["-"])
+
+
+@pytest.mark.parametrize("order", ["0", "-1", "3"])
+def test_scroll_order_outside_the_range_exits_1(capsys, monkeypatch, order):
+    code, out, err = run_stdin(capsys, monkeypatch, ["scroll", "--order", order],
+                               example_text("scroll-2-2"))
+    assert (code, out) == (1, "")
+    assert err == f"error: order {order} outside the valid range 1..2 for ScrollSpec(2, 2)\n"
+
+
+@pytest.mark.parametrize("degrees, blocks", [("3,4", 2), ("2,2,3", 3)])
+def test_scroll_report_builds_one_jet_matrix_per_check(capsys, monkeypatch, degrees, blocks):
+    eliminations = []
+    original = exactla._eliminate
+
+    def counting(matrix, reduce):
+        eliminations.append(matrix.nrows)
+        return original(matrix, reduce)
+
+    builds = []
+    original_build = ruled.jet_matrix
+
+    def counting_build(*args):
+        builds.append(args)
+        return original_build(*args)
+
+    monkeypatch.setattr(exactla, "_eliminate", counting)
+    monkeypatch.setattr(ruled, "jet_matrix", counting_build)
+    code, out, err = run_stdin(capsys, monkeypatch, ["scroll"],
+                               f"kind: scroll\ndegrees: {degrees}\n")
+    assert code == 0, err
+    assert "all_match: true" in out
+    # The rank check and the pushdown check build one jet matrix each; the
+    # ranks of every order are one elimination, the pushdown one per block.
+    assert len(builds) == 2
+    assert len(eliminations) == 1 + blocks
+
+
+def test_report_lists_each_warning_once(capsys, monkeypatch):
+    # The degenerate scroll warns in both checks; the report says it once.
+    code, out, err = run_stdin(capsys, monkeypatch, ["scroll"],
+                               "kind: scroll\ndegrees: 3\n")
+    assert code == 0, err
+    assert "all_match: true" in out
+    warnings = [line for line in out.splitlines() if line.startswith("warning:")]
+    assert warnings == [
+        "warning: scroll(3,) has no fiber parameters; this is the rational "
+        "normal curve, a degenerate scroll"]
+    code, out, err = run_stdin(capsys, monkeypatch, ["scroll", "--format", "json"],
+                               "kind: scroll\ndegrees: 3\n")
+    assert code == 0, err
+    assert len(json.loads(out)["warnings"]) == 1
+
+
+TWISTED_CUBIC = "kind: parameterization\nparams: t\ncoords: 1, t, t^2, t^3\n"
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["--samples", "0"], example_text("scroll-2-2"),
+     "the ruledness test needs at least one sample point"),
+    (["--samples", "-2"], example_text("scroll-2-2"),
+     "the ruledness test needs at least one sample point"),
+    (["--order", "2"], example_text("scroll-2-2"),
+     "Monge order must be at least 3, got 2"),
+    ([], example_text("togliatti-implicit"),
+     "Monge charts need a hypersurface in P^3; got 3 equations in P^5"),
+    (["--at", "1"], TWISTED_CUBIC,
+     "Monge charts need a surface in P^3; got source 1, ambient 3"),
+], ids=["no-samples", "negative-samples", "order-2", "implicit-p5", "curve"])
+def test_ruled_test_rejects_input_no_sample_point_can_serve(capsys, monkeypatch,
+                                                            argv, text, message):
+    code, out, err = run_stdin(capsys, monkeypatch, ["ruled-test"] + argv, text)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    if "--samples" not in argv:
+        # monge rejects the same input with the same message.
+        code, out, err = run_stdin(capsys, monkeypatch, ["monge"] + argv, text)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_reports_are_deterministic(capsys, examples):

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from oscform import exactla, ruled
 from oscform.errors import (
     DegenerateSecondForm,
     DomainError,
@@ -30,7 +31,7 @@ from oscform.ruled import (
     line_contact_order,
     monge_form,
     project_to_p3,
-    _complete_basis,
+    _complete_and_invert,
     pushdown_rank_check,
     ruled_dim_bound,
     ruled_surface_diagnostic,
@@ -77,24 +78,55 @@ def test_degenerate_scroll_warns():
 def test_scroll_rank_formula():
     for degrees in ([2, 2], [3, 3], [2, 4], [3, 3, 3]):
         spec = ScrollSpec(degrees)
-        for m in range(1, spec.degrees[0] + 1):
-            report = scroll_rank_check(spec, m)
+        orders = list(range(1, spec.degrees[0] + 1))
+        reports = scroll_rank_check(spec, orders)
+        assert [report.order for report in reports] == orders
+        for m, report in zip(orders, reports):
             assert report.match
             assert report.rank == m * (spec.fiber_count + 1) + 1
-    with pytest.raises(DomainError):
-        scroll_rank_check(ScrollSpec([2, 2]), 3)
-    with pytest.raises(DomainError):
-        scroll_rank_check(ScrollSpec([2, 2]), 0)
+        # A single order reads the same rank off its own, smaller matrix.
+        for m in orders:
+            assert scroll_rank_check(spec, [m]) == [reports[m - 1]]
+    for bad in ([3], [0], [1, 3], [0, 2]):
+        with pytest.raises(DomainError, match="outside the valid range 1..2"):
+            scroll_rank_check(ScrollSpec([2, 2]), bad)
 
 
 def test_pushdown_blocks_match_line_bundle_ranks():
-    report = pushdown_rank_check(ScrollSpec([2, 4]), 2)
+    [report] = pushdown_rank_check(ScrollSpec([2, 4]), [2])
     assert report.block_ranks == [3, 3]
     assert report.expected_ranks == [3, 3]
     assert report.structure_ok and report.match
-    deeper = pushdown_rank_check(ScrollSpec([3, 3, 3]), 3)
+    [deeper] = pushdown_rank_check(ScrollSpec([3, 3, 3]), [3])
     assert deeper.block_ranks == [4, 4, 4]
     assert deeper.structure_ok and deeper.match
+    reports = pushdown_rank_check(ScrollSpec([3, 4]), [1, 2, 3])
+    assert [r.block_ranks for r in reports] == [[2, 2], [3, 3], [4, 4]]
+    assert [r.total_rank for r in reports] == [4, 6, 8]
+    assert all(r.structure_ok and r.match for r in reports)
+    for bad in ([3], [0], [1, 3]):
+        with pytest.raises(DomainError, match="outside the valid range 1..2"):
+            pushdown_rank_check(ScrollSpec([2, 4]), bad)
+
+
+@pytest.mark.parametrize("broken", [(1, 1), (2, 0), (0, 2)])
+def test_pushdown_structure_fails_from_the_order_of_a_broken_row(monkeypatch, broken):
+    # Perturb the first entry of one row of the jet matrix: the orders
+    # below that row's |I| keep their structure, the others lose it.
+    original = ruled.jet_matrix
+
+    def perturbed(f, m, point):
+        jm = original(f, m, point)
+        rows = [list(row) for row in jm.matrix.rows]
+        i = jm.row_indices.index(broken)
+        rows[i][0] = rows[i][0] + 1
+        jm.matrix = ExactMatrix(rows, field=jm.matrix.field)
+        return jm
+
+    monkeypatch.setattr(ruled, "jet_matrix", perturbed)
+    reports = pushdown_rank_check(ScrollSpec([3, 3]), [1, 2, 3])
+    assert [r.structure_ok for r in reports] == [m < sum(broken) for m in (1, 2, 3)]
+    assert [r.match for r in reports] == [r.structure_ok for r in reports]
 
 
 def test_ruled_parameterization_rejects_nonlinear_fiber():
@@ -177,21 +209,84 @@ def test_dim_bound_holds_at_points_of_a_two_dimensional_base():
             assert report.system.projective_dim <= ruled_dim_bound(f, m)
 
 
-def test_complete_basis_picks_the_first_vector_outside_the_span():
+def first_rank_raising_vector(rows: list[list[Fraction]]) -> list[Fraction]:
+    """Rank oracle: the first standard basis vector off the span of rows."""
+    base = rank(ExactMatrix(rows, field=RationalField()))
+    return next(
+        e for e in ([Fraction(int(j == k)) for j in range(4)] for k in range(4))
+        if rank(ExactMatrix(rows + [e], field=RationalField())) > base)
+
+
+def test_chart_completion_and_inverse_come_from_one_rref():
     # e_0 = (1,1,0,0) - e_1 is outside the span although column 0 is a pivot.
     frame = [[Fraction(v) for v in row]
              for row in ((1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
-    assert _complete_basis(frame) == [1, 0, 0, 0]
-    # Oracle: the first standard basis vector that raises the rank.
+    chart, _ = _complete_and_invert(frame, (0, 0))
+    assert list(chart.row(3)) == [1, 0, 0, 0]
     rng = random.Random(227)
     values = [Fraction(0)] * 4 + [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3)]
+    identity = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    singular = 0
     for _ in range(200):
         rows = [[rng.choice(values) for _ in range(4)] for _ in range(3)]
-        base = rank(ExactMatrix(rows, field=RationalField()))
-        expected = next(
-            e for e in ([Fraction(int(j == k)) for j in range(4)] for k in range(4))
-            if rank(ExactMatrix(rows + [e], field=RationalField())) > base)
-        assert _complete_basis(rows) == expected
+        if rank(ExactMatrix(rows, field=RationalField())) < 3:
+            singular += 1
+            with pytest.raises(SingularPoint, match=r"not immersive at \(1/2, 3\)"):
+                _complete_and_invert(rows, (Fraction(1, 2), Fraction(3)))
+            continue
+        chart, inverse = _complete_and_invert(rows, (0, 0))
+        assert [list(row) for row in chart.rows] == rows + [first_rank_raising_vector(rows)]
+        # The inverse of chart^T: inverse . chart^T = I.
+        product = [[sum(inverse[i][k] * chart[j, k] for k in range(4)) for j in range(4)]
+                   for i in range(4)]
+        assert product == identity
+    assert 0 < singular < 200
+
+
+@pytest.mark.parametrize("equation, point, k", [
+    ("X0*X1 - X2^2", (1, 1, 1, 0), 0),
+    ("X0^2*X1 + X2^3 + X3^3 - X0*X2*X3", (1, 0, 0, 0), 1),
+    ("X0*X2 + X1*X3 + X3^2", (1, 0, 0, 0), 2),
+    ("X0*X3 - X1*X2", (1, 0, 0, 0), 3),
+    ("X0*X3 - X1*X2", (2, 1, 4, 2), 0),
+])
+def test_implicit_chart_completes_at_the_first_nonzero_gradient_entry(equation, point, k):
+    names = ("X0", "X1", "X2", "X3")
+    md = monge_form(ImplicitVariety([parse_polynomial(equation, names)], point), order=4)
+    frame = [list(md.chart.row(i)) for i in range(3)]
+    assert list(md.chart.row(3)) == first_rank_raising_vector(frame)
+    assert md.chart.row(3)[k] == 1
+
+
+def count_eliminations(monkeypatch):
+    """Route every elimination (rank, rref, determinant) through a counter."""
+    calls = []
+    original = exactla._eliminate
+
+    def counting(matrix, reduce):
+        calls.append(matrix.nrows)
+        return original(matrix, reduce)
+
+    monkeypatch.setattr(exactla, "_eliminate", counting)
+    return calls
+
+
+def test_parameterized_chart_frame_runs_one_elimination(monkeypatch):
+    calls = count_eliminations(monkeypatch)
+    md = monge_form(graph_surface("x*y + x^3 + y^4"), (1, 2), order=4)
+    assert not md.f2.is_zero
+    # The RREF of [frame^T | I]: the graph solve eliminates nothing.
+    assert len(calls) == 1
+
+
+def test_implicit_chart_frame_runs_no_completion_elimination(monkeypatch):
+    names = ("X0", "X1", "X2", "X3")
+    quadric = ImplicitVariety([parse_polynomial("X0*X3 - X1*X2", names)], (1, 0, 0, 0))
+    calls = count_eliminations(monkeypatch)
+    monge_form(quadric, order=4)
+    # The tangent kernel and its canonical basis, the prefix ranks of the
+    # frame candidates, and the series solve's 1x1 Jacobian.
+    assert len(calls) == 4
 
 
 def test_monge_chart_of_quadric_parameterization():
