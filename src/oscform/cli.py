@@ -310,12 +310,16 @@ def _cmd_ruled_test(args) -> Report:
     rng = random.Random(seed)
     explicit = [_parse_rational_tuple(a, "--at") for a in (args.at or [])]
     if isinstance(obj, ImplicitVariety):
+        if args.samples not in (None, 1):
+            raise DomainError(
+                f"--samples {args.samples}: implicit input is examined at its "
+                "recorded point (or at the --at points), not at random samples")
         samples = explicit or [obj.point]
     else:
         if hasattr(obj, "degrees"):
             obj = scroll(obj).underlying
         samples = list(explicit)
-        while len(samples) < args.samples:
+        while len(samples) < (5 if args.samples is None else args.samples):
             samples.append(tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 6))
                                  for _ in obj.params))
     diag = ruled_surface_diagnostic(obj, samples, order=args.order, rng=seed)
@@ -463,7 +467,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=4, help="Monge expansion order")
     p.add_argument("--at", action="append",
                    help="sample point (repeatable); random points fill the rest")
-    p.add_argument("--samples", type=int, default=5, help="number of sample points")
+    p.add_argument("--samples", type=int,
+                   help="number of sample points of a parameterization (default 5); "
+                        "implicit input is examined at its recorded point or --at "
+                        "points only")
     p.add_argument("--seed", type=int, help="seed for sample points and projection")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_ruled_test)

@@ -33,6 +33,13 @@ it only where the canonical kernel itself is the answer.
 Subspaces are stored by their reduced-row-echelon basis; since that
 basis is unique for a given row space, value equality of subspaces is
 entrywise equality of bases.
+
+The public `ExactMatrix` constructor coerces every entry into the field
+and checks the shape.  Matrices whose entries are already field
+elements (a point jet matrix read off the integer series, a transpose,
+a block of rows, an RREF) are wrapped by the trusted
+`ExactMatrix._trusted` instead, as `Subspace._from_rref` wraps a basis
+that is already canonical.
 """
 
 from __future__ import annotations
@@ -148,6 +155,20 @@ class ExactMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple, ...], field, ncols: int) -> "ExactMatrix":
+        """Wrap rows without re-coercing or re-checking them.
+
+        The caller guarantees a tuple of tuples, each of length `ncols`,
+        whose entries are already elements of `field`.
+        """
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", rows)
+        object.__setattr__(matrix, "field", field)
+        object.__setattr__(matrix, "nrows", len(rows))
+        object.__setattr__(matrix, "ncols", ncols)
+        return matrix
+
     def __getitem__(self, key) -> Entry:
         i, j = key
         return self.rows[i][j]
@@ -159,20 +180,18 @@ class ExactMatrix:
         return tuple(r[j] for r in self.rows)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            field=self.field, ncols=self.nrows,
-        )
+        rows = tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
+        return ExactMatrix._trusted(rows, self.field, self.nrows)
 
     def stack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.ncols:
             raise ShapeMismatch(f"stacking {self.ncols} and {other.ncols} columns")
-        return ExactMatrix(list(self.rows) + list(other.rows),
-                           field=self.field, ncols=self.ncols)
+        other_rows = ExactMatrix(other.rows, field=self.field, ncols=self.ncols).rows
+        return ExactMatrix._trusted(self.rows + other_rows, self.field, self.ncols)
 
     def submatrix_rows(self, indices: Sequence[int]) -> "ExactMatrix":
-        return ExactMatrix([self.rows[i] for i in indices],
-                           field=self.field, ncols=self.ncols)
+        return ExactMatrix._trusted(tuple(self.rows[i] for i in indices),
+                                    self.field, self.ncols)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -266,8 +285,8 @@ def rref(matrix: ExactMatrix) -> RrefResult:
     if matrix.nrows == 0 or matrix.ncols == 0:
         return RrefResult(matrix, 0, ())
     rows, pivots, _ = _eliminate(matrix, True)
-    return RrefResult(ExactMatrix(rows, field=matrix.field, ncols=matrix.ncols),
-                      len(pivots), tuple(pivots))
+    reduced = ExactMatrix._trusted(tuple(map(tuple, rows)), matrix.field, matrix.ncols)
+    return RrefResult(reduced, len(pivots), tuple(pivots))
 
 
 def rank(matrix: ExactMatrix) -> int:

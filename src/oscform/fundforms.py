@@ -25,6 +25,7 @@ from .errors import (
     UnsupportedAmbient,
 )
 from .exactla import (
+    ExactMatrix,
     FunctionField,
     RationalField,
     Subspace,
@@ -37,10 +38,17 @@ from .jets import (
     JetMatrix,
     Parameterization,
     _check_jet_order,
-    _immersive_expansions,
+    _warn_unless_immersive,
     jet_matrix,
+    point_expansions,
 )
-from .polyring import Exponents, Polynomial, RationalFunction, degree_block
+from .polyring import (
+    Exponents,
+    Polynomial,
+    RationalFunction,
+    degree_block,
+    multi_indices_upto,
+)
 from .polyring.binform import gen_gcd, rational_zeros
 
 FieldElement = Union[Fraction, RationalFunction]
@@ -289,6 +297,10 @@ def _forms(jm: JetMatrix, orders: Sequence[int],
     those columns, such rows are the canonical basis of |Phi_m|."""
     echelon = rref(jm.matrix.transpose())
     pivots = echelon.pivot_columns
+    if jm.point is not None:
+        first = jm.prefix_end(1)
+        _warn_unless_immersive(jm.point, len(jm.params),
+                               sum(1 for p in pivots if p < first))
     systems = []
     for m in orders:
         start, end = jm.prefix_end(m - 1), jm.prefix_end(m)
@@ -564,7 +576,12 @@ def hyperplane_tangent_cone(f: Parameterization, h: Sequence,
     if point is None:
         jets, zero = f.coords, FunctionField(f.params).zero()
     else:
-        point, jets = _immersive_expansions(f, cap, point)
+        point, jets = point_expansions(f, cap, point)
+        if cap >= 1:
+            first = ExactMatrix([[e.coefficient(I) for e in jets]
+                                 for I in multi_indices_upto(f.source_dim, 1)],
+                                field=RationalField())
+            _warn_unless_immersive(point, f.source_dim, rank(first))
         zero = Polynomial.zero(f.params)
     section = _pair(jets, [RationalField().coerce(e) for e in h], zero)
     # Generically the section is its own order-0 value.

@@ -5,10 +5,14 @@ per divided derivative D_I, |I| <= m, in degree-major order, and one
 column per homogeneous coordinate function.  Its rank at a point is
 s(m) + 1 where s(m) is the projective dimension of the m-th osculating
 space; its right kernel K_m consists of the hyperplanes osculating to
-order m.  At a rational point the jets are Taylor coefficients, read off
-the expansions of the coordinates there with no symbolic derivative.
-Implicit complete intersections enter through a truncated power-series
-chart solved at a smooth rational point.
+order m.  At a rational point the jets are Taylor coefficients, read
+straight off the integer series of the coordinates there
+(`taylor_jets`) into a trusted matrix, with no symbolic derivative and
+no Polynomial in between.  Building a jet matrix ranks nothing: the
+NonImmersivePoint warning is raised by each question from the order-1
+rank its own elimination gives.  Implicit complete intersections enter
+through a truncated power-series chart solved at a smooth rational
+point.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .polyring import (
     multi_indices_upto,
     solve_series_system,
     taylor_expansions,
+    taylor_jets,
     truncated_compose,
 )
 from .report import fmt_point
@@ -190,52 +195,58 @@ class JetMatrix:
         return f"JetMatrix(order {self.order}, {self.matrix.nrows}x{self.matrix.ncols}, at {where})"
 
 
+def _rational_point(f: Parameterization, point: Sequence) -> tuple[Fraction, ...]:
+    point = tuple(Fraction(v) for v in point)
+    if len(point) != f.source_dim:
+        raise DomainError(
+            f"point {fmt_point(point)} has wrong length for {f.source_dim} parameters")
+    return point
+
+
+def _check_projective(point: tuple[Fraction, ...], values: Sequence[Fraction]) -> None:
+    if not any(values):
+        raise DomainError(
+            f"all coordinates vanish at {fmt_point(point)}; not a projective point")
+
+
 def point_expansions(f: Parameterization, order: int, point: Sequence,
                      series_vars: Sequence[str] | None = None
                      ) -> tuple[tuple[Fraction, ...], list[Polynomial]]:
     """The point as rationals, and each coordinate's Taylor expansion there
     through total degree `order`, in offsets named `series_vars` (by
     default the parameters): u^I has coefficient D_I x_j at the point."""
-    point = tuple(Fraction(v) for v in point)
-    if len(point) != f.source_dim:
-        raise DomainError(
-            f"point {fmt_point(point)} has wrong length for {f.source_dim} parameters")
+    point = _rational_point(f, point)
     expansions = taylor_expansions(f.coords, point, order, series_vars or f.params)
-    if not any(e.constant_term() for e in expansions):
-        raise DomainError(
-            f"all coordinates vanish at {fmt_point(point)}; not a projective point")
+    _check_projective(point, [e.constant_term() for e in expansions])
     return point, expansions
 
 
-def _immersive_expansions(f: Parameterization, order: int, point: Sequence
-                          ) -> tuple[tuple[Fraction, ...], list[Polynomial]]:
-    """`point_expansions`, and for order >= 1 a NonImmersivePoint warning
-    when the order-1 jets at the point have rank below r + 1."""
-    point, expansions = point_expansions(f, order, point)
-    if order >= 1:
-        first = multi_indices_upto(f.source_dim, 1)
-        block = ExactMatrix([[e.coefficient(I) for e in expansions] for I in first],
-                            field=RationalField())
-        if rank(block) < f.source_dim + 1:
-            warnings.warn(
-                f"parameterization is not an immersion at {fmt_point(point)}",
-                NonImmersivePoint,
-                stacklevel=3,
-            )
-    return point, expansions
+def _warn_unless_immersive(point: tuple[Fraction, ...], source_dim: int,
+                           first_order_rank: int) -> None:
+    """NonImmersivePoint when the order-1 jets at the point have rank
+    below r + 1.  Each question reads that rank off an elimination it
+    runs anyway where it can, so building a jet matrix ranks nothing."""
+    if first_order_rank < source_dim + 1:
+        warnings.warn(
+            f"parameterization is not an immersion at {fmt_point(point)}",
+            NonImmersivePoint,
+            stacklevel=3,
+        )
 
 
 def jet_matrix(f: Parameterization, m: int, point: Sequence | None = None) -> JetMatrix:
     """Order-m jet matrix: symbolic, or at a point the Taylor coefficients
-    of the coordinates there."""
+    of the coordinates there, read straight off their integer series."""
     _check_jet_order(f, m)
     indices = multi_indices_upto(f.source_dim, m)
     if point is None:
         matrix = ExactMatrix(_derivative_rows(f, indices), field=FunctionField(f.params))
         return JetMatrix(m, tuple(indices), matrix, None, f.params)
-    point, expansions = _immersive_expansions(f, m, point)
-    matrix = ExactMatrix([[e.coefficient(I) for e in expansions] for I in indices],
-                         field=RationalField())
+    point = _rational_point(f, point)
+    rows = taylor_jets(f.coords, point, m, indices)
+    # The first row is D_0: the coordinates' values at the point.
+    _check_projective(point, rows[0])
+    matrix = ExactMatrix._trusted(tuple(rows), RationalField(), len(f.coords))
     return JetMatrix(m, tuple(indices), matrix, point, f.params)
 
 
@@ -281,6 +292,8 @@ def osculating_profile(f: Parameterization, m_max: int,
     else:
         where, mode = tuple(Fraction(v) for v in point), "point"
     ranks = jet_matrix(f, m_max, point).order_ranks()
+    if point is not None:
+        _warn_unless_immersive(where, f.source_dim, ranks[1])
     return OsculatingProfile([r - 1 for r in ranks], where, mode,
                              f.source_dim, f.ambient_dim)
 
@@ -289,7 +302,10 @@ def osculating_space(f: Parameterization, m: int, point: Sequence) -> Subspace:
     """Canonical basis of the m-th osculating space at the point."""
     if point is None:
         raise DomainError("osculating_space requires an evaluation point")
-    return row_space(jet_matrix(f, m, point).matrix)
+    jm = jet_matrix(f, m, point)
+    if m >= 1:
+        _warn_unless_immersive(jm.point, f.source_dim, rank(jm.prefix(1)))
+    return row_space(jm.matrix)
 
 
 def kernel_chain(f: Parameterization, m: int,

@@ -32,6 +32,7 @@ from .series import (
     graph_series,
     solve_series_system,
     taylor_expansions,
+    taylor_jets,
     truncated_compose,
     truncated_inverse,
     truncated_multiply,
@@ -64,6 +65,7 @@ __all__ = [
     "graph_series",
     "solve_series_system",
     "taylor_expansions",
+    "taylor_jets",
     "truncated_compose",
     "truncated_inverse",
     "truncated_multiply",

@@ -63,9 +63,11 @@ def _tokenize(text: str) -> list[_Token]:
             column += 1
             i += 1
             continue
-        if ch.isdigit():
+        # ASCII digits only: str.isdigit also accepts characters such as
+        # '²' and '٣', which int() rejects or reads as other digits.
+        if "0" <= ch <= "9":
             start = i
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and "0" <= text[i] <= "9":
                 i += 1
             tokens.append(_Token("int", text[start:i], line, column))
             column += i - start

@@ -65,6 +65,9 @@ def multi_index_factorial(exps: Exponents) -> int:
     return result
 
 
+_ZERO = Fraction(0)
+
+
 def _coerce_scalar(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -184,10 +187,10 @@ class Polynomial:
         return exps, self.terms[exps]
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return self.terms.get((0,) * self.nvars, _ZERO)
 
     def coefficient(self, exps: Exponents) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return self.terms.get(tuple(exps), _ZERO)
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms in descending graded lexicographic order."""
@@ -214,12 +217,17 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         terms = dict(self.terms)
+        get = terms.get
         for exps, coeff in other.terms.items():
-            new = terms.get(exps, Fraction(0)) + coeff
-            if new:
-                terms[exps] = new
+            old = get(exps)
+            if old is None:
+                terms[exps] = coeff
             else:
-                terms.pop(exps, None)
+                new = old + coeff
+                if new:
+                    terms[exps] = new
+                else:
+                    del terms[exps]
         return Polynomial._trusted(self.variables, terms)
 
     __radd__ = __add__
@@ -249,14 +257,15 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         terms: dict[Exponents, Fraction] = {}
+        get = terms.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                new = terms.get(key, Fraction(0)) + c1 * c2
-                if new:
-                    terms[key] = new
-                else:
-                    terms.pop(key, None)
+                old = get(key)
+                terms[key] = c1 * c2 if old is None else old + c1 * c2
+        # A cancelled key keeps its place until here; printing sorts terms.
+        if _ZERO in terms.values():
+            terms = {e: c for e, c in terms.items() if c}
         return Polynomial._trusted(self.variables, terms)
 
     __rmul__ = __mul__

@@ -20,11 +20,16 @@ Conversion happens only where a public function takes or returns a
 Polynomial: `_from_poly` clears denominators (the lcm of the Fraction
 denominators is already coprime to the numerators), and `_to_poly`
 builds one Fraction per coefficient.  The power cache of
-`truncated_compose` holds the substituted series and their powers in
-integer form, so calls that share a cache convert each argument once.
+`truncated_compose` holds the powers of the substituted series in
+integer form.
 
-taylor_expansions, the one routine that expands rational functions
-around a rational point, gives the jets there as Taylor coefficients.
+One routine, `_expansions`, expands rational functions around a rational
+point: the shift u_k + p_k is built as a series directly, and every
+numerator and denominator is composed with it through one power cache.
+It has two faces.  taylor_expansions returns the expansions as
+Polynomials; taylor_jets reads the Taylor coefficients of given
+multi-indices straight off the integer series, as the rows of a point
+jet matrix, with no Polynomial in between.
 
 graph_series writes a parameterized surface chart as a graph
 x3 = f(x1, x2).  The chart coordinates are the identity to first order,
@@ -58,7 +63,7 @@ from ..errors import (
     SingularPoint,
     ZeroDivisionRequested,
 )
-from .poly import Polynomial
+from .poly import _ZERO, Polynomial
 
 _BITS = 16
 _MASK = (1 << _BITS) - 1
@@ -250,11 +255,9 @@ def truncated_compose(g: Polynomial, args: Sequence[Polynomial], max_degree: int
     Terms are grouped Horner-style by their exponent of each argument in
     turn, so a group costs one series product and the innermost sums are
     linear combinations of powers.  `powers` lets calls that substitute
-    the same `args` share those powers: it maps (i, e) to
+    the same `args` share those powers: it maps (i, e), e >= 2, to
     (k, args[i]^e truncated past degree k), and an entry serves any call
-    with max_degree <= k.  The e = 1 entries hold the arguments
-    themselves, so a shared cache also converts each argument only once.
-    Never pass one cache with different `args`.
+    with max_degree <= k.  Never pass one cache with different `args`.
     """
     if len(args) != g.nvars:
         raise ValueError(f"expected {g.nvars} series, got {len(args)}")
@@ -265,29 +268,30 @@ def truncated_compose(g: Polynomial, args: Sequence[Polynomial], max_degree: int
         if a.variables != target_vars:
             raise ValueError("substituted series use different variables")
     _check_degree(max_degree)
-    return _to_poly(_compose(g, args, max_degree, {} if powers is None else powers),
+    series = [_from_poly(a, max_degree) for a in args]
+    return _to_poly(_compose(g, series, len(target_vars), max_degree,
+                             {} if powers is None else powers),
                     target_vars)
 
 
-def _compose(g: Polynomial, args: Sequence[Polynomial], max_degree: int,
+def _compose(g: Polynomial, args: Sequence[_Series], nvars: int, max_degree: int,
              powers: PowerCache) -> _Series:
-    """truncated_compose in integer form, for arguments already checked."""
-    nvars = args[0].nvars
+    """truncated_compose in integer form.  The arguments may carry terms
+    above max_degree; every product and sum below drops them."""
     last = len(args) - 1
     top_limit = _limit(nvars, max_degree)
 
     def arg_power(i: int, e: int) -> _Series:
-        if e == 0:
-            return _ONE
+        if e < 2:
+            return args[i] if e else _ONE
         cached = powers.get((i, e))
         if cached is None or cached[0] < max_degree:
-            power = (_from_poly(args[i], max_degree) if e == 1 else
-                     _mul(arg_power(i, e - 1), arg_power(i, 1), top_limit))
+            power = _mul(arg_power(i, e - 1), args[i], top_limit)
             cached = powers[(i, e)] = (max_degree, power)
         return cached[1]
 
     shift = _shift(nvars)
-    lowest = [min(arg_power(i, 1).nums, default=0) >> shift for i in range(len(args))]
+    lowest = [min(a.nums, default=0) >> shift for a in args]
 
     def nested(terms: list[tuple[tuple[int, ...], int]], i: int, budget: int) -> _Series:
         """Sum of c * args[i]^e_i * ... * args[last]^e_last over the terms,
@@ -315,6 +319,33 @@ def _compose(g: Polynomial, args: Sequence[Polynomial], max_degree: int,
     return _reduced(result.nums, result.den * g_den)
 
 
+def _expansions(functions: Sequence, point: Sequence[Fraction], order: int) -> list[_Series]:
+    """The integer core of taylor_expansions: one series per function."""
+    _check_degree(order)
+    nvars = len(point)
+    # u_k + p_k with p_k = num/den in lowest terms is {u_k: den, 1: num} / den.
+    shift = []
+    for k, p in enumerate(point):
+        nums = {_pack(tuple(int(j == k) for j in range(nvars))): p.denominator}
+        if p:
+            nums[0] = p.numerator
+        shift.append(_Series(nums, p.denominator))
+    limit = _limit(nvars, order)
+    powers: PowerCache = {}
+    out = []
+    for f in functions:
+        s = _compose(f.numerator, shift, nvars, order, powers)
+        if not f.is_polynomial():
+            den = _compose(f.denominator, shift, nvars, order, powers)
+            if 0 not in den.nums:
+                raise DenominatorVanishes(f"denominator {f.denominator} vanishes at "
+                                          f"({', '.join(str(v) for v in point)})",
+                                          denominator=f.denominator)
+            s = _mul(s, _inverse(den, nvars, order), limit)
+        out.append(s)
+    return out
+
+
 def taylor_expansions(functions: Sequence, point: tuple[Fraction, ...], order: int,
                       series_vars: Sequence[str]) -> list[Polynomial]:
     """Expansions of RationalFunctions in the offsets u = x - point, named
@@ -322,23 +353,24 @@ def taylor_expansions(functions: Sequence, point: tuple[Fraction, ...], order: i
     D_I of the function at the point.  Every numerator and denominator is
     composed with the shift through one power cache; a denominator other
     than 1 is inverted as a series, or raises DenominatorVanishes."""
-    _check_degree(order)
     series_vars = tuple(series_vars)
-    nvars = len(series_vars)
-    shift = [Polynomial.variable(series_vars, v) + p for v, p in zip(series_vars, point)]
-    powers: PowerCache = {}
-    out = []
-    for f in functions:
-        s = _compose(f.numerator, shift, order, powers)
-        if not f.is_polynomial():
-            den = _compose(f.denominator, shift, order, powers)
-            if 0 not in den.nums:
-                raise DenominatorVanishes(f"denominator {f.denominator} vanishes at "
-                                          f"({', '.join(str(v) for v in point)})",
-                                          denominator=f.denominator)
-            s = _mul(s, _inverse(den, nvars, order), _limit(nvars, order))
-        out.append(_to_poly(s, series_vars))
-    return out
+    return [_to_poly(s, series_vars) for s in _expansions(functions, point, order)]
+
+
+def taylor_jets(functions: Sequence, point: tuple[Fraction, ...], order: int,
+                indices: Sequence[tuple[int, ...]]) -> list[tuple[Fraction, ...]]:
+    """The Taylor coefficients D_I f at the point, one tuple per multi-index
+    I in `indices` (each of degree at most `order`) and one entry per
+    function: the rows of a point jet matrix.  The expansions are those of
+    taylor_expansions, read straight off the integer series; a missing
+    term is one shared Fraction(0)."""
+    series = _expansions(functions, point, order)
+    rows = []
+    for I in indices:
+        key = _pack(I)
+        rows.append(tuple(Fraction(s.nums[key], s.den) if key in s.nums else _ZERO
+                          for s in series))
+    return rows
 
 
 def graph_series(coords: Sequence[Polynomial], mixing: Sequence[Sequence[Fraction]],

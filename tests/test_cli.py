@@ -176,16 +176,25 @@ def test_ruling_check_at_a_point_eliminates_only_over_the_rationals(
     assert "dim: 1\nbound: 1\nwithin_bound: true" in out
 
 
-@pytest.mark.parametrize("command", ["fundform", "jacobian-check"])
-def test_non_immersive_point_warns_once_in_report_notation(capsys, tmp_path, command):
-    # d/dx vanishes at the origin: x enters only through x^2, x^3 and x*y.
-    path = tmp_path / "fold.var"
-    path.write_text("kind: parameterization\nparams: x y\n"
-                    "coords: 1, x^2, y, x^3, x*y, y^2\n")
-    code, out, err = run(capsys, [command, "--order", "3", "--at=0,0", str(path)])
+FOLD = "kind: parameterization\nparams: x y\ncoords: 1, x^2, x^3, y, y^2, x^2*y\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["osc", "--order", "2", "--max"],
+    ["osc", "--order", "2"],
+    ["fundform", "--order", "2"],
+    ["jacobian-check", "--order", "3"],
+    ["base-locus", "--order", "2"],
+    ["tangent-cone", "--hyperplane=0,1,0,0,0,0"],
+], ids=["osc --max", "osc", "fundform", "jacobian-check", "base-locus", "tangent-cone"])
+def test_non_immersive_point_warns_once_in_report_notation(capsys, monkeypatch, argv):
+    # d/dx vanishes along x = 0: x enters only through x^2, x^3 and x^2*y.
+    # Each question reads the order-1 rank off an elimination it runs
+    # (osc --order m and tangent-cone rank the order-1 jets once more).
+    code, out, err = run_stdin(capsys, monkeypatch, argv + ["--at=0,1"], FOLD)
     assert code == 0, err
     warnings = [line for line in out.splitlines() if line.startswith("warning:")]
-    assert warnings == ["warning: parameterization is not an immersion at (0, 0)"]
+    assert warnings == ["warning: parameterization is not an immersion at (0, 1)"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -281,6 +290,39 @@ def test_ruled_test_rejects_input_no_sample_point_can_serve(capsys, monkeypatch,
         # monge rejects the same input with the same message.
         code, out, err = run_stdin(capsys, monkeypatch, ["monge"] + argv, text)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+QUADRIC = "kind: implicit\nvars: X0 X1 X2 X3\nequations: X0*X3 - X1*X2\npoint: 1, 0, 0, 0\n"
+
+
+@pytest.mark.parametrize("samples", ["0", "3"])
+def test_ruled_test_refuses_samples_on_implicit_input(capsys, monkeypatch, samples):
+    code, out, err = run_stdin(capsys, monkeypatch, ["ruled-test", "--samples", samples],
+                               QUADRIC)
+    assert (code, out) == (1, "")
+    assert err == (f"error: --samples {samples}: implicit input is examined at its "
+                   "recorded point (or at the --at points), not at random samples\n")
+
+
+def test_ruled_test_examines_implicit_input_at_its_recorded_point(capsys, monkeypatch):
+    reports = [run_stdin(capsys, monkeypatch, ["ruled-test"] + argv, QUADRIC)
+               for argv in ([], ["--samples", "1"])]
+    assert reports[0] == reports[1]
+    code, out, err = reports[0]
+    assert code == 0, err
+    assert "sampled_points: [(1, 0, 0, 0)]" in out
+    assert "verdict: ruled-evidence" in out
+
+
+@pytest.mark.parametrize("entry, char, column", [("x^\u00b2", "\u00b2", 3),
+                                                  ("\u0663", "\u0663", 1)])
+def test_non_ascii_digit_is_a_parse_error(capsys, monkeypatch, entry, char, column):
+    text = f"kind: parameterization\nparams: x y\ncoords: 1, x, y, {entry}\n"
+    code, out, err = run_stdin(capsys, monkeypatch,
+                               ["osc", "--order", "2", "--max", "--at=1,2"], text)
+    assert (code, out) == (2, "")
+    assert err == (f"error: line 3: coords entry 4: line 1, column {column}: "
+                   f"unexpected character {char!r}\n")
 
 
 def test_reports_are_deterministic(capsys, examples):

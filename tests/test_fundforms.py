@@ -281,17 +281,19 @@ def test_point_fundamental_form_runs_one_elimination_per_question(monkeypatch):
     calls = count_eliminations(monkeypatch)
     system = fundamental_form(togliatti(), 2, point=(1, 1))
     assert system.generator_count == 2
-    # The immersion check, the RREF of the transposed M_2 (the canonical
-    # generators), and rank(M_2) for the dimension law.
-    assert len(calls) <= 3
+    # The RREF of the transposed M_2 (the canonical generators, and the
+    # order-1 rank for the immersion warning), and rank(M_2) for the
+    # dimension law.
+    assert len(calls) <= 2
 
 
 def test_point_profile_runs_one_elimination_for_all_orders(monkeypatch):
     calls = count_eliminations(monkeypatch)
     profile = osculating_profile(togliatti(), 3, point=(1, 1))
     assert profile.dims == (0, 2, 4, 5)
-    # The immersion check and one RREF of the transposed M_3.
-    assert len(calls) <= 2
+    # One RREF of the transposed M_3, which also gives the order-1 rank
+    # for the immersion warning.
+    assert len(calls) <= 1
 
 
 def test_generic_fundamental_form_runs_one_elimination_per_question(monkeypatch):
@@ -331,10 +333,11 @@ def test_point_jacobian_check_reads_both_forms_off_one_jet_matrix(monkeypatch):
     report = check_jacobian_containment(togliatti(), 3, (1, 1))
     assert report.contained and report.equal
     assert len(builds) == 1
-    # The immersion check; the RREF of the transposed M_3, which holds
-    # both forms; rank(M_3) and rank(M_2) for the two dimension laws; the
-    # Jacobian's canonical span; the containment rank.
-    assert len(eliminations) <= 6
+    # The RREF of the transposed M_3, which holds both forms and the
+    # order-1 rank for the immersion warning; rank(M_3) and rank(M_2) for
+    # the two dimension laws; the Jacobian's canonical span; the
+    # containment rank.
+    assert len(eliminations) <= 5
 
 
 def test_generic_jacobian_check_differentiates_once(monkeypatch):

@@ -154,12 +154,19 @@ def test_jet_matrix_point_validation():
 
 
 def test_non_immersive_point_warns():
+    # The questions warn, each from an elimination it runs; building the
+    # jet matrix ranks nothing and so does not.
     cusp = Parameterization(("t",), [parse_polynomial(s, ("t",))
                                      for s in ("1", "t^2", "t^3")])
-    with pytest.warns(NonImmersivePoint):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NonImmersivePoint)
         jet_matrix(cusp, 1, point=(0,))
+        osculating_space(cusp, 0, point=(0,))
+        osculating_space(cusp, 1, point=(1,))
     with pytest.warns(NonImmersivePoint):
         osculating_profile(cusp, 2, point=(0,))
+    with pytest.warns(NonImmersivePoint):
+        osculating_space(cusp, 1, point=(0,))
 
 
 def test_kernel_chain_nesting():
@@ -220,6 +227,31 @@ def test_point_jet_matrix_is_the_symbolic_one_evaluated():
         assert at_point.matrix.rows == tuple(
             tuple(entry.evaluate(point) for entry in row) for row in generic.matrix.rows)
         checked += 1
+
+
+def test_point_jet_matrix_reads_the_series_without_conversions(monkeypatch):
+    # The entries come straight off the integer series into a trusted
+    # matrix: no Polynomial is read back and no entry is coerced again.
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(Polynomial, "coefficient",
+                        counting("coefficient", Polynomial.coefficient))
+    monkeypatch.setattr(RationalField, "coerce", counting("coerce", RationalField.coerce))
+    ts = ("t", "s")
+    f = Parameterization(ts, [parse_rational(e, ts)
+                              for e in ("1", "t", "s/(s + 2)", "t*s^2/(t - 1)", "t^3")])
+    jm = jet_matrix(f, 3, (2, 0))
+    assert calls == []
+    assert jm.matrix.nrows == 10 and jm.matrix.ncols == 5
+    assert all(type(row) is tuple and len(row) == 5 for row in jm.matrix.rows)
+    assert all(type(e) is Fraction for row in jm.matrix.rows for e in row)
+    assert jm.matrix.rows[1] == (0, 1, 0, 0, 12)
 
 
 def test_point_jet_matrix_on_a_pole_names_the_denominator():

@@ -124,6 +124,31 @@ def test_parse_rejects_negative_exponent_with_position():
     assert info.value.column == 3
 
 
+@pytest.mark.parametrize("text, char, column", [
+    ("x^\u00b2", "\u00b2", 3),       # superscript two: isdigit, but no int() digit
+    ("\u0663", "\u0663", 1),         # Arabic-Indic three: int() would read 3
+    ("2*x + y^1\u0663", "\u0663", 10),
+])
+def test_parse_accepts_ascii_digits_only(text, char, column):
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text, VARS)
+    assert str(info.value) == f"line 1, column {column}: unexpected character {char!r}"
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("x^-1", 1, 3),
+    ("x + $", 1, 5),
+    ("x +\n  y*)", 2, 5),
+    ("(x + 1", 1, 7),
+    ("x + w", 1, 5),
+    ("12 34", 1, 4),
+])
+def test_parse_error_positions(text, line, column):
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text, VARS)
+    assert (info.value.line, info.value.column) == (line, column)
+
+
 def test_parse_rejects_unknown_variable_and_trailing_input():
     with pytest.raises(ParseError):
         parse_polynomial("x + z", VARS)

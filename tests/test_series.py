@@ -2,12 +2,13 @@
 the shared power cache of truncated_compose, series reversion, the
 degree-by-degree graph solve of parameterized Monge charts, the integer
 core (numerators over one normalized denominator, packed monomial keys),
-and the trusted Polynomial constructor behind arithmetic results.
+the Taylor expansions at a point and the jet rows read off them, and the
+trusted Polynomial constructor behind arithmetic results.
 
 Oracles: untruncated composition (`evaluate_in`) and `Fraction`
 products followed by `truncate`, calls with and without a power cache,
-reversion by the Newton solver followed by composition, and the
-validating constructor.
+reversion by the Newton solver followed by composition, the validating
+constructor, and the coefficients of the Polynomial expansions.
 """
 
 from collections import Counter
@@ -16,13 +17,20 @@ from fractions import Fraction
 import pytest
 
 from oscform import ruled
-from oscform.errors import InvariantViolation, SingularPoint
+from oscform.errors import DenominatorVanishes, InvariantViolation, SingularPoint
 from oscform.jets import ImplicitVariety, Parameterization
-from oscform.polyring import Polynomial, multi_indices_upto, parse_polynomial
+from oscform.polyring import (
+    Polynomial,
+    RationalFunction,
+    multi_indices_upto,
+    parse_polynomial,
+)
 from oscform.polyring import series
 from oscform.polyring.series import (
     graph_series,
     solve_series_system,
+    taylor_expansions,
+    taylor_jets,
     truncated_compose,
     truncated_inverse,
     truncated_multiply,
@@ -329,3 +337,95 @@ def test_truncation_drops_the_lowest_monomial_past_the_degree():
     # Past the widest exponent a key slot holds, truncation degrees are refused.
     with pytest.raises(ValueError):
         truncated_multiply(P("x"), P("y"), series._MAX_DEGREE + 1)
+
+
+# -- Taylor expansions and jet rows at a point -------------------------------
+
+
+def _expected_expansion(f, point, order):
+    """f's expansion in u = x - point through `order`, by Fraction
+    arithmetic: untruncated composition with the shift, then one
+    truncated series inverse for a denominator other than 1."""
+    variables = f.numerator.variables
+    shift = [Polynomial.variable(variables, v) + p for v, p in zip(variables, point)]
+
+    def shifted(p):
+        value = p.evaluate_in(shift)
+        return value if isinstance(value, Polynomial) else Polynomial.constant(variables, value)
+
+    numerator = shifted(f.numerator).truncate(order)
+    if f.is_polynomial():
+        return numerator
+    denominator = shifted(f.denominator)
+    if not denominator.constant_term():
+        raise DenominatorVanishes("denominator vanishes")
+    return truncated_multiply(numerator, truncated_inverse(denominator, order), order)
+
+
+def test_jet_rows_are_the_coefficients_of_the_expansions():
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    @st.composite
+    def cases(draw):
+        variables = ("x", "y", "z")[:draw(st.integers(1, 3))]
+        n = len(variables)
+        # Zero coordinates are frequent: their shift has no constant term.
+        point = tuple(draw(st.sampled_from([Fraction(0), Fraction(0), Fraction(1),
+                                            Fraction(-2, 3), Fraction(5, 2)]))
+                      for _ in variables)
+        coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+        exps = st.sampled_from(multi_indices_upto(n, 3))
+
+        def poly():
+            return Polynomial(variables, draw(st.dictionaries(exps, coeffs, max_size=4)))
+
+        functions = []
+        for _ in range(draw(st.integers(1, 3))):
+            numerator = poly()
+            kind = draw(st.sampled_from(["polynomial", "rational", "pole"]))
+            denominator = poly() + 1
+            if kind == "pole":
+                # Vanishes at the point unless it is then zero.
+                denominator = denominator - denominator.evaluate(point)
+            if kind == "polynomial" or denominator.is_zero:
+                functions.append(RationalFunction(numerator))
+            else:
+                functions.append(RationalFunction(numerator, denominator))
+        return variables, point, functions, draw(st.integers(0, 6))
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
+    @hypothesis.given(cases())
+    def check(case):
+        variables, point, functions, order = case
+        indices = multi_indices_upto(len(variables), order)
+        try:
+            expected = [_expected_expansion(f, point, order) for f in functions]
+        except DenominatorVanishes:
+            with pytest.raises(DenominatorVanishes):
+                taylor_expansions(functions, point, order, variables)
+            with pytest.raises(DenominatorVanishes):
+                taylor_jets(functions, point, order, indices)
+            return
+        expansions = taylor_expansions(functions, point, order, variables)
+        assert expansions == expected
+        rows = taylor_jets(functions, point, order, indices)
+        assert rows == [tuple(e.coefficient(I) for e in expansions) for I in indices]
+        assert all(type(c) is Fraction for row in rows for c in row)
+        # The reader serves any subset of the indices, in any order.
+        assert taylor_jets(functions, point, order, indices[::-2]) == rows[::-2]
+
+    check()
+
+
+def test_order_0_expansion_at_zero_coordinates_is_the_value():
+    # At order 0 the shift u_k + 0 has no term the truncation keeps: the
+    # expansion is the value, and a pole there still raises.
+    x = Polynomial.variable(XY, "x")
+    f = RationalFunction(P("x^2*y + 3*y - 2"), P("x + y + 1"))
+    for point in ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(2, 3))):
+        value = f.evaluate(point)
+        assert taylor_expansions([f], point, 0, XY) == [Polynomial.constant(XY, value)]
+        assert taylor_jets([f], point, 0, [(0, 0)]) == [(value,)]
+    with pytest.raises(DenominatorVanishes):
+        taylor_jets([RationalFunction(P("1"), x)], (Fraction(0), Fraction(1)), 0, [(0, 0)])
