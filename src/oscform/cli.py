@@ -78,15 +78,19 @@ def _load(args) -> tuple[object, Report]:
     return vf, report
 
 
+def _at_point(text: str, count: int, what: str) -> tuple[Fraction, ...]:
+    """One --at value, which must have `count` entries (`what` names them)."""
+    point = _parse_rational_tuple(text, "--at")
+    if len(point) != count:
+        raise DomainError(f"--at has {len(point)} entries for {count} {what}")
+    return point
+
+
 def _parameter_point(args, f: Parameterization):
     """The evaluation point: --at, else the point recorded in the file."""
     at = getattr(args, "at", None)
     if at is not None:
-        point = _parse_rational_tuple(at, "--at")
-        if len(point) != f.source_dim:
-            raise DomainError(
-                f"--at has {len(point)} entries for {f.source_dim} parameters")
-        return point
+        return _at_point(at, f.source_dim, "parameters")
     return None
 
 
@@ -308,17 +312,17 @@ def _cmd_ruled_test(args) -> Report:
     obj = build_variety(vf)
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     rng = random.Random(seed)
-    explicit = [_parse_rational_tuple(a, "--at") for a in (args.at or [])]
     if isinstance(obj, ImplicitVariety):
         if args.samples not in (None, 1):
             raise DomainError(
                 f"--samples {args.samples}: implicit input is examined at its "
                 "recorded point (or at the --at points), not at random samples")
-        samples = explicit or [obj.point]
+        samples = [_at_point(a, len(obj.variables), "coordinates")
+                   for a in (args.at or [])] or [obj.point]
     else:
         if hasattr(obj, "degrees"):
             obj = scroll(obj).underlying
-        samples = list(explicit)
+        samples = [_at_point(a, obj.source_dim, "parameters") for a in (args.at or [])]
         while len(samples) < (5 if args.samples is None else args.samples):
             samples.append(tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 6))
                                  for _ in obj.params))

@@ -3,12 +3,14 @@
 Matrices carry a field tag: either the rationals (Fraction entries) or
 the field of rational functions in a fixed variable tuple.  Both fields
 keep every entry in lowest terms (Fraction by itself, RationalFunction
-by its multivariate gcd), so elimination works on the entries directly:
-one Gauss-Jordan loop (`_eliminate`) divides each pivot row by its pivot
-and clears the pivot column below it, and for a reduced form above it
-too.  At each column the pivot is the smallest nonzero candidate (bit
-length of numerator plus denominator over Q, term count of numerator
-plus denominator over Q(u)), which keeps intermediate entries small.
+by its multivariate gcd, on primitive integer parts), so elimination
+works on the entries directly: one Gauss-Jordan loop (`_eliminate`)
+divides each pivot row by its pivot and clears the pivot column below
+it, and for a reduced form above it too.  At each column the pivot is
+the smallest nonzero candidate (bit length of numerator plus
+denominator over Q, term count of the integer numerator plus
+denominator over Q(u), read off the parts as stored), which keeps
+intermediate entries small.
 The reduced row echelon form is unique for the row space, so results do
 not depend on the pivot order and are canonical.
 
@@ -33,6 +35,12 @@ it only where the canonical kernel itself is the answer.
 Subspaces are stored by their reduced-row-echelon basis; since that
 basis is unique for a given row space, value equality of subspaces is
 entrywise equality of bases.
+
+Row tuples are built from lists, at their final length.  A tuple built
+from an iterator of unknown length is allocated at a default length and
+resized, so its memory comes from one tuple free list and returns to
+another; with the few full garbage collections of a long run (which
+empty those lists) that mismatch holds on to memory.
 
 The public `ExactMatrix` constructor coerces every entry into the field
 and checks the shape.  Matrices whose entries are already field
@@ -146,7 +154,7 @@ class ExactMatrix:
             ncols = width
         elif ncols is None:
             ncols = 0
-        coerced = tuple(tuple(field.coerce(e) for e in r) for r in rows)
+        coerced = tuple([tuple([field.coerce(e) for e in r]) for r in rows])
         object.__setattr__(self, "rows", coerced)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nrows", len(coerced))
@@ -180,7 +188,7 @@ class ExactMatrix:
         return tuple(r[j] for r in self.rows)
 
     def transpose(self) -> "ExactMatrix":
-        rows = tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
+        rows = tuple(list(zip(*self.rows))) if self.rows else ((),) * self.ncols
         return ExactMatrix._trusted(rows, self.field, self.nrows)
 
     def stack(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -190,7 +198,7 @@ class ExactMatrix:
         return ExactMatrix._trusted(self.rows + other_rows, self.field, self.ncols)
 
     def submatrix_rows(self, indices: Sequence[int]) -> "ExactMatrix":
-        return ExactMatrix._trusted(tuple(self.rows[i] for i in indices),
+        return ExactMatrix._trusted(tuple([self.rows[i] for i in indices]),
                                     self.field, self.ncols)
 
     def __eq__(self, other) -> bool:
@@ -213,10 +221,11 @@ class ExactMatrix:
 
 def _entry_size(entry: Entry) -> int:
     """Pivot cost: the bit lengths of a fraction's numerator and
-    denominator, or the term counts of a rational function's, added."""
+    denominator, or the term counts of a rational function's integer
+    numerator and denominator, added."""
     if isinstance(entry, Fraction):
         return entry.numerator.bit_length() + entry.denominator.bit_length()
-    return len(entry.numerator.terms) + len(entry.denominator.terms)
+    return len(entry.num) + len(entry.den)
 
 
 def _eliminate(matrix: ExactMatrix, reduce: bool) -> tuple[list[list], list[int], Entry]:
@@ -285,7 +294,7 @@ def rref(matrix: ExactMatrix) -> RrefResult:
     if matrix.nrows == 0 or matrix.ncols == 0:
         return RrefResult(matrix, 0, ())
     rows, pivots, _ = _eliminate(matrix, True)
-    reduced = ExactMatrix._trusted(tuple(map(tuple, rows)), matrix.field, matrix.ncols)
+    reduced = ExactMatrix._trusted(tuple([tuple(r) for r in rows]), matrix.field, matrix.ncols)
     return RrefResult(reduced, len(pivots), tuple(pivots))
 
 

@@ -187,7 +187,7 @@ class TangentForm:
             mono = self._format_monomial(exps)
             text = str(value)
             simple = text.lstrip("-").replace("/", "").isdigit() or (
-                isinstance(value, RationalFunction) and len(value.numerator.terms) <= 1
+                isinstance(value, RationalFunction) and len(value.num) <= 1
                 and value.is_polynomial())
             if not simple:
                 text = f"({text})"
@@ -304,8 +304,8 @@ def _forms(jm: JetMatrix, orders: Sequence[int],
     systems = []
     for m in orders:
         start, end = jm.prefix_end(m - 1), jm.prefix_end(m)
-        rows = tuple(row[start:end] for row, p in zip(echelon.matrix.rows, pivots)
-                     if start <= p < end)
+        rows = tuple([row[start:end] for row, p in zip(echelon.matrix.rows, pivots)
+                      if start <= p < end])
         # The dimension law, against an independent elimination of M_m.
         expected = rank(jm.prefix(m)) - sum(1 for p in pivots if p < start)
         if len(rows) != expected:

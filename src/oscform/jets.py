@@ -133,13 +133,12 @@ def _check_jet_order(f: Parameterization, m: int) -> None:
         )
 
 
-def _derivative_rows(f: Parameterization, indices: list[Exponents]):
+def _derivative_rows(f: Parameterization, indices: Sequence[Exponents]):
     """D_I of every coordinate, one list per multi-index (generic rows)."""
     rows = []
     if f.is_polynomial():
-        polys = [c.numerator for c in f.coords]
         for I in indices:
-            rows.append([p.hasse_derivative(I) for p in polys])
+            rows.append([c.hasse_derivative(I) for c in f.coords])
         return rows
     # Iterated first partials cached along the degree-major enumeration,
     # then divided by I! to get the Hasse operator.
@@ -240,14 +239,15 @@ def jet_matrix(f: Parameterization, m: int, point: Sequence | None = None) -> Je
     _check_jet_order(f, m)
     indices = multi_indices_upto(f.source_dim, m)
     if point is None:
-        matrix = ExactMatrix(_derivative_rows(f, indices), field=FunctionField(f.params))
-        return JetMatrix(m, tuple(indices), matrix, None, f.params)
+        matrix = ExactMatrix._trusted(tuple([tuple(r) for r in _derivative_rows(f, indices)]),
+                                      FunctionField(f.params), len(f.coords))
+        return JetMatrix(m, indices, matrix, None, f.params)
     point = _rational_point(f, point)
     rows = taylor_jets(f.coords, point, m, indices)
     # The first row is D_0: the coordinates' values at the point.
     _check_projective(point, rows[0])
     matrix = ExactMatrix._trusted(tuple(rows), RationalField(), len(f.coords))
-    return JetMatrix(m, tuple(indices), matrix, point, f.params)
+    return JetMatrix(m, indices, matrix, point, f.params)
 
 
 class OsculatingProfile:

@@ -13,28 +13,22 @@ operator this is just ordinary parsing.  Exponents must be nonnegative
 integer literals.  Identifiers must belong to the declared variable
 tuple.  Implicit multiplication is not supported: write 2*x, not 2x.
 
-Values stay Polynomials while the expression is polynomial: atoms are
-built directly, and sums, products, powers and divisions by nonzero
-constants are polynomial arithmetic.  A value becomes a
-RationalFunction only when it is divided by a non-constant, and a
-quotient whose denominator cancels is a Polynomial again.  parse_rational
-wraps a polynomial result in its canonical RationalFunction once, at
-the end; since the canonical form (coprime parts, monic grlex-leading
-denominator) is unique, the result is the same as evaluating every node
-in RationalFunction arithmetic.  parse_polynomial rejects a result with
-a nontrivial denominator.
+Every value is a RationalFunction, so the arithmetic of a polynomial
+expression runs on its integer numerator and one rational scale (see
+ratfunc.py), and a quotient is reduced by the gcd as it is built.
+parse_rational returns the value as it is; parse_polynomial rejects a
+value with a nontrivial denominator and builds its one Polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from ..errors import ParseError
+from . import intpoly as ip
 from .poly import Polynomial
 from .ratfunc import RationalFunction
-
-Value = Union[Polynomial, RationalFunction]
 
 
 class _Token:
@@ -96,7 +90,6 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.variables = variables
-        self.origin = (0,) * len(variables)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -115,7 +108,7 @@ class _Parser:
             )
         return self.advance()
 
-    def parse_expr(self) -> Value:
+    def parse_expr(self) -> RationalFunction:
         value = self.parse_term()
         while self.peek().kind in ("+", "-"):
             op = self.advance()
@@ -123,7 +116,7 @@ class _Parser:
             value = value + right if op.kind == "+" else value - right
         return value
 
-    def parse_term(self) -> Value:
+    def parse_term(self) -> RationalFunction:
         value = self.parse_unary()
         while self.peek().kind in ("*", "/"):
             op = self.advance()
@@ -133,10 +126,10 @@ class _Parser:
             else:
                 if right.is_zero:
                     raise ParseError("division by zero", op.line, op.column)
-                value = _divide(value, right)
+                value = value / right
         return value
 
-    def parse_unary(self) -> Value:
+    def parse_unary(self) -> RationalFunction:
         sign = 1
         while self.peek().kind in ("+", "-"):
             if self.advance().kind == "-":
@@ -144,7 +137,7 @@ class _Parser:
         value = self.parse_power()
         return value if sign > 0 else -value
 
-    def parse_power(self) -> Value:
+    def parse_power(self) -> RationalFunction:
         base = self.parse_atom()
         if self.peek().kind == "^":
             caret = self.advance()
@@ -156,13 +149,13 @@ class _Parser:
             return base ** int(exponent_token.text)
         return base
 
-    def parse_atom(self) -> Value:
+    def parse_atom(self) -> RationalFunction:
         token = self.peek()
         if token.kind == "int":
             self.advance()
             value = int(token.text)
-            terms = {self.origin: Fraction(value)} if value else {}
-            return Polynomial._trusted(self.variables, terms)
+            return RationalFunction._trusted(self.variables, Fraction(value),
+                                             ip.ONE if value else {}, ip.ONE)
         if token.kind == "ident":
             self.advance()
             if token.text not in self.variables:
@@ -170,9 +163,8 @@ class _Parser:
                     f"unknown variable {token.text!r}; declared: {', '.join(self.variables)}",
                     token.line, token.column,
                 )
-            index = self.variables.index(token.text)
-            exps = self.origin[:index] + (1,) + self.origin[index + 1:]
-            return Polynomial._trusted(self.variables, {exps: Fraction(1)})
+            key = ip.unit(self.variables.index(token.text), len(self.variables))
+            return RationalFunction._trusted(self.variables, Fraction(1), {key: 1}, ip.ONE)
         if token.kind == "(":
             self.advance()
             value = self.parse_expr()
@@ -184,23 +176,7 @@ class _Parser:
         )
 
 
-def _divide(left: Value, right: Value) -> Value:
-    """left / right for a nonzero right, a Polynomial where possible."""
-    if isinstance(right, Polynomial) and right.total_degree() == 0:
-        c = right.constant_term()
-        if isinstance(left, Polynomial):
-            return Polynomial._trusted(
-                left.variables, {e: v / c for e, v in left.terms.items()})
-        return left / c
-    quotient = _as_rational(left) / _as_rational(right)
-    return quotient.numerator if quotient.is_polynomial() else quotient
-
-
-def _as_rational(value: Value) -> RationalFunction:
-    return RationalFunction(value) if isinstance(value, Polynomial) else value
-
-
-def _parse(text: str, variables: Sequence[str]) -> Value:
+def _parse(text: str, variables: Sequence[str]) -> RationalFunction:
     parser = _Parser(_tokenize(text), tuple(variables))
     value = parser.parse_expr()
     end = parser.peek()
@@ -211,14 +187,12 @@ def _parse(text: str, variables: Sequence[str]) -> Value:
 
 def parse_rational(text: str, variables: Sequence[str]) -> RationalFunction:
     """Parse an expression into a rational function over the variables."""
-    return _as_rational(_parse(text, variables))
+    return _parse(text, variables)
 
 
 def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
     """Parse an expression that must simplify to a polynomial."""
     value = _parse(text, variables)
-    if isinstance(value, Polynomial):
-        return value
     if not value.is_polynomial():
         raise ParseError(f"expression {text!r} is not a polynomial")
     return value.numerator

@@ -1,9 +1,10 @@
 """Greatest common divisors of multivariate polynomials over Q.
 
-`poly_gcd(a, b)` returns the gcd together with both cofactors.  The
-inputs are first scaled to primitive integer polynomials; their gcd over
-Z is the gcd over Q up to a rational constant.  Inside this module an
-integer polynomial is a dict from exponent tuples to nonzero ints.
+The gcd works on primitive integer polynomials on packed monomial keys
+(intpoly.py), the form in which rational functions keep their numerators
+and denominators, so `cofactors` takes its inputs as they are.  Over Z
+their gcd is the gcd over Q up to a rational constant.  `poly_gcd` is
+the same gcd for Polynomials, converted at its boundary.
 
 The main method is the heuristic gcd GCDHEU (Char, Geddes & Gonnet
 1989).  It evaluates one variable at an integer xi, takes the gcd of the
@@ -34,9 +35,21 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from ..errors import InvariantViolation
-from .poly import Polynomial, grlex_key
-
-IntPoly = dict[tuple[int, ...], int]
+from .intpoly import (
+    ONE,
+    IntPoly,
+    combine,
+    divides,
+    exponent,
+    from_poly,
+    mul,
+    pack,
+    to_poly,
+    top,
+    unit,
+    unpack,
+)
+from .poly import Polynomial
 
 # Evaluation points tried before the primitive PRS takes over.
 HEURISTIC_ATTEMPTS = 6
@@ -54,31 +67,43 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Poly
         zero = Polynomial.zero(variables)
         if a.is_zero and b.is_zero:
             return zero, zero, zero
-        content, g = _integer_primitive(b if a.is_zero else a)
-        g, unit = _positive(g)
-        cofactor = Polynomial.constant(variables, content * unit)
-        g = Polynomial(variables, g)
+        scale, g = from_poly(b if a.is_zero else a)
+        cofactor = Polynomial.constant(variables, scale)
+        g = to_poly(g, variables, Fraction(1))
         return (g, zero, cofactor) if a.is_zero else (g, cofactor, zero)
-    ca, pa = _integer_primitive(a)
-    cb, pb = _integer_primitive(b)
-    g, qa, qb = _cofactors(pa, pb)
-    g, unit = _positive(g)
-    return (Polynomial(variables, g),
-            _scaled(variables, qa, ca * unit),
-            _scaled(variables, qb, cb * unit))
+    sa, pa = from_poly(a)
+    sb, pb = from_poly(b)
+    g, qa, qb = cofactors(pa, pb, len(variables))
+    return to_poly(g, variables, Fraction(1)), to_poly(qa, variables, sa), to_poly(qb, variables, sb)
+
+
+def cofactors(a: IntPoly, b: IntPoly, n: int) -> tuple[IntPoly, IntPoly, IntPoly]:
+    """(g, a / g, b / g) for primitive a and b in n variables, with g
+    their gcd; all three are primitive."""
+    if a == b:
+        return a, ONE, ONE
+    if len(a) == 1 or len(b) == 1:
+        return _monomial_cofactors(a, b, n)
+    g, qa, qb = _cofactors(a, b, n)
+    if g[max(g)] < 0:
+        return ({k: -c for k, c in g.items()}, {k: -c for k, c in qa.items()},
+                {k: -c for k, c in qb.items()})
+    return g, qa, qb
+
+
+def _monomial_cofactors(a: IntPoly, b: IntPoly, n: int) -> tuple[IntPoly, IntPoly, IntPoly]:
+    """cofactors when a or b is a monomial: the gcd is the monomial of the
+    least exponents, since the other input has no integer content."""
+    least = unpack(max(a), n)
+    for k in (*a, *b):
+        least = [min(x, y) for x, y in zip(least, unpack(k, n))]
+    m = pack(least)
+    if not m:
+        return ONE, a, b
+    return {m: 1}, {k - m: c for k, c in a.items()}, {k - m: c for k, c in b.items()}
 
 
 # -- integer polynomials ----------------------------------------------
-
-
-def _integer_primitive(p: Polynomial) -> tuple[Fraction, IntPoly]:
-    """(c, q) with p = c * q, q integer with coefficient gcd 1, c > 0."""
-    lcm = 1
-    for c in p.terms.values():
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = {e: c.numerator * (lcm // c.denominator) for e, c in p.terms.items()}
-    content = _coefficient_gcd(ints)
-    return Fraction(content, lcm), {e: c // content for e, c in ints.items()}
 
 
 def _coefficient_gcd(*polys: IntPoly) -> int:
@@ -91,67 +116,42 @@ def _coefficient_gcd(*polys: IntPoly) -> int:
     return common
 
 
-def _positive(p: IntPoly) -> tuple[IntPoly, int]:
-    """p or -p, whichever has a positive grlex leading coefficient, and
-    the sign used."""
-    if p[max(p, key=grlex_key)] > 0:
-        return p, 1
-    return {e: -c for e, c in p.items()}, -1
+def _used(a: IntPoly, b: IntPoly, n: int) -> list[int]:
+    """The variables that occur in a or b, by index."""
+    found = [0] * n
+    for k in (*a, *b):
+        found = [f or e for f, e in zip(found, unpack(k, n))]
+    return [i for i in range(n) if found[i]]
 
 
-def _scaled(variables, p: IntPoly, factor: Fraction) -> Polynomial:
-    return Polynomial(variables, {e: c * factor for e, c in p.items()})
+def _degree(p: IntPoly, v: int, n: int) -> int:
+    return max(exponent(k, v, n) for k in p)
 
 
-def _mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    out: IntPoly = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            new = out.get(key, 0) + ca * cb
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-    return out
-
-
-def _sub(a: IntPoly, b: IntPoly) -> IntPoly:
-    out = dict(a)
-    for e, c in b.items():
-        new = out.get(e, 0) - c
-        if new:
-            out[e] = new
-        else:
-            del out[e]
-    return out
-
-
-def _divide(a: IntPoly, b: IntPoly) -> IntPoly | None:
+def _divide(a: IntPoly, b: IntPoly, n: int) -> IntPoly | None:
     """The quotient a / b when it exists with integer coefficients, else
-    None.  Lex-order division; the remainder's exponents wait in a heap."""
+    None.  Graded lex division; the remainder's keys wait in a heap."""
     lead = max(b)
-    if any(x > y for x, y in zip(lead, max(a))) or any(
-            max(e[i] for e in b) > max(e[i] for e in a) for i in range(len(lead))):
+    if not divides(lead, max(a), n):
         return None
     lc = b[lead]
-    rest = [(e, c) for e, c in b.items() if e != lead]
+    rest = [(k, c) for k, c in b.items() if k != lead]
     remainder = dict(a)
-    heap = [tuple(-x for x in e) for e in remainder]
+    heap = [-k for k in remainder]
     heapq.heapify(heap)
     quotient: IntPoly = {}
     while heap:
-        e = tuple(-x for x in heapq.heappop(heap))
-        c = remainder.pop(e, 0)
+        k = -heapq.heappop(heap)
+        c = remainder.pop(k, 0)
         if not c:
             continue
-        shift = tuple(x - y for x, y in zip(e, lead))
         q, r = divmod(c, lc)
-        if r or min(shift) < 0:
+        if r or not divides(lead, k, n):
             return None
+        shift = k - lead
         quotient[shift] = q
-        for eb, cb in rest:
-            key = tuple(x + y for x, y in zip(shift, eb))
+        for kb, cb in rest:
+            key = shift + kb
             if key in remainder:
                 new = remainder[key] - q * cb
                 if new:
@@ -160,75 +160,81 @@ def _divide(a: IntPoly, b: IntPoly) -> IntPoly | None:
                     del remainder[key]
             else:
                 remainder[key] = -q * cb
-                heapq.heappush(heap, tuple(-x for x in key))
+                heapq.heappush(heap, -key)
     return quotient
 
 
 # -- GCDHEU -------------------------------------------------------------------
 
 
-def _cofactors(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly, IntPoly]:
+def _cofactors(a: IntPoly, b: IntPoly, n: int) -> tuple[IntPoly, IntPoly, IntPoly]:
     """(g, a / g, b / g) with g the gcd of nonzero a and b over Z."""
-    return _heuristic_gcd(a, b) or _prs_cofactors(a, b)
+    return _heuristic_gcd(a, b, n) or _prs_cofactors(a, b, n)
 
 
-def _heuristic_gcd(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly, IntPoly] | None:
+def _heuristic_gcd(a: IntPoly, b: IntPoly, n: int) -> tuple[IntPoly, IntPoly, IntPoly] | None:
     """_cofactors by GCDHEU, or None when it gives up."""
     common = _coefficient_gcd(a, b)
     if common > 1:
-        a = {e: c // common for e, c in a.items()}
-        b = {e: c // common for e, c in b.items()}
-    nvars = len(next(iter(a)))
-    used = [i for i in range(nvars) if any(e[i] for e in a) or any(e[i] for e in b)]
+        a = {k: c // common for k, c in a.items()}
+        b = {k: c // common for k, c in b.items()}
+    used = _used(a, b, n)
     if not used:
-        return {(0,) * nvars: common}, a, b
+        return {0: common}, a, b
     v = used[-1]
-    bounds = [_evaluation_bound(p, v) for p in (a, b)]
+    bounds = [_evaluation_bound(p, v, n) for p in (a, b)]
     if bounds == [None, None]:
         return None
     xi = max(min(x for x in bounds if x is not None),
              2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29)
     for _ in range(HEURISTIC_ATTEMPTS):
-        ea, eb = _evaluate(a, v, xi), _evaluate(b, v, xi)
+        ea, eb = _evaluate(a, v, xi, n), _evaluate(b, v, xi, n)
         if ea and eb:
-            candidate = _interpolate(_cofactors(ea, eb)[0], v, xi)
+            candidate = _interpolate(_cofactors(ea, eb, n)[0], v, xi, n)
             content = _coefficient_gcd(candidate)
-            candidate = {e: c // content for e, c in candidate.items()}
-            qa = _divide(a, candidate)
+            candidate = {k: c // content for k, c in candidate.items()}
+            qa = _divide(a, candidate, n)
             if qa is not None:
-                qb = _divide(b, candidate)
+                qb = _divide(b, candidate, n)
                 if qb is not None:
-                    return {e: c * common for e, c in candidate.items()}, qa, qb
+                    return {k: c * common for k, c in candidate.items()}, qa, qb
         xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
     return None
 
 
-def _evaluation_bound(p: IntPoly, v: int) -> int | None:
+def _evaluation_bound(p: IntPoly, v: int, n: int) -> int | None:
     """Smallest evaluation point for x_v that certifies a candidate gcd
     through p: 2 |p(P, x_v)| + 2 at the first point P = (t, ..., t),
     t in 0, 1, -1, 2, -2, where p's leading coefficient in x_v does not
     vanish; 0 when x_v does not occur in p; None when no P qualifies."""
-    degree = _degree(p, v)
+    shift = top(n)
+    terms = []
+    for k, c in p.items():
+        e = exponent(k, v, n)
+        terms.append((e, (k >> shift) - e, c))
+    degree = max(e for e, _, _ in terms)
     if not degree:
         return 0
     for t in (0, 1, -1, 2, -2):
         image: dict[int, int] = {}
-        for e, c in p.items():
-            image[e[v]] = image.get(e[v], 0) + c * t ** (sum(e) - e[v])
+        for e, rest, c in terms:
+            image[e] = image.get(e, 0) + c * t ** rest
         if image[degree]:
             return 2 * max(map(abs, image.values())) + 2
     return None
 
 
-def _evaluate(p: IntPoly, v: int, xi: int) -> IntPoly:
+def _evaluate(p: IntPoly, v: int, xi: int, n: int) -> IntPoly:
     """p with x_v = xi."""
+    step = unit(v, n)
     powers = [1]
-    for _ in range(_degree(p, v)):
-        powers.append(powers[-1] * xi)
     out: IntPoly = {}
-    for e, c in p.items():
-        key = e[:v] + (0,) + e[v + 1:]
-        new = out.get(key, 0) + c * powers[e[v]]
+    for k, c in p.items():
+        e = exponent(k, v, n)
+        while len(powers) <= e:
+            powers.append(powers[-1] * xi)
+        key = k - e * step
+        new = out.get(key, 0) + c * powers[e]
         if new:
             out[key] = new
         else:
@@ -236,98 +242,94 @@ def _evaluate(p: IntPoly, v: int, xi: int) -> IntPoly:
     return out
 
 
-def _interpolate(p: IntPoly, v: int, xi: int) -> IntPoly:
+def _interpolate(p: IntPoly, v: int, xi: int, n: int) -> IntPoly:
     """The polynomial whose coefficients in x_v are the balanced base-xi
     digits, each in (-xi/2, xi/2], of p's coefficients."""
+    step = unit(v, n)
     half = xi // 2
     out: IntPoly = {}
-    for e, c in p.items():
-        k = 0
+    for k, c in p.items():
         while c:
             digit = c % xi
             if digit > half:
                 digit -= xi
             if digit:
-                out[e[:v] + (k,) + e[v + 1:]] = digit
+                out[k] = digit
             c = (c - digit) // xi
-            k += 1
+            k += step
     return out
 
 
 # -- primitive PRS ---------------------------------------------------------------
 
 
-def _prs_cofactors(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly, IntPoly]:
+def _prs_cofactors(a: IntPoly, b: IntPoly, n: int) -> tuple[IntPoly, IntPoly, IntPoly]:
     common = _coefficient_gcd(a, b)
-    g = {e: c * common for e, c in _prs_gcd(a, b).items()}
-    qa, qb = _divide(a, g), _divide(b, g)
+    g = {k: c * common for k, c in _prs_gcd(a, b, n).items()}
+    qa, qb = _divide(a, g, n), _divide(b, g, n)
     if qa is None or qb is None:
         raise InvariantViolation("PRS gcd does not divide its inputs")
     return g, qa, qb
 
 
-def _prs_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+def _prs_gcd(a: IntPoly, b: IntPoly, n: int) -> IntPoly:
     """Primitive gcd of nonzero integer polynomials, by a primitive
     remainder sequence in the last variable either one involves, with
     coefficients in the others (recursively)."""
-    nvars = len(next(iter(a)))
-    used = [i for i in range(nvars) if any(e[i] for e in a) or any(e[i] for e in b)]
+    used = _used(a, b, n)
     if not used:
-        return {(0,) * nvars: 1}
+        return {0: 1}
     v = used[-1]
-    ca, pa = _content(a, v)
-    cb, pb = _content(b, v)
-    content = _prs_gcd(ca, cb)
-    if _degree(pa, v) < _degree(pb, v):
+    ca, pa = _content(a, v, n)
+    cb, pb = _content(b, v, n)
+    content = _prs_gcd(ca, cb, n)
+    if _degree(pa, v, n) < _degree(pb, v, n):
         pa, pb = pb, pa
-    while _degree(pb, v) > 0:
-        r = _pseudo_remainder(pa, pb, v)
+    while _degree(pb, v, n) > 0:
+        r = _pseudo_remainder(pa, pb, v, n)
         if not r:
             break
-        pa, pb = pb, _content(r, v)[1]
-    if _degree(pb, v) == 0:
-        pb = {(0,) * nvars: 1}
-    g = _mul(content, pb)
+        pa, pb = pb, _content(r, v, n)[1]
+    if _degree(pb, v, n) == 0:
+        pb = {0: 1}
+    g = mul(content, pb, n)
     common = _coefficient_gcd(g)
-    return {e: c // common for e, c in g.items()}
+    return {k: c // common for k, c in g.items()}
 
 
-def _degree(p: IntPoly, v: int) -> int:
-    return max(e[v] for e in p)
-
-
-def _coefficient(p: IntPoly, v: int, degree: int) -> IntPoly:
+def _coefficient(p: IntPoly, v: int, degree: int, n: int) -> IntPoly:
     """Coefficient of x_v^degree, as a polynomial free of x_v."""
-    return {e[:v] + (0,) + e[v + 1:]: c for e, c in p.items() if e[v] == degree}
+    drop = degree * unit(v, n)
+    return {k - drop: c for k, c in p.items() if exponent(k, v, n) == degree}
 
 
-def _content(p: IntPoly, v: int) -> tuple[IntPoly, IntPoly]:
+def _content(p: IntPoly, v: int, n: int) -> tuple[IntPoly, IntPoly]:
     """(content, primitive part) of p as a polynomial in x_v, both with
     integer coefficient gcd 1."""
     content = None
-    for degree in sorted({e[v] for e in p}):
-        coeff = _coefficient(p, v, degree)
-        content = coeff if content is None else _prs_gcd(content, coeff)
-        if len(content) == 1 and not any(next(iter(content))):
+    for degree in sorted({exponent(k, v, n) for k in p}):
+        coeff = _coefficient(p, v, degree, n)
+        content = coeff if content is None else _prs_gcd(content, coeff, n)
+        if len(content) == 1 and 0 in content:
             break
     common = _coefficient_gcd(content)
-    content = {e: c // common for e, c in content.items()}
-    primitive = _divide(p, content)
+    content = {k: c // common for k, c in content.items()}
+    primitive = _divide(p, content, n)
     common = _coefficient_gcd(primitive)
-    return content, {e: c // common for e, c in primitive.items()}
+    return content, {k: c // common for k, c in primitive.items()}
 
 
-def _pseudo_remainder(a: IntPoly, b: IntPoly, v: int) -> IntPoly:
+def _pseudo_remainder(a: IntPoly, b: IntPoly, v: int, n: int) -> IntPoly:
     """lc^k * a - q * b with deg_v below deg_v b, where lc is the leading
     coefficient of b in x_v; the power k does not matter for a primitive
     remainder sequence."""
-    db = _degree(b, v)
-    lb = _coefficient(b, v, db)
+    db = _degree(b, v, n)
+    lb = _coefficient(b, v, db, n)
+    step = unit(v, n)
     r = a
-    while r and _degree(r, v) >= db:
-        dr = _degree(r, v)
-        shift = tuple(dr - db if i == v else 0 for i in range(len(next(iter(r)))))
-        lr = {tuple(x + y for x, y in zip(e, shift)): c
-              for e, c in _coefficient(r, v, dr).items()}
-        r = _sub(_mul(lb, r), _mul(lr, b))
+    while r and _degree(r, v, n) >= db:
+        dr = _degree(r, v, n)
+        shift = (dr - db) * step
+        lr = {k + shift: c for k, c in _coefficient(r, v, dr, n).items()}
+        r = combine(mul(lb, r, n), 1, mul(lr, b, n), -1)
     return r

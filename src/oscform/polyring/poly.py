@@ -17,6 +17,7 @@ compose as D_I D_J = binom(I+J, I) D_{I+J}.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -37,25 +38,23 @@ def grlex_key(exps: Exponents) -> tuple:
     return (sum(exps), exps)
 
 
-def degree_block(nvars: int, degree: int) -> list[Exponents]:
-    """All exponent tuples of the given total degree, lex descending."""
+@functools.cache
+def degree_block(nvars: int, degree: int) -> tuple[Exponents, ...]:
+    """All exponent tuples of the given total degree, lex descending.
+    Cached: callers share the tuple."""
     if nvars == 0:
-        return [()] if degree == 0 else []
+        return ((),) if degree == 0 else ()
     if nvars == 1:
-        return [(degree,)]
-    block: list[Exponents] = []
-    for first in range(degree, -1, -1):
-        for rest in degree_block(nvars - 1, degree - first):
-            block.append((first,) + rest)
-    return block
+        return ((degree,),)
+    return tuple((first,) + rest for first in range(degree, -1, -1)
+                 for rest in degree_block(nvars - 1, degree - first))
 
 
-def multi_indices_upto(nvars: int, max_degree: int) -> list[Exponents]:
-    """Exponent tuples of degree 0..max_degree, degree-major order."""
-    out: list[Exponents] = []
-    for d in range(max_degree + 1):
-        out.extend(degree_block(nvars, d))
-    return out
+@functools.cache
+def multi_indices_upto(nvars: int, max_degree: int) -> tuple[Exponents, ...]:
+    """Exponent tuples of degree 0..max_degree, degree-major order.
+    Cached: callers share the tuple."""
+    return tuple(exps for d in range(max_degree + 1) for exps in degree_block(nvars, d))
 
 
 def multi_index_factorial(exps: Exponents) -> int:

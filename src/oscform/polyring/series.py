@@ -9,12 +9,12 @@ operations, and a result is brought to lowest terms once, by one
 arithmetic does.  Every `_Series` a helper returns is normalized: its
 numerators are nonzero and the denominator is coprime to them all.
 
-The dict keys pack a monomial into one integer: the total degree in the
-top slot and the exponents of all variables but the last in the slots
-below it, each slot `_BITS` bits wide.  Multiplying monomials adds keys,
-a key's degree is a shift away, and every key of degree above d is at
-least `_limit(n, d)`, so truncation is one comparison.  Slots cannot
-overflow below degree `_MAX_DEGREE`, the cap on any truncation degree.
+The dict keys are the packed monomial keys of intpoly.py: the total
+degree in the top slot, then the exponents, so multiplying monomials
+adds keys, a key's degree is a shift away, and every key of degree
+above d is at least `ip.limit(n, d)`, so truncation is one comparison.
+Truncation degrees are capped at `ip.MAX_DEGREE`, where the slots would
+overflow.
 
 Conversion happens only where a public function takes or returns a
 Polynomial: `_from_poly` clears denominators (the lcm of the Fraction
@@ -24,12 +24,14 @@ builds one Fraction per coefficient.  The power cache of
 integer form.
 
 One routine, `_expansions`, expands rational functions around a rational
-point: the shift u_k + p_k is built as a series directly, and every
-numerator and denominator is composed with it through one power cache.
-It has two faces.  taylor_expansions returns the expansions as
-Polynomials; taylor_jets reads the Taylor coefficients of given
-multi-indices straight off the integer series, as the rows of a point
-jet matrix, with no Polynomial in between.
+point: the shift u_k + p_k is built as a series directly, and the
+integer numerator and denominator of every RationalFunction, on the
+same packed keys, are composed with it as they are, through one power
+cache, with no Polynomial face built.  It has two faces.
+taylor_expansions returns the expansions as Polynomials; taylor_jets
+reads the Taylor coefficients of given multi-indices straight off the
+integer series, as the rows of a point jet matrix, with no Polynomial in
+between.
 
 graph_series writes a parameterized surface chart as a graph
 x3 = f(x1, x2).  The chart coordinates are the identity to first order,
@@ -63,11 +65,8 @@ from ..errors import (
     SingularPoint,
     ZeroDivisionRequested,
 )
+from . import intpoly as ip
 from .poly import _ZERO, Polynomial
-
-_BITS = 16
-_MASK = (1 << _BITS) - 1
-_MAX_DEGREE = _MASK
 
 
 class _Series:
@@ -81,39 +80,12 @@ class _Series:
 
 
 _ONE = _Series({0: 1}, 1)
-
-
-def _shift(nvars: int) -> int:
-    """Bit position of the degree slot of a key in nvars variables."""
-    return _BITS * (nvars - 1) if nvars else 0
-
-
-def _limit(nvars: int, degree: int) -> int:
-    """Smallest key of total degree above `degree`."""
-    return (degree + 1) << _shift(nvars)
-
-
-def _pack(exps: tuple[int, ...]) -> int:
-    key = sum(exps)
-    for e in reversed(exps[:-1]):
-        key = (key << _BITS) | e
-    return key
-
-
-def _unpack(key: int, nvars: int) -> tuple[int, ...]:
-    if not nvars:
-        return ()
-    exps = []
-    for _ in range(nvars - 1):
-        exps.append(key & _MASK)
-        key >>= _BITS
-    exps.append(key - sum(exps))
-    return tuple(exps)
+_UNIT = Fraction(1)
 
 
 def _check_degree(max_degree: int) -> None:
-    if max_degree > _MAX_DEGREE:
-        raise ValueError(f"truncation degree {max_degree} exceeds {_MAX_DEGREE}")
+    if max_degree > ip.MAX_DEGREE:
+        raise ValueError(f"truncation degree {max_degree} exceeds {ip.MAX_DEGREE}")
 
 
 def _reduced(nums: dict[int, int], den: int) -> _Series:
@@ -130,7 +102,7 @@ def _from_poly(p: Polynomial, max_degree: int) -> _Series:
     """Terms of p through max_degree; already in lowest terms."""
     items = [(e, c) for e, c in p.terms.items() if sum(e) <= max_degree]
     den = math.lcm(*(c.denominator for _, c in items))
-    return _Series({_pack(e): c.numerator * (den // c.denominator) for e, c in items}, den)
+    return _Series({ip.pack(e): c.numerator * (den // c.denominator) for e, c in items}, den)
 
 
 def _scaled_values(polys: Sequence[Polynomial], point: Sequence[Fraction]) -> list[int]:
@@ -161,7 +133,7 @@ def _scaled_values(polys: Sequence[Polynomial], point: Sequence[Fraction]) -> li
 def _to_poly(s: _Series, variables: tuple[str, ...]) -> Polynomial:
     n, den = len(variables), s.den
     return Polynomial._trusted(
-        variables, {_unpack(k, n): Fraction(v, den) for k, v in s.nums.items()})
+        variables, {ip.unpack(k, n): Fraction(v, den) for k, v in s.nums.items()})
 
 
 def _mul(a: _Series, b: _Series, limit: int) -> _Series:
@@ -203,7 +175,7 @@ def _inverse(a: _Series, nvars: int, max_degree: int) -> _Series:
     if not a0:
         raise ZeroDivisionRequested("series with zero constant term has no inverse")
     top = max(max_degree, 0)
-    shift = _shift(nvars)
+    shift = ip.top(nvars)
     rest: list[list[tuple[int, int]]] = [[] for _ in range(top + 1)]
     for k, v in a.nums.items():
         d = k >> shift
@@ -240,7 +212,7 @@ def truncated_multiply(a: Polynomial, b: Polynomial, max_degree: int) -> Polynom
     Terms that cannot contribute are skipped before multiplying.
     """
     _check_degree(max_degree)
-    limit = _limit(a.nvars, max_degree)
+    limit = ip.limit(a.nvars, max_degree)
     return _to_poly(_mul(_from_poly(a, max_degree), _from_poly(b, max_degree), limit),
                     a.variables)
 
@@ -269,17 +241,24 @@ def truncated_compose(g: Polynomial, args: Sequence[Polynomial], max_degree: int
             raise ValueError("substituted series use different variables")
     _check_degree(max_degree)
     series = [_from_poly(a, max_degree) for a in args]
-    return _to_poly(_compose(g, series, len(target_vars), max_degree,
+    g_den = math.lcm(*(c.denominator for c in g.terms.values()))
+    terms = [(e, c.numerator * (g_den // c.denominator)) for e, c in g.terms.items()]
+    return _to_poly(_compose(terms, Fraction(1, g_den), series, len(target_vars), max_degree,
                              {} if powers is None else powers),
                     target_vars)
 
 
-def _compose(g: Polynomial, args: Sequence[_Series], nvars: int, max_degree: int,
-             powers: PowerCache) -> _Series:
-    """truncated_compose in integer form.  The arguments may carry terms
-    above max_degree; every product and sum below drops them."""
+Terms = list[tuple[tuple[int, ...], int]]
+
+
+def _compose(terms: Terms, scale: Fraction, args: Sequence[_Series], nvars: int,
+             max_degree: int, powers: PowerCache) -> _Series:
+    """truncated_compose in integer form: scale * g(args) for the g with
+    integer `terms` (exponent tuple, coefficient).  The arguments may
+    carry terms above max_degree; every product and sum below drops
+    them."""
     last = len(args) - 1
-    top_limit = _limit(nvars, max_degree)
+    top_limit = ip.limit(nvars, max_degree)
 
     def arg_power(i: int, e: int) -> _Series:
         if e < 2:
@@ -290,16 +269,16 @@ def _compose(g: Polynomial, args: Sequence[_Series], nvars: int, max_degree: int
             cached = powers[(i, e)] = (max_degree, power)
         return cached[1]
 
-    shift = _shift(nvars)
+    shift = ip.top(nvars)
     lowest = [min(a.nums, default=0) >> shift for a in args]
 
-    def nested(terms: list[tuple[tuple[int, ...], int]], i: int, budget: int) -> _Series:
+    def nested(terms: Terms, i: int, budget: int) -> _Series:
         """Sum of c * args[i]^e_i * ... * args[last]^e_last over the terms,
         through degree budget."""
-        limit = _limit(nvars, budget)
+        limit = ip.limit(nvars, budget)
         if i == last:
             return _combine([(c, arg_power(i, exps[i])) for exps, c in terms], limit)
-        groups: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+        groups: dict[int, Terms] = {}
         for term in terms:
             groups.setdefault(term[0][i], []).append(term)
         parts = []
@@ -313,10 +292,15 @@ def _compose(g: Polynomial, args: Sequence[_Series], nvars: int, max_degree: int
             parts.append((1, inner))
         return _combine(parts, limit)
 
-    g_den = math.lcm(*(c.denominator for c in g.terms.values()))
-    result = nested([(e, c.numerator * (g_den // c.denominator)) for e, c in g.terms.items()],
-                    0, max_degree)
-    return _reduced(result.nums, result.den * g_den)
+    result = nested(terms, 0, max_degree)
+    # Both helpers call themselves through their closure cells, a reference
+    # cycle: emptying the cells frees them, and the series they hold, now
+    # instead of at the next full garbage collection.
+    del arg_power, nested
+    if scale == 1:
+        return result
+    p = scale.numerator
+    return _reduced({k: v * p for k, v in result.nums.items()}, result.den * scale.denominator)
 
 
 def _expansions(functions: Sequence, point: Sequence[Fraction], order: int) -> list[_Series]:
@@ -326,17 +310,20 @@ def _expansions(functions: Sequence, point: Sequence[Fraction], order: int) -> l
     # u_k + p_k with p_k = num/den in lowest terms is {u_k: den, 1: num} / den.
     shift = []
     for k, p in enumerate(point):
-        nums = {_pack(tuple(int(j == k) for j in range(nvars))): p.denominator}
+        nums = {ip.unit(k, nvars): p.denominator}
         if p:
             nums[0] = p.numerator
         shift.append(_Series(nums, p.denominator))
-    limit = _limit(nvars, order)
+    limit = ip.limit(nvars, order)
     powers: PowerCache = {}
     out = []
     for f in functions:
-        s = _compose(f.numerator, shift, nvars, order, powers)
+        # f = scale * num / den on integer parts, composed as they are.
+        s = _compose([(ip.unpack(k, nvars), c) for k, c in f.num.items()], f.scale,
+                     shift, nvars, order, powers)
         if not f.is_polynomial():
-            den = _compose(f.denominator, shift, nvars, order, powers)
+            den = _compose([(ip.unpack(k, nvars), c) for k, c in f.den.items()], _UNIT,
+                           shift, nvars, order, powers)
             if 0 not in den.nums:
                 raise DenominatorVanishes(f"denominator {f.denominator} vanishes at "
                                           f"({', '.join(str(v) for v in point)})",
@@ -367,7 +354,7 @@ def taylor_jets(functions: Sequence, point: tuple[Fraction, ...], order: int,
     series = _expansions(functions, point, order)
     rows = []
     for I in indices:
-        key = _pack(I)
+        key = ip.pack(I)
         rows.append(tuple(Fraction(s.nums[key], s.den) if key in s.nums else _ZERO
                           for s in series))
     return rows
@@ -390,7 +377,7 @@ def graph_series(coords: Sequence[Polynomial], mixing: Sequence[Sequence[Fractio
     """
     _check_degree(order)
     nvars = 2
-    limit = _limit(nvars, order)
+    limit = ip.limit(nvars, order)
     expansions = [_from_poly(c, order) for c in coords]
     z = []
     for row in mixing:
@@ -402,8 +389,8 @@ def graph_series(coords: Sequence[Polynomial], mixing: Sequence[Sequence[Fractio
         raise SingularPoint("chart normalization failed at the point")
     inverse_z0 = _inverse(z[0], nvars, order)
     t1, t2, residual = (_mul(zi, inverse_z0, limit) for zi in z[1:])
-    key_1, key_2 = _pack((1, 0)), _pack((0, 1))
-    quadratic = _limit(nvars, 1)
+    key_1, key_2 = ip.pack((1, 0)), ip.pack((0, 1))
+    quadratic = ip.limit(nvars, 1)
     for t, key in ((t1, key_1), (t2, key_2)):
         if {k: v for k, v in t.nums.items() if k < quadratic} != {key: t.den}:
             raise InvariantViolation("chart coordinates are not the identity to first order")
@@ -414,13 +401,13 @@ def graph_series(coords: Sequence[Polynomial], mixing: Sequence[Sequence[Fractio
     def product(k: int) -> _Series:
         cached = products.get(k)
         if cached is None:
-            cached = products[k] = (_mul(product(k - key_1), t1, limit) if k & _MASK
+            cached = products[k] = (_mul(product(k - key_1), t1, limit) if k & ip.MASK
                                     else _mul(product(k - key_2), t2, limit))
         return cached
 
     coefficients: dict[int, Fraction] = {}
     for d in range(order + 1):
-        low, high = _limit(nvars, d - 1), _limit(nvars, d)
+        low, high = ip.limit(nvars, d - 1), ip.limit(nvars, d)
         block = [(k, v) for k, v in residual.nums.items() if low <= k < high]
         if not block:
             continue
@@ -430,10 +417,11 @@ def graph_series(coords: Sequence[Polynomial], mixing: Sequence[Sequence[Fractio
         image = _combine([(v, product(k)) for k, v in block], limit)
         residual = _combine([(1, residual), (-1, _Series(image.nums, image.den * residual.den))],
                             limit)
+    del product  # a self-referencing closure, as in _compose
     if residual.nums:
         raise InvariantViolation("graph series residual does not vanish")
     return Polynomial._trusted(tuple(graph_vars),
-                               {_unpack(k, nvars): c for k, c in coefficients.items()})
+                               {ip.unpack(k, nvars): c for k, c in coefficients.items()})
 
 
 def truncated_inverse(a: Polynomial, max_degree: int) -> Polynomial:
@@ -454,8 +442,8 @@ def _solve_linear_series(matrix: list[list[_Series]], rhs: list[_Series], nvars:
     n = len(rhs)
     m = [row[:] for row in matrix]
     b = rhs[:]
-    m_limit = _limit(nvars, matrix_degree)
-    b_limit = _limit(nvars, max_degree)
+    m_limit = ip.limit(nvars, matrix_degree)
+    b_limit = ip.limit(nvars, max_degree)
     for k in range(n):
         pivot = next((i for i in range(k, n) if 0 in m[i][k].nums), None)
         if pivot is None:
@@ -547,7 +535,7 @@ def solve_series_system(equations: Sequence[Polynomial],
                     for entry in row]
                    for row in jacobian]
             delta = _solve_linear_series(jac, residual, nvars, jac_degree, target)
-            solution = [_combine([(1, s), (-1, d)], _limit(nvars, target))
+            solution = [_combine([(1, s), (-1, d)], ip.limit(nvars, target))
                         for s, d in zip(solution, delta)]
             for idx, s in zip(dep, solution):
                 args[idx] = _to_poly(s, series_vars)

@@ -22,7 +22,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 # Reports pinned byte-for-byte: golden file stem -> (example, command).
-# One per built-in example, plus the Monge chart and the ruledness test.
+# One per built-in example, plus the Monge chart, the ruledness test and
+# a generic report that prints quotients.
 GOLDEN_COMMANDS = {
     "togliatti": ("togliatti", ["osc", "--order", "3", "--max"]),
     "shifrin": ("shifrin", ["base-locus", "--order", "2"]),
@@ -34,6 +35,15 @@ GOLDEN_COMMANDS = {
     "scroll-3-3-3": ("scroll-3-3-3", ["scroll", "--order", "3"]),
     "scroll-1-1-monge": ("scroll-1-1", ["monge", "--order", "8", "--at", "1/2,3"]),
     "scroll-2-2-ruled-test": ("scroll-2-2", ["ruled-test"]),
+    "togliatti-generic": ("togliatti-generic", ["fundform", "--order", "2"]),
+}
+
+# Inputs derived from a built-in example: name -> text.  The point-free
+# togliatti pins how generic reports print quotients in Q(x, y).
+DERIVED_EXAMPLES = {
+    "togliatti-generic": "".join(line for line in example_text("togliatti")
+                                 .splitlines(keepends=True)
+                                 if not line.startswith("point:")),
 }
 
 
@@ -48,6 +58,8 @@ def examples(tmp_path, monkeypatch):
     directory.mkdir()
     for name in example_names():
         (directory / f"{name}.var").write_text(example_text(name))
+    for name, text in DERIVED_EXAMPLES.items():
+        (directory / f"{name}.var").write_text(text)
     monkeypatch.chdir(tmp_path)
     return Path("examples")
 
@@ -293,6 +305,16 @@ def test_ruled_test_rejects_input_no_sample_point_can_serve(capsys, monkeypatch,
 
 
 QUADRIC = "kind: implicit\nvars: X0 X1 X2 X3\nequations: X0*X3 - X1*X2\npoint: 1, 0, 0, 0\n"
+
+
+@pytest.mark.parametrize("at, text, message", [
+    ("1,2,3", example_text("scroll-2-2"), "--at has 3 entries for 2 parameters"),
+    ("1,2", QUADRIC, "--at has 2 entries for 4 coordinates"),
+], ids=["parameterization", "implicit"])
+def test_ruled_test_rejects_an_at_point_of_the_wrong_length(capsys, monkeypatch,
+                                                            at, text, message):
+    code, out, err = run_stdin(capsys, monkeypatch, ["ruled-test", "--at", at], text)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("samples", ["0", "3"])

@@ -295,10 +295,12 @@ def test_parse_rational_matches_sympy_cancel():
 
 
 def test_degree_block_order_is_lex_descending():
-    assert degree_block(2, 2) == [(2, 0), (1, 1), (0, 2)]
-    assert degree_block(3, 2)[:3] == [(2, 0, 0), (1, 1, 0), (1, 0, 1)]
-    assert multi_indices_upto(2, 2) == [
-        (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    assert degree_block(2, 2) == ((2, 0), (1, 1), (0, 2))
+    assert degree_block(3, 2)[:3] == ((2, 0, 0), (1, 1, 0), (1, 0, 1))
+    assert multi_indices_upto(2, 2) == (
+        (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    # Cached: repeated calls share one tuple.
+    assert multi_indices_upto(2, 2) is multi_indices_upto(2, 2)
 
 
 def test_hasse_derivative_known_values():

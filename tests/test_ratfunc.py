@@ -12,6 +12,7 @@ import pytest
 
 from oscform.polyring import Polynomial, RationalFunction, parse_polynomial, poly_gcd
 from oscform.polyring import gcd as G
+from oscform.polyring import intpoly
 
 VARS = ("x", "y", "z")
 
@@ -43,11 +44,11 @@ def random_products(seed, count):
 
 
 def integer_parts(a, b):
-    return G._integer_primitive(a)[1], G._integer_primitive(b)[1]
+    return intpoly.from_poly(a)[1], intpoly.from_poly(b)[1]
 
 
 def unit_normal(p):
-    return G._positive(p)[0]
+    return intpoly.primitive(p)[1]
 
 
 def test_common_multivariate_factor_cancels():
@@ -98,21 +99,36 @@ def test_equality_is_structural_on_canonical_forms():
     assert RationalFunction(P("x + y"), P("x + y")) == 1
 
 
+def test_packed_keys_follow_grlex_and_guard_their_slots():
+    from oscform.errors import DomainError
+    from oscform.polyring import grlex_key, multi_indices_upto
+
+    for n in range(1, 6):
+        exps = list(multi_indices_upto(n, 4))
+        assert sorted(exps, key=intpoly.pack) == sorted(exps, key=grlex_key)
+        assert all(intpoly.unpack(intpoly.pack(e), n) == e for e in exps)
+    x = RationalFunction.variable(("x", "y"), "x")
+    assert (x ** intpoly.MAX_DEGREE).numerator.total_degree() == intpoly.MAX_DEGREE
+    with pytest.raises(DomainError):
+        x ** (intpoly.MAX_DEGREE + 1)
+
+
 def test_prs_fallback_agrees_with_heuristic_gcd():
     for a, b in random_products(seed=3, count=60):
         A, B = integer_parts(a, b)
-        heuristic = G._heuristic_gcd(A, B)
+        n = a.nvars
+        heuristic = G._heuristic_gcd(A, B, n)
         assert heuristic is not None
-        g, qa, qb = G._prs_cofactors(A, B)
+        g, qa, qb = G._prs_cofactors(A, B, n)
         assert unit_normal(g) == unit_normal(heuristic[0])
-        assert G._mul(g, qa) == A and G._mul(g, qb) == B
+        assert intpoly.mul(g, qa, n) == A and intpoly.mul(g, qb, n) == B
 
 
 def test_no_certifying_point_falls_back_to_prs():
     # The leading coefficient in z, x - y, vanishes at every point (t, t).
     h = P("(x - y)*z + 1")
     a, b = h * P("x + 2"), h * P("y*z - 3")
-    assert G._heuristic_gcd(*integer_parts(a, b)) is None
+    assert G._heuristic_gcd(*integer_parts(a, b), 3) is None
     g, qa, qb = poly_gcd(a, b)
     assert g == h
     assert qa == P("x + 2") and qb == P("y*z - 3")
@@ -160,5 +176,142 @@ def test_gcd_divides_both_and_leaves_coprime_cofactors():
         assert g * qa == a and g * qb == b
         g.exact_div(h)  # raises InexactDivision unless h divides g
         assert poly_gcd(qa, qb)[0] == Polynomial.constant(VARS, 1)
+
+    check()
+
+
+# -- the Fraction-coefficient algorithm, kept as an oracle ----------------
+
+
+class FractionRationalFunction:
+    """num/den as Polynomials with Fraction coefficients, reduced after
+    every operation by one gcd of the whole numerator and denominator,
+    with a denominator of grlex leading coefficient 1: the algorithm the
+    integer core replaced."""
+
+    def __init__(self, num, den=None):
+        if den is None:
+            den = Polynomial.constant(num.variables, 1)
+        if num.is_zero:
+            num, den = num, Polynomial.constant(num.variables, 1)
+        elif num.total_degree() > 0 and den.total_degree() > 0:
+            _, num, den = poly_gcd(num, den)
+        lead = den.leading_term()[1]
+        self.num, self.den = num / lead, den / lead
+
+    def __add__(self, other):
+        return FractionRationalFunction(self.num * other.den + other.num * self.den,
+                                        self.den * other.den)
+
+    def __sub__(self, other):
+        return self + other * FractionRationalFunction(
+            Polynomial.constant(self.num.variables, -1))
+
+    def __mul__(self, other):
+        return FractionRationalFunction(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other):
+        return FractionRationalFunction(self.num * other.den, self.den * other.num)
+
+    def __pow__(self, e):
+        if e < 0:
+            return FractionRationalFunction(self.den ** -e, self.num ** -e)
+        return FractionRationalFunction(self.num ** e, self.den ** e)
+
+    def partial(self, i):
+        n, d = self.num, self.den
+        return FractionRationalFunction(n.partial(i) * d - n * d.partial(i), d * d)
+
+    def hasse_derivative(self, order):
+        result, factorial = self, 1
+        for i, count in enumerate(order):
+            for k in range(count):
+                result = result.partial(i)
+                factorial *= k + 1
+        return result * FractionRationalFunction(
+            Polynomial.constant(self.num.variables, Fraction(1, factorial)))
+
+    def evaluate(self, values):
+        den = self.den.evaluate(values)
+        return None if not den else self.num.evaluate(values) / den
+
+    def __str__(self):
+        if self.den == 1:
+            return str(self.num)
+        return f"({self.num})/({self.den})"
+
+
+def _quotients():
+    """(variables, [(num, den)] * 3, point, order): numerators and
+    denominators with Fraction coefficients in 1-3 variables, any sign of
+    leading term, often sharing a factor."""
+    from hypothesis import strategies as st
+
+    @st.composite
+    def draw_case(draw):
+        variables = VARS[: draw(st.integers(1, 3))]
+        n = len(variables)
+        coeffs = st.builds(Fraction, st.integers(-30, 30).filter(bool), st.integers(1, 6))
+        exps = st.tuples(*(st.integers(0, 2) for _ in range(n)))
+        polys = st.dictionaries(exps, coeffs, max_size=4).map(
+            lambda terms: Polynomial(variables, terms))
+        shared = draw(polys)
+        pairs = []
+        for _ in range(3):
+            num, den = draw(polys), draw(polys.filter(bool))
+            if shared and draw(st.booleans()):
+                num, den = num * shared, den * shared
+            pairs.append((num, den))
+        point = tuple(draw(st.lists(st.integers(-3, 3).map(Fraction), min_size=n, max_size=n)))
+        order = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        return variables, pairs, point, order
+
+    return draw_case()
+
+
+def test_integer_core_matches_fraction_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    from oscform.errors import DenominatorVanishes
+
+    def same(new, old):
+        assert new.numerator == old.num and new.denominator == old.den
+        assert str(new) == str(old)
+        assert new == RationalFunction(old.num, old.den)
+
+    @hypothesis.settings(max_examples=50, deadline=None, derandomize=True)
+    @hypothesis.given(_quotients())
+    def check(case):
+        variables, pairs, point, order = case
+        new = [RationalFunction(n, d) for n, d in pairs]
+        old = [FractionRationalFunction(n, d) for n, d in pairs]
+        (a, b, c), (oa, ob, oc) = new, old
+        for x, ox in zip(new, old):
+            same(x, ox)
+            same(-x, ox * FractionRationalFunction(Polynomial.constant(variables, -1)))
+            for i in range(len(variables)):
+                same(x.partial(i), ox.partial(i))
+            same(x.hasse_derivative(order), ox.hasse_derivative(order))
+            for e in (0, 2, 3) if x.is_zero else (-2, -1, 0, 2, 3):
+                same(x ** e, ox ** e)
+            expected = ox.evaluate(point)
+            if expected is None:
+                with pytest.raises(DenominatorVanishes):
+                    x.evaluate(point)
+            else:
+                assert x.evaluate(point) == expected
+        for (x, ox), (y, oy) in [((a, oa), (b, ob)), ((b, ob), (c, oc)), ((a, oa), (a, oa))]:
+            same(x + y, ox + oy)
+            same(x - y, ox - oy)
+            same(x * y, ox * oy)
+            if not y.is_zero:
+                same(x / y, ox / oy)
+            assert (x == y) == (ox.num == oy.num and ox.den == oy.den)
+        same(a * b + c, (oa * ob) + oc)
+        same((a + b) * (a - c), (oa + ob) * (oa - oc))
+        # Round trips whose last step cancels a factor of both denominators.
+        same((c - a) + a, oc)
+        same((c + b) - b, oc)
+        if not a.is_zero:
+            same((c / a) * a, oc)
 
     check()

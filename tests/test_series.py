@@ -25,7 +25,7 @@ from oscform.polyring import (
     multi_indices_upto,
     parse_polynomial,
 )
-from oscform.polyring import series
+from oscform.polyring import intpoly, series
 from oscform.polyring.series import (
     graph_series,
     solve_series_system,
@@ -224,6 +224,27 @@ def test_graph_series_guards():
         graph_series([P(e, u) for e in ("u1 + u2", "u1", "u2", "u1^2")], identity, 4, XY)
 
 
+def test_integer_core_leaves_no_cyclic_garbage():
+    # The recursive helpers of the composition and the graph solve are
+    # closures that call themselves; each call releases them on return,
+    # so the series they hold wait for no cyclic garbage collection.
+    import gc
+
+    u = ("u1", "u2")
+    identity = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    coords = [P(e, u) for e in ("1", "u1", "u2", "u1^2 + u1*u2^2")]
+    quotient = RationalFunction(P("x^2 + y"), P("x + 2"))
+    gc.collect()
+    gc.disable()
+    try:
+        truncated_compose(P("x^3 + x*y + 2"), coords[1:3], 5)
+        taylor_expansions([quotient], (Fraction(1), Fraction(0)), 4, XY)
+        assert graph_series(coords, identity, 5, XY) == P("x^2 + x*y^2")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _polynomials():
     from hypothesis import strategies as st
 
@@ -315,7 +336,7 @@ def test_integer_core_matches_fraction_arithmetic():
         assert inverse.total_degree() <= degree
         assert (unit * inverse).truncate(degree) == Polynomial.constant(unit.variables, 1)
         # The helpers behind the public functions return normalized series.
-        limit = series._limit(a.nvars, degree)
+        limit = intpoly.limit(a.nvars, degree)
         sa, sb = series._from_poly(a, degree), series._from_poly(b, degree)
         for s in (sa, sb, series._mul(sa, sb, limit),
                   series._combine([(3, sa), (-2, sb)], limit),
@@ -336,7 +357,7 @@ def test_truncation_drops_the_lowest_monomial_past_the_degree():
                 assert truncated_compose(P("x*y"), [y ** k, y ** (d + 1 - k)], d).is_zero
     # Past the widest exponent a key slot holds, truncation degrees are refused.
     with pytest.raises(ValueError):
-        truncated_multiply(P("x"), P("y"), series._MAX_DEGREE + 1)
+        truncated_multiply(P("x"), P("y"), intpoly.MAX_DEGREE + 1)
 
 
 # -- Taylor expansions and jet rows at a point -------------------------------
