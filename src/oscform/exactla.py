@@ -36,12 +36,6 @@ Subspaces are stored by their reduced-row-echelon basis; since that
 basis is unique for a given row space, value equality of subspaces is
 entrywise equality of bases.
 
-Row tuples are built from lists, at their final length.  A tuple built
-from an iterator of unknown length is allocated at a default length and
-resized, so its memory comes from one tuple free list and returns to
-another; with the few full garbage collections of a long run (which
-empty those lists) that mismatch holds on to memory.
-
 The public `ExactMatrix` constructor coerces every entry into the field
 and checks the shape.  Matrices whose entries are already field
 elements (a point jet matrix read off the integer series, a transpose,

@@ -55,7 +55,7 @@ FieldElement = Union[Fraction, RationalFunction]
 
 
 def default_tangent_vars(r: int) -> tuple[str, ...]:
-    return tuple(f"v{k + 1}" for k in range(r))
+    return tuple([f"v{k + 1}" for k in range(r)])
 
 
 class TangentForm:
@@ -223,10 +223,10 @@ class LinearSystem:
         tangent_vars = tuple(tangent_vars)
         self.degree = degree
         self.tangent_vars = tangent_vars
-        self.generators = tuple(
+        self.generators = tuple([
             TangentForm.from_vector(tangent_vars, degree, row, span.field)
             for row in span.basis
-        )
+        ])
         self.point = point
         self.field = span.field
         self.coefficient_span = span

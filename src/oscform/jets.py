@@ -91,7 +91,7 @@ class Parameterization:
             raise DomainError("at least one parameter is required")
         if len(set(params)) != len(params):
             raise DomainError(f"duplicate parameter names in {params}")
-        coords = tuple(_coerce_coordinate(c, params) for c in coords)
+        coords = tuple([_coerce_coordinate(c, params) for c in coords])
         if len(coords) < len(params) + 1:
             raise DomainError(
                 f"{len(coords)} coordinates cannot immerse {len(params)} parameters"
@@ -394,7 +394,7 @@ class ImplicitVariety:
         pivot_name = self.variables[pivot]
         affine_eqs = [g.substitute_subset({pivot_name: 1}) for g in self.equations]
         affine_point = [v for i, v in enumerate(scaled) if i != pivot]
-        affine_names = tuple(v for i, v in enumerate(self.variables) if i != pivot)
+        affine_names = tuple([v for i, v in enumerate(self.variables) if i != pivot])
         return affine_eqs, affine_point, affine_names, pivot
 
     def __repr__(self) -> str:

@@ -12,6 +12,8 @@ Integer literals may be written a/b; since '/' is also the division
 operator this is just ordinary parsing.  Exponents must be nonnegative
 integer literals.  Identifiers must belong to the declared variable
 tuple.  Implicit multiplication is not supported: write 2*x, not 2x.
+A value of degree above intpoly.MAX_DEGREE (65535), the bound of the
+packed monomial keys, is a parse error at the operator that builds it.
 
 Every value is a RationalFunction, so the arithmetic of a polynomial
 expression runs on its integer numerator and one rational scale (see
@@ -25,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from ..errors import ParseError
+from ..errors import DomainError, ParseError
 from . import intpoly as ip
 from .poly import Polynomial
 from .ratfunc import RationalFunction
@@ -113,7 +115,10 @@ class _Parser:
         while self.peek().kind in ("+", "-"):
             op = self.advance()
             right = self.parse_term()
-            value = value + right if op.kind == "+" else value - right
+            try:
+                value = value + right if op.kind == "+" else value - right
+            except DomainError as exc:
+                raise _at(op, exc) from None
         return value
 
     def parse_term(self) -> RationalFunction:
@@ -121,12 +126,12 @@ class _Parser:
         while self.peek().kind in ("*", "/"):
             op = self.advance()
             right = self.parse_unary()
-            if op.kind == "*":
-                value = value * right
-            else:
-                if right.is_zero:
-                    raise ParseError("division by zero", op.line, op.column)
-                value = value / right
+            if op.kind == "/" and right.is_zero:
+                raise ParseError("division by zero", op.line, op.column)
+            try:
+                value = value * right if op.kind == "*" else value / right
+            except DomainError as exc:
+                raise _at(op, exc) from None
         return value
 
     def parse_unary(self) -> RationalFunction:
@@ -146,7 +151,10 @@ class _Parser:
                 raise ParseError("exponent must be a nonnegative integer",
                                  sign_token.line, sign_token.column)
             exponent_token = self.expect("int")
-            return base ** int(exponent_token.text)
+            try:
+                return base ** int(exponent_token.text)
+            except DomainError as exc:
+                raise _at(caret, exc) from None
         return base
 
     def parse_atom(self) -> RationalFunction:
@@ -174,6 +182,12 @@ class _Parser:
             f"expected a number, variable, or '(', found {token.text or 'end of input'!r}",
             token.line, token.column,
         )
+
+
+def _at(op: _Token, exc: DomainError) -> ParseError:
+    """A DomainError of the arithmetic at operator op, which can only be a
+    degree past intpoly.MAX_DEGREE, as a parse error at op."""
+    return ParseError(str(exc), op.line, op.column)
 
 
 def _parse(text: str, variables: Sequence[str]) -> RationalFunction:

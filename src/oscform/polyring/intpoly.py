@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, lcm
+from typing import Iterable
 
 from ..errors import DomainError
 from .poly import Polynomial
@@ -194,17 +195,28 @@ def evaluate(p: IntPoly, values: list[Fraction], n: int) -> Fraction:
     return total
 
 
+def cleared(terms: Iterable[tuple[tuple[int, ...], Fraction]]) -> tuple[int, IntPoly]:
+    """(d, q) for the (exponents, coefficient) terms of a polynomial p:
+    d is the lcm of the coefficient denominators and q = d * p on packed
+    keys, so q has integer coefficients with no factor common to all of
+    them and d."""
+    terms = list(terms)
+    den = lcm(*[c.denominator for _, c in terms])
+    return den, {pack(e): c.numerator * (den // c.denominator) for e, c in terms}
+
+
 def from_poly(p: Polynomial) -> tuple[Fraction, IntPoly]:
     """(s, q) with p = s * q and q primitive; (0, {}) for zero."""
     if not p.terms:
         return Fraction(0), {}
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    c, q = primitive({pack(e): c.numerator * (den // c.denominator)
-                      for e, c in p.terms.items()})
+    den, q = cleared(p.terms.items())
+    c, q = primitive(q)
     return Fraction(c, den), q
 
 
 def to_poly(p: IntPoly, variables: tuple[str, ...], factor: Fraction) -> Polynomial:
     """factor * p as a Polynomial; factor must be nonzero."""
     n = len(variables)
-    return Polynomial._trusted(variables, {unpack(k, n): c * factor for k, c in p.items()})
+    num, den = factor.numerator, factor.denominator
+    return Polynomial._trusted(variables, {unpack(k, n): Fraction(c * num, den)
+                                           for k, c in p.items()})

@@ -132,7 +132,7 @@ class Polynomial:
         variables = tuple(variables)
         if name not in variables:
             raise ValueError(f"{name!r} is not among variables {variables}")
-        exps = tuple(1 if v == name else 0 for v in variables)
+        exps = tuple([1 if v == name else 0 for v in variables])
         return cls(variables, {exps: 1})
 
     @classmethod
@@ -259,7 +259,7 @@ class Polynomial:
         get = terms.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple([a + b for a, b in zip(e1, e2)])
                 old = get(key)
                 terms[key] = c1 * c2 if old is None else old + c1 * c2
         # A cancelled key keeps its place until here; printing sorts terms.
@@ -318,26 +318,18 @@ class Polynomial:
     def hasse_derivative(self, order: Exponents) -> "Polynomial":
         """Divided derivative D_I = (1/I!) d^I.
 
-        Computed directly on exponents: the monomial u^E maps to
-        binom(E, I) u^{E-I}, so no factorial denominators appear.
+        Computed by the integer kernel `intpoly.hasse_derivative`: the
+        monomial u^E maps to binom(E, I) u^{E-I}, so no factorial
+        denominators appear.
         """
+        from . import intpoly  # intpoly builds on this module
+
         order = tuple(order)
         if len(order) != self.nvars:
             raise ValueError(f"order tuple {order} does not match {self.nvars} variables")
-        terms: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            if any(e < o for e, o in zip(exps, order)):
-                continue
-            factor = 1
-            for e, o in zip(exps, order):
-                factor *= math.comb(e, o)
-            key = tuple(e - o for e, o in zip(exps, order))
-            new = terms.get(key, Fraction(0)) + coeff * factor
-            if new:
-                terms[key] = new
-            else:
-                terms.pop(key, None)
-        return Polynomial(self.variables, terms)
+        scale, p = intpoly.from_poly(self)
+        return intpoly.to_poly(intpoly.hasse_derivative(p, order, self.nvars),
+                               self.variables, scale)
 
     # -- evaluation and substitution ------------------------------------
 
@@ -387,14 +379,14 @@ class Polynomial:
             if name not in self.variables:
                 raise ValueError(f"{name!r} is not among variables {self.variables}")
         keep = [i for i, v in enumerate(self.variables) if v not in assignment]
-        new_vars = tuple(self.variables[i] for i in keep)
+        new_vars = tuple([self.variables[i] for i in keep])
         terms: dict[Exponents, Fraction] = {}
         for exps, coeff in self.terms.items():
             c = coeff
             for i, v in enumerate(self.variables):
                 if v in assignment and exps[i]:
                     c *= _coerce_scalar(assignment[v]) ** exps[i]
-            key = tuple(exps[i] for i in keep)
+            key = tuple([exps[i] for i in keep])
             new = terms.get(key, Fraction(0)) + c
             if new:
                 terms[key] = new

@@ -17,9 +17,11 @@ Truncation degrees are capped at `ip.MAX_DEGREE`, where the slots would
 overflow.
 
 Conversion happens only where a public function takes or returns a
-Polynomial: `_from_poly` clears denominators (the lcm of the Fraction
-denominators is already coprime to the numerators), and `_to_poly`
-builds one Fraction per coefficient.  The power cache of
+Polynomial, through intpoly's helpers: `_from_poly` clears denominators
+(`ip.cleared`: the lcm of the Fraction denominators is already coprime
+to the numerators), a substituted polynomial comes in as a scale times
+a primitive integer polynomial (`ip.from_poly`), and `_to_poly` builds
+one Fraction per coefficient (`ip.to_poly`).  The power cache of
 `truncated_compose` holds the powers of the substituted series in
 integer form.
 
@@ -100,9 +102,8 @@ def _reduced(nums: dict[int, int], den: int) -> _Series:
 
 def _from_poly(p: Polynomial, max_degree: int) -> _Series:
     """Terms of p through max_degree; already in lowest terms."""
-    items = [(e, c) for e, c in p.terms.items() if sum(e) <= max_degree]
-    den = math.lcm(*(c.denominator for _, c in items))
-    return _Series({ip.pack(e): c.numerator * (den // c.denominator) for e, c in items}, den)
+    den, nums = ip.cleared((e, c) for e, c in p.terms.items() if sum(e) <= max_degree)
+    return _Series(nums, den)
 
 
 def _scaled_values(polys: Sequence[Polynomial], point: Sequence[Fraction]) -> list[int]:
@@ -112,9 +113,9 @@ def _scaled_values(polys: Sequence[Polynomial], point: Sequence[Fraction]) -> li
     the top degree over all the polynomials.  A zero test, or the zero
     test of a determinant whose rows are scaled so, then needs no
     Fraction arithmetic."""
-    den = math.lcm(*(v.denominator for v in point))
+    den = math.lcm(*[v.denominator for v in point])
     nums = [v.numerator * (den // v.denominator) for v in point]
-    coeff_den = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    coeff_den = math.lcm(*[c.denominator for p in polys for c in p.terms.values()])
     top = max((sum(e) for p in polys for e in p.terms), default=0)
     den_powers = [den ** k for k in range(top + 1)]
     values = []
@@ -131,9 +132,7 @@ def _scaled_values(polys: Sequence[Polynomial], point: Sequence[Fraction]) -> li
 
 
 def _to_poly(s: _Series, variables: tuple[str, ...]) -> Polynomial:
-    n, den = len(variables), s.den
-    return Polynomial._trusted(
-        variables, {ip.unpack(k, n): Fraction(v, den) for k, v in s.nums.items()})
+    return ip.to_poly(s.nums, variables, Fraction(1, s.den))
 
 
 def _mul(a: _Series, b: _Series, limit: int) -> _Series:
@@ -153,7 +152,7 @@ def _mul(a: _Series, b: _Series, limit: int) -> _Series:
 
 def _combine(parts: list[tuple[int, _Series]], limit: int) -> _Series:
     """sum(c * s for c, s in parts), keeping the keys below limit."""
-    den = math.lcm(*(s.den for _, s in parts))
+    den = math.lcm(*[s.den for _, s in parts])
     acc: dict[int, int] = {}
     get = acc.get
     for c, s in parts:
@@ -241,9 +240,8 @@ def truncated_compose(g: Polynomial, args: Sequence[Polynomial], max_degree: int
             raise ValueError("substituted series use different variables")
     _check_degree(max_degree)
     series = [_from_poly(a, max_degree) for a in args]
-    g_den = math.lcm(*(c.denominator for c in g.terms.values()))
-    terms = [(e, c.numerator * (g_den // c.denominator)) for e, c in g.terms.items()]
-    return _to_poly(_compose(terms, Fraction(1, g_den), series, len(target_vars), max_degree,
+    scale, integer_g = ip.from_poly(g)
+    return _to_poly(_compose(integer_g, scale, series, len(target_vars), max_degree,
                              {} if powers is None else powers),
                     target_vars)
 
@@ -251,56 +249,63 @@ def truncated_compose(g: Polynomial, args: Sequence[Polynomial], max_degree: int
 Terms = list[tuple[tuple[int, ...], int]]
 
 
-def _compose(terms: Terms, scale: Fraction, args: Sequence[_Series], nvars: int,
+def _compose(g: ip.IntPoly, scale: Fraction, args: Sequence[_Series], nvars: int,
              max_degree: int, powers: PowerCache) -> _Series:
-    """truncated_compose in integer form: scale * g(args) for the g with
-    integer `terms` (exponent tuple, coefficient).  The arguments may
-    carry terms above max_degree; every product and sum below drops
-    them."""
-    last = len(args) - 1
-    top_limit = ip.limit(nvars, max_degree)
-
-    def arg_power(i: int, e: int) -> _Series:
-        if e < 2:
-            return args[i] if e else _ONE
-        cached = powers.get((i, e))
-        if cached is None or cached[0] < max_degree:
-            power = _mul(arg_power(i, e - 1), args[i], top_limit)
-            cached = powers[(i, e)] = (max_degree, power)
-        return cached[1]
-
+    """truncated_compose in integer form: scale * g(args) for an integer
+    polynomial g in len(args) variables.  The arguments may carry terms
+    above max_degree; every product and sum below drops them."""
+    n = len(args)
+    terms = [(ip.unpack(k, n), c) for k, c in g.items()]
     shift = ip.top(nvars)
     lowest = [min(a.nums, default=0) >> shift for a in args]
-
-    def nested(terms: Terms, i: int, budget: int) -> _Series:
-        """Sum of c * args[i]^e_i * ... * args[last]^e_last over the terms,
-        through degree budget."""
-        limit = ip.limit(nvars, budget)
-        if i == last:
-            return _combine([(c, arg_power(i, exps[i])) for exps, c in terms], limit)
-        groups: dict[int, Terms] = {}
-        for term in terms:
-            groups.setdefault(term[0][i], []).append(term)
-        parts = []
-        for e, group in groups.items():
-            low = e * lowest[i]
-            if low > budget:
-                continue
-            inner = nested(group, i + 1, budget - low)
-            if e:
-                inner = _mul(arg_power(i, e), inner, limit)
-            parts.append((1, inner))
-        return _combine(parts, limit)
-
-    result = nested(terms, 0, max_degree)
-    # Both helpers call themselves through their closure cells, a reference
-    # cycle: emptying the cells frees them, and the series they hold, now
-    # instead of at the next full garbage collection.
-    del arg_power, nested
+    result = _nested(terms, 0, max_degree, args, lowest, nvars, max_degree, powers)
     if scale == 1:
         return result
     p = scale.numerator
     return _reduced({k: v * p for k, v in result.nums.items()}, result.den * scale.denominator)
+
+
+def _nested(terms: Terms, i: int, budget: int, args: Sequence[_Series], lowest: list[int],
+            nvars: int, max_degree: int, powers: PowerCache) -> _Series:
+    """Sum of c * args[i]^e_i * ... * args[last]^e_last over the terms,
+    through degree budget; lowest[j] is the lowest degree in args[j]."""
+    limit = ip.limit(nvars, budget)
+    if i == len(args) - 1:
+        return _combine([(c, _arg_power(args, i, exps[i], nvars, max_degree, powers))
+                         for exps, c in terms], limit)
+    groups: dict[int, Terms] = {}
+    for term in terms:
+        groups.setdefault(term[0][i], []).append(term)
+    parts = []
+    for e, group in groups.items():
+        low = e * lowest[i]
+        if low > budget:
+            continue
+        inner = _nested(group, i + 1, budget - low, args, lowest, nvars, max_degree, powers)
+        if e:
+            inner = _mul(_arg_power(args, i, e, nvars, max_degree, powers), inner, limit)
+        parts.append((1, inner))
+    return _combine(parts, limit)
+
+
+def _arg_power(args: Sequence[_Series], i: int, e: int, nvars: int, max_degree: int,
+               powers: PowerCache) -> _Series:
+    """args[i]^e through max_degree.  Each power from the highest one the
+    cache holds at that precision up to e is one product, and is cached."""
+    if e < 2:
+        return args[i] if e else _ONE
+    low = e
+    while low >= 2:
+        cached = powers.get((i, low))
+        if cached is not None and cached[0] >= max_degree:
+            break
+        low -= 1
+    power = powers[(i, low)][1] if low >= 2 else args[i]
+    limit = ip.limit(nvars, max_degree)
+    for k in range(max(low, 1) + 1, e + 1):
+        power = _mul(power, args[i], limit)
+        powers[(i, k)] = (max_degree, power)
+    return power
 
 
 def _expansions(functions: Sequence, point: Sequence[Fraction], order: int) -> list[_Series]:
@@ -319,11 +324,9 @@ def _expansions(functions: Sequence, point: Sequence[Fraction], order: int) -> l
     out = []
     for f in functions:
         # f = scale * num / den on integer parts, composed as they are.
-        s = _compose([(ip.unpack(k, nvars), c) for k, c in f.num.items()], f.scale,
-                     shift, nvars, order, powers)
+        s = _compose(f.num, f.scale, shift, nvars, order, powers)
         if not f.is_polynomial():
-            den = _compose([(ip.unpack(k, nvars), c) for k, c in f.den.items()], _UNIT,
-                           shift, nvars, order, powers)
+            den = _compose(f.den, _UNIT, shift, nvars, order, powers)
             if 0 not in den.nums:
                 raise DenominatorVanishes(f"denominator {f.denominator} vanishes at "
                                           f"({', '.join(str(v) for v in point)})",
@@ -381,7 +384,7 @@ def graph_series(coords: Sequence[Polynomial], mixing: Sequence[Sequence[Fractio
     expansions = [_from_poly(c, order) for c in coords]
     z = []
     for row in mixing:
-        den = math.lcm(*(m.denominator for m in row))
+        den = math.lcm(*[m.denominator for m in row])
         mixed = _combine([(m.numerator * (den // m.denominator), c)
                           for m, c in zip(row, expansions) if m], limit)
         z.append(_reduced(mixed.nums, mixed.den * den))
@@ -389,22 +392,13 @@ def graph_series(coords: Sequence[Polynomial], mixing: Sequence[Sequence[Fractio
         raise SingularPoint("chart normalization failed at the point")
     inverse_z0 = _inverse(z[0], nvars, order)
     t1, t2, residual = (_mul(zi, inverse_z0, limit) for zi in z[1:])
-    key_1, key_2 = ip.pack((1, 0)), ip.pack((0, 1))
     quadratic = ip.limit(nvars, 1)
-    for t, key in ((t1, key_1), (t2, key_2)):
+    for t, key in ((t1, _KEY_1), (t2, _KEY_2)):
         if {k: v for k, v in t.nums.items() if k < quadratic} != {key: t.den}:
             raise InvariantViolation("chart coordinates are not the identity to first order")
     # f and the t_i both have two variables, so the key of x1^a x2^b is
     # that of u1^a u2^b: products[k] holds t1^a t2^b for that key.
     products = {0: _ONE}
-
-    def product(k: int) -> _Series:
-        cached = products.get(k)
-        if cached is None:
-            cached = products[k] = (_mul(product(k - key_1), t1, limit) if k & ip.MASK
-                                    else _mul(product(k - key_2), t2, limit))
-        return cached
-
     coefficients: dict[int, Fraction] = {}
     for d in range(order + 1):
         low, high = ip.limit(nvars, d - 1), ip.limit(nvars, d)
@@ -414,14 +408,32 @@ def graph_series(coords: Sequence[Polynomial], mixing: Sequence[Sequence[Fractio
         for k, v in block:
             coefficients[k] = Fraction(v, residual.den)
         # f_d(t1, t2) = sum(v * product(k)) / residual.den
-        image = _combine([(v, product(k)) for k, v in block], limit)
+        image = _combine([(v, _product(products, k, t1, t2, limit)) for k, v in block],
+                         limit)
         residual = _combine([(1, residual), (-1, _Series(image.nums, image.den * residual.den))],
                             limit)
-    del product  # a self-referencing closure, as in _compose
     if residual.nums:
         raise InvariantViolation("graph series residual does not vanish")
     return Polynomial._trusted(tuple(graph_vars),
                                {ip.unpack(k, nvars): c for k, c in coefficients.items()})
+
+
+_KEY_1, _KEY_2 = ip.pack((1, 0)), ip.pack((0, 1))
+
+
+def _product(products: dict[int, _Series], k: int, t1: _Series, t2: _Series,
+             limit: int) -> _Series:
+    """t1^a t2^b for the two-variable key k of x1^a x2^b.  `products`
+    caches them by key: the missing ones down to a cached key are built
+    from it, one product with t1 (while a > 0) or t2 each."""
+    chain = []
+    while k not in products:
+        chain.append(k)
+        k -= _KEY_1 if k & ip.MASK else _KEY_2
+    power = products[k]
+    for k in reversed(chain):
+        power = products[k] = _mul(power, t1 if k & ip.MASK else t2, limit)
+    return power
 
 
 def truncated_inverse(a: Polynomial, max_degree: int) -> Polynomial:

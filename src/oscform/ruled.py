@@ -137,8 +137,8 @@ class RuledParameterization:
         if n == 1:
             base = ("v",)
         else:
-            base = tuple(f"v{k + 1}" for k in range(n))
-        fiber = tuple(f"w{k + 1}" for k in range(self.fiber_count))
+            base = tuple([f"v{k + 1}" for k in range(n)])
+        fiber = tuple([f"w{k + 1}" for k in range(self.fiber_count)])
         return base + fiber
 
     def __repr__(self) -> str:
@@ -157,7 +157,7 @@ def scroll(spec: ScrollSpec) -> RuledParameterization:
             stacklevel=2,
         )
     base = ("t",)
-    fibers = tuple(f"s{i}" for i in range(1, e + 1))
+    fibers = tuple([f"s{i}" for i in range(1, e + 1)])
     params = base + fibers
     t = Polynomial.variable(params, "t")
     coords: list[Polynomial] = []
@@ -319,7 +319,7 @@ def pushdown_rank_check(spec: ScrollSpec, orders: Sequence[int]) -> list[Pushdow
     columns = [(b, j) for b, d in enumerate(spec.degrees) for j in range(d + 1)]
     scales = [one] + [Polynomial.variable(params, s) for s in params[1:]]
     # The fiber exponents of s_b; those of s_0 = 1 are all zero.
-    units = [tuple(int(i == b - 1) for i in range(spec.fiber_count))
+    units = [tuple([int(i == b - 1) for i in range(spec.fiber_count)])
              for b in range(len(spec.degrees))]
 
     def expected(k: int, fiber: tuple[int, ...], b: int, j: int) -> Polynomial:

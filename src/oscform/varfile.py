@@ -115,7 +115,7 @@ def parse_variety(text: str) -> VarietyFile:
         key = key.strip()
         value = value.strip()
         if key in _LIST_KEYS:
-            entries = tuple(v.strip() for v in value.split(",") if v.strip())
+            entries = tuple([v.strip() for v in value.split(",") if v.strip()])
             if not entries:
                 raise ParseError(f"{key}: expected at least one expression",
                                  line=lineno)

@@ -347,6 +347,25 @@ def test_non_ascii_digit_is_a_parse_error(capsys, monkeypatch, entry, char, colu
                    f"unexpected character {char!r}\n")
 
 
+@pytest.mark.parametrize("entry, column", [("x^70000", 2), ("x^40000*y^40000", 8),
+                                           ("(x^300)^300", 8)])
+def test_degree_past_the_packed_key_bound_is_a_parse_error(capsys, monkeypatch, entry,
+                                                           column):
+    text = f"kind: parameterization\nparams: x y\ncoords: 1, x, y, {entry}\n"
+    code, out, err = run_stdin(capsys, monkeypatch,
+                               ["osc", "--order", "2", "--max", "--at=1,2"], text)
+    assert (code, out) == (2, "")
+    assert err == (f"error: line 3: coords entry 4: line 1, column {column}: "
+                   "polynomial degree exceeds 65535\n")
+
+
+def test_degree_at_the_packed_key_bound_runs(capsys, monkeypatch):
+    text = "kind: parameterization\nparams: x y\ncoords: 1, x, y, x^65535\n"
+    code, out, err = run_stdin(capsys, monkeypatch, ["osc", "--order", "2", "--at=1,2"], text)
+    assert code == 0, err
+    assert "dim: 3" in out
+
+
 def test_reports_are_deterministic(capsys, examples):
     argv = ["ruled-test", "--samples", "3", "--seed", "5",
             str(examples / "scroll-2-2.var")]

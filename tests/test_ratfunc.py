@@ -2,7 +2,8 @@
 
 Oracles: hand-factored examples, construction (multiply by a known
 factor, then check it cancels), the primitive-PRS gcd as an independent
-second algorithm, and sympy where it is installed.
+second algorithm, and sympy where it is installed (its gcd also reduces
+the Fraction-coefficient oracle of the arithmetic).
 """
 
 import random
@@ -183,11 +184,27 @@ def test_gcd_divides_both_and_leaves_coprime_cofactors():
 # -- the Fraction-coefficient algorithm, kept as an oracle ----------------
 
 
+def sympy_gcd(a, b):
+    """The gcd of two nonzero Polynomials, computed by sympy: an oracle
+    that shares no code with gcd.py."""
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(a.variables)
+
+    def to_sympy(p):
+        return sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()},
+            *gens, domain="QQ")
+
+    g = to_sympy(a).gcd(to_sympy(b))
+    return Polynomial(a.variables, {e: Fraction(int(c.p), int(c.q)) for e, c in g.terms()})
+
+
 class FractionRationalFunction:
     """num/den as Polynomials with Fraction coefficients, reduced after
     every operation by one gcd of the whole numerator and denominator,
     with a denominator of grlex leading coefficient 1: the algorithm the
-    integer core replaced."""
+    integer core replaced.  The gcd is sympy's, and the cofactors come
+    from leading-term division, so no code of gcd.py is involved."""
 
     def __init__(self, num, den=None):
         if den is None:
@@ -195,7 +212,8 @@ class FractionRationalFunction:
         if num.is_zero:
             num, den = num, Polynomial.constant(num.variables, 1)
         elif num.total_degree() > 0 and den.total_degree() > 0:
-            _, num, den = poly_gcd(num, den)
+            g = sympy_gcd(num, den)
+            num, den = num.exact_div(g), den.exact_div(g)
         lead = den.leading_term()[1]
         self.num, self.den = num / lead, den / lead
 
@@ -244,7 +262,8 @@ class FractionRationalFunction:
 def _quotients():
     """(variables, [(num, den)] * 3, point, order): numerators and
     denominators with Fraction coefficients in 1-3 variables, any sign of
-    leading term, often sharing a factor."""
+    leading term, often sharing a factor, and often monomials (the
+    monomial shortcut of the gcd)."""
     from hypothesis import strategies as st
 
     @st.composite
@@ -253,7 +272,8 @@ def _quotients():
         n = len(variables)
         coeffs = st.builds(Fraction, st.integers(-30, 30).filter(bool), st.integers(1, 6))
         exps = st.tuples(*(st.integers(0, 2) for _ in range(n)))
-        polys = st.dictionaries(exps, coeffs, max_size=4).map(
+        polys = st.one_of(st.dictionaries(exps, coeffs, max_size=4),
+                          st.dictionaries(exps, coeffs, min_size=1, max_size=1)).map(
             lambda terms: Polynomial(variables, terms))
         shared = draw(polys)
         pairs = []
@@ -269,8 +289,9 @@ def _quotients():
     return draw_case()
 
 
-def test_integer_core_matches_fraction_oracle():
-    hypothesis = pytest.importorskip("hypothesis")
+def check_against_oracle(variables, pairs, point, order):
+    """Every operation of the integer core on the quotients num/den of
+    `pairs` (three of them) against FractionRationalFunction."""
     from oscform.errors import DenominatorVanishes
 
     def same(new, old):
@@ -278,40 +299,70 @@ def test_integer_core_matches_fraction_oracle():
         assert str(new) == str(old)
         assert new == RationalFunction(old.num, old.den)
 
+    new = [RationalFunction(n, d) for n, d in pairs]
+    old = [FractionRationalFunction(n, d) for n, d in pairs]
+    (a, b, c), (oa, ob, oc) = new, old
+    for x, ox in zip(new, old):
+        same(x, ox)
+        same(-x, ox * FractionRationalFunction(Polynomial.constant(variables, -1)))
+        for i in range(len(variables)):
+            same(x.partial(i), ox.partial(i))
+        same(x.hasse_derivative(order), ox.hasse_derivative(order))
+        for e in (0, 2, 3) if x.is_zero else (-2, -1, 0, 2, 3):
+            same(x ** e, ox ** e)
+        expected = ox.evaluate(point)
+        if expected is None:
+            with pytest.raises(DenominatorVanishes):
+                x.evaluate(point)
+        else:
+            assert x.evaluate(point) == expected
+    for (x, ox), (y, oy) in [((a, oa), (b, ob)), ((b, ob), (c, oc)), ((a, oa), (a, oa))]:
+        same(x + y, ox + oy)
+        same(x - y, ox - oy)
+        same(x * y, ox * oy)
+        if not y.is_zero:
+            same(x / y, ox / oy)
+        assert (x == y) == (ox.num == oy.num and ox.den == oy.den)
+    same(a * b + c, (oa * ob) + oc)
+    same((a + b) * (a - c), (oa + ob) * (oa - oc))
+    # Round trips whose last step cancels a factor of both denominators.
+    same((c - a) + a, oc)
+    same((c + b) - b, oc)
+    if not a.is_zero:
+        same((c / a) * a, oc)
+
+
+def test_integer_core_matches_fraction_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    pytest.importorskip("sympy")
+
     @hypothesis.settings(max_examples=50, deadline=None, derandomize=True)
     @hypothesis.given(_quotients())
     def check(case):
-        variables, pairs, point, order = case
-        new = [RationalFunction(n, d) for n, d in pairs]
-        old = [FractionRationalFunction(n, d) for n, d in pairs]
-        (a, b, c), (oa, ob, oc) = new, old
-        for x, ox in zip(new, old):
-            same(x, ox)
-            same(-x, ox * FractionRationalFunction(Polynomial.constant(variables, -1)))
-            for i in range(len(variables)):
-                same(x.partial(i), ox.partial(i))
-            same(x.hasse_derivative(order), ox.hasse_derivative(order))
-            for e in (0, 2, 3) if x.is_zero else (-2, -1, 0, 2, 3):
-                same(x ** e, ox ** e)
-            expected = ox.evaluate(point)
-            if expected is None:
-                with pytest.raises(DenominatorVanishes):
-                    x.evaluate(point)
-            else:
-                assert x.evaluate(point) == expected
-        for (x, ox), (y, oy) in [((a, oa), (b, ob)), ((b, ob), (c, oc)), ((a, oa), (a, oa))]:
-            same(x + y, ox + oy)
-            same(x - y, ox - oy)
-            same(x * y, ox * oy)
-            if not y.is_zero:
-                same(x / y, ox / oy)
-            assert (x == y) == (ox.num == oy.num and ox.den == oy.den)
-        same(a * b + c, (oa * ob) + oc)
-        same((a + b) * (a - c), (oa + ob) * (oa - oc))
-        # Round trips whose last step cancels a factor of both denominators.
-        same((c - a) + a, oc)
-        same((c + b) - b, oc)
-        if not a.is_zero:
-            same((c / a) * a, oc)
+        check_against_oracle(*case)
 
     check()
+
+
+@pytest.mark.parametrize("variables, pairs", [
+    (VARS[:1], [("-3*x^2", "6*x^5"), ("x^2 - x", "2*x"), ("5", "x^3 + 1")]),
+    (VARS[:2], [("4*x^2*y", "-6*x*y^3"), ("2*x*y - 4*x^2*y", "x^3*y^2"),
+                ("x*y", "x^2*y + x*y^2")]),
+    (VARS, [("-x*z^2", "y*z"), ("x*y*z", "3*x*y*z"), ("x^2*y - y*z", "y^2*z")]),
+])
+def test_monomial_cofactors_match_the_oracle(monkeypatch, variables, pairs):
+    # Quotients with a monomial numerator or denominator, whose products,
+    # sums and derivatives take the monomial shortcut of the gcd.
+    pytest.importorskip("sympy")
+    calls = []
+    monomial_cofactors = G._monomial_cofactors
+
+    def counted(a, b, n):
+        calls.append((a, b))
+        return monomial_cofactors(a, b, n)
+
+    monkeypatch.setattr(G, "_monomial_cofactors", counted)
+    pairs = [(P(n, variables), P(d, variables)) for n, d in pairs]
+    point = tuple(Fraction(i + 2) for i in range(len(variables)))
+    check_against_oracle(variables, pairs, point, (1,) * len(variables))
+    assert any(len(a) > 1 or len(b) > 1 for a, b in calls)

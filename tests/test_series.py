@@ -224,10 +224,23 @@ def test_graph_series_guards():
         graph_series([P(e, u) for e in ("u1 + u2", "u1", "u2", "u1^2")], identity, 4, XY)
 
 
+def test_exponents_past_the_recursion_limit_expand():
+    # The power cache builds args[i]^e one product at a time in a loop,
+    # so an exponent past the interpreter's recursion limit needs no deep
+    # stack (a coordinate x^2000 at a point used to raise RecursionError).
+    import sys
+
+    e = sys.getrecursionlimit() + 10
+    uv = ("u", "v")
+    f = RationalFunction(P(f"x^{e} + y"))
+    assert taylor_expansions([f], (Fraction(1), Fraction(0)), 2, uv) == [
+        P(f"1 + {e}*u + v + {e * (e - 1) // 2}*u^2", uv)]
+
+
 def test_integer_core_leaves_no_cyclic_garbage():
     # The recursive helpers of the composition and the graph solve are
-    # closures that call themselves; each call releases them on return,
-    # so the series they hold wait for no cyclic garbage collection.
+    # plain functions that take their state as arguments, so the series
+    # they build wait for no cyclic garbage collection.
     import gc
 
     u = ("u1", "u2")
