@@ -339,7 +339,7 @@ def _cmd_ruled_test(args) -> Report:
             report.add(f"point {fmt_point(p.point)}", f"error: {p.error}")
             continue
         dirs = "; ".join(
-            f"{d.direction} contact {d.contact if d.evaluated else 'unevaluated'}"
+            f"{d.direction} contact {d.contact}"
             for d in p.directions) or "no common direction"
         report.add(
             f"point {fmt_point(p.point)}",

@@ -18,14 +18,17 @@ from .binform import (
     binary_form_gcd,
     check_binary_form,
     form_from_coefficients,
+    form_value,
     gen_divmod,
     gen_gcd,
     gen_gcdex,
     gen_trim,
+    integer_form,
+    integer_zeros,
     rational_zeros,
     resultant_binary,
-    split_rational_linear_factors,
     strip_valuations,
+    sylvester_resultant,
 )
 from .exprparse import parse_polynomial, parse_rational
 from .series import (
@@ -52,14 +55,17 @@ __all__ = [
     "binary_form_gcd",
     "check_binary_form",
     "form_from_coefficients",
+    "form_value",
     "gen_divmod",
     "gen_gcd",
     "gen_gcdex",
     "gen_trim",
+    "integer_form",
+    "integer_zeros",
     "rational_zeros",
     "resultant_binary",
-    "split_rational_linear_factors",
     "strip_valuations",
+    "sylvester_resultant",
     "parse_polynomial",
     "parse_rational",
     "graph_series",

@@ -1,10 +1,26 @@
-"""Binary forms: gcd, Sylvester resultant, and rational zeros.
+"""Binary forms: gcd, Sylvester resultant, rational zeros, evaluation.
 
 A binary form is a nonzero homogeneous polynomial in two variables.  Its
 coefficient vector lists c_0..c_d with c_i the coefficient of
 v1^(d-i) * v2^i, so c_0 = 0 detects the zero (1:0) and c_d = 0 the zero
-(0:1).  The gcd routine strips powers of the two variables first, then
-runs the Euclidean algorithm on dehomogenized coefficient lists and
+(0:1).
+
+The resultant, the rational zeros and evaluation run on integer
+coefficient vectors (`integer_form` clears denominators):
+- `sylvester_resultant` is one integer Sylvester determinant, scaled
+  back to the rational forms;
+- `integer_zeros` gives a linear factor's root directly, and a
+  quadratic's roots when `math.isqrt` of its integer discriminant is
+  exact.  Only degree 3 or more, which only the base locus of a pencil
+  reaches, lists the candidates of the rational-root theorem by trial
+  division;
+- `form_value` evaluates by homogeneous Horner, on integers or in any
+  commutative ring.
+`resultant_binary` and `rational_zeros` are their faces on Polynomials;
+the ruledness diagnostic calls the vector routines on the Monge pieces.
+
+The gcd routine strips powers of the two variables first, then runs the
+Euclidean algorithm on dehomogenized coefficient lists and
 rehomogenizes; with both inputs stripped no zeros can hide at infinity.
 
 The list-level helpers (gen_trim, gen_divmod, gen_gcd, gen_gcdex) only
@@ -17,8 +33,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
-from ..errors import InexactDivision, NotHomogeneous, ZeroDivisionRequested
+from ..errors import NotHomogeneous, ZeroDivisionRequested
 from .poly import Polynomial
 
 # -- generic univariate arithmetic over any exact field ---------------------
@@ -162,68 +179,106 @@ def binary_form_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     return h / lead
 
 
-def resultant_binary(f: Polynomial, g: Polynomial) -> Fraction:
-    """Resultant of two binary forms via the Sylvester determinant.
+def integer_form(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(v, d) with coeffs = v / d: d > 0 the lcm of the denominators, so
+    the integers v have no factor common to all of them and d."""
+    den = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
-    Coefficient vectors are taken at the full homogeneous degree, so
-    vanishing extreme coefficients (zeros at (1:0) or (0:1)) are kept
-    and common zeros there are detected.
+
+def form_value(coeffs: Sequence, x, y):
+    """sum(c_i * x^(d-i) * y^i) by homogeneous Horner, for a coefficient
+    vector c_0..c_d: one product by y and one power of x per step.  The
+    values may be integers, rationals or elements of any commutative ring
+    that takes integer coefficients."""
+    value = coeffs[-1]
+    x_power = 1
+    for c in reversed(coeffs[:-1]):
+        x_power = x_power * x
+        value = value * y + c * x_power
+    return value
+
+
+def sylvester_resultant(f: Sequence[int], g: Sequence[int],
+                        f_den: int = 1, g_den: int = 1) -> Fraction:
+    """Resultant of the binary forms f / f_den and g / g_den, for integer
+    coefficient vectors at the full homogeneous degrees m and n.
+
+    The Sylvester determinant of the integer vectors is divided by
+    f_den^n * g_den^m, since the resultant is homogeneous of degree n in
+    the coefficients of f and of degree m in those of g.  Vanishing
+    extreme coefficients (zeros at (1:0) or (0:1)) are kept, so common
+    zeros there are detected.
     """
     # exactla imports polyring, so it is imported here, not at module level.
     from ..exactla import ExactMatrix, RationalField, determinant
 
-    m = check_binary_form(f)
-    n = check_binary_form(g)
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[0] * shift + list(f) + [0] * (n - 1 - shift) for shift in range(n)]
+    rows += [[0] * shift + list(g) + [0] * (m - 1 - shift) for shift in range(m)]
+    return determinant(ExactMatrix(rows, field=RationalField())) / (f_den ** n * g_den ** m)
+
+
+def resultant_binary(f: Polynomial, g: Polynomial) -> Fraction:
+    """Resultant of two binary forms: `sylvester_resultant` on their
+    integer coefficient vectors, scaled back to the rational forms."""
+    fc, f_den = integer_form(binary_coefficients(f))
+    gc, g_den = integer_form(binary_coefficients(g))
     if f.variables != g.variables:
         raise NotHomogeneous("binary forms over different variables")
-    fc = binary_coefficients(f)
-    gc = binary_coefficients(g)
-    size = m + n
-    rows = []
-    for shift in range(n):
-        row = [Fraction(0)] * size
-        for i, c in enumerate(fc):
-            row[shift + i] = c
-        rows.append(row)
-    for shift in range(m):
-        row = [Fraction(0)] * size
-        for i, c in enumerate(gc):
-            row[shift + i] = c
-        rows.append(row)
-    return determinant(ExactMatrix(rows, field=RationalField()))
+    return sylvester_resultant(fc, gc, f_den, g_den)
+
+
+def integer_zeros(coeffs: Sequence[int]) -> list[tuple[int, int]]:
+    """All projective zeros (a : b) with a, b rational of a binary form with
+    integer coefficient vector c_0..c_d, not all zero, as coprime integer
+    pairs (q, p) for (1 : p/q) with q > 0, or (0, 1).
+
+    The order is (1 : 0) first, then increasing p/q, then (0 : 1).  Leading
+    and trailing zero coefficients give the zeros at (1 : 0) and (0 : 1).
+    What is left, sum(c_i t^i) with nonzero extreme coefficients, has its
+    rational roots in closed form up to degree 2: a linear factor gives its
+    root, and a quadratic has rational roots exactly when its discriminant
+    is a square (`math.isqrt`).  Only degree 3 or more lists the candidates
+    of the rational-root theorem, by trial division of the extreme
+    coefficients: that search grows as their square roots.
+    """
+    lo = next(i for i, c in enumerate(coeffs) if c)
+    hi = max(i for i, c in enumerate(coeffs) if c)
+    core = coeffs[lo:hi + 1]
+    if len(core) == 1:
+        roots = []
+    elif len(core) == 2:
+        roots = [Fraction(-core[0], core[1])]
+    elif len(core) == 3:
+        c0, c1, c2 = core
+        disc = c1 * c1 - 4 * c0 * c2
+        root = math.isqrt(max(disc, 0))
+        if root * root != disc:
+            roots = []
+        else:
+            roots = sorted({Fraction(-c1 - root, 2 * c2), Fraction(-c1 + root, 2 * c2)})
+    else:
+        candidates = set()
+        for q in _divisors(abs(core[-1])):
+            for r in _divisors(abs(core[0])):
+                candidates.add(Fraction(r, q))
+                candidates.add(Fraction(-r, q))
+        roots = [t for t in sorted(candidates)
+                 if not form_value(core, t.denominator, t.numerator)]
+    zeros = [(1, 0)] if lo else []
+    zeros += [(t.denominator, t.numerator) for t in roots]
+    if hi < len(coeffs) - 1:
+        zeros.append((0, 1))
+    return zeros
 
 
 def rational_zeros(p: Polynomial) -> list[tuple[Fraction, Fraction]]:
-    """All projective zeros (a : b) of a binary form with a, b rational.
-
-    Points are normalized to (1 : t) or (0 : 1).  Zeros at the two
-    coordinate points come from variable valuations; the rest come from
-    the rational-root theorem applied to the integer-scaled
-    dehomogenization.
-    """
-    v1, v2, stripped = strip_valuations(p)
-    zeros: list[tuple[Fraction, Fraction]] = []
-    if v2:
-        zeros.append((Fraction(1), Fraction(0)))
-    coeffs = binary_coefficients(stripped)
-    if len(coeffs) > 1:
-        lcm = 1
-        for c in coeffs:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        ints = [int(c * lcm) for c in coeffs]
-        lead = abs(ints[-1])
-        const = abs(ints[0])
-        candidates = set()
-        for q in _divisors(lead):
-            for r in _divisors(const):
-                candidates.add(Fraction(r, q))
-                candidates.add(Fraction(-r, q))
-        for t in sorted(candidates):
-            if not stripped.evaluate((Fraction(1), t)):
-                zeros.append((Fraction(1), t))
-    if v1:
-        zeros.append((Fraction(0), Fraction(1)))
-    return zeros
+    """All projective zeros (a : b) of a binary form with a, b rational,
+    normalized to (1 : t) or (0 : 1), in the order of `integer_zeros`."""
+    zeros = integer_zeros(integer_form(binary_coefficients(p))[0])
+    return [(Fraction(1), Fraction(n, q)) if q else (Fraction(0), Fraction(1))
+            for q, n in zeros]
 
 
 def _divisors(n: int) -> list[int]:
@@ -236,32 +291,3 @@ def _divisors(n: int) -> list[int]:
                 out.append(n // d)
         d += 1
     return sorted(out)
-
-
-def split_rational_linear_factors(p: Polynomial) -> tuple[list[tuple[Fraction, Fraction]], Polynomial]:
-    """Peel off every linear factor with a rational zero.
-
-    Returns the zeros (with repetition by multiplicity) and the
-    remaining form, which has no rational zeros.
-    """
-    check_binary_form(p)
-    v1_name, v2_name = p.variables
-    v1 = Polynomial.variable(p.variables, v1_name)
-    v2 = Polynomial.variable(p.variables, v2_name)
-    zeros: list[tuple[Fraction, Fraction]] = []
-    remainder = p
-    for point in rational_zeros(p):
-        a, b = point
-        # The linear form vanishing at (a : b).
-        factor = v2 * a - v1 * b if a else v1
-        while True:
-            try:
-                candidate = remainder.exact_div(factor)
-            except InexactDivision:
-                break
-            remainder = candidate
-            zeros.append(point)
-            if remainder.total_degree() == 0:
-                break
-    _, lead = remainder.leading_term()
-    return zeros, remainder / lead

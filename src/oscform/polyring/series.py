@@ -19,11 +19,12 @@ overflow.
 Conversion happens only where a public function takes or returns a
 Polynomial, through intpoly's helpers: `_from_poly` clears denominators
 (`ip.cleared`: the lcm of the Fraction denominators is already coprime
-to the numerators), a substituted polynomial comes in as a scale times
-a primitive integer polynomial (`ip.from_poly`), and `_to_poly` builds
-one Fraction per coefficient (`ip.to_poly`).  The power cache of
-`truncated_compose` holds the powers of the substituted series in
-integer form.
+to the numerators), the polynomial that `truncated_compose` substitutes
+into comes in as its own exponent tuples over the lcm of its
+denominators (`_compose` groups terms by exponent tuples, so nothing is
+packed), and `_to_poly` builds one Fraction per coefficient
+(`ip.to_poly`).  The power cache of `truncated_compose` holds the powers
+of the substituted series in integer form.
 
 One routine, `_expansions`, expands rational functions around a rational
 point: the shift u_k + p_k is built as a series directly, and the
@@ -38,7 +39,9 @@ between.
 graph_series writes a parameterized surface chart as a graph
 x3 = f(x1, x2).  The chart coordinates are the identity to first order,
 so f is solved degree by degree on integers, with no reversion; the
-residual left at the end certifies it.
+residual left at the end certifies it.  It returns the homogeneous
+pieces of f as integer coefficient vectors, which the ruledness
+diagnostic reads as they are.
 
 solve_series_system runs Newton iteration with precision doubling
 (Brent & Kung 1978) for an implicit system g(x_free, x_dep) = 0 around a
@@ -240,8 +243,10 @@ def truncated_compose(g: Polynomial, args: Sequence[Polynomial], max_degree: int
             raise ValueError("substituted series use different variables")
     _check_degree(max_degree)
     series = [_from_poly(a, max_degree) for a in args]
-    scale, integer_g = ip.from_poly(g)
-    return _to_poly(_compose(integer_g, scale, series, len(target_vars), max_degree,
+    # g = terms / den on its own exponent tuples: nothing to pack.
+    den = math.lcm(*[c.denominator for c in g.terms.values()])
+    terms = [(e, c.numerator * (den // c.denominator)) for e, c in g.terms.items()]
+    return _to_poly(_compose(terms, Fraction(1, den), series, len(target_vars), max_degree,
                              {} if powers is None else powers),
                     target_vars)
 
@@ -249,13 +254,12 @@ def truncated_compose(g: Polynomial, args: Sequence[Polynomial], max_degree: int
 Terms = list[tuple[tuple[int, ...], int]]
 
 
-def _compose(g: ip.IntPoly, scale: Fraction, args: Sequence[_Series], nvars: int,
+def _compose(terms: Terms, scale: Fraction, args: Sequence[_Series], nvars: int,
              max_degree: int, powers: PowerCache) -> _Series:
-    """truncated_compose in integer form: scale * g(args) for an integer
-    polynomial g in len(args) variables.  The arguments may carry terms
-    above max_degree; every product and sum below drops them."""
-    n = len(args)
-    terms = [(ip.unpack(k, n), c) for k, c in g.items()]
+    """truncated_compose in integer form: scale * g(args) for the integer
+    polynomial g in len(args) variables with (exponents, coefficient)
+    `terms`.  The arguments may carry terms above max_degree; every
+    product and sum below drops them."""
     shift = ip.top(nvars)
     lowest = [min(a.nums, default=0) >> shift for a in args]
     result = _nested(terms, 0, max_degree, args, lowest, nvars, max_degree, powers)
@@ -263,6 +267,10 @@ def _compose(g: ip.IntPoly, scale: Fraction, args: Sequence[_Series], nvars: int
         return result
     p = scale.numerator
     return _reduced({k: v * p for k, v in result.nums.items()}, result.den * scale.denominator)
+
+
+def _unpacked(p: ip.IntPoly, n: int) -> Terms:
+    return [(ip.unpack(k, n), c) for k, c in p.items()]
 
 
 def _nested(terms: Terms, i: int, budget: int, args: Sequence[_Series], lowest: list[int],
@@ -324,9 +332,9 @@ def _expansions(functions: Sequence, point: Sequence[Fraction], order: int) -> l
     out = []
     for f in functions:
         # f = scale * num / den on integer parts, composed as they are.
-        s = _compose(f.num, f.scale, shift, nvars, order, powers)
+        s = _compose(_unpacked(f.num, nvars), f.scale, shift, nvars, order, powers)
         if not f.is_polynomial():
-            den = _compose(f.den, _UNIT, shift, nvars, order, powers)
+            den = _compose(_unpacked(f.den, nvars), _UNIT, shift, nvars, order, powers)
             if 0 not in den.nums:
                 raise DenominatorVanishes(f"denominator {f.denominator} vanishes at "
                                           f"({', '.join(str(v) for v in point)})",
@@ -364,9 +372,11 @@ def taylor_jets(functions: Sequence, point: tuple[Fraction, ...], order: int,
 
 
 def graph_series(coords: Sequence[Polynomial], mixing: Sequence[Sequence[Fraction]],
-                 order: int, graph_vars: Sequence[str]) -> Polynomial:
+                 order: int) -> list[tuple[list[int], int]]:
     """The graph x3 = f(x1, x2) of a surface chart, through degree `order`,
-    as a Polynomial in `graph_vars`.
+    as its homogeneous pieces on integers: entry m, for m = 0..order, is
+    (v, d) with f_m = sum(v_i * x1^(m-i) * x2^i) / d, d > 0 and no factor
+    common to d and all of v (the coefficient vectors of `binform`).
 
     `coords` are four series in the same two variables (u1, u2).  The chart
     coordinates are z = mixing . coords and t_i = z_i / z_0, and the
@@ -399,14 +409,18 @@ def graph_series(coords: Sequence[Polynomial], mixing: Sequence[Sequence[Fractio
     # f and the t_i both have two variables, so the key of x1^a x2^b is
     # that of u1^a u2^b: products[k] holds t1^a t2^b for that key.
     products = {0: _ONE}
-    coefficients: dict[int, Fraction] = {}
+    pieces = [([0] * (d + 1), 1) for d in range(order + 1)]
     for d in range(order + 1):
         low, high = ip.limit(nvars, d - 1), ip.limit(nvars, d)
         block = [(k, v) for k, v in residual.nums.items() if low <= k < high]
         if not block:
             continue
+        # The low slot of a key is the exponent of x1.
+        vector = pieces[d][0]
         for k, v in block:
-            coefficients[k] = Fraction(v, residual.den)
+            vector[d - (k & ip.MASK)] = v
+        g = math.gcd(residual.den, *vector)
+        pieces[d] = ([c // g for c in vector], residual.den // g)
         # f_d(t1, t2) = sum(v * product(k)) / residual.den
         image = _combine([(v, _product(products, k, t1, t2, limit)) for k, v in block],
                          limit)
@@ -414,8 +428,7 @@ def graph_series(coords: Sequence[Polynomial], mixing: Sequence[Sequence[Fractio
                             limit)
     if residual.nums:
         raise InvariantViolation("graph series residual does not vanish")
-    return Polynomial._trusted(tuple(graph_vars),
-                               {ip.unpack(k, nvars): c for k, c in coefficients.items()})
+    return pieces
 
 
 _KEY_1, _KEY_2 = ip.pack((1, 0)), ip.pack((0, 1))

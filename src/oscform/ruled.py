@@ -17,7 +17,11 @@ order in the parameters, so its graph is solved degree by degree
 (`polyring.series.graph_series`, certified by its final residual); one
 RREF completes its frame to a basis and inverts it.  An implicit
 surface's chart takes its completion from the gradient and runs the
-Newton series solve.
+Newton series solve.  Either way the graph's homogeneous pieces are
+held as integer coefficient vectors, and the diagnostic runs on them
+from the chart to the verdict (`polyring.binform`): the resultant, the
+rational zeros of the quadratic f2 in closed form, and Horner
+evaluation for the contact orders.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Sequence, Union
 
 from .errors import (
@@ -42,11 +46,13 @@ from .polyring import (
     Polynomial,
     QuotientRingElement,
     RationalFunction,
-    binary_form_gcd,
+    form_from_coefficients,
+    form_value,
     graph_series,
-    resultant_binary,
+    integer_form,
+    integer_zeros,
     solve_series_system,
-    split_rational_linear_factors,
+    sylvester_resultant,
 )
 from .report import fmt_point
 
@@ -363,20 +369,46 @@ def pushdown_rank_check(spec: ScrollSpec, orders: Sequence[int]) -> list[Pushdow
 # -- Monge charts and the ruledness diagnostic -------------------------------
 
 
+# A homogeneous piece f_m of the graph: (v, d) with f_m = sum(v_i x1^(m-i) x2^i) / d.
+Piece = tuple[list[int], int]
+
+
 @dataclass
 class MongeData:
+    """The chart of a surface at a point and the graph x3 = f(x1, x2) in
+    it.  `pieces[m]`, for m = 0..order, is f_m as an integer coefficient
+    vector over a positive denominator (`Piece`), which the ruledness
+    diagnostic reads; the Polynomial faces are built on demand."""
+
     ambient_point: tuple[Fraction, ...]
     parameter_point: tuple[Fraction, ...] | None
     chart: ExactMatrix
     order: int
     variables: tuple[str, str]
-    f_series: Polynomial
-    f2: Polynomial
-    f3: Polynomial
-    f4: Polynomial
+    pieces: list[Piece]
 
     def piece(self, m: int) -> Polynomial:
-        return self.f_series.homogeneous_component(m)
+        if not 0 <= m <= self.order:
+            return Polynomial.zero(self.variables)
+        vector, den = self.pieces[m]
+        return form_from_coefficients(self.variables, [Fraction(c, den) for c in vector])
+
+    @property
+    def f2(self) -> Polynomial:
+        return self.piece(2)
+
+    @property
+    def f3(self) -> Polynomial:
+        return self.piece(3)
+
+    @property
+    def f4(self) -> Polynomial:
+        return self.piece(4)
+
+    @property
+    def f_series(self) -> Polynomial:
+        return sum((self.piece(m) for m in range(self.order + 1)),
+                   Polynomial.zero(self.variables))
 
 
 def _check_surface_in_p3(surface: Union[Parameterization, ImplicitVariety]) -> None:
@@ -429,14 +461,9 @@ def _monge_from_parameterization(f: Parameterization, point: Sequence,
     chart, inverse = _complete_and_invert(frame, point)
     # The chart coordinates z = inverse . coord_series are (1, u1, u2, 0)
     # to first order, so x_i = z_i / z_0 is a graph over (x1, x2).
-    x_vars = ("x1", "x2")
-    f_series = graph_series(coord_series, inverse, order, x_vars)
-    if f_series.constant_term() or not f_series.homogeneous_component(1).is_zero:
-        raise SingularPoint("Monge chart has unexpected constant or linear part")
-    return MongeData(tuple(frame[0]), point, chart, order, x_vars, f_series,
-                     f_series.homogeneous_component(2),
-                     f_series.homogeneous_component(3),
-                     f_series.homogeneous_component(4))
+    pieces = graph_series(coord_series, inverse, order)
+    return MongeData(tuple(frame[0]), point, chart, order, ("x1", "x2"),
+                     _without_constant_or_linear_part(pieces))
 
 
 def _monge_from_implicit(iv: ImplicitVariety, order: int) -> MongeData:
@@ -470,13 +497,17 @@ def _monge_from_implicit(iv: ImplicitVariety, order: int) -> MongeData:
     solution = solve_series_system([affine], free=[0, 1], dep=[2],
                                    point=[Fraction(0)] * 3, order=order,
                                    series_vars=x_vars)
-    f_series = solution[0]
-    if f_series.constant_term() or not f_series.homogeneous_component(1).is_zero:
+    f = solution[0]
+    pieces = [integer_form([f.coefficient((m - i, i)) for i in range(m + 1)])
+              for m in range(order + 1)]
+    return MongeData(tuple(iv.point), None, chart, order, x_vars,
+                     _without_constant_or_linear_part(pieces))
+
+
+def _without_constant_or_linear_part(pieces: list[Piece]) -> list[Piece]:
+    if any(pieces[0][0]) or any(pieces[1][0]):
         raise SingularPoint("Monge chart has unexpected constant or linear part")
-    return MongeData(tuple(iv.point), None, chart, order, x_vars, f_series,
-                     f_series.homogeneous_component(2),
-                     f_series.homogeneous_component(3),
-                     f_series.homogeneous_component(4))
+    return pieces
 
 
 def monge_form(surface: Union[Parameterization, ImplicitVariety],
@@ -509,13 +540,15 @@ class FubiniReport:
 
 
 def fubini_intersection_test(md: MongeData) -> FubiniReport:
-    """Common zeros of f2 and the Fubini cubic f3, via the resultant."""
-    if md.f2.is_zero:
+    """Common zeros of f2 and the Fubini cubic f3, via the resultant of
+    their integer coefficient vectors."""
+    (f2, d2), (f3, d3) = md.pieces[2], md.pieces[3]
+    if not any(f2):
         raise DegenerateSecondForm("f2 vanishes; the second-order test is undefined")
-    if md.f3.is_zero:
+    if not any(f3):
         return FubiniReport(Fraction(0), True,
                             "f3 is identically zero: every direction is common")
-    value = resultant_binary(md.f2, md.f3)
+    value = sylvester_resultant(f2, f3, d2, d3)
     return FubiniReport(value, value == 0,
                         "resultant of f2 and f3 over the tangent directions")
 
@@ -530,18 +563,22 @@ def line_contact_order(md: MongeData, direction: Sequence) -> ContactOrder:
     ">= order" when every computed piece vanishes.  Direction entries
     may be rationals or quotient-ring elements (conjugate algebraic
     directions share their contact order, so one ring evaluation covers
-    both).
+    both).  Each piece's integer vector is evaluated by homogeneous
+    Horner; a rational direction is first scaled to integers, which
+    changes no zero test.
     """
     if len(direction) != 2:
         raise DomainError("a tangent direction in the Monge chart has two entries")
     if not any(bool(d) for d in direction):
         raise DomainError("the zero vector is not a direction")
+    x, y = direction
+    if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
+        x, y = Fraction(x), Fraction(y)
+        den = lcm(x.denominator, y.denominator)
+        x, y = x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)
     for m in range(2, md.order + 1):
-        piece = md.f_series.homogeneous_component(m)
-        if piece.is_zero:
-            continue
-        value = piece.evaluate_in(tuple(direction))
-        if bool(value):
+        vector = md.pieces[m][0]
+        if any(vector) and form_value(vector, x, y):
             return m
     return f">= {md.order}"
 
@@ -555,8 +592,7 @@ def contact_at_least(contact: ContactOrder, threshold: int) -> bool:
 @dataclass
 class DirectionContact:
     direction: str
-    contact: ContactOrder | None
-    evaluated: bool
+    contact: ContactOrder
 
 
 @dataclass
@@ -579,41 +615,45 @@ class RuledDiagnostic:
 
 
 def _candidate_directions(md: MongeData) -> tuple[list[DirectionContact], bool]:
-    """Contact orders along the common zeros of f2 and f3."""
-    if md.f3.is_zero:
-        shared = md.f2
-    else:
-        shared = binary_form_gcd(md.f2, md.f3)
-    if shared.total_degree() < 1:
-        return [], False
-    rational_dirs, remainder = split_rational_linear_factors(shared)
+    """Contact orders along the common zeros of f2 and f3.
+
+    f2 is a quadratic form, so it either has rational zeros, and the
+    shared ones are those where f3 vanishes, or it is irreducible over Q,
+    and both conjugate zeros are shared exactly when f3 = 0 or f2
+    divides f3.  Those two directions (1 : s), s a root of f2(1, s), have
+    one contact order, computed once in Q[s]/(f2(1, s)).
+    """
+    f2, f3 = md.pieces[2][0], md.pieces[3][0]
     out: list[DirectionContact] = []
-    seen = set()
     found4 = False
-    for a, b in rational_dirs:
-        if (a, b) in seen:
+    zeros = integer_zeros(f2)
+    for q, p in zeros:
+        if any(f3) and form_value(f3, q, p):
             continue
-        seen.add((a, b))
-        contact = line_contact_order(md, (a, b))
+        direction = (Fraction(1), Fraction(p, q)) if q else (Fraction(0), Fraction(1))
+        contact = line_contact_order(md, direction)
         found4 = found4 or contact_at_least(contact, 4)
-        out.append(DirectionContact(f"({a}:{b})", contact, True))
-    degree = remainder.total_degree()
-    if degree == 2:
-        # Irreducible quadratic factor: both conjugate directions are
-        # (1 : root); contact orders agree, so evaluate once in Q[s]/(p).
-        coeffs = [remainder.coefficient((2, 0)), remainder.coefficient((1, 1)),
-                  remainder.coefficient((0, 2))]
-        lead = coeffs[2]
-        modulus = [coeffs[0] / lead, coeffs[1] / lead, Fraction(1)]
-        root = QuotientRingElement.generator(modulus)
-        contact = line_contact_order(md, (QuotientRingElement.from_scalar(modulus, 1), root))
-        found4 = found4 or contact_at_least(contact, 4)
+        out.append(DirectionContact(f"({direction[0]}:{direction[1]})", contact))
+    if not zeros and (not any(f3) or _divides(f2, f3)):
+        modulus = [Fraction(f2[0], f2[2]), Fraction(f2[1], f2[2]), Fraction(1)]
+        contact = line_contact_order(md, (1, QuotientRingElement.generator(modulus)))
+        found4 = contact_at_least(contact, 4)
         p_text = f"s^2 + ({modulus[1]})*s + ({modulus[0]})"
-        out.append(DirectionContact(f"(1:s) mod {p_text}", contact, True))
-    elif degree > 2:
-        out.append(DirectionContact(
-            f"zeros of degree-{degree} factor without rational roots", None, False))
+        out.append(DirectionContact(f"(1:s) mod {p_text}", contact))
     return out, found4
+
+
+def _divides(f2: list[int], f3: list[int]) -> bool:
+    """Whether the quadratic form f2, with f2(0, 1) != 0, divides the cubic
+    form f3: the integer pseudo-remainder of f3(1, t) by f2(1, t) is 0."""
+    r = list(f3)
+    for k in (3, 2):
+        c = r[k]
+        if c:
+            r = [f2[2] * v for v in r]
+            for j in range(3):
+                r[k - 2 + j] -= c * f2[j]
+    return not (r[0] or r[1])
 
 
 def project_to_p3(f: Parameterization, matrix: Sequence[Sequence] | None = None,

@@ -8,7 +8,10 @@ reports for every built-in example.
 import argparse
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -334,6 +337,43 @@ def test_ruled_test_examines_implicit_input_at_its_recorded_point(capsys, monkey
     assert code == 0, err
     assert "sampled_points: [(1, 0, 0, 0)]" in out
     assert "verdict: ruled-evidence" in out
+
+
+# 20-digit coefficients: the divisor search of the rational-root theorem
+# would trial-divide up to about 10^10 on each, which runs for minutes.
+HOSTILE_QUADRIC = ("kind: implicit\nvars: X0 X1 X2 X3\n"
+                   "equations: X0*X3 - X1^2 + 100000000000000000039*X2^2\n"
+                   "point: 1,0,0,0\n")
+HOSTILE_GRAPH = ("kind: parameterization\nparams: x y\ncoords: 1, x, y, "
+                 "(x - 100000000000000000039*y)*(100000000000000000129*x + y)\n")
+
+
+def ruled_test_within(budget_s, argv, text):
+    """ruled-test on `text` from stdin in a child process, stopped past
+    `budget_s` seconds, so input that hangs fails instead of hanging."""
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from oscform.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "ruled-test", *argv, "-"],
+        input=text, capture_output=True, text=True, timeout=budget_s,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_ruled_test_on_large_coefficients_finishes_fast():
+    lines = ruled_test_within(2, [], HOSTILE_QUADRIC)
+    assert ("point (1, 0, 0, 0): intersects true (resultant 0); (1:s) mod s^2 + (0)*s + "
+            "(-1/100000000000000000039) contact >= 4") in lines
+    assert "verdict: ruled-evidence" in lines
+    # f2 splits over Q into factors with 20-digit coefficients.
+    lines = ruled_test_within(2, ["--at", "0,0", "--at", "1,2", "--samples", "2"],
+                              HOSTILE_GRAPH)
+    directions = ("intersects true (resultant 0); (1:-100000000000000000129) contact >= 4; "
+                  "(1:1/100000000000000000039) contact >= 4")
+    assert f"point (0, 0): {directions}" in lines
+    assert f"point (1, 2): {directions}" in lines
+    assert "verdict: ruled-evidence" in lines
 
 
 @pytest.mark.parametrize("entry, char, column", [("x^\u00b2", "\u00b2", 3),

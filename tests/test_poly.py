@@ -37,7 +37,6 @@ from oscform.polyring import (
     rational_zeros,
     resultant_binary,
     solve_series_system,
-    split_rational_linear_factors,
     truncated_compose,
     truncated_inverse,
     truncated_multiply,
@@ -491,19 +490,6 @@ def test_binary_form_gcd_recovers_common_factor():
     assert coprime == Polynomial.constant(V, 1)
 
 
-def test_split_rational_linear_factors():
-    p = parse_polynomial("(v1^2 + v2^2)*(v1 - v2)", V)
-    zeros, remainder = split_rational_linear_factors(p)
-    assert zeros == [(Fraction(1), Fraction(1))]
-    assert remainder == parse_polynomial("v1^2 + v2^2", V)
-    squared = parse_polynomial("(v1 - v2)^2*v2", V)
-    zeros, remainder = split_rational_linear_factors(squared)
-    assert sorted(zeros) == [(Fraction(1), Fraction(0)),
-                             (Fraction(1), Fraction(1)),
-                             (Fraction(1), Fraction(1))]
-    assert remainder == Polynomial.constant(V, 1)
-
-
 def test_form_from_coefficients_round_trip():
     p = form_from_coefficients(V, [Fraction(2), Fraction(0), Fraction(-1)])
     assert p == parse_polynomial("2*v1^2 - v2^2", V)
@@ -610,6 +596,56 @@ def test_rational_zeros_agree_with_sympy():
         zeros = rational_zeros(p)
         assert len(zeros) == len(set(zeros)), p
         assert set(zeros) == expected, p
+
+
+def test_rational_zeros_of_large_forms_agree_with_sympy():
+    # Degree <= 2 after the coordinate factors are stripped: the closed
+    # form (a linear root, or math.isqrt of the discriminant) needs no
+    # divisor search, which on 20-40 digit coefficients would not finish.
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    s = sympy.symbols("s1 s2")
+    big = st.integers(10 ** 19, 10 ** 40).flatmap(lambda n: st.sampled_from([n, -n]))
+    v1 = Polynomial.variable(V, "v1")
+    v2 = Polynomial.variable(V, "v2")
+
+    @st.composite
+    def forms(draw):
+        def linear():
+            return v1 * draw(big) + v2 * draw(big)
+
+        shape = draw(st.sampled_from(["linear", "split", "square", "quadratic"]))
+        if shape == "linear":
+            form = linear()
+        elif shape == "split":
+            form = linear() * linear()
+        elif shape == "square":
+            form = linear() ** 2
+        else:
+            form = v1 * v1 * draw(big) + v1 * v2 * draw(big) + v2 * v2 * draw(big)
+        for _ in range(draw(st.integers(0, 2))):
+            form = form * draw(st.sampled_from([v1, v2]))
+        return form * Fraction(1, draw(st.integers(1, 10 ** 20)))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(forms())
+    def check(p):
+        expected = set()
+        for factor, _ in sympy.factor_list(_to_sympy(sympy, p, s))[1]:
+            poly = sympy.Poly(factor, *s)
+            if poly.total_degree() == 1:
+                a, b = (Fraction(int(c.p), int(c.q)) for c in
+                        (poly.coeff_monomial(s[0]), poly.coeff_monomial(s[1])))
+                expected.add((Fraction(1), -a / b) if b else (Fraction(0), Fraction(1)))
+        zeros = rational_zeros(p)
+        assert len(zeros) == len(set(zeros)), p
+        assert set(zeros) == expected, p
+        # (1:0) first, then (1:t) by increasing t, then (0:1).
+        assert zeros == sorted(zeros, key=lambda z: (z != (1, 0), z[0] == 0, z[1]))
+
+    check()
 
 
 # -- rational functions -------------------------------------------------------

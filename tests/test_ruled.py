@@ -6,6 +6,7 @@ z = g(x, y) whose Monge data at the origin is g itself, and contact
 orders along lines computed by hand.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -385,7 +386,6 @@ def test_diagnostic_conjugate_directions_share_contact():
     point = diag.points[0]
     assert point.intersects
     assert len(point.directions) == 1
-    assert point.directions[0].evaluated
     assert point.directions[0].direction.startswith("(1:s) mod")
     assert point.directions[0].contact == ">= 4"
     assert diag.verdict == "ruled-evidence"
@@ -451,3 +451,150 @@ def test_heat_equation_check_argument_validation():
         heat_equation_check(surface, 1, x_var="x", y_var="x")
     with pytest.raises(DomainError):
         heat_equation_check(surface, 1, x_var="z")
+
+
+# -- differential test of the integer diagnostic against sympy ----------------
+
+def _times(p, q):
+    """Product of binary forms on coefficient vectors (index = exponent of x2)."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _lowest_terms(vector, den):
+    g = math.gcd(den, *vector)
+    return [c // g for c in vector], den // g
+
+
+def _monge_cases():
+    """MongeData built from drawn pieces.  f2 is a square, has a zero at
+    (1:0) or (0:1), splits over Q or is irreducible; f3 is 0, a multiple
+    of f2, shares one root with f2, or is drawn freely; the pieces up to
+    degree 8 are 0, multiples of f2 or of one of its linear factors, or
+    free, each over its own denominator."""
+    from hypothesis import strategies as st
+
+    @st.composite
+    def cases(draw):
+        small = st.integers(-6, 6)
+        nonzero = st.integers(-6, 6).filter(bool)
+
+        def linear():
+            a, b = draw(small), draw(small)
+            return [a, b] if a or b else [1, 0]
+
+        def form(degree):
+            return [draw(small) for _ in range(degree + 1)]
+
+        kind = draw(st.sampled_from(["square", "coordinate", "split", "irreducible"]))
+        if kind == "square":
+            factors = [linear()] * 2
+        elif kind == "coordinate":
+            factors = [draw(st.sampled_from([[1, 0], [0, 1]])), linear()]
+        elif kind == "split":
+            factors = [linear(), linear()]
+        else:
+            a, b, c = draw(nonzero), draw(small), draw(nonzero)
+            disc = b * b - 4 * a * c
+            if disc >= 0 and math.isqrt(disc) ** 2 == disc:
+                c = a * (b * b + 1)      # then the discriminant is negative
+            factors = []
+            f2 = [a, b, c]
+        if factors:
+            f2 = [draw(nonzero) * v for v in _times(*factors)]
+        kind3 = draw(st.sampled_from(["zero", "multiple", "one-root", "free"]))
+        if kind3 == "zero":
+            f3 = [0] * 4
+        elif kind3 == "multiple":
+            f3 = _times(f2, linear())
+        elif kind3 == "one-root" and factors:
+            f3 = _times(factors[0], form(2))
+        else:
+            f3 = form(3)
+        order = draw(st.integers(3, 8))
+        vectors = [[0], [0, 0], f2, f3]
+        for m in range(4, order + 1):
+            shape = draw(st.sampled_from(["zero", "f2", "factor", "free"]))
+            if shape == "zero":
+                vectors.append([0] * (m + 1))
+            elif shape == "f2":
+                vectors.append(_times(f2, form(m - 2)))
+            elif shape == "factor" and factors:
+                vectors.append(_times(factors[-1], form(m - 1)))
+            else:
+                vectors.append(form(m))
+        pieces = [_lowest_terms(v, draw(st.integers(1, 12))) for v in vectors]
+        return pieces
+    return cases()
+
+
+def _expected_diagnostic(sympy, pieces, order):
+    """Directions, moduli, contact orders and resultant from sympy's gcd,
+    factor_list and resultant."""
+    s1, s2, s = sympy.symbols("s1 s2 s")
+    forms = [sum((sympy.Rational(c, den) * s1 ** (m - i) * s2 ** i
+                  for i, c in enumerate(vector)), sympy.Integer(0))
+             for m, (vector, den) in enumerate(pieces)]
+    f2, f3 = forms[2], forms[3]
+    shared = f2 if f3 == 0 else sympy.gcd(f2, f3)
+    rational, quadratic = [], None
+    for factor, _ in sympy.factor_list(shared)[1]:
+        poly = sympy.Poly(factor, s1, s2)
+        if poly.total_degree() == 1:
+            a, b = (Fraction(int(c.p), int(c.q)) for c in
+                    (poly.coeff_monomial(s1), poly.coeff_monomial(s2)))
+            # a*s1 + b*s2 vanishes at (b : -a).
+            rational.append((Fraction(1), -a / b) if b else (Fraction(0), Fraction(1)))
+        elif poly.total_degree() == 2:
+            quadratic = sympy.Poly(factor.subs({s1: 1, s2: s}), s).monic()
+
+    def contact(nonzero_at):
+        return next((m for m in range(2, order + 1) if forms[m] != 0 and nonzero_at(forms[m])),
+                    f">= {order}")
+
+    # (1:0) first, then (1:t) by increasing t, then (0:1).
+    rational.sort(key=lambda z: (z != (1, 0), z[0] == 0, z[1]))
+    directions = [(f"({a}:{b})", contact(lambda f: f.subs({s1: a, s2: b}) != 0))
+                  for a, b in rational]
+    if quadratic is not None:
+        c0, c1 = (Fraction(int(c.p), int(c.q)) for c in
+                  (quadratic.coeff_monomial(1), quadratic.coeff_monomial(s)))
+        directions.append((
+            f"(1:s) mod s^2 + ({c1})*s + ({c0})",
+            contact(lambda f: not sympy.Poly(f.subs({s1: 1, s2: s}), s).rem(quadratic).is_zero)))
+    resultant = None
+    if f3 == 0:
+        resultant = Fraction(0)
+    elif pieces[2][0][0] and pieces[3][0][0]:
+        # With nonzero x1^m coefficients, the forms keep their degrees at
+        # s2 = 1, where the resultant is that of the univariate polynomials.
+        r = sympy.resultant(f2.subs(s2, 1), f3.subs(s2, 1), s1)
+        resultant = Fraction(int(sympy.numer(r)), int(sympy.denom(r)))
+    return directions, resultant, sympy.Poly(shared, s1, s2).total_degree() > 0
+
+
+def test_integer_diagnostic_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    identity = ExactMatrix([[int(i == j) for j in range(4)] for i in range(4)],
+                           field=RationalField())
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(_monge_cases())
+    def check(pieces):
+        order = len(pieces) - 1
+        md = ruled.MongeData((Fraction(1), Fraction(0), Fraction(0), Fraction(0)), None,
+                             identity, order, ("x1", "x2"), pieces)
+        directions, resultant, intersects = _expected_diagnostic(sympy, pieces, order)
+        got, found4 = ruled._candidate_directions(md)
+        assert [(d.direction, d.contact) for d in got] == directions
+        assert found4 == any(contact_at_least(c, 4) for _, c in directions)
+        report = fubini_intersection_test(md)
+        assert report.intersects == intersects
+        if resultant is not None:
+            assert report.resultant == resultant
+
+    check()
