@@ -579,23 +579,29 @@ def test_resultant_binary_agrees_with_sympy():
     assert full_degree >= 10
 
 
+def _sympy_rational_zeros(sympy, p):
+    """The rational zeros of a binary form, from the linear factors of
+    sympy's factor_list, normalized as rational_zeros normalizes them."""
+    s = sympy.symbols("s1 s2")
+    zeros = set()
+    for factor, _ in sympy.factor_list(_to_sympy(sympy, p, s))[1]:
+        poly = sympy.Poly(factor, *s)
+        if poly.total_degree() == 1:
+            # a*s1 + b*s2 vanishes at (b : -a).
+            a, b = (Fraction(int(c.p), int(c.q)) for c in
+                    (poly.coeff_monomial(s[0]), poly.coeff_monomial(s[1])))
+            zeros.add((Fraction(1), -a / b) if b else (Fraction(0), Fraction(1)))
+    return zeros
+
+
 def test_rational_zeros_agree_with_sympy():
     sympy = pytest.importorskip("sympy")
-    s = sympy.symbols("s1 s2")
     rng = random.Random(8103)
     for _ in range(60):
         p = _random_form(rng, rng.randint(1, 4))
-        expected = set()
-        for factor, _ in sympy.factor_list(_to_sympy(sympy, p, s))[1]:
-            poly = sympy.Poly(factor, *s)
-            if poly.total_degree() == 1:
-                # a*s1 + b*s2 vanishes at (b : -a).
-                a, b = (Fraction(int(c.p), int(c.q)) for c in
-                        (poly.coeff_monomial(s[0]), poly.coeff_monomial(s[1])))
-                expected.add((Fraction(1), -a / b) if b else (Fraction(0), Fraction(1)))
         zeros = rational_zeros(p)
         assert len(zeros) == len(set(zeros)), p
-        assert set(zeros) == expected, p
+        assert set(zeros) == _sympy_rational_zeros(sympy, p), p
 
 
 def test_rational_zeros_of_large_forms_agree_with_sympy():
@@ -606,7 +612,6 @@ def test_rational_zeros_of_large_forms_agree_with_sympy():
     hypothesis = pytest.importorskip("hypothesis")
     from hypothesis import strategies as st
 
-    s = sympy.symbols("s1 s2")
     big = st.integers(10 ** 19, 10 ** 40).flatmap(lambda n: st.sampled_from([n, -n]))
     v1 = Polynomial.variable(V, "v1")
     v2 = Polynomial.variable(V, "v2")
@@ -632,16 +637,9 @@ def test_rational_zeros_of_large_forms_agree_with_sympy():
     @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
     @hypothesis.given(forms())
     def check(p):
-        expected = set()
-        for factor, _ in sympy.factor_list(_to_sympy(sympy, p, s))[1]:
-            poly = sympy.Poly(factor, *s)
-            if poly.total_degree() == 1:
-                a, b = (Fraction(int(c.p), int(c.q)) for c in
-                        (poly.coeff_monomial(s[0]), poly.coeff_monomial(s[1])))
-                expected.add((Fraction(1), -a / b) if b else (Fraction(0), Fraction(1)))
         zeros = rational_zeros(p)
         assert len(zeros) == len(set(zeros)), p
-        assert set(zeros) == expected, p
+        assert set(zeros) == _sympy_rational_zeros(sympy, p), p
         # (1:0) first, then (1:t) by increasing t, then (0:1).
         assert zeros == sorted(zeros, key=lambda z: (z != (1, 0), z[0] == 0, z[1]))
 
