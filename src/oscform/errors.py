@@ -78,10 +78,6 @@ class SingularPoint(DomainError):
     """The variety is singular (or not immersed) at the supplied point."""
 
 
-class ChainBroken(DomainError):
-    """Computed kernel spaces fail to be nested; indicates invalid input."""
-
-
 class InvariantViolation(OscformError):
     """An internal consistency law failed; indicates a bug, not bad input."""
 

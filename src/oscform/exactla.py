@@ -178,18 +178,9 @@ class ExactMatrix:
     def row(self, i: int) -> tuple:
         return self.rows[i]
 
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.rows)
-
     def transpose(self) -> "ExactMatrix":
         rows = tuple(list(zip(*self.rows))) if self.rows else ((),) * self.ncols
         return ExactMatrix._trusted(rows, self.field, self.nrows)
-
-    def stack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.ncols != other.ncols:
-            raise ShapeMismatch(f"stacking {self.ncols} and {other.ncols} columns")
-        other_rows = ExactMatrix(other.rows, field=self.field, ncols=self.ncols).rows
-        return ExactMatrix._trusted(self.rows + other_rows, self.field, self.ncols)
 
     def submatrix_rows(self, indices: Sequence[int]) -> "ExactMatrix":
         return ExactMatrix._trusted(tuple([self.rows[i] for i in indices]),
@@ -344,18 +335,6 @@ class Subspace:
         object.__setattr__(space, "field", field)
         return space
 
-    @classmethod
-    def zero(cls, ambient_dim: int, field=None) -> "Subspace":
-        return cls._from_rref(ambient_dim, (), field or RationalField())
-
-    @classmethod
-    def full(cls, ambient_dim: int, field=None) -> "Subspace":
-        field = field or RationalField()
-        one, zero = field.one(), field.zero()
-        basis = tuple(tuple(one if i == j else zero for j in range(ambient_dim))
-                      for i in range(ambient_dim))
-        return cls._from_rref(ambient_dim, basis, field)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -363,15 +342,6 @@ class Subspace:
     @property
     def is_zero(self) -> bool:
         return not self.basis
-
-    def contains_vector(self, vector: Sequence) -> bool:
-        if len(vector) != self.ambient_dim:
-            raise AmbientMismatch(
-                f"vector of length {len(vector)} in ambient dimension {self.ambient_dim}"
-            )
-        stacked = ExactMatrix(list(self.basis) + [list(vector)],
-                              field=self.field, ncols=self.ambient_dim)
-        return rank(stacked) == self.dim
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):

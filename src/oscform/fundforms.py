@@ -81,16 +81,6 @@ class TangentForm:
         self.coeffs = clean
         self.field = field
 
-    @classmethod
-    def from_polynomial(cls, p: Polynomial, field, degree: int | None = None) -> "TangentForm":
-        if not p.is_homogeneous():
-            raise DomainError(f"{p} is not homogeneous")
-        if degree is None:
-            degree = max(p.total_degree(), 0)
-        if not p.is_zero and p.total_degree() != degree:
-            raise DomainError(f"{p} does not have degree {degree}")
-        return cls(p.variables, degree, dict(p.terms), field)
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -119,37 +109,12 @@ class TangentForm:
                 out[key] = value * e
         return TangentForm(self.tangent_vars, self.degree - 1, out, self.field)
 
-    def evaluate(self, direction: Sequence):
-        """Value at a tangent direction; entries may be rationals,
-
-        rational functions over the same field, or quotient-ring
-        elements (rational-coefficient systems only)."""
-        total = None
-        for exps, value in self.coeffs.items():
-            term = value
-            for d, e in zip(direction, exps):
-                if e:
-                    term = term * d ** e
-            total = term if total is None else total + term
-        if total is None:
-            return self.field.zero()
-        return total
-
     def restrict_zero(self, indices: Sequence[int]) -> "TangentForm":
         """Substitute zero for the given tangent variables."""
         index_set = set(indices)
         out = {exps: value for exps, value in self.coeffs.items()
                if all(exps[i] == 0 for i in index_set)}
         return TangentForm(self.tangent_vars, self.degree, out, self.field)
-
-    def as_polynomial(self) -> Polynomial:
-        """Conversion for rational-coefficient forms."""
-        terms = {}
-        for exps, value in self.coeffs.items():
-            if isinstance(value, RationalFunction):
-                value = value.as_scalar()
-            terms[exps] = value
-        return Polynomial(self.tangent_vars, terms)
 
     def scaled_monic(self) -> "TangentForm":
         """Divide by the leading coefficient (graded-lex leading monomial)."""
@@ -240,13 +205,8 @@ class LinearSystem:
     @classmethod
     def from_forms(cls, degree: int, tangent_vars: Sequence[str],
                    forms: Sequence, point, field) -> "LinearSystem":
-        vectors = []
-        for f in forms:
-            if isinstance(f, Polynomial):
-                f = TangentForm.from_polynomial(
-                    f.extend_variables(tangent_vars), field, degree)
-            vectors.append(f.coefficient_vector())
-        return cls.from_vectors(degree, tangent_vars, vectors, point, field)
+        return cls.from_vectors(degree, tangent_vars,
+                                [f.coefficient_vector() for f in forms], point, field)
 
     @property
     def generator_count(self) -> int:
@@ -260,19 +220,6 @@ class LinearSystem:
     @property
     def is_empty(self) -> bool:
         return not self.generators
-
-    def span_equals(self, other: "LinearSystem") -> bool:
-        return (self.degree == other.degree
-                and span_contains(self.coefficient_span, other.coefficient_span)
-                and span_contains(other.coefficient_span, self.coefficient_span))
-
-    def span_equals_forms(self, forms: Sequence) -> bool:
-        """Span comparison against explicitly given forms (Polynomials
-
-        over the tangent variables or TangentForms)."""
-        other = LinearSystem.from_forms(self.degree, self.tangent_vars, forms,
-                                        self.point, self.field)
-        return self.span_equals(other)
 
     def __repr__(self) -> str:
         return (f"LinearSystem(degree {self.degree}, {self.generator_count} "
@@ -527,21 +474,6 @@ def base_locus_pencil(system: LinearSystem) -> BaseLocusReport:
         "nontrivial common factor" if has_base else "generators share no factor")
     return BaseLocusReport(has_base, factor if has_base else None,
                            factor.degree if has_base else 0, base_points, note)
-
-
-def contains_candidate_point(system: LinearSystem, direction: Sequence) -> bool:
-    """True when every generator vanishes at the tangent direction."""
-    if len(direction) != len(system.tangent_vars):
-        raise DomainError(
-            f"direction of length {len(direction)}, tangent space has "
-            f"{len(system.tangent_vars)} variables"
-        )
-    if not any(bool(d) for d in direction):
-        raise DomainError("the zero vector is not a tangent direction")
-    for g in system.generators:
-        if bool(g.evaluate(direction)):
-            return False
-    return True
 
 
 @dataclass

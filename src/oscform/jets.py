@@ -1,4 +1,4 @@
-"""Jet (Taylor) matrices, osculating dimensions, and kernel chains.
+"""Jet (Taylor) matrices and osculating dimensions.
 
 The order-m jet matrix of a parameterized projective variety has one row
 per divided derivative D_I, |I| <= m, in degree-major order, and one
@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
-    ChainBroken,
     DomainError,
     InvariantViolation,
     NotHomogeneous,
@@ -37,11 +36,9 @@ from .exactla import (
     RationalField,
     Subspace,
     determinant,
-    kernel_basis,
     prefix_ranks,
     rank,
     row_space,
-    span_contains,
 )
 from .polyring import (
     Exponents,
@@ -54,6 +51,7 @@ from .polyring import (
     taylor_jets,
     truncated_compose,
 )
+from .polyring.intpoly import MAX_DEGREE
 from .report import fmt_point
 
 
@@ -126,6 +124,9 @@ class Parameterization:
 def _check_jet_order(f: Parameterization, m: int) -> None:
     if m < 0:
         raise DomainError(f"jet order must be nonnegative, got {m}")
+    if m > MAX_DEGREE:
+        raise DomainError(f"jet order {m} exceeds {MAX_DEGREE}, the largest "
+                          "degree a packed monomial key holds")
     if f.truncated_order is not None and m > f.truncated_order - 1:
         raise TruncationOrderExceeded(
             f"order-{m} jets of a series truncated at degree {f.truncated_order} "
@@ -306,20 +307,6 @@ def osculating_space(f: Parameterization, m: int, point: Sequence) -> Subspace:
     if m >= 1:
         _warn_unless_immersive(jm.point, f.source_dim, rank(jm.prefix(1)))
     return row_space(jm.matrix)
-
-
-def kernel_chain(f: Parameterization, m: int,
-                 point: Sequence | None = None) -> list[Subspace]:
-    """Kernels K_0 through K_m of the jet matrices, nesting verified."""
-    _check_jet_order(f, m)
-    jm = jet_matrix(f, m, point)
-    chain = [kernel_basis(jm.prefix(i)) for i in range(m + 1)]
-    for i in range(1, len(chain)):
-        if not span_contains(chain[i - 1], chain[i]):
-            raise ChainBroken(
-                f"K_{i} is not contained in K_{i - 1}; this indicates an arithmetic bug"
-            )
-    return chain
 
 
 class ImplicitVariety:

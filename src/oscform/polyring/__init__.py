@@ -10,7 +10,6 @@ from .poly import (
     multi_index_factorial,
     multi_indices_upto,
 )
-from .gcd import poly_gcd
 from .ratfunc import RationalFunction
 from .quotient import QuotientRingElement
 from .binform import (
@@ -25,6 +24,7 @@ from .binform import (
     gen_trim,
     integer_form,
     integer_zeros,
+    quadratic_divides,
     rational_zeros,
     resultant_binary,
     strip_valuations,
@@ -50,7 +50,6 @@ __all__ = [
     "grlex_key",
     "multi_index_factorial",
     "multi_indices_upto",
-    "poly_gcd",
     "binary_coefficients",
     "binary_form_gcd",
     "check_binary_form",
@@ -62,6 +61,7 @@ __all__ = [
     "gen_trim",
     "integer_form",
     "integer_zeros",
+    "quadratic_divides",
     "rational_zeros",
     "resultant_binary",
     "strip_valuations",

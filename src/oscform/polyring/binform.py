@@ -15,7 +15,11 @@ coefficient vectors (`integer_form` clears denominators):
   reaches, lists the candidates of the rational-root theorem by trial
   division;
 - `form_value` evaluates by homogeneous Horner, on integers or in any
-  commutative ring.
+  commutative ring;
+- `quadratic_divides` tells whether a quadratic form divides a form of
+  any degree, by an integer pseudo-remainder; for a quadratic
+  irreducible over Q, that is whether the form vanishes at both of its
+  conjugate zeros.
 `resultant_binary` and `rational_zeros` are their faces on Polynomials;
 the ruledness diagnostic calls the vector routines on the Monge pieces.
 
@@ -26,7 +30,9 @@ rehomogenizes; with both inputs stripped no zeros can hide at infinity.
 The list-level helpers (gen_trim, gen_divmod, gen_gcd, gen_gcdex) only
 use field operations through operators, so they also run on coefficient
 lists of rational functions; the fundamental-form module uses them that
-way, and the quotient ring uses them over the rationals.
+way.  `gen_gcdex` serves only `QuotientRingElement`, which no command
+reaches since the ruled diagnostic decides its conjugate zeros by
+`quadratic_divides`.
 """
 
 from __future__ import annotations
@@ -197,6 +203,25 @@ def form_value(coeffs: Sequence, x, y):
         x_power = x_power * x
         value = value * y + c * x_power
     return value
+
+
+def quadratic_divides(quadratic: Sequence[int], coeffs: Sequence[int]) -> bool:
+    """Whether the quadratic form with integer vector (a, b, c), c != 0,
+    divides the form with integer vector `coeffs`, of any degree: the
+    integer pseudo-remainder of coeffs(1, t) by a + b t + c t^2 is 0.
+
+    Each step cancels the top coefficient left after scaling by c, so
+    the remainder is an integer multiple of the true one and has the
+    same zero test.  For a quadratic irreducible over Q this is whether
+    both of its conjugate zeros are zeros of the form."""
+    r = list(coeffs)
+    for k in range(len(r) - 1, 1, -1):
+        top = r[k]
+        if top:
+            r = [quadratic[2] * v for v in r]
+            for j in range(3):
+                r[k - 2 + j] -= top * quadratic[j]
+    return not any(r[:2])
 
 
 def sylvester_resultant(f: Sequence[int], g: Sequence[int],

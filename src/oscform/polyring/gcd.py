@@ -3,8 +3,7 @@
 The gcd works on primitive integer polynomials on packed monomial keys
 (intpoly.py), the form in which rational functions keep their numerators
 and denominators, so `cofactors` takes its inputs as they are.  Over Z
-their gcd is the gcd over Q up to a rational constant.  `poly_gcd` is
-the same gcd for Polynomials, converted at its boundary.
+their gcd is the gcd over Q up to a rational constant.
 
 The main method is the heuristic gcd GCDHEU (Char, Geddes & Gonnet
 1989).  It evaluates one variable at an integer xi, takes the gcd of the
@@ -31,7 +30,6 @@ sequence (Brown 1971) gives the gcd deterministically.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from math import gcd, isqrt
 
 from ..errors import InvariantViolation
@@ -41,40 +39,15 @@ from .intpoly import (
     combine,
     divides,
     exponent,
-    from_poly,
     mul,
     pack,
-    to_poly,
     top,
     unit,
     unpack,
 )
-from .poly import Polynomial
 
 # Evaluation points tried before the primitive PRS takes over.
 HEURISTIC_ATTEMPTS = 6
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """(g, a / g, b / g) with g a gcd of a and b over Q.
-
-    g has integer coefficients with gcd 1 and a positive grlex leading
-    coefficient; g is zero only when both inputs are zero.
-    """
-    a._check_compatible(b)
-    variables = a.variables
-    if a.is_zero or b.is_zero:
-        zero = Polynomial.zero(variables)
-        if a.is_zero and b.is_zero:
-            return zero, zero, zero
-        scale, g = from_poly(b if a.is_zero else a)
-        cofactor = Polynomial.constant(variables, scale)
-        g = to_poly(g, variables, Fraction(1))
-        return (g, zero, cofactor) if a.is_zero else (g, cofactor, zero)
-    sa, pa = from_poly(a)
-    sb, pb = from_poly(b)
-    g, qa, qb = cofactors(pa, pb, len(variables))
-    return to_poly(g, variables, Fraction(1)), to_poly(qa, variables, sa), to_poly(qb, variables, sb)
 
 
 def cofactors(a: IntPoly, b: IntPoly, n: int) -> tuple[IntPoly, IntPoly, IntPoly]:

@@ -9,10 +9,9 @@ monomial bases of forms) list each degree block in descending
 lexicographic order, so for variables (x, y) the degree-2 block is
 x^2, x*y, y^2.
 
-Derivatives come in two flavours: ordinary partials and divided (Hasse)
-derivatives D_I = (1/I!) * d^I.  Divided derivatives are the primitive;
-they extract Taylor coefficients without factorial denominators and
-compose as D_I D_J = binom(I+J, I) D_{I+J}.
+A Polynomial takes ordinary partials.  The divided (Hasse) derivatives
+D_I = (1/I!) * d^I that build jet matrices are taken on
+`RationalFunction`, the type the coordinates are held in.
 """
 
 from __future__ import annotations
@@ -20,11 +19,10 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from ..errors import (
     InexactDivision,
-    NotHomogeneous,
     VariableMismatch,
     ZeroDivisionRequested,
 )
@@ -155,21 +153,9 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, index: int) -> int:
-        """Largest exponent of the index-th variable; -1 for zero."""
-        if not self.terms:
-            return -1
-        return max(e[index] for e in self.terms)
-
     def is_homogeneous(self) -> bool:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
-
-    def homogeneous_component(self, degree: int) -> "Polynomial":
-        return Polynomial(
-            self.variables,
-            {e: c for e, c in self.terms.items() if sum(e) == degree},
-        )
 
     def truncate(self, max_degree: int) -> "Polynomial":
         """Drop all terms of total degree exceeding max_degree."""
@@ -315,22 +301,6 @@ class Polynomial:
         # Distinct monomials have distinct derivatives: no cancellation.
         return Polynomial._trusted(self.variables, terms)
 
-    def hasse_derivative(self, order: Exponents) -> "Polynomial":
-        """Divided derivative D_I = (1/I!) d^I.
-
-        Computed by the integer kernel `intpoly.hasse_derivative`: the
-        monomial u^E maps to binom(E, I) u^{E-I}, so no factorial
-        denominators appear.
-        """
-        from . import intpoly  # intpoly builds on this module
-
-        order = tuple(order)
-        if len(order) != self.nvars:
-            raise ValueError(f"order tuple {order} does not match {self.nvars} variables")
-        scale, p = intpoly.from_poly(self)
-        return intpoly.to_poly(intpoly.hasse_derivative(p, order, self.nvars),
-                               self.variables, scale)
-
     # -- evaluation and substitution ------------------------------------
 
     def evaluate(self, values: Sequence[Scalar]) -> Fraction:
@@ -393,12 +363,6 @@ class Polynomial:
             else:
                 terms.pop(key, None)
         return Polynomial(new_vars, terms)
-
-    def rename_variables(self, new_names: Sequence[str]) -> "Polynomial":
-        new_names = tuple(new_names)
-        if len(new_names) != self.nvars:
-            raise ValueError("variable count mismatch in rename")
-        return Polynomial(new_names, self.terms)
 
     def extend_variables(self, variables: Sequence[str]) -> "Polynomial":
         """Reinterpret over a larger variable tuple containing the current one."""

@@ -108,11 +108,6 @@ class RationalFunction:
     def is_polynomial(self) -> bool:
         return is_one(self.den)
 
-    def as_polynomial(self) -> Polynomial:
-        if self.is_polynomial():
-            return self.numerator
-        return self.numerator.exact_div(self.denominator)
-
     def is_constant(self) -> bool:
         return is_one(self.den) and (not self.num or is_one(self.num))
 

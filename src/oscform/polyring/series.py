@@ -90,7 +90,7 @@ _UNIT = Fraction(1)
 
 def _check_degree(max_degree: int) -> None:
     if max_degree > ip.MAX_DEGREE:
-        raise ValueError(f"truncation degree {max_degree} exceeds {ip.MAX_DEGREE}")
+        raise DomainError(f"truncation degree {max_degree} exceeds {ip.MAX_DEGREE}")
 
 
 def _reduced(nums: dict[int, int], den: int) -> _Series:

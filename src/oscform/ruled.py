@@ -21,7 +21,10 @@ Newton series solve.  Either way the graph's homogeneous pieces are
 held as integer coefficient vectors, and the diagnostic runs on them
 from the chart to the verdict (`polyring.binform`): the resultant, the
 rational zeros of the quadratic f2 in closed form, and Horner
-evaluation for the contact orders.
+evaluation for the contact orders along them.  When f2 is irreducible
+over Q its zeros are a conjugate pair, and one integer divisibility
+test by f2 (`quadratic_divides`) decides both whether the pair is
+shared with f3 and which pieces vanish along it.
 """
 
 from __future__ import annotations
@@ -44,16 +47,17 @@ from .fundforms import LinearSystem, fundamental_form
 from .jets import ImplicitVariety, JetMatrix, Parameterization, jet_matrix, point_expansions
 from .polyring import (
     Polynomial,
-    QuotientRingElement,
     RationalFunction,
     form_from_coefficients,
     form_value,
     graph_series,
     integer_form,
     integer_zeros,
+    quadratic_divides,
     solve_series_system,
     sylvester_resultant,
 )
+from .polyring.intpoly import MAX_DEGREE
 from .report import fmt_point
 
 # Seed of the sample points and projections when the caller gives none.
@@ -405,11 +409,6 @@ class MongeData:
     def f4(self) -> Polynomial:
         return self.piece(4)
 
-    @property
-    def f_series(self) -> Polynomial:
-        return sum((self.piece(m) for m in range(self.order + 1)),
-                   Polynomial.zero(self.variables))
-
 
 def _check_surface_in_p3(surface: Union[Parameterization, ImplicitVariety]) -> None:
     if isinstance(surface, ImplicitVariety):
@@ -510,6 +509,14 @@ def _without_constant_or_linear_part(pieces: list[Piece]) -> list[Piece]:
     return pieces
 
 
+def _check_monge_order(order: int) -> None:
+    if order < 3:
+        raise DomainError(f"Monge order must be at least 3, got {order}")
+    if order > MAX_DEGREE:
+        raise DomainError(f"Monge order {order} exceeds {MAX_DEGREE}, the largest "
+                          "degree a packed monomial key holds")
+
+
 def monge_form(surface: Union[Parameterization, ImplicitVariety],
                point: Sequence | None = None, order: int = 4) -> MongeData:
     """Local graph x3 = f(x1, x2) of a surface in P^3 at a smooth point.
@@ -519,8 +526,7 @@ def monge_form(surface: Union[Parameterization, ImplicitVariety],
     kept as computed, with no further normalization, so all arithmetic
     stays rational.
     """
-    if order < 3:
-        raise DomainError(f"Monge order must be at least 3, got {order}")
+    _check_monge_order(order)
     if isinstance(surface, Parameterization):
         if point is None:
             raise DomainError("a parameter-space point is required")
@@ -560,22 +566,18 @@ def line_contact_order(md: MongeData, direction: Sequence) -> ContactOrder:
     """Vanishing order of the surface along a tangent direction.
 
     Returns the smallest m >= 2 with f_m(direction) != 0, or the string
-    ">= order" when every computed piece vanishes.  Direction entries
-    may be rationals or quotient-ring elements (conjugate algebraic
-    directions share their contact order, so one ring evaluation covers
-    both).  Each piece's integer vector is evaluated by homogeneous
-    Horner; a rational direction is first scaled to integers, which
-    changes no zero test.
+    ">= order" when every computed piece vanishes.  The direction's
+    entries are rationals; it is scaled to integers, which changes no
+    zero test, and each piece's integer vector is evaluated by
+    homogeneous Horner.
     """
     if len(direction) != 2:
         raise DomainError("a tangent direction in the Monge chart has two entries")
-    if not any(bool(d) for d in direction):
+    if not any(direction):
         raise DomainError("the zero vector is not a direction")
-    x, y = direction
-    if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
-        x, y = Fraction(x), Fraction(y)
-        den = lcm(x.denominator, y.denominator)
-        x, y = x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)
+    x, y = (Fraction(d) for d in direction)
+    den = lcm(x.denominator, y.denominator)
+    x, y = x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)
     for m in range(2, md.order + 1):
         vector = md.pieces[m][0]
         if any(vector) and form_value(vector, x, y):
@@ -621,7 +623,8 @@ def _candidate_directions(md: MongeData) -> tuple[list[DirectionContact], bool]:
     shared ones are those where f3 vanishes, or it is irreducible over Q,
     and both conjugate zeros are shared exactly when f3 = 0 or f2
     divides f3.  Those two directions (1 : s), s a root of f2(1, s), have
-    one contact order, computed once in Q[s]/(f2(1, s)).
+    one contact order: the smallest m >= 3 whose nonzero piece f2 does
+    not divide, by the same integer test.
     """
     f2, f3 = md.pieces[2][0], md.pieces[3][0]
     out: list[DirectionContact] = []
@@ -634,26 +637,13 @@ def _candidate_directions(md: MongeData) -> tuple[list[DirectionContact], bool]:
         contact = line_contact_order(md, direction)
         found4 = found4 or contact_at_least(contact, 4)
         out.append(DirectionContact(f"({direction[0]}:{direction[1]})", contact))
-    if not zeros and (not any(f3) or _divides(f2, f3)):
-        modulus = [Fraction(f2[0], f2[2]), Fraction(f2[1], f2[2]), Fraction(1)]
-        contact = line_contact_order(md, (1, QuotientRingElement.generator(modulus)))
+    if not zeros and quadratic_divides(f2, f3):
+        contact = next((m for m in range(3, md.order + 1)
+                        if not quadratic_divides(f2, md.pieces[m][0])), f">= {md.order}")
         found4 = contact_at_least(contact, 4)
-        p_text = f"s^2 + ({modulus[1]})*s + ({modulus[0]})"
+        p_text = f"s^2 + ({Fraction(f2[1], f2[2])})*s + ({Fraction(f2[0], f2[2])})"
         out.append(DirectionContact(f"(1:s) mod {p_text}", contact))
     return out, found4
-
-
-def _divides(f2: list[int], f3: list[int]) -> bool:
-    """Whether the quadratic form f2, with f2(0, 1) != 0, divides the cubic
-    form f3: the integer pseudo-remainder of f3(1, t) by f2(1, t) is 0."""
-    r = list(f3)
-    for k in (3, 2):
-        c = r[k]
-        if c:
-            r = [f2[2] * v for v in r]
-            for j in range(3):
-                r[k - 2 + j] -= c * f2[j]
-    return not (r[0] or r[1])
 
 
 def project_to_p3(f: Parameterization, matrix: Sequence[Sequence] | None = None,
@@ -707,11 +697,11 @@ def ruled_surface_diagnostic(surface: Union[Parameterization, ImplicitVariety],
     anything else is "inconclusive".  This samples a generic condition
     at finitely many points: it is evidence, never a proof.  Points are
     examined and reported in input order.  Input that no sample point
-    can serve (no samples, an order below 3, or no surface in P^3 after
-    projection) raises before any point is examined.
+    can serve (no samples, an order below 3 or above the degree bound, or
+    no surface in P^3 after projection) raises before any point is
+    examined.
     """
-    if order < 3:
-        raise DomainError(f"Monge order must be at least 3, got {order}")
+    _check_monge_order(order)
     if not samples:
         raise DomainError("the ruledness test needs at least one sample point")
     used_projection = None

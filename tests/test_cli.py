@@ -348,15 +348,22 @@ HOSTILE_GRAPH = ("kind: parameterization\nparams: x y\ncoords: 1, x, y, "
                  "(x - 100000000000000000039*y)*(100000000000000000129*x + y)\n")
 
 
-def ruled_test_within(budget_s, argv, text):
-    """ruled-test on `text` from stdin in a child process, stopped past
-    `budget_s` seconds, so input that hangs fails instead of hanging."""
+def cli_within(budget_s, argv, text):
+    """The CLI on `text` from stdin in a child process, stopped past
+    `budget_s` seconds and held to 1 GB of address space, so input that
+    hangs or grows fails instead of hanging."""
     src = Path(cli.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from oscform.cli import main; "
-         "sys.exit(main(sys.argv[1:]))", "ruled-test", *argv, "-"],
+    return subprocess.run(
+        [sys.executable, "-c", "import resource, sys; "
+         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+         "from oscform.cli import main; sys.exit(main(sys.argv[1:]))", *argv, "-"],
         input=text, capture_output=True, text=True, timeout=budget_s,
         env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def ruled_test_within(budget_s, argv, text):
+    """ruled-test on `text` in a child process (`cli_within`)."""
+    proc = cli_within(budget_s, ["ruled-test", *argv], text)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -404,6 +411,37 @@ def test_degree_at_the_packed_key_bound_runs(capsys, monkeypatch):
     code, out, err = run_stdin(capsys, monkeypatch, ["osc", "--order", "2", "--at=1,2"], text)
     assert code == 0, err
     assert "dim: 3" in out
+
+
+TWISTED_CUBIC = "kind: parameterization\nparams: x\ncoords: 1, x, x^2, x^3\n"
+SEGRE_QUADRIC = ("kind: implicit\nvars: X0 X1 X2 X3\nequations: X0*X3 - X1*X2\n"
+                 "point: 1,0,0,0\n")
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["osc", "--max", "--order", "70000", "--at", "1"], TWISTED_CUBIC),
+    (["fundform", "--order", "70000", "--at", "1"], TWISTED_CUBIC),
+    (["tangent-cone", "--hyperplane", "1,-1,0,0", "--at", "1", "--max-order", "70000"],
+     TWISTED_CUBIC),
+    (["implicit-jet", "--order", "70000"], SEGRE_QUADRIC),
+    (["monge", "--order", "70000"], SEGRE_QUADRIC),
+    (["ruled-test", "--order", "70000"], SEGRE_QUADRIC),
+])
+def test_order_past_the_packed_key_bound_is_a_domain_error(capsys, monkeypatch, argv, text):
+    code, out, err = run_stdin(capsys, monkeypatch, argv, text)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "70000 exceeds 65535" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_surface_order_past_the_packed_key_bound_fails_before_enumerating():
+    # The order-70000 jet rows of a surface are C(70002, 2) multi-indices:
+    # enumerating them first would not finish within the budget.
+    text = "kind: parameterization\nparams: x y\ncoords: 1, x, y, x^2 + y^2\n"
+    proc = cli_within(2, ["fundform", "--order", "70000", "--at", "1,1"], text)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: jet order 70000 exceeds 65535, the largest degree "
+                           "a packed monomial key holds\n")
 
 
 def test_reports_are_deterministic(capsys, examples):

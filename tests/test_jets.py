@@ -18,7 +18,6 @@ import pytest
 from oscform import jets
 from oscform.cli import main
 from oscform.errors import (
-    ChainBroken,
     DenominatorVanishes,
     DomainError,
     NotHomogeneous,
@@ -26,14 +25,13 @@ from oscform.errors import (
     SingularPoint,
     TruncationOrderExceeded,
 )
-from oscform.exactla import ExactMatrix, RationalField, rank, span_contains
+from oscform.exactla import ExactMatrix, RationalField, kernel_basis, rank, span_contains
 from oscform.jets import (
     ImplicitVariety,
     NonImmersivePoint,
     Parameterization,
     jet_matrix,
     jet_parameterize,
-    kernel_chain,
     osculating_profile,
     osculating_space,
 )
@@ -169,14 +167,22 @@ def test_non_immersive_point_warns():
         osculating_space(cusp, 1, point=(0,))
 
 
+def kernel_chain(f, m, point):
+    """The kernels K_0, ..., K_m of the jet matrices' leading blocks."""
+    jm = jet_matrix(f, m, point)
+    return [kernel_basis(jm.prefix(i)) for i in range(m + 1)]
+
+
 def test_kernel_chain_nesting():
+    # K_m, the hyperplanes osculating to order m, lies in K_(m-1).
     f = togliatti()
     chain = kernel_chain(f, 3, point=(1, 1))
     assert [k.dim for k in chain] == [5, 3, 1, 0]
-    for small, large in zip(chain[1:], chain):
-        assert span_contains(large, small)
     generic = kernel_chain(f, 2, point=None)
     assert [k.dim for k in generic] == [5, 3, 1]
+    for kernels in (chain, generic):
+        for small, large in zip(kernels[1:], kernels):
+            assert span_contains(large, small)
 
 
 def test_truncated_parameterization_rejects_deep_jets():
@@ -341,9 +347,9 @@ def test_jet_parameterize_circle_matches_binomial_series():
         for i in range(k):
             coeff *= (half - i) / (i + 1)
         expected = expected + Polynomial(("X2",), {(2 * k,): coeff * (-1) ** k})
-    assert f.coords[0].as_polynomial() == Polynomial.constant(("X2",), 1)
-    assert f.coords[1].as_polynomial() == expected
-    assert f.coords[2].as_polynomial() == Polynomial.variable(("X2",), "X2")
+    assert f.coords[0] == Polynomial.constant(("X2",), 1)
+    assert f.coords[1] == expected
+    assert f.coords[2] == Polynomial.variable(("X2",), "X2")
 
 
 def test_jet_parameterize_respects_requested_free_coords():
@@ -363,7 +369,7 @@ def test_jet_parameterize_quadric_surface():
     iv = ImplicitVariety([g], (1, 0, 0, 0))
     f = jet_parameterize(iv, 3)
     assert f.params == ("X1", "X2")
-    assert f.coords[3].as_polynomial() == parse_polynomial("X1*X2", ("X1", "X2"))
+    assert f.coords[3] == parse_polynomial("X1*X2", ("X1", "X2"))
 
 
 def test_circle_chart_osculating_dimensions():
