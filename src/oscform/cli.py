@@ -94,8 +94,7 @@ def _parameter_point(args, f: Parameterization):
     return None
 
 
-def _resolve_surface(vf, args, report: Report, needed_order: int,
-                     use_file_point: bool = True):
+def _resolve_surface(vf, args, report: Report, needed_order: int):
     """Turn any file kind into a Parameterization plus evaluation point."""
     obj = build_variety(vf)
     if isinstance(obj, ImplicitVariety):
@@ -109,7 +108,7 @@ def _resolve_surface(vf, args, report: Report, needed_order: int,
         return f, tuple(Fraction(0) for _ in f.params)
     if isinstance(obj, Parameterization):
         point = _parameter_point(args, obj)
-        if point is None and use_file_point:
+        if point is None:
             point = vf.point
         return obj, point
     f = scroll(obj).underlying
@@ -182,8 +181,7 @@ def _cmd_phibar_check(args) -> Report:
     vf, report = _load(args)
     # The relation is an identity over the function field; a point is
     # only a specialization certificate, so use one on --at only.
-    f, point = _resolve_surface(vf, args, report, args.order,
-                                use_file_point=False)
+    f, point = _resolve_surface(vf, args, report, args.order)
     if getattr(args, "at", None) is None:
         point = None
     result = verify_phibar_relation(f, args.order, point=point)
@@ -389,7 +387,7 @@ def _cmd_example(args):
     return text
 
 
-def _add_common(sub, order_default=None, order_required=False, with_at=True):
+def _add_common(sub, order_default=None, order_required=False):
     sub.add_argument("file", help="variety file path, or - for stdin")
     if order_required:
         sub.add_argument("--order", type=int, required=True,
@@ -397,8 +395,7 @@ def _add_common(sub, order_default=None, order_required=False, with_at=True):
     else:
         sub.add_argument("--order", type=int, default=order_default,
                          help=f"jet / form order m (default {order_default})")
-    if with_at:
-        sub.add_argument("--at", help="rational evaluation point, e.g. 1,-2/3")
+    sub.add_argument("--at", help="rational evaluation point, e.g. 1,-2/3")
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
 

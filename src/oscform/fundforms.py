@@ -505,8 +505,10 @@ def hyperplane_tangent_cone(f: Parameterization, h: Sequence,
     if f.truncated_order is not None:
         cap = min(cap, f.truncated_order - 1)
     _check_jet_order(f, cap)
+    h = [RationalField().coerce(e) for e in h]
     if point is None:
-        jets, zero = f.coords, FunctionField(f.params).zero()
+        # Generically the section is its own order-0 value.
+        pieces = [(0, {(0,) * f.source_dim: _pair(f.coords, h, FunctionField(f.params).zero())})]
     else:
         point, jets = point_expansions(f, cap, point)
         if cap >= 1:
@@ -514,21 +516,21 @@ def hyperplane_tangent_cone(f: Parameterization, h: Sequence,
                                  for I in multi_indices_upto(f.source_dim, 1)],
                                 field=RationalField())
             _warn_unless_immersive(point, f.source_dim, rank(first))
-        zero = Polynomial.zero(f.params)
-    section = _pair(jets, [RationalField().coerce(e) for e in h], zero)
-    # Generically the section is its own order-0 value.
-    if (section if point is None else section.constant_term()):
-        raise HyperplaneMissesPoint(
-            "the hyperplane does not vanish at the point (order-0 pairing nonzero)"
-        )
-    if not section:
-        raise HyperplaneContainsAllOsculating(
-            f"the hyperplane annihilates every jet up to order {cap}; it may "
-            "contain the whole variety",
-            max_order=cap,
-        )
-    m = min(sum(I) for I in section.terms)
-    form = TangentForm(default_tangent_vars(f.source_dim), m,
-                       {I: c for I, c in section.terms.items() if sum(I) == m},
-                       RationalField())
-    return TangentConeReport(m, form, point)
+        # The section's coefficients one degree at a time, read up to the
+        # first nonzero degree only.
+        pieces = ((m, {I: _pair([e.coefficient(I) for e in jets], h, Fraction(0))
+                       for I in degree_block(f.source_dim, m)})
+                  for m in range(cap + 1))
+    for m, coeffs in pieces:
+        if any(coeffs.values()):
+            if m == 0:
+                raise HyperplaneMissesPoint(
+                    "the hyperplane does not vanish at the point (order-0 pairing nonzero)"
+                )
+            form = TangentForm(default_tangent_vars(f.source_dim), m, coeffs, RationalField())
+            return TangentConeReport(m, form, point)
+    raise HyperplaneContainsAllOsculating(
+        f"the hyperplane annihilates every jet up to order {cap}; it may "
+        "contain the whole variety",
+        max_order=cap,
+    )

@@ -5,14 +5,17 @@ per divided derivative D_I, |I| <= m, in degree-major order, and one
 column per homogeneous coordinate function.  Its rank at a point is
 s(m) + 1 where s(m) is the projective dimension of the m-th osculating
 space; its right kernel K_m consists of the hyperplanes osculating to
-order m.  At a rational point the jets are Taylor coefficients, read
-straight off the integer series of the coordinates there
-(`taylor_jets`) into a trusted matrix, with no symbolic derivative and
-no Polynomial in between.  Building a jet matrix ranks nothing: the
-NonImmersivePoint warning is raised by each question from the order-1
-rank its own elimination gives.  Implicit complete intersections enter
-through a truncated power-series chart solved at a smooth rational
-point.
+order m.  Generically the rows are Hasse derivatives, iterated first
+partials divided by I!, for polynomial and rational coordinates alike.
+At a rational point the jets are Taylor coefficients, read straight off
+the integer series of the coordinates there (`taylor_jets`) into a
+trusted matrix, with no symbolic derivative and no Polynomial in
+between; `point_expansions` hands the same series to the Monge chart
+and the tangent cone, which read them by `coefficient(I)`.  Building a
+jet matrix ranks nothing: the NonImmersivePoint warning is raised by
+each question from the order-1 rank its own elimination gives.
+Implicit complete intersections enter through a truncated power-series
+chart solved at a smooth rational point.
 """
 
 from __future__ import annotations
@@ -112,9 +115,6 @@ class Parameterization:
     def ambient_dim(self) -> int:
         return len(self.coords) - 1
 
-    def is_polynomial(self) -> bool:
-        return all(c.is_polynomial() for c in self.coords)
-
     def __repr__(self) -> str:
         name = self.label or "parameterization"
         return (f"Parameterization({name}: P^{self.source_dim} -> "
@@ -137,10 +137,6 @@ def _check_jet_order(f: Parameterization, m: int) -> None:
 def _derivative_rows(f: Parameterization, indices: Sequence[Exponents]):
     """D_I of every coordinate, one list per multi-index (generic rows)."""
     rows = []
-    if f.is_polynomial():
-        for I in indices:
-            rows.append([c.hasse_derivative(I) for c in f.coords])
-        return rows
     # Iterated first partials cached along the degree-major enumeration,
     # then divided by I! to get the Hasse operator.
     cache: dict[Exponents, list[RationalFunction]] = {}
@@ -209,15 +205,15 @@ def _check_projective(point: tuple[Fraction, ...], values: Sequence[Fraction]) -
             f"all coordinates vanish at {fmt_point(point)}; not a projective point")
 
 
-def point_expansions(f: Parameterization, order: int, point: Sequence,
-                     series_vars: Sequence[str] | None = None
-                     ) -> tuple[tuple[Fraction, ...], list[Polynomial]]:
+def point_expansions(f: Parameterization, order: int, point: Sequence
+                     ) -> tuple[tuple[Fraction, ...], list]:
     """The point as rationals, and each coordinate's Taylor expansion there
-    through total degree `order`, in offsets named `series_vars` (by
-    default the parameters): u^I has coefficient D_I x_j at the point."""
+    through total degree `order`, as the integer series of
+    `taylor_expansions`: `coefficient(I)` of the series of x_j is D_I x_j
+    at the point."""
     point = _rational_point(f, point)
-    expansions = taylor_expansions(f.coords, point, order, series_vars or f.params)
-    _check_projective(point, [e.constant_term() for e in expansions])
+    expansions = taylor_expansions(f.coords, point, order)
+    _check_projective(point, [e.coefficient((0,) * f.source_dim) for e in expansions])
     return point, expansions
 
 
@@ -389,59 +385,30 @@ class ImplicitVariety:
         return f"ImplicitVariety({name}: {self.codim} equations in P^{self.ambient_dim})"
 
 
-def jet_parameterize(iv: ImplicitVariety, order: int,
-                     free_coords: Sequence[str] | None = None) -> Parameterization:
+def jet_parameterize(iv: ImplicitVariety, order: int) -> Parameterization:
     """Truncated power-series chart of the variety at its point.
 
     Solves the dehomogenized system for the dependent coordinates by
     Newton iteration on truncated series.  The parameters are the free
     affine coordinates, measured as offsets from the point; the free
-    slots default to the lexicographically first choice whose
-    complementary Jacobian block is invertible.
+    slots are the lexicographically first choice whose complementary
+    Jacobian block is invertible.
     """
     if order < 1:
         raise DomainError(f"truncation order must be positive, got {order}")
     affine_eqs, affine_point, affine_names, pivot = iv._chart()
     n_affine = len(affine_names)
-    r = iv.dim
-    c = iv.codim
-
-    def block_invertible(dep: list[int]) -> bool:
+    for candidate in itertools.combinations(range(n_affine), iv.dim):
+        dep = [i for i in range(n_affine) if i not in candidate]
         jac = [[g.partial(j).evaluate(affine_point) for j in dep] for g in affine_eqs]
-        return bool(determinant(ExactMatrix(jac, field=RationalField())))
-
-    if free_coords is not None:
-        wanted = list(free_coords)
-        if len(wanted) != r:
-            raise DomainError(f"need {r} free coordinates, got {len(wanted)}")
-        free = []
-        for name in wanted:
-            if name not in affine_names:
-                raise DomainError(
-                    f"{name!r} is not an affine coordinate of the chart "
-                    f"(pivot {iv.variables[pivot]!r} is fixed)"
-                )
-            free.append(affine_names.index(name))
-        dep = [i for i in range(n_affine) if i not in free]
-        if not block_invertible(dep):
-            raise SingularPoint(
-                "the complementary Jacobian block of the requested free "
-                "coordinates is singular at the point"
-            )
+        if determinant(ExactMatrix(jac, field=RationalField())):
+            free = list(candidate)
+            break
     else:
-        free = None
-        for candidate in itertools.combinations(range(n_affine), r):
-            dep = [i for i in range(n_affine) if i not in candidate]
-            if block_invertible(dep):
-                free = list(candidate)
-                break
-        if free is None:
-            raise SingularPoint("no coordinate split has an invertible Jacobian block")
-        dep = [i for i in range(n_affine) if i not in free]
+        raise SingularPoint("no coordinate split has an invertible Jacobian block")
 
     series_vars = tuple(affine_names[i] for i in free)
-    solution = solve_series_system(affine_eqs, free, dep, affine_point,
-                                   order, series_vars=series_vars)
+    solution = solve_series_system(affine_eqs, free, dep, affine_point, order)
     coords: list[Polynomial] = [None] * (len(iv.variables))  # type: ignore[list-item]
     coords[pivot] = Polynomial.constant(series_vars, 1)
     affine_slots = [i for i in range(len(iv.variables)) if i != pivot]

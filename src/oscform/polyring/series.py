@@ -1,13 +1,15 @@
 """Truncated multivariate power series on integer numerators.
 
-A series truncated at total degree d is, at this module's public
-boundary, a Polynomial with no terms above degree d.  Inside, a series
-is a `_Series`: a dict of integer numerators over one positive integer
-denominator.  Sums and products of coefficients are then integer
+A series truncated at total degree d is a `_Series`: a dict of integer
+numerators over one positive integer denominator, with no key above
+degree d.  Sums and products of coefficients are then integer
 operations, and a result is brought to lowest terms once, by one
 `math.gcd(den, *nums)`, instead of once per coefficient as Fraction
 arithmetic does.  Every `_Series` a helper returns is normalized: its
 numerators are nonzero and the denominator is coprime to them all.
+`coefficient(I)` reads one coefficient as a Fraction; the callers
+outside this module read series only through it, so the format below
+is known here alone.
 
 The dict keys are the packed monomial keys of intpoly.py: the total
 degree in the top slot, then the exponents, so multiplying monomials
@@ -16,25 +18,26 @@ above d is at least `ip.limit(n, d)`, so truncation is one comparison.
 Truncation degrees are capped at `ip.MAX_DEGREE`, where the slots would
 overflow.
 
-Conversion happens only where a public function takes or returns a
-Polynomial, through intpoly's helpers: `_from_poly` clears denominators
-(`ip.cleared`: the lcm of the Fraction denominators is already coprime
-to the numerators), the polynomial that `truncated_compose` substitutes
-into comes in as its own exponent tuples over the lcm of its
-denominators (`_compose` groups terms by exponent tuples, so nothing is
-packed), and `_to_poly` builds one Fraction per coefficient
-(`ip.to_poly`).  The power cache of `truncated_compose` holds the powers
-of the substituted series in integer form.
+Expansions stay integer series from the expansion to the answer:
+taylor_expansions returns them, taylor_jets reads jet rows off them,
+and graph_series takes them.  Conversion happens only where a public
+function takes or returns a Polynomial (truncated_multiply,
+truncated_compose, truncated_inverse, and the answer of
+solve_series_system), through intpoly's helpers: `_from_poly` clears
+denominators (`ip.cleared`: the lcm of the Fraction denominators is
+already coprime to the numerators), a polynomial substituted into
+becomes integer terms on its own exponent tuples over the lcm of its
+denominators (`_terms`; `_compose` groups terms by exponent tuples, so
+nothing is packed), and `_to_poly` builds one Fraction per coefficient
+(`ip.to_poly`).  The power cache of a composition holds the powers of
+the substituted series in integer form.
 
-One routine, `_expansions`, expands rational functions around a rational
-point: the shift u_k + p_k is built as a series directly, and the
+taylor_expansions expands rational functions around a rational point:
+the shift u_k + p_k is built as a series directly (`_shift`), and the
 integer numerator and denominator of every RationalFunction, on the
 same packed keys, are composed with it as they are, through one power
-cache, with no Polynomial face built.  It has two faces.
-taylor_expansions returns the expansions as Polynomials; taylor_jets
-reads the Taylor coefficients of given multi-indices straight off the
-integer series, as the rows of a point jet matrix, with no Polynomial in
-between.
+cache.  taylor_jets reads the Taylor coefficients of given multi-indices
+off those series, as the rows of a point jet matrix.
 
 graph_series writes a parameterized surface chart as a graph
 x3 = f(x1, x2).  The chart coordinates are the identity to first order,
@@ -45,16 +48,18 @@ diagnostic reads as they are.
 
 solve_series_system runs Newton iteration with precision doubling
 (Brent & Kung 1978) for an implicit system g(x_free, x_dep) = 0 around a
-point with invertible dependent Jacobian.  The iterate and the linear
-solve are in integer form; the compositions go through
-`truncated_compose`, whose Polynomial results are converted back.  When
-the solution is right through degree k, one sweep composes the residual
-through degree 2k+1 (capped at the requested order) and the Jacobian
-only through degree k, since the residual has no terms below degree
-k+1; the two compositions share the powers of the substituted series.
-Reaching order d takes ceil(log2(d+1)) sweeps, and only the last one
-works at full order.  A final residual check at full order certifies
-the result.
+point with invertible dependent Jacobian.  The iterate is held once, as
+integer series: the free coordinates come from `_shift`, the equations
+and the Jacobian entries become integer terms once, and every check and
+sweep calls `_compose` on them directly; the base point and the
+Jacobian there are compositions through degree 0.  When the solution is
+right through degree k, one sweep composes the residual through degree
+2k+1 (capped at the requested order) and the Jacobian only through
+degree k, since the residual has no terms below degree k+1; the two
+compositions share the powers of the substituted series.  Reaching
+order d takes ceil(log2(d+1)) sweeps, and only the last one works at
+full order.  A final residual check at full order certifies the result,
+and only the answer becomes Polynomials.
 """
 
 from __future__ import annotations
@@ -83,6 +88,14 @@ class _Series:
         self.nums = nums
         self.den = den
 
+    def coefficient(self, I: tuple[int, ...]) -> Fraction:
+        """The coefficient of the monomial with exponents I."""
+        return self._at(ip.pack(I))
+
+    def _at(self, key: int) -> Fraction:
+        num = self.nums.get(key)
+        return Fraction(num, self.den) if num else _ZERO
+
 
 _ONE = _Series({0: 1}, 1)
 _UNIT = Fraction(1)
@@ -107,31 +120,6 @@ def _from_poly(p: Polynomial, max_degree: int) -> _Series:
     """Terms of p through max_degree; already in lowest terms."""
     den, nums = ip.cleared((e, c) for e, c in p.terms.items() if sum(e) <= max_degree)
     return _Series(nums, den)
-
-
-def _scaled_values(polys: Sequence[Polynomial], point: Sequence[Fraction]) -> list[int]:
-    """The values of the polynomials at a rational point, all times one
-    positive integer: L * D^d * p(point), for D the lcm of the point's
-    denominators, and L and d the lcm of the coefficient denominators and
-    the top degree over all the polynomials.  A zero test, or the zero
-    test of a determinant whose rows are scaled so, then needs no
-    Fraction arithmetic."""
-    den = math.lcm(*[v.denominator for v in point])
-    nums = [v.numerator * (den // v.denominator) for v in point]
-    coeff_den = math.lcm(*[c.denominator for p in polys for c in p.terms.values()])
-    top = max((sum(e) for p in polys for e in p.terms), default=0)
-    den_powers = [den ** k for k in range(top + 1)]
-    values = []
-    for p in polys:
-        total = 0
-        for exps, c in p.terms.items():
-            term = c.numerator * (coeff_den // c.denominator) * den_powers[top - sum(exps)]
-            for v, e in zip(nums, exps):
-                if e:
-                    term *= v ** e
-            total += term
-        values.append(total)
-    return values
 
 
 def _to_poly(s: _Series, variables: tuple[str, ...]) -> Polynomial:
@@ -222,16 +210,12 @@ def truncated_multiply(a: Polynomial, b: Polynomial, max_degree: int) -> Polynom
 PowerCache = dict[tuple[int, int], tuple[int, _Series]]
 
 
-def truncated_compose(g: Polynomial, args: Sequence[Polynomial], max_degree: int,
-                      *, powers: PowerCache | None = None) -> Polynomial:
+def truncated_compose(g: Polynomial, args: Sequence[Polynomial], max_degree: int) -> Polynomial:
     """Substitute a series for each variable of g, truncating throughout.
 
     Terms are grouped Horner-style by their exponent of each argument in
     turn, so a group costs one series product and the innermost sums are
-    linear combinations of powers.  `powers` lets calls that substitute
-    the same `args` share those powers: it maps (i, e), e >= 2, to
-    (k, args[i]^e truncated past degree k), and an entry serves any call
-    with max_degree <= k.  Never pass one cache with different `args`.
+    linear combinations of powers.
     """
     if len(args) != g.nvars:
         raise ValueError(f"expected {g.nvars} series, got {len(args)}")
@@ -243,15 +227,19 @@ def truncated_compose(g: Polynomial, args: Sequence[Polynomial], max_degree: int
             raise ValueError("substituted series use different variables")
     _check_degree(max_degree)
     series = [_from_poly(a, max_degree) for a in args]
-    # g = terms / den on its own exponent tuples: nothing to pack.
-    den = math.lcm(*[c.denominator for c in g.terms.values()])
-    terms = [(e, c.numerator * (den // c.denominator)) for e, c in g.terms.items()]
-    return _to_poly(_compose(terms, Fraction(1, den), series, len(target_vars), max_degree,
-                             {} if powers is None else powers),
+    return _to_poly(_compose(*_terms(g), series, len(target_vars), max_degree, {}),
                     target_vars)
 
 
 Terms = list[tuple[tuple[int, ...], int]]
+
+
+def _terms(g: Polynomial) -> tuple[Terms, Fraction]:
+    """g as integer terms on its own exponent tuples (nothing to pack)
+    and the scale 1/den that brings them back to g."""
+    den = math.lcm(*[c.denominator for c in g.terms.values()])
+    terms = [(e, c.numerator * (den // c.denominator)) for e, c in g.terms.items()]
+    return terms, Fraction(1, den)
 
 
 def _compose(terms: Terms, scale: Fraction, args: Sequence[_Series], nvars: int,
@@ -259,7 +247,10 @@ def _compose(terms: Terms, scale: Fraction, args: Sequence[_Series], nvars: int,
     """truncated_compose in integer form: scale * g(args) for the integer
     polynomial g in len(args) variables with (exponents, coefficient)
     `terms`.  The arguments may carry terms above max_degree; every
-    product and sum below drops them."""
+    product and sum below drops them.  `powers` lets calls that substitute
+    the same `args` share their powers: it maps (i, e), e >= 2, to
+    (k, args[i]^e truncated past degree k), and an entry serves any call
+    with max_degree <= k.  Never pass one cache with different `args`."""
     shift = ip.top(nvars)
     lowest = [min(a.nums, default=0) >> shift for a in args]
     result = _nested(terms, 0, max_degree, args, lowest, nvars, max_degree, powers)
@@ -316,17 +307,31 @@ def _arg_power(args: Sequence[_Series], i: int, e: int, nvars: int, max_degree: 
     return power
 
 
-def _expansions(functions: Sequence, point: Sequence[Fraction], order: int) -> list[_Series]:
-    """The integer core of taylor_expansions: one series per function."""
-    _check_degree(order)
+def _shift(point: Sequence[Fraction]) -> list[_Series]:
+    """The series u_k + p_k, one per coordinate of the point, in
+    len(point) variables: with p_k = num/den in lowest terms, each is
+    {u_k: den, 1: num} / den."""
     nvars = len(point)
-    # u_k + p_k with p_k = num/den in lowest terms is {u_k: den, 1: num} / den.
     shift = []
     for k, p in enumerate(point):
         nums = {ip.unit(k, nvars): p.denominator}
         if p:
             nums[0] = p.numerator
         shift.append(_Series(nums, p.denominator))
+    return shift
+
+
+def taylor_expansions(functions: Sequence, point: tuple[Fraction, ...],
+                      order: int) -> list[_Series]:
+    """Expansions of RationalFunctions in the offsets u = x - point,
+    through total degree `order`, as integer series: the coefficient of
+    u^I is D_I of the function at the point.  Every numerator and
+    denominator is composed with the shift through one power cache; a
+    denominator other than 1 is inverted as a series, or raises
+    DenominatorVanishes."""
+    _check_degree(order)
+    nvars = len(point)
+    shift = _shift(point)
     limit = ip.limit(nvars, order)
     powers: PowerCache = {}
     out = []
@@ -344,43 +349,33 @@ def _expansions(functions: Sequence, point: Sequence[Fraction], order: int) -> l
     return out
 
 
-def taylor_expansions(functions: Sequence, point: tuple[Fraction, ...], order: int,
-                      series_vars: Sequence[str]) -> list[Polynomial]:
-    """Expansions of RationalFunctions in the offsets u = x - point, named
-    `series_vars`, through total degree `order`: the coefficient of u^I is
-    D_I of the function at the point.  Every numerator and denominator is
-    composed with the shift through one power cache; a denominator other
-    than 1 is inverted as a series, or raises DenominatorVanishes."""
-    series_vars = tuple(series_vars)
-    return [_to_poly(s, series_vars) for s in _expansions(functions, point, order)]
-
-
 def taylor_jets(functions: Sequence, point: tuple[Fraction, ...], order: int,
                 indices: Sequence[tuple[int, ...]]) -> list[tuple[Fraction, ...]]:
     """The Taylor coefficients D_I f at the point, one tuple per multi-index
     I in `indices` (each of degree at most `order`) and one entry per
-    function: the rows of a point jet matrix.  The expansions are those of
-    taylor_expansions, read straight off the integer series; a missing
-    term is one shared Fraction(0)."""
-    series = _expansions(functions, point, order)
+    function: the rows of a point jet matrix, read off the series of
+    taylor_expansions; a missing term is one shared Fraction(0)."""
+    series = taylor_expansions(functions, point, order)
+    # I is packed once per row, not once per series: per series, packing
+    # made the point benchmark's slowest tasks about 10% slower.
     rows = []
     for I in indices:
         key = ip.pack(I)
-        rows.append(tuple(Fraction(s.nums[key], s.den) if key in s.nums else _ZERO
-                          for s in series))
+        rows.append(tuple(s._at(key) for s in series))
     return rows
 
 
-def graph_series(coords: Sequence[Polynomial], mixing: Sequence[Sequence[Fraction]],
+def graph_series(expansions: Sequence[_Series], mixing: Sequence[Sequence[Fraction]],
                  order: int) -> list[tuple[list[int], int]]:
     """The graph x3 = f(x1, x2) of a surface chart, through degree `order`,
     as its homogeneous pieces on integers: entry m, for m = 0..order, is
     (v, d) with f_m = sum(v_i * x1^(m-i) * x2^i) / d, d > 0 and no factor
     common to d and all of v (the coefficient vectors of `binform`).
 
-    `coords` are four series in the same two variables (u1, u2).  The chart
-    coordinates are z = mixing . coords and t_i = z_i / z_0, and the
-    mixing must make t1 = u1 + O(2) and t2 = u2 + O(2).  Then the f with
+    `expansions` are four series in two variables (u1, u2), as
+    taylor_expansions returns them.  The chart coordinates are
+    z = mixing . expansions and t_i = z_i / z_0, and the mixing must
+    make t1 = u1 + O(2) and t2 = u2 + O(2).  Then the f with
     f(t1, t2) = t3 is unique, and its degree-d part is the degree-d part
     of the running residual t3 - f_<d(t1, t2); each step subtracts
     f_d(t1, t2), built from cached products t1^a t2^b.  Raises
@@ -391,7 +386,6 @@ def graph_series(coords: Sequence[Polynomial], mixing: Sequence[Sequence[Fractio
     _check_degree(order)
     nvars = 2
     limit = ip.limit(nvars, order)
-    expansions = [_from_poly(c, order) for c in coords]
     z = []
     for row in mixing:
         den = math.lcm(*[m.denominator for m in row])
@@ -491,14 +485,14 @@ def solve_series_system(equations: Sequence[Polynomial],
                         free: Sequence[int],
                         dep: Sequence[int],
                         point: Sequence[Fraction],
-                        order: int,
-                        series_vars: Sequence[str] | None = None) -> list[Polynomial]:
+                        order: int) -> list[Polynomial]:
     """Solve g_i(x) = 0 for the dependent coordinates as truncated series.
 
     The equations live over one variable tuple; `free` and `dep` are
     disjoint index lists covering it, and `point` is a solution of the
     system.  The result expresses each dependent coordinate as a series
-    in offsets u_k = x_{free_k} - point_{free_k}, truncated past total
+    in offsets u_k = x_{free_k} - point_{free_k}, which keep the names of
+    the free variables, truncated past total
     degree `order`; the constant terms are the point values.  A final
     residual check substitutes the solution at full order and raises
     InvariantViolation unless every equation vanishes through `order`.
@@ -521,30 +515,28 @@ def solve_series_system(equations: Sequence[Polynomial],
     point = [Fraction(v) for v in point]
     if len(point) != len(variables):
         raise ValueError(f"expected {len(variables)} values, got {len(point)}")
-    if series_vars is None:
-        series_vars = tuple(variables[i] for i in free)
-    else:
-        series_vars = tuple(series_vars)
-    nvars = len(series_vars)
+    nvars = len(free)
 
-    # Both checks are zero tests, so they run on integer values.
-    for g, value in zip(equations, _scaled_values(equations, point)):
-        if value:
+    # The iterate, as integer series: the free coordinates u_k + p_k, and
+    # the dependent ones, which start at their point values.
+    args: list[_Series] = [None] * len(variables)  # type: ignore[list-item]
+    for idx, shift in zip(free, _shift([point[i] for i in free])):
+        args[idx] = shift
+    for idx in dep:
+        args[idx] = _reduced({0: point[idx].numerator}, point[idx].denominator)
+    system = [_terms(g) for g in equations]
+    jacobian = [[_terms(g.partial(j)) for j in dep] for g in equations]
+
+    # Both checks compose through degree 0, which gives the values at the point.
+    base_powers: PowerCache = {}
+    origin = (0,) * nvars
+    for g, terms in zip(equations, system):
+        if _compose(*terms, args, nvars, 0, base_powers).nums:
             raise DomainError(f"base point does not satisfy {g}")
-
-    jacobian = [[g.partial(j) for j in dep] for g in equations]
-    j0 = [_scaled_values(row, point) for row in jacobian]
+    j0 = [[_compose(*terms, args, nvars, 0, base_powers).coefficient(origin) for terms in row]
+          for row in jacobian]
     if not determinant(ExactMatrix(j0, field=RationalField())):
         raise DomainError("dependent Jacobian is singular at the base point")
-
-    args: list[Polynomial] = [None] * len(variables)  # type: ignore[list-item]
-    for k, idx in enumerate(free):
-        args[idx] = Polynomial.variable(series_vars, series_vars[k]) + point[idx]
-    for idx in dep:
-        args[idx] = Polynomial.constant(series_vars, point[idx])
-    # The iterate, in integer form; args holds it as the Polynomials that
-    # truncated_compose substitutes.
-    solution = [_from_poly(args[idx], 0) for idx in dep]
 
     # The point solves the system, so the constant terms are right: done = 0.
     done = 0
@@ -552,20 +544,17 @@ def solve_series_system(equations: Sequence[Polynomial],
         target = min(2 * done + 1, order)
         jac_degree = target - done - 1
         sweep_powers: PowerCache = {}
-        residual = [_from_poly(truncated_compose(g, args, target, powers=sweep_powers), target)
-                    for g in equations]
+        residual = [_compose(*terms, args, nvars, target, sweep_powers) for terms in system]
         if any(r.nums for r in residual):
-            jac = [[_from_poly(truncated_compose(entry, args, jac_degree, powers=sweep_powers),
-                               jac_degree)
-                    for entry in row]
+            jac = [[_compose(*terms, args, nvars, jac_degree, sweep_powers) for terms in row]
                    for row in jacobian]
             delta = _solve_linear_series(jac, residual, nvars, jac_degree, target)
-            solution = [_combine([(1, s), (-1, d)], ip.limit(nvars, target))
-                        for s, d in zip(solution, delta)]
-            for idx, s in zip(dep, solution):
-                args[idx] = _to_poly(s, series_vars)
+            limit = ip.limit(nvars, target)
+            for idx, d in zip(dep, delta):
+                args[idx] = _combine([(1, args[idx]), (-1, d)], limit)
         done = target
     final_powers: PowerCache = {}
-    if any(truncated_compose(g, args, order, powers=final_powers) for g in equations):
+    if any(_compose(*terms, args, nvars, order, final_powers).nums for terms in system):
         raise InvariantViolation("series Newton iteration failed to converge")
-    return [args[idx] for idx in dep]
+    series_vars = tuple(variables[i] for i in free)
+    return [_to_poly(args[idx], series_vars) for idx in dep]

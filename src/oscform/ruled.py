@@ -56,6 +56,7 @@ from .polyring import (
     quadratic_divides,
     solve_series_system,
     sylvester_resultant,
+    truncated_compose,
 )
 from .polyring.intpoly import MAX_DEGREE
 from .report import fmt_point
@@ -453,8 +454,7 @@ def _complete_and_invert(frame: list[list[Fraction]], point: tuple[Fraction, ...
 def _monge_from_parameterization(f: Parameterization, point: Sequence,
                                  order: int) -> MongeData:
     _check_surface_in_p3(f)
-    u_vars = ("u1", "u2")
-    point, coord_series = point_expansions(f, order, point, u_vars)
+    point, coord_series = point_expansions(f, order, point)
     # The frame is the order-1 jet matrix: the values, then D_(1,0), D_(0,1).
     frame = [[s.coefficient(I) for s in coord_series] for I in ((0, 0), (1, 0), (0, 1))]
     chart, inverse = _complete_and_invert(frame, point)
@@ -485,21 +485,19 @@ def _monge_from_implicit(iv: ImplicitVariety, order: int) -> MongeData:
     k = next(j for j, v in enumerate(gradient) if v)
     frame_rows.append([Fraction(int(j == k)) for j in range(4)])
     chart = ExactMatrix(frame_rows, field=RationalField())
-    z_vars = ("z0", "x1", "x2", "x3")
-    substituted = g.evaluate_in([
-        sum((Polynomial.variable(z_vars, z_vars[i]) * chart[i, j]
-             for i in range(4)), Polynomial.zero(z_vars))
+    # g in the chart coordinates (1, x1, x2, x3): x = (1, x1, x2, x3) . chart.
+    affine_vars = ("x1", "x2", "x3")
+    affine = truncated_compose(g, [
+        sum((Polynomial.variable(affine_vars, v) * chart[i, j]
+             for i, v in enumerate(affine_vars, 1)), Polynomial.constant(affine_vars, chart[0, j]))
         for j in range(4)
-    ])
-    affine = substituted.substitute_subset({"z0": 1})
-    x_vars = ("x1", "x2")
+    ], g.total_degree())
     solution = solve_series_system([affine], free=[0, 1], dep=[2],
-                                   point=[Fraction(0)] * 3, order=order,
-                                   series_vars=x_vars)
+                                   point=[Fraction(0)] * 3, order=order)
     f = solution[0]
     pieces = [integer_form([f.coefficient((m - i, i)) for i in range(m + 1)])
               for m in range(order + 1)]
-    return MongeData(tuple(iv.point), None, chart, order, x_vars,
+    return MongeData(tuple(iv.point), None, chart, order, f.variables,
                      _without_constant_or_linear_part(pieces))
 
 

@@ -350,15 +350,6 @@ def test_jet_parameterize_circle_matches_binomial_series():
     assert f.coords[0] == Polynomial.constant(("X2",), 1)
     assert f.coords[1] == expected
     assert f.coords[2] == Polynomial.variable(("X2",), "X2")
-
-
-def test_jet_parameterize_respects_requested_free_coords():
-    f = jet_parameterize(circle(), 3, free_coords=["X2"])
-    assert f.params == ("X2",)
-    with pytest.raises(SingularPoint):
-        jet_parameterize(circle(), 3, free_coords=["X1"])
-    with pytest.raises(DomainError):
-        jet_parameterize(circle(), 3, free_coords=["X0"])
     with pytest.raises(DomainError):
         jet_parameterize(circle(), 0)
 

@@ -2,13 +2,16 @@
 the shared power cache of truncated_compose, series reversion, the
 degree-by-degree graph solve of parameterized Monge charts, the integer
 core (numerators over one normalized denominator, packed monomial keys),
-the Taylor expansions at a point and the jet rows read off them, and the
-trusted Polynomial constructor behind arithmetic results.
+the Taylor expansions at a point and the jet rows read off them, the
+conversions to Polynomials that the charts and the Newton solve no
+longer make, and the trusted Polynomial constructor behind arithmetic
+results.
 
 Oracles: untruncated composition (`evaluate_in`) and `Fraction`
 products followed by `truncate`, calls with and without a power cache,
 reversion by the Newton solver followed by composition, the validating
-constructor, and the coefficients of the Polynomial expansions.
+constructor, and the coefficients of the integer expansions, read by
+`coefficient(I)`.
 """
 
 import math
@@ -46,29 +49,32 @@ def P(text, variables=XY):
 
 
 def count_compositions(monkeypatch):
-    """Route the solver's compositions through a counter by degree."""
-    degrees = Counter()
-    original = series.truncated_compose
+    """Count the Newton solves of the Monge charts, and by degree the
+    integer compositions that run inside them."""
+    solves, degrees = Counter(), Counter()
+    inside = []
+    compose, solve = series._compose, series.solve_series_system
 
-    def counting(g, args, max_degree, **kwargs):
-        degrees[max_degree] += 1
-        return original(g, args, max_degree, **kwargs)
+    def counting_compose(terms, scale, args, nvars, max_degree, powers):
+        if inside:
+            degrees[max_degree] += 1
+        return compose(terms, scale, args, nvars, max_degree, powers)
 
-    monkeypatch.setattr(series, "truncated_compose", counting)
-    return degrees
+    def counting_solve(*args, **kwargs):
+        solves["calls"] += 1
+        inside.append(True)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(series, "_compose", counting_compose)
+    monkeypatch.setattr(ruled, "solve_series_system", counting_solve)
+    return solves, degrees
 
 
 def test_order_8_parameterized_monge_chart_runs_no_newton_solve_or_compose(monkeypatch):
-    degrees = count_compositions(monkeypatch)
-    solves = Counter()
-    original = series.solve_series_system
-
-    def counting(*args, **kwargs):
-        solves["calls"] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(series, "solve_series_system", counting)
-    monkeypatch.setattr(ruled, "solve_series_system", counting)
+    solves, degrees = count_compositions(monkeypatch)
     surface = Parameterization(("t", "s"), [
         P(expr, ("t", "s")) for expr in ("1 + t*s", "t + s^2", "s + t^2*s", "t^3 + s^3 + t*s")])
     md = monge_form(surface, (1, 2), order=8)
@@ -85,11 +91,63 @@ def test_implicit_monge_chart_composes_at_full_order_at_most_twice(monkeypatch):
     variables = ("x0", "x1", "x2", "x3")
     g = P("x0*x3^2 + x1^3 + x1*x2^2 + x2^3 - x0^2*x3 - x0^2*x1", variables)
     surface = ImplicitVariety([g], point=(1, 1, 0, 0))
-    degrees = count_compositions(monkeypatch)
+    _, degrees = count_compositions(monkeypatch)
     md = monge_form(surface, order=7)
     assert degrees[7] <= 2
     assert max(degrees) == 7
     assert not md.f2.is_zero
+
+
+def test_parameterized_monge_chart_builds_no_polynomial_series(monkeypatch):
+    # The expansions stay integer series from the Taylor expansion to the
+    # graph's pieces: no coordinate is turned into a Polynomial and back.
+    surface = Parameterization(("t", "s"), [
+        P(expr, ("t", "s")) for expr in ("1 + t*s", "t + s^2", "s + t^2*s", "t^3 + s^3 + t*s")])
+    conversions = Counter()
+    to_poly = intpoly.to_poly
+
+    def counting(*args):
+        conversions["calls"] += 1
+        return to_poly(*args)
+
+    monkeypatch.setattr(intpoly, "to_poly", counting)
+    md = monge_form(surface, (1, 2), order=4)
+    assert not conversions
+    assert not md.f2.is_zero
+
+
+def test_newton_solve_converts_each_dependent_coordinate_once(monkeypatch):
+    # The iterate is held as integer series; only the answer becomes a
+    # Polynomial, once per dependent coordinate.
+    variables = ("x0", "x1", "x2", "x3")
+    g = P("x0*x3^2 + x1^3 + x1*x2^2 + x2^3 - x0^2*x3 - x0^2*x1", variables)
+    surface = ImplicitVariety([g], point=(1, 1, 0, 0))
+    calls, conversions = [], []
+    to_poly, solve = series._to_poly, series.solve_series_system
+
+    def counting_to_poly(s, series_vars):
+        calls.append(series_vars)
+        return to_poly(s, series_vars)
+
+    def counting_solve(*args, **kwargs):
+        before = len(calls)
+        solution = solve(*args, **kwargs)
+        conversions.append((len(calls) - before, len(solution)))
+        return solution
+
+    monkeypatch.setattr(series, "_to_poly", counting_to_poly)
+    monkeypatch.setattr(ruled, "solve_series_system", counting_solve)
+    monge_form(surface, order=7)
+    assert conversions == [(1, 1)]
+
+
+def _compose_sharing(g, args, degree, cache):
+    """truncated_compose through the integer kernel that the Newton sweeps
+    call, with the power cache `cache`; the arguments are converted whole."""
+    whole = [series._from_poly(a, intpoly.MAX_DEGREE) for a in args]
+    variables = args[0].variables
+    return series._to_poly(
+        series._compose(*series._terms(g), whole, len(variables), degree, cache), variables)
 
 
 def test_power_cache_matches_uncached_compose_at_lower_then_higher_degree():
@@ -97,7 +155,7 @@ def test_power_cache_matches_uncached_compose_at_lower_then_higher_degree():
     args = [P("1 + x - 2*y + x*y^2"), P("y + 3*x^2 - x*y + y^3")]
     cache = {}
     for degree in (3, 7, 2, 7, 5):
-        shared = truncated_compose(g, args, degree, powers=cache)
+        shared = _compose_sharing(g, args, degree, cache)
         assert shared == truncated_compose(g, args, degree)
         assert shared == g.evaluate_in(args).truncate(degree)
     # The degree-7 call replaced the entries built at degree 3 and later
@@ -166,6 +224,24 @@ def test_reversion_inverts_random_maps_through_its_order():
     check()
 
 
+def _expanded(polys, order):
+    """The polynomials as the integer series of taylor_expansions: their
+    expansions at the origin through `order`."""
+    origin = (Fraction(0),) * polys[0].nvars
+    return taylor_expansions([RationalFunction(p) for p in polys], origin, order)
+
+
+def _polynomials_of(expansions, variables, order):
+    """The expansions as Polynomials, read off coefficient(I) for |I| <=
+    order; checks that each series is normalized and truncated there."""
+    indices = multi_indices_upto(len(variables), order)
+    limit = intpoly.limit(len(variables), order)
+    for s in expansions:
+        _assert_normalized(s)
+        assert all(k < limit for k in s.nums)
+    return [Polynomial(variables, {I: s.coefficient(I) for I in indices}) for s in expansions]
+
+
 def _graph_by_reversion(coords, mixing, order):
     """The graph of the chart x_i = z_i / z_0, z = mixing . coords, by
     reverting (x1, x2)(u) with the Newton solver and composing x3 with
@@ -179,8 +255,7 @@ def _graph_by_reversion(coords, mixing, order):
     equations = [t.extend_variables(combined) - Polynomial.variable(combined, x)
                  for t, x in zip(chart, ("x1", "x2"))]
     reversion = solve_series_system(equations, free=[0, 1], dep=[2, 3],
-                                    point=[Fraction(0)] * 4, order=order,
-                                    series_vars=("x1", "x2"))
+                                    point=[Fraction(0)] * 4, order=order)
     return truncated_compose(chart[2], reversion, order)
 
 
@@ -216,7 +291,8 @@ def test_graph_series_equals_reversion_then_compose():
                   [zero, l11 / det, -l01 / det, zero],
                   [zero, -l10 / det, l00 / det, zero],
                   [zero, a, b, Fraction(1)]]
-        f = _graph_polynomial(graph_series(coords, mixing, order), ("x1", "x2"))
+        f = _graph_polynomial(graph_series(_expanded(coords, order), mixing, order),
+                              ("x1", "x2"))
         assert f == _graph_by_reversion(coords, mixing, order)
 
     check()
@@ -227,13 +303,15 @@ def test_graph_series_guards():
     identity = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
     # x1 = 2*u1 to first order: not the identity.
     with pytest.raises(InvariantViolation):
-        graph_series([P(e, u) for e in ("1", "2*u1", "u2", "u1^2")], identity, 4)
+        graph_series(_expanded([P(e, u) for e in ("1", "2*u1", "u2", "u1^2")], 4), identity, 4)
     # x1 = u1 + 1: a constant term is off the identity too.
     with pytest.raises(InvariantViolation):
-        graph_series([P(e, u) for e in ("1", "u1 + 1", "u2", "u1^2")], identity, 4)
+        graph_series(_expanded([P(e, u) for e in ("1", "u1 + 1", "u2", "u1^2")], 4), identity,
+                     4)
     # z0 vanishes at the point.
     with pytest.raises(SingularPoint):
-        graph_series([P(e, u) for e in ("u1 + u2", "u1", "u2", "u1^2")], identity, 4)
+        graph_series(_expanded([P(e, u) for e in ("u1 + u2", "u1", "u2", "u1^2")], 4), identity,
+                     4)
 
 
 def test_exponents_past_the_recursion_limit_expand():
@@ -245,7 +323,8 @@ def test_exponents_past_the_recursion_limit_expand():
     e = sys.getrecursionlimit() + 10
     uv = ("u", "v")
     f = RationalFunction(P(f"x^{e} + y"))
-    assert taylor_expansions([f], (Fraction(1), Fraction(0)), 2, uv) == [
+    expansions = taylor_expansions([f], (Fraction(1), Fraction(0)), 2)
+    assert _polynomials_of(expansions, uv, 2) == [
         P(f"1 + {e}*u + v + {e * (e - 1) // 2}*u^2", uv)]
 
 
@@ -263,8 +342,9 @@ def test_integer_core_leaves_no_cyclic_garbage():
     gc.disable()
     try:
         truncated_compose(P("x^3 + x*y + 2"), coords[1:3], 5)
-        taylor_expansions([quotient], (Fraction(1), Fraction(0)), 4, XY)
-        assert _graph_polynomial(graph_series(coords, identity, 5), XY) == P("x^2 + x*y^2")
+        taylor_expansions([quotient], (Fraction(1), Fraction(0)), 4)
+        graph = graph_series(_expanded(coords, 5), identity, 5)
+        assert _graph_polynomial(graph, XY) == P("x^2 + x*y^2")
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -354,7 +434,7 @@ def test_integer_core_matches_fraction_arithmetic():
         for d in (degree, max(degree - 2, 0), degree):
             expected = composed.truncate(d)
             assert truncated_compose(g, args, d) == expected
-            assert truncated_compose(g, args, d, powers=cache) == expected
+            assert _compose_sharing(g, args, d, cache) == expected
         for _, power in cache.values():
             _assert_normalized(power)
         inverse = series.truncated_inverse(unit, degree)
@@ -449,12 +529,12 @@ def test_jet_rows_are_the_coefficients_of_the_expansions():
             expected = [_expected_expansion(f, point, order) for f in functions]
         except DenominatorVanishes:
             with pytest.raises(DenominatorVanishes):
-                taylor_expansions(functions, point, order, variables)
+                taylor_expansions(functions, point, order)
             with pytest.raises(DenominatorVanishes):
                 taylor_jets(functions, point, order, indices)
             return
-        expansions = taylor_expansions(functions, point, order, variables)
-        assert expansions == expected
+        expansions = taylor_expansions(functions, point, order)
+        assert _polynomials_of(expansions, variables, order) == expected
         rows = taylor_jets(functions, point, order, indices)
         assert rows == [tuple(e.coefficient(I) for e in expansions) for I in indices]
         assert all(type(c) is Fraction for row in rows for c in row)
@@ -471,7 +551,8 @@ def test_order_0_expansion_at_zero_coordinates_is_the_value():
     f = RationalFunction(P("x^2*y + 3*y - 2"), P("x + y + 1"))
     for point in ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(2, 3))):
         value = f.evaluate(point)
-        assert taylor_expansions([f], point, 0, XY) == [Polynomial.constant(XY, value)]
+        expansions = taylor_expansions([f], point, 0)
+        assert _polynomials_of(expansions, XY, 0) == [Polynomial.constant(XY, value)]
         assert taylor_jets([f], point, 0, [(0, 0)]) == [(value,)]
     with pytest.raises(DenominatorVanishes):
         taylor_jets([RationalFunction(P("1"), x)], (Fraction(0), Fraction(1)), 0, [(0, 0)])
