@@ -1,27 +1,39 @@
 """Exact linear algebra over the rationals and rational function fields.
 
 Matrices carry a field tag: either the rationals (Fraction entries) or
-the field of rational functions in a fixed variable tuple.  Both fields
-keep every entry in lowest terms (Fraction by itself, RationalFunction
-by its multivariate gcd, on primitive integer parts), so elimination
-works on the entries directly: one Gauss-Jordan loop (`_eliminate`)
-divides each pivot row by its pivot and clears the pivot column below
-it, and for a reduced form above it too.  At each column the pivot is
-the smallest nonzero candidate (bit length of numerator plus
-denominator over Q, term count of the integer numerator plus
-denominator over Q(u), read off the parts as stored), which keeps
-intermediate entries small.
-The reduced row echelon form is unique for the row space, so results do
-not depend on the pivot order and are canonical.
+the field of rational functions in a fixed variable tuple.  Elimination
+(`_eliminate`) is one fraction-free loop.  It first clears each row to
+integers, or to integer polynomials over Q(u): a row over Q is
+multiplied by the lcm of its denominators, a row over Q(u) by the
+integer lcm of its scale denominators and the polynomial lcm of its
+`den` parts (most rows have none, so this is one multiply per entry).
+It then eliminates on those, by one of two integer rules:
+
+- over Z, primitive rows: a row with head h is replaced by
+  (p/g) row - (h/g) pivot_row, g = gcd(p, h), and divided by its
+  content; rows with head 0 are left alone;
+- over Z[u], Bareiss's rule (Math. Comp. 22, 1968): every entry a
+  becomes (p a - h b) / prev, b the pivot row's entry and prev the
+  previous pivot, an exact division (`gcd._divide`; an inexact one is
+  an InvariantViolation).
+
+At each column the pivot is the candidate of smallest absolute value
+over Z, of fewest terms over Z[u].  No sum pays a gcd: canonical field
+entries are built only where a caller reads them, at the end of a
+reduced pass, one `Fraction` or one `ratfunc._reduced` (one gcd) per
+entry.  The reduced row echelon form is unique for the row space, and
+rank and determinant are invariants, so results do not depend on the
+pivot order.
 
 Every question below costs one run of that loop:
 
 - `rank(M)`: the rank of M;
-- `determinant(M)`: the determinant of a square M, the signed product
-  of the pivots;
+- `determinant(M)`: the determinant of a square M: the signed product
+  of the pivots over Z, the last pivot over Z[u], divided by what the
+  clearing and the steps multiplied it by;
 - `rref(M)`: the reduced row echelon form, its rank and pivot columns;
 - `prefix_ranks(M, ends)`: the rank of every leading block of rows,
-  read off the pivot columns of one RREF of the transpose;
+  read off the pivot columns of one forward pass on the transpose;
 - `kernel_vectors(M)`: a basis of the right kernel read off one RREF,
   one vector per free column (not canonical); the phibar check
   differentiates these (the fundamental forms need none: their
@@ -47,12 +59,19 @@ that is already canonical.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-from .errors import AmbientMismatch, ShapeMismatch
+from .errors import AmbientMismatch, InvariantViolation, ShapeMismatch
 from .polyring import Polynomial, RationalFunction
+from .polyring.gcd import _divide, cofactors
+from .polyring.intpoly import ONE, IntPoly, combine, is_one, mul, primitive
+from .polyring.ratfunc import _reduced, _zero
 
 Entry = Union[Fraction, RationalFunction]
+
+_ZERO = Fraction(0)
+_UNIT = Fraction(1)
 
 
 class RationalField:
@@ -204,31 +223,210 @@ class ExactMatrix:
 # -- elimination --------------------------------------------------------------
 
 
-def _entry_size(entry: Entry) -> int:
-    """Pivot cost: the bit lengths of a fraction's numerator and
-    denominator, or the term counts of a rational function's integer
-    numerator and denominator, added."""
-    if isinstance(entry, Fraction):
-        return entry.numerator.bit_length() + entry.denominator.bit_length()
-    return len(entry.num) + len(entry.den)
+class _IntegerRows:
+    """A matrix over Q as primitive integer rows, for the loop in
+    `_eliminate`.
 
-
-def _eliminate(matrix: ExactMatrix, reduce: bool) -> tuple[list[list], list[int], Entry]:
-    """Gauss-Jordan elimination on the field entries.
-
-    Returns (rows, pivot columns, signed pivot product).  Row k has pivot
-    1 at pivots[k] and zeros below it; with `reduce`, zeros above it as
-    well, which makes the rows the reduced row echelon form.  The rows
-    past the rank are zero.  The signed pivot product is the product of
-    the pivots divided out, negated once per row swap: the determinant
-    when the matrix is square of full rank.  At each column the pivot is
-    the smallest nonzero candidate (`_entry_size`).
+    Each row is multiplied by the lcm of its denominators and divided by
+    its content.  A step replaces a row with head h by
+    (p/g) row - (h/g) pivot_row, g = gcd(p, h), divided by its content,
+    and leaves a row with head 0 as it is.  With `track`, the input's
+    determinant is that of the integer rows times num / den.
     """
-    rows = [list(r) for r in matrix.rows]
+
+    size = staticmethod(abs)
+
+    def __init__(self, matrix: ExactMatrix, track: bool):
+        self.track = track
+        self.num = self.den = 1
+        self.rows = [self._cleared(row) for row in matrix.rows]
+
+    def _cleared(self, row: Sequence[Fraction]) -> list[int]:
+        # Fraction's slots, read directly: its `numerator` and `denominator`
+        # properties cost a Python call per entry, which on the sparse
+        # point jet matrices is most of the cost of clearing a row.
+        dens = [e._denominator for e in row]
+        den = lcm(*dens)
+        if den == 1:
+            ints = [e._numerator for e in row]
+        else:
+            ints = [e._numerator * (den // d) for e, d in zip(row, dens)]
+        content = gcd(*ints)
+        if content > 1:
+            ints = [v // content for v in ints]
+        if self.track:
+            self.num *= content or 1
+            self.den *= den
+        return ints
+
+    def clear(self, rows: list[list[int]], r: int, c: int, start: int) -> None:
+        """Clear column c in the rows from `start` on, but for pivot row r."""
+        pivot_row = rows[r]
+        p = pivot_row[c]
+        # The pivot row is zero left of c; the update runs over its support.
+        support = [(j, pivot_row[j]) for j in range(c, len(pivot_row)) if pivot_row[j]]
+        for i in range(start, len(rows)):
+            row = rows[i]
+            h = row[c]
+            if not h or i == r:
+                continue
+            g = gcd(p, h)
+            a, b = p // g, h // g
+            new = row[:] if a == 1 else [a * x for x in row]
+            for j, v in support:
+                new[j] -= b * v
+            content = gcd(*new)
+            if content > 1:
+                new = [v // content for v in new]
+            if self.track:
+                self.num *= content or 1
+                self.den *= a
+            rows[i] = new
+
+    def reduced(self, rows: list[list[int]], pivots: list[int]) -> list[list[Fraction]]:
+        out = [[Fraction(v, row[c]) if v else _ZERO for v in row]
+               for row, c in zip(rows, pivots)]
+        return out + [[_ZERO] * len(row) for row in rows[len(pivots):]]
+
+    def determinant(self, rows: list[list[int]], pivots: list[int], sign: int) -> Fraction:
+        if len(pivots) < len(rows):
+            return _ZERO
+        product = sign * self.num
+        for row, c in zip(rows, pivots):
+            product *= row[c]
+        return Fraction(product, self.den)
+
+
+class _PolynomialRows:
+    """A matrix over Q(u) as integer polynomial rows, for the loop in
+    `_eliminate`, by Bareiss's rule.
+
+    Each row is multiplied by the integer lcm of its entries' scale
+    denominators over the gcd of their numerators, and by the polynomial
+    lcm of their `den` parts.  A step replaces every entry a of a row,
+    also one with head 0 and, in a reduced pass, one above the pivot, by
+    (p a - h b) / prev: h is the row's head, b the pivot row's entry and
+    prev the previous pivot.  The division is exact, since the entries
+    are minors of the cleared matrix, and after a reduced pass every
+    pivot equals the last one.  With `track`, the input's determinant is
+    that of the cleared rows times scale / den.
+    """
+
+    size = staticmethod(len)
+
+    def __init__(self, matrix: ExactMatrix, track: bool):
+        self.variables = matrix.field.variables
+        self.n = len(self.variables)
+        self.track = track
+        self.scale, self.den = _UNIT, ONE
+        self.prev = ONE
+        self.rows = [self._cleared(row) for row in matrix.rows]
+
+    def _cleared(self, row: Sequence[RationalFunction]) -> list[IntPoly]:
+        n = self.n
+        nonzero = [e for e in row if e.num]
+        if not nonzero:
+            return [e.num for e in row]
+        den = ONE
+        for e in nonzero:
+            if not (e.den == den or is_one(e.den)):
+                den = e.den if is_one(den) else mul(den, cofactors(den, e.den, n)[2], n)
+        scales = [e.scale for e in nonzero]
+        top = gcd(*[s._numerator for s in scales])
+        bottom = lcm(*[s._denominator for s in scales])
+        out = []
+        for e in row:
+            num = e.num
+            if num:
+                if e.den != den:
+                    num = mul(num, self._exact(den, e.den), n)
+                s = e.scale
+                m = (s._numerator // top) * (bottom // s._denominator)
+                if m != 1:
+                    num = {k: m * v for k, v in num.items()}
+            out.append(num)
+        if self.track:
+            self.scale *= Fraction(top, bottom)
+            self.den = mul(self.den, den, n)
+        return out
+
+    def _exact(self, t: IntPoly, d: IntPoly) -> IntPoly:
+        if not t or is_one(d):
+            return t
+        q = _divide(t, d, self.n)
+        if q is None:
+            raise InvariantViolation("fraction-free elimination: inexact division")
+        return q
+
+    def clear(self, rows: list[list[IntPoly]], r: int, c: int, start: int) -> None:
+        """Clear column c in the rows from `start` on, but for pivot row r;
+        then the pivot becomes the divisor of the next column's steps."""
+        pivot_row = rows[r]
+        p = pivot_row[c]
+        for i in range(start, len(rows)):
+            if i != r:
+                rows[i] = self._step(rows[i], pivot_row, c, p)
+        self.prev = p
+
+    def _step(self, row: list[IntPoly], pivot_row: list[IntPoly], c: int,
+              p: IntPoly) -> list[IntPoly]:
+        n, prev = self.n, self.prev
+        h = row[c]
+        if not h:
+            if p == prev:
+                return row
+            return [self._exact(mul(p, a, n), prev) if a else a for a in row]
+        out = []
+        for j, (a, b) in enumerate(zip(row, pivot_row)):
+            if b:
+                if j == c:
+                    out.append({})
+                    continue
+                t = combine(mul(p, a, n), 1, mul(h, b, n), -1)
+            elif a:
+                t = mul(p, a, n)
+            else:
+                out.append(a)
+                continue
+            out.append(self._exact(t, prev))
+        return out
+
+    def reduced(self, rows: list[list[IntPoly]],
+                pivots: list[int]) -> list[list[RationalFunction]]:
+        variables = self.variables
+        zero = _zero(variables)
+        content, d = primitive(self.prev)
+        scale = Fraction(1, content)
+        out = [[_reduced(variables, scale, v, d) if v else zero for v in row]
+               for row in rows[:len(pivots)]]
+        return out + [[zero] * len(row) for row in rows[len(pivots):]]
+
+    def determinant(self, rows: list[list[IntPoly]], pivots: list[int],
+                    sign: int) -> RationalFunction:
+        if len(pivots) < len(rows):
+            return _zero(self.variables)
+        return _reduced(self.variables, sign * self.scale, self.prev, self.den)
+
+
+def _eliminate(matrix: ExactMatrix, reduce: bool) -> tuple[list[list] | None, list[int], Entry | None]:
+    """Fraction-free elimination on the cleared integer rows.
+
+    Returns (rows, pivot columns, determinant).  With `reduce` the rows
+    are the reduced row echelon form over the matrix's field, zero past
+    the rank; without, they are None, and only the pivots (the rank) are
+    read.  The determinant is given for a square matrix on a forward
+    pass, else None.  At each column the pivot is the candidate of
+    smallest absolute value over Z, of fewest terms over Z[u].
+    """
+    track = not reduce and matrix.nrows == matrix.ncols
+    if isinstance(matrix.field, RationalField):
+        ring = _IntegerRows(matrix, track)
+    else:
+        ring = _PolynomialRows(matrix, track)
+    rows, size = ring.rows, ring.size
     nrows, ncols = matrix.nrows, matrix.ncols
-    one, zero = matrix.field.one(), matrix.field.zero()
     pivots: list[int] = []
-    product = one
+    sign = 1
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -236,29 +434,15 @@ def _eliminate(matrix: ExactMatrix, reduce: bool) -> tuple[list[list], list[int]
         candidates = [i for i in range(r, nrows) if rows[i][c]]
         if not candidates:
             continue
-        p = min(candidates, key=lambda i: _entry_size(rows[i][c]))
-        if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-            product = -product
-        pivot_row = rows[r]
-        pivot = pivot_row[c]
-        product = product * pivot
-        for j in range(c + 1, ncols):
-            if pivot_row[j]:
-                pivot_row[j] = pivot_row[j] / pivot
-        pivot_row[c] = one
-        for i in range(0 if reduce else r + 1, nrows):
-            row = rows[i]
-            head = row[c]
-            if i == r or not head:
-                continue
-            for j in range(c + 1, ncols):
-                if pivot_row[j]:
-                    row[j] = row[j] - head * pivot_row[j]
-            row[c] = zero
+        k = min(candidates, key=lambda i: size(rows[i][c]))
+        if k != r:
+            rows[r], rows[k] = rows[k], rows[r]
+            sign = -sign
+        ring.clear(rows, r, c, 0 if reduce else r + 1)
         pivots.append(c)
         r += 1
-    return rows, pivots, product
+    return (ring.reduced(rows, pivots) if reduce else None, pivots,
+            ring.determinant(rows, pivots, sign) if track else None)
 
 
 class RrefResult:
@@ -295,10 +479,7 @@ def determinant(matrix: ExactMatrix) -> Entry:
         raise ShapeMismatch(f"determinant of {matrix.nrows}x{matrix.ncols} matrix")
     if matrix.nrows == 0:
         return matrix.field.one()
-    _, pivots, product = _eliminate(matrix, False)
-    if len(pivots) < matrix.nrows:
-        return matrix.field.zero()
-    return product
+    return _eliminate(matrix, False)[2]
 
 
 class Subspace:
@@ -368,7 +549,7 @@ def prefix_ranks(matrix: ExactMatrix, ends: Sequence[int]) -> list[int]:
     not lie in the span of the rows above them, so the rank of a leading
     block of rows is the number of pivot columns inside it.
     """
-    pivots = rref(matrix.transpose()).pivot_columns
+    pivots = _eliminate(matrix.transpose(), False)[1]
     return [sum(1 for p in pivots if p < end) for end in ends]
 
 

@@ -494,8 +494,14 @@ def _monge_from_implicit(iv: ImplicitVariety, order: int) -> MongeData:
     ], g.total_degree())
     solution = solve_series_system([affine], free=[0, 1], dep=[2],
                                    point=[Fraction(0)] * 3, order=order)
+    # One pass over the solution's terms: f_m's vector holds the
+    # coefficient of x1^(m-i) x2^i at i, and degrees with no term are zero.
     f = solution[0]
-    pieces = [integer_form([f.coefficient((m - i, i)) for i in range(m + 1)])
+    by_degree: dict[int, dict[int, Fraction]] = {}
+    for (a, b), c in f.terms.items():
+        by_degree.setdefault(a + b, {})[b] = c
+    pieces = [integer_form([terms.get(i, Fraction(0)) for i in range(m + 1)])
+              if (terms := by_degree.get(m)) else ([0] * (m + 1), 1)
               for m in range(order + 1)]
     return MongeData(tuple(iv.point), None, chart, order, f.variables,
                      _without_constant_or_linear_part(pieces))

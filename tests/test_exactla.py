@@ -8,6 +8,7 @@ it is installed.
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -283,22 +284,35 @@ def _random_rational_function(rng, names):
     return RationalFunction(numerator, denominator)
 
 
-def test_function_field_rank_kernel_and_determinant_match_sympy():
+def _sympy_function_field(names):
+    """(domain, to_sympy) for Q(names) in sympy."""
     sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols(names)
+    domain = sympy.QQ.frac_field(*symbols)
+
+    def poly(p):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*(s ** k for s, k in zip(symbols, exps)))
+                    for exps, c in p.terms.items()), sympy.Integer(0))
+
+    def to_sympy(e: RationalFunction):
+        return domain.from_sympy(poly(e.numerator) / poly(e.denominator))
+
+    return domain, to_sympy
+
+
+def _rational_to_sympy(e: Fraction):
+    import sympy
+    return sympy.QQ(e.numerator, e.denominator)
+
+
+def test_function_field_rank_kernel_and_determinant_match_sympy():
+    pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
 
     names = ("x", "y")
     field = FunctionField(names)
-    symbols = sympy.symbols(names)
-    domain = sympy.QQ.frac_field(*symbols)
-
-    def to_sympy(e: RationalFunction):
-        def poly(p):
-            return sum((sympy.Rational(c.numerator, c.denominator)
-                        * sympy.Mul(*(s ** k for s, k in zip(symbols, exps)))
-                        for exps, c in p.terms.items()), sympy.Integer(0))
-        return domain.from_sympy(poly(e.numerator) / poly(e.denominator))
-
+    domain, to_sympy = _sympy_function_field(names)
     rng = random.Random(137)
     pivot_choices = 0
     for _ in range(24):
@@ -327,8 +341,7 @@ def test_rational_rref_rank_and_determinant_match_sympy():
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
 
-    def to_sympy(e: Fraction):
-        return sympy.QQ(e.numerator, e.denominator)
+    to_sympy = _rational_to_sympy
 
     def entry(rng):
         # Zeros, small entries and wide ones side by side, so the first
@@ -381,3 +394,188 @@ def _assert_rref_matches(ours, dm, to_sympy):
     for i in range(dm.shape[0]):
         for j in range(dm.shape[1]):
             assert to_sympy(ours.matrix[i, j]) == reduced[i, j].element
+
+
+# -- the fraction-free kernel against sympy, on the shapes it meets --------
+
+
+def _assert_matches_sympy(m: ExactMatrix, domain, to_sympy):
+    """Rank, RREF, kernel dimension, prefix ranks and (when square) the
+    determinant of m against sympy's DomainMatrix over `domain`."""
+    from sympy.polys.matrices import DomainMatrix
+
+    dm = DomainMatrix([[to_sympy(e) for e in row] for row in m.rows],
+                      (m.nrows, m.ncols), domain)
+    assert rank(m) == dm.rank()
+    _assert_rref_matches(rref(m), dm, to_sympy)
+    assert len(kernel_vectors(m)) == m.ncols - dm.rank()
+    ends = range(m.nrows + 1)
+    assert prefix_ranks(m, ends) == [dm[:end, :].rank() if end else 0 for end in ends]
+    if m.nrows == m.ncols:
+        assert to_sympy(determinant(m)) == dm.det()
+
+
+def test_sparse_jet_sized_rational_matrices_match_sympy():
+    # Up to 10 x 20, mostly zeros and small fractions, as the transposed
+    # point jet matrices are; some rows repeat combinations of others.
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(149)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 10), rng.randint(1, 20)
+        density = rng.choice([0.15, 0.3, 0.6])
+        rows = [[Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 4, 8, 3]))
+                 if rng.random() < density else Fraction(0) for _ in range(ncols)]
+                for _ in range(nrows)]
+        for _ in range(rng.randint(0, nrows // 3)):
+            i, j, k = (rng.randrange(nrows) for _ in range(3))
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            rows[i] = [a + c * b for a, b in zip(rows[j], rows[k])]
+        m = ExactMatrix(rows, field=RationalField())
+        _assert_matches_sympy(m, sympy.QQ, _rational_to_sympy)
+    # A square one, of full rank, with the largest shape's row count.
+    m = ExactMatrix([[Fraction(int(i == j) + (i * j) % 3, 1 + (i + j) % 4)
+                      for j in range(10)] for i in range(10)], field=RationalField())
+    _assert_matches_sympy(m, sympy.QQ, _rational_to_sympy)
+
+
+def _echelon_with_free_columns(rng, pivot_columns, ncols, entry, zero):
+    """Rows of rank len(pivot_columns) whose RREF has exactly those pivot
+    columns: an echelon basis with random entries right of each pivot
+    (so the free columns between pivots are filled), mixed by random
+    lower and upper combinations and followed by a dependent row."""
+    basis = []
+    for c in pivot_columns:
+        row = [zero] * ncols
+        row[c] = entry(rng, nonzero=True)
+        for j in range(c + 1, ncols):
+            if j not in pivot_columns:
+                row[j] = entry(rng)
+        basis.append(row)
+    rows = []
+    for k in range(len(basis)):
+        row = basis[k]
+        for other in basis[k + 1:]:
+            c = entry(rng)
+            row = [a + c * b for a, b in zip(row, other)]
+        rows.append(row)
+    rng.shuffle(rows)
+    c = entry(rng)
+    rows.append([a - c * b for a, b in zip(rows[0], rows[-1])])
+    return rows
+
+
+@pytest.mark.parametrize("pivot_columns, ncols", [
+    ((0, 2), 4), ((0, 2, 4), 6), ((1, 2, 5), 7), ((0, 3, 4, 7), 9)])
+def test_reduced_rows_above_a_pivot_are_rescaled_across_free_columns(pivot_columns, ncols):
+    # A free column between two pivot columns holds nonzero entries in the
+    # rows above the later pivot; a reduced pass must rescale those rows
+    # across every column, not only right of the pivot.
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(151 + ncols)
+
+    def rational(rng, nonzero=False):
+        value = Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+        return value or (Fraction(1) if nonzero else value)
+
+    rows = _echelon_with_free_columns(rng, pivot_columns, ncols, rational, Fraction(0))
+    m = ExactMatrix(rows, field=RationalField())
+    assert rref(m).pivot_columns == pivot_columns
+    _assert_matches_sympy(m, sympy.QQ, _rational_to_sympy)
+
+    names = ("x", "y")
+    field = FunctionField(names)
+    domain, to_sympy = _sympy_function_field(names)
+
+    def function(rng, nonzero=False):
+        value = _random_rational_function(rng, names)
+        return value if value or not nonzero else field.one()
+
+    rows = _echelon_with_free_columns(rng, pivot_columns, ncols, function, field.zero())
+    m = ExactMatrix(rows, field=field)
+    assert rref(m).pivot_columns == pivot_columns
+    _assert_matches_sympy(m, domain, to_sympy)
+
+
+def test_twenty_digit_and_sylvester_determinants_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(157)
+    big = 10 ** 20
+    for n in range(1, 7):
+        rows = [[rng.randint(-big, big) for _ in range(n)] for _ in range(n)]
+        dm = DomainMatrix([[sympy.ZZ(v) for v in row] for row in rows], (n, n), sympy.ZZ)
+        assert determinant(ExactMatrix(rows, field=RationalField())) == int(dm.det())
+        scaled = [[Fraction(v, rng.randint(1, big)) for v in row] for row in rows]
+        _assert_matches_sympy(ExactMatrix(scaled, field=RationalField()),
+                              sympy.QQ, _rational_to_sympy)
+    t = sympy.Symbol("t")
+    for m, n, common in ((2, 3, False), (3, 3, False), (4, 2, True), (3, 4, True)):
+        f = [rng.randint(-big, big) for _ in range(m + 1)]
+        g = [rng.randint(-big, big) for _ in range(n + 1)]
+        if common:
+            # Both times t - 3, so the resultant is 0.
+            f = [a - 3 * b for a, b in zip(f[:m] + [0], [0] + f[:m])]
+            g = [a - 3 * b for a, b in zip(g[:n] + [0], [0] + g[:n])]
+        rows = [[0] * s + f + [0] * (n - 1 - s) for s in range(n)]
+        rows += [[0] * s + g + [0] * (m - 1 - s) for s in range(m)]
+        expected = sympy.resultant(sympy.Poly(f, t), sympy.Poly(g, t))
+        assert determinant(ExactMatrix(rows, field=RationalField())) == int(expected)
+        assert (expected == 0) == common
+
+
+def test_function_field_rows_with_several_denominators_match_sympy():
+    # Rows of Q(x, y, z) whose entries carry distinct den parts, some
+    # sharing a factor, so clearing a row takes a polynomial lcm.
+    names = ("x", "y", "z")
+    field = FunctionField(names)
+    domain, to_sympy = _sympy_function_field(names)
+    dens = ["1", "x + 1", "y - z", "(x + 1)*(y - z)", "z^2 + 1", "x*y + 2", "(x + 1)^2"]
+    nums = ["1", "x", "y - 2*z", "3*x*z + 1", "-2", "x^2 - y*z + 4", "z"]
+    rng = random.Random(163)
+    mixed = 0
+    for _ in range(12):
+        nrows, ncols = rng.randint(2, 4), rng.randint(2, 5)
+        rows = [[parse_rational(f"({rng.choice(nums)})/({rng.choice(dens)})", names)
+                 if rng.random() < 0.8 else field.zero() for _ in range(ncols)]
+                for _ in range(nrows)]
+        if nrows >= 3 and rng.random() < 0.5:
+            c = parse_rational(f"({rng.choice(nums)})/({rng.choice(dens)})", names)
+            rows[-1] = [a + c * b for a, b in zip(rows[0], rows[1])]
+        mixed += any(len({str(e.denominator) for e in row if e}) >= 3 for row in rows)
+        _assert_matches_sympy(ExactMatrix(rows, field=field), domain, to_sympy)
+    assert mixed >= 6
+
+
+def test_reduced_entries_reaching_the_gcd_fallback_match_sympy(monkeypatch):
+    # (x - y)*z + 1 and (x - y)*z^2 + x have a leading coefficient in z that
+    # vanishes at every diagonal point GCDHEU tries, so normalizing the
+    # RREF entries falls back to the primitive remainder sequence.  That
+    # fallback is slow (tens of milliseconds a pair); the whole RREF still
+    # stays within a stated budget.
+    from oscform.polyring import gcd
+
+    names = ("x", "y", "z")
+    field = FunctionField(names)
+    domain, to_sympy = _sympy_function_field(names)
+    fallbacks = []
+    original = gcd._prs_cofactors
+
+    def counting(a, b, n):
+        fallbacks.append((a, b))
+        return original(a, b, n)
+
+    rows = [[parse_rational(s, names) for s in row] for row in (
+        ("(x - y)*z + 1", "(x - y)*z^2 + x", "y*z - 1"),
+        ("x", "(x - y)*z^3 + y", "(x - y)*z^2 + z"))]
+    m = ExactMatrix(rows, field=field)
+    monkeypatch.setattr(gcd, "_prs_cofactors", counting)
+    start = time.perf_counter()
+    reduced = rref(m)
+    elapsed = time.perf_counter() - start
+    monkeypatch.undo()
+    assert fallbacks
+    _assert_matches_sympy(m, domain, to_sympy)
+    assert reduced.pivot_columns == (0, 1)
+    # About 0.1 s on a 2-core VM.
+    assert elapsed < 2

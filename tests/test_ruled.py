@@ -8,6 +8,7 @@ orders along lines computed by hand.
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -289,6 +290,34 @@ def test_implicit_chart_frame_runs_no_completion_elimination(monkeypatch):
     # The tangent kernel and its canonical basis, the prefix ranks of the
     # frame candidates, and the series solve's 1x1 Jacobian.
     assert len(calls) == 4
+
+
+def test_implicit_ruled_diagnostic_at_high_order_reads_each_piece_once(monkeypatch):
+    # The graph of the quadric is the single monomial x1*x2, so its pieces
+    # are read off the solution's one term, not coefficient by coefficient
+    # over every degree (about 2 million reads at order 2000).
+    order = 2000
+    names = ("X0", "X1", "X2", "X3")
+    quadric = ImplicitVariety([parse_polynomial("X0*X3 - X1*X2", names)], (1, 0, 0, 0))
+    reads = []
+    original = Polynomial.coefficient
+
+    def counting(self, exps):
+        reads.append(exps)
+        return original(self, exps)
+
+    monkeypatch.setattr(Polynomial, "coefficient", counting)
+    start = time.perf_counter()
+    md = monge_form(quadric, order=order)
+    diag = ruled_surface_diagnostic(quadric, [quadric.point], order=order)
+    elapsed = time.perf_counter() - start
+    assert len(reads) <= 2 * (order + 1)  # two charts
+    assert md.pieces[2] == ([0, 1, 0], 1)
+    assert all(not any(v) and d == 1 for v, d in md.pieces[3:])
+    assert diag.verdict == "ruled-evidence"
+    # Both take about 0.1 s on a 2-core VM; reading every coefficient
+    # took 0.8-1.4 s for each.
+    assert elapsed < 1
 
 
 def test_monge_chart_of_quadric_parameterization():
