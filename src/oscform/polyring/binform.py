@@ -213,7 +213,8 @@ def quadratic_divides(quadratic: Sequence[int], coeffs: Sequence[int]) -> bool:
     Each step cancels the top coefficient left after scaling by c, so
     the remainder is an integer multiple of the true one and has the
     same zero test.  For a quadratic irreducible over Q this is whether
-    both of its conjugate zeros are zeros of the form."""
+    both of its conjugate zeros are zeros of the form.  An empty vector
+    is the zero form, which it divides."""
     r = list(coeffs)
     for k in range(len(r) - 1, 1, -1):
         top = r[k]

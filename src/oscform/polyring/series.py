@@ -44,7 +44,8 @@ x3 = f(x1, x2).  The chart coordinates are the identity to first order,
 so f is solved degree by degree on integers, with no reversion; the
 residual left at the end certifies it.  It returns the homogeneous
 pieces of f as integer coefficient vectors, which the ruledness
-diagnostic reads as they are.
+diagnostic reads as they are; every zero piece is one shared empty
+vector (ZERO_PIECE), so a high order costs nothing per zero degree.
 
 solve_series_system runs Newton iteration with precision doubling
 (Brent & Kung 1978) for an implicit system g(x_free, x_dep) = 0 around a
@@ -365,12 +366,19 @@ def taylor_jets(functions: Sequence, point: tuple[Fraction, ...], order: int,
     return rows
 
 
+# A zero homogeneous piece of a graph: the empty vector over 1, one object
+# for every degree, so a chart with few nonzero pieces costs no zero
+# vector per degree.  Never changed.
+ZERO_PIECE: tuple[list[int], int] = ([], 1)
+
+
 def graph_series(expansions: Sequence[_Series], mixing: Sequence[Sequence[Fraction]],
                  order: int) -> list[tuple[list[int], int]]:
     """The graph x3 = f(x1, x2) of a surface chart, through degree `order`,
     as its homogeneous pieces on integers: entry m, for m = 0..order, is
     (v, d) with f_m = sum(v_i * x1^(m-i) * x2^i) / d, d > 0 and no factor
-    common to d and all of v (the coefficient vectors of `binform`).
+    common to d and all of v (the coefficient vectors of `binform`); a
+    zero f_m is the shared ZERO_PIECE, whose vector is empty.
 
     `expansions` are four series in two variables (u1, u2), as
     taylor_expansions returns them.  The chart coordinates are
@@ -403,14 +411,14 @@ def graph_series(expansions: Sequence[_Series], mixing: Sequence[Sequence[Fracti
     # f and the t_i both have two variables, so the key of x1^a x2^b is
     # that of u1^a u2^b: products[k] holds t1^a t2^b for that key.
     products = {0: _ONE}
-    pieces = [([0] * (d + 1), 1) for d in range(order + 1)]
+    pieces = [ZERO_PIECE] * (order + 1)
     for d in range(order + 1):
         low, high = ip.limit(nvars, d - 1), ip.limit(nvars, d)
         block = [(k, v) for k, v in residual.nums.items() if low <= k < high]
         if not block:
             continue
         # The low slot of a key is the exponent of x1.
-        vector = pieces[d][0]
+        vector = [0] * (d + 1)
         for k, v in block:
             vector[d - (k & ip.MASK)] = v
         g = math.gcd(residual.den, *vector)

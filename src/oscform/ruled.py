@@ -42,7 +42,7 @@ from .errors import (
     NotASurfaceInP3,
     SingularPoint,
 )
-from .exactla import ExactMatrix, RationalField, kernel_basis, prefix_ranks, rank, rref
+from .exactla import ExactMatrix, RationalField, Subspace, prefix_ranks, rank, rref
 from .fundforms import LinearSystem, fundamental_form
 from .jets import ImplicitVariety, JetMatrix, Parameterization, jet_matrix, point_expansions
 from .polyring import (
@@ -59,6 +59,7 @@ from .polyring import (
     truncated_compose,
 )
 from .polyring.intpoly import MAX_DEGREE
+from .polyring.series import ZERO_PIECE
 from .report import fmt_point
 
 # Seed of the sample points and projections when the caller gives none.
@@ -374,7 +375,9 @@ def pushdown_rank_check(spec: ScrollSpec, orders: Sequence[int]) -> list[Pushdow
 # -- Monge charts and the ruledness diagnostic -------------------------------
 
 
-# A homogeneous piece f_m of the graph: (v, d) with f_m = sum(v_i x1^(m-i) x2^i) / d.
+# A homogeneous piece f_m of the graph: (v, d) with f_m = sum(v_i x1^(m-i) x2^i) / d;
+# a zero piece may be ZERO_PIECE, whose vector is empty, and every reader
+# takes an empty vector as the zero form.
 Piece = tuple[list[int], int]
 
 
@@ -382,8 +385,9 @@ Piece = tuple[list[int], int]
 class MongeData:
     """The chart of a surface at a point and the graph x3 = f(x1, x2) in
     it.  `pieces[m]`, for m = 0..order, is f_m as an integer coefficient
-    vector over a positive denominator (`Piece`), which the ruledness
-    diagnostic reads; the Polynomial faces are built on demand."""
+    vector over a positive denominator (`Piece`; empty when f_m = 0),
+    which the ruledness diagnostic reads; the Polynomial faces are built
+    on demand."""
 
     ambient_point: tuple[Fraction, ...]
     parameter_point: tuple[Fraction, ...] | None
@@ -393,7 +397,7 @@ class MongeData:
     pieces: list[Piece]
 
     def piece(self, m: int) -> Polynomial:
-        if not 0 <= m <= self.order:
+        if not 0 <= m <= self.order or not self.pieces[m][0]:
             return Polynomial.zero(self.variables)
         vector, den = self.pieces[m]
         return form_from_coefficients(self.variables, [Fraction(c, den) for c in vector])
@@ -470,10 +474,9 @@ def _monge_from_implicit(iv: ImplicitVariety, order: int) -> MongeData:
     g = iv.equations[0]
     point = list(iv.point)
     gradient = [g.partial(j).evaluate(point) for j in range(4)]
-    normal = ExactMatrix([gradient], field=RationalField())
     # The point, then the first two tangent vectors off the span of the
     # rows above them: the rows where the prefix rank rises.
-    candidates = [point] + [list(v) for v in kernel_basis(normal).basis]
+    candidates = [point] + [list(v) for v in _normal_kernel(gradient).basis]
     ranks = prefix_ranks(ExactMatrix(candidates, field=RationalField()),
                          range(1, len(candidates) + 1))
     frame_rows = [row for row, r, before in zip(candidates, ranks, [0] + ranks)
@@ -495,16 +498,37 @@ def _monge_from_implicit(iv: ImplicitVariety, order: int) -> MongeData:
     solution = solve_series_system([affine], free=[0, 1], dep=[2],
                                    point=[Fraction(0)] * 3, order=order)
     # One pass over the solution's terms: f_m's vector holds the
-    # coefficient of x1^(m-i) x2^i at i, and degrees with no term are zero.
+    # coefficient of x1^(m-i) x2^i at i, and degrees with no term keep
+    # ZERO_PIECE.
     f = solution[0]
     by_degree: dict[int, dict[int, Fraction]] = {}
     for (a, b), c in f.terms.items():
         by_degree.setdefault(a + b, {})[b] = c
-    pieces = [integer_form([terms.get(i, Fraction(0)) for i in range(m + 1)])
-              if (terms := by_degree.get(m)) else ([0] * (m + 1), 1)
-              for m in range(order + 1)]
+    pieces = [ZERO_PIECE] * (order + 1)
+    for m, terms in by_degree.items():
+        pieces[m] = integer_form([terms.get(i, Fraction(0)) for i in range(m + 1)])
     return MongeData(tuple(iv.point), None, chart, order, f.variables,
                      _without_constant_or_linear_part(pieces))
+
+
+def _normal_kernel(g: list[Fraction]) -> Subspace:
+    """{v : g . v = 0} with its canonical echelon basis, read off g with no
+    elimination.  With l the last index where g_l != 0, the rows are
+    e_j - (g_j / g_l) e_l for j != l, in order: row j has its pivot 1 at
+    j and its only other entry in column l, where no row pivots, so they
+    are the reduced row echelon basis that `kernel_basis` returns."""
+    n = len(g)
+    one, zero = Fraction(1), Fraction(0)
+    last = max((j for j, v in enumerate(g) if v), default=None)
+    rows = []
+    for j in range(n):
+        if j != last:
+            row = [zero] * n
+            row[j] = one
+            if last is not None:
+                row[last] = -g[j] / g[last]
+            rows.append(tuple(row))
+    return Subspace._from_rref(n, tuple(rows), RationalField())
 
 
 def _without_constant_or_linear_part(pieces: list[Piece]) -> list[Piece]:

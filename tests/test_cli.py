@@ -395,7 +395,7 @@ def test_non_ascii_digit_is_a_parse_error(capsys, monkeypatch, entry, char, colu
 
 
 @pytest.mark.parametrize("entry, column", [("x^70000", 2), ("x^40000*y^40000", 8),
-                                           ("(x^300)^300", 8)])
+                                           ("(x^300)^300", 8), ("2*x^40000*x^30000", 10)])
 def test_degree_past_the_packed_key_bound_is_a_parse_error(capsys, monkeypatch, entry,
                                                            column):
     text = f"kind: parameterization\nparams: x y\ncoords: 1, x, y, {entry}\n"
@@ -442,6 +442,31 @@ def test_surface_order_past_the_packed_key_bound_fails_before_enumerating():
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == ("error: jet order 70000 exceeds 65535, the largest degree "
                            "a packed monomial key holds\n")
+
+
+def test_ruled_test_at_a_high_order_holds_one_vector_per_nonzero_piece():
+    # The graph of the quadric at (1, 0, 0, 0) is x3 = x1*x2: every piece
+    # but f2 is zero.  A zero vector per degree would be about 2e8 list
+    # slots (1.6 GB) at order 20000; this takes about 0.1 s and 0.4 MB on a
+    # 2-core VM.  The child is held to 1 GB of address space.
+    src = Path(cli.__file__).resolve().parents[1]
+    script = ("import resource, sys, time, tracemalloc\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "from oscform.cli import main\n"
+              "tracemalloc.start()\n"
+              "start = time.perf_counter()\n"
+              "code = main(['ruled-test', '--order', '20000', '-'])\n"
+              "elapsed = time.perf_counter() - start\n"
+              "print(code, elapsed, tracemalloc.get_traced_memory()[1], file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script], input=SEGRE_QUADRIC,
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    code, elapsed, peak = proc.stderr.split()
+    assert code == "0"
+    assert float(elapsed) < 3
+    assert int(peak) < 16 << 20
+    assert ("point (1, 0, 0, 0): intersects true (resultant 0); (1:0) contact >= 20000; "
+            "(0:1) contact >= 20000") in proc.stdout.splitlines()
 
 
 def test_reports_are_deterministic(capsys, examples):

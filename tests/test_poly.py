@@ -128,6 +128,8 @@ def test_parse_rejects_negative_exponent_with_position():
     ("x^\u00b2", "\u00b2", 3),       # superscript two: isdigit, but no int() digit
     ("\u0663", "\u0663", 1),         # Arabic-Indic three: int() would read 3
     ("2*x + y^1\u0663", "\u0663", 10),
+    ("x*\u00b2y", "\u00b2", 3),      # a numeric, not a letter, cannot start a name
+    ("x + \u0663y", "\u0663", 5),
 ])
 def test_parse_accepts_ascii_digits_only(text, char, column):
     with pytest.raises(ParseError) as info:
@@ -142,6 +144,10 @@ def test_parse_accepts_ascii_digits_only(text, char, column):
     ("(x + 1", 1, 7),
     ("x + w", 1, 5),
     ("12 34", 1, 4),
+    ("2x", 1, 2),
+    ("x +\n\t$", 2, 2),
+    ("x^2^3", 1, 4),
+    ("()", 1, 2),
 ])
 def test_parse_error_positions(text, line, column):
     with pytest.raises(ParseError) as info:
@@ -243,14 +249,47 @@ def expression_trees(ops, count=60, seed=41):
     return [random_expression(rng, rng.randint(2, 4), ops) for _ in range(count)]
 
 
+def _folding_cases():
+    """(text, value) in the shape of the coordinates the benchmark and the
+    printer write, and the corners of monomial folding; the values come
+    from RationalFunction arithmetic, not from the parser."""
+    x, y = (RationalFunction.variable(VARS, v) for v in VARS)
+    zero, two = RationalFunction.from_scalar(VARS, 0), RationalFunction.from_scalar(VARS, 2)
+    return [
+        ("(-3)*x^2*y + 5*y^3", -3 * x ** 2 * y + 5 * y ** 3),
+        ("x^3 + (-3)*x^2 + (-4)*x", x ** 3 - 3 * x ** 2 - 4 * x),
+        ("(-5)*y^3 + x*y + 4*y^2 + 5*x + (-1)", -5 * y ** 3 + x * y + 4 * y ** 2 + 5 * x - 1),
+        ("x*y - y*x", zero),
+        ("2*x - x - x", zero),
+        ("x + 1 - x + x", x + 1),
+        ("0*x^5", zero),
+        ("0*x^5 + y", y),
+        ("x^0", RationalFunction.from_scalar(VARS, 1)),
+        ("0^0", zero ** 0),
+        ("(-0)", zero),
+        ("(-0) - x^2 - 3", -x ** 2 - 3),
+        ("2^3*x", two ** 3 * x),
+        ("x/2/3", x / 2 / 3),
+        ("x/2 + x/2", x),
+        ("3/2*x*y - x*y/2 + (-1/3)", x * y - Fraction(1, 3)),
+        ("x*y/x", y),
+        ("(x + y)*x^2*y", (x + y) * x ** 2 * y),
+        ("x^2*y*((-2)*x + 3) + x", x ** 2 * y * (-2 * x + 3) + x),
+        ("x + 1/y + x*y", x + 1 / y + x * y),
+        ("(x^2)^3*(-y)^3", -(x ** 6) * y ** 3),
+    ]
+
+
 def test_parse_rational_matches_rational_function_arithmetic():
     trees = expression_trees(RATIONAL_OPS)
     texts = [text for text, _, _ in trees]
     assert any("/(" in t for t in texts) and any("^" in t for t in texts)
     assert any(t.startswith("-") or "*-" in t or "(-" in t for t in texts)
     quotients = 0
-    for text, expected, _ in trees:
+    for text, expected in [(t, v) for t, v, _ in trees] + _folding_cases():
         parsed = parse_rational(text, VARS)
+        assert ((parsed.scale, parsed.num, parsed.den)
+                == (expected.scale, expected.num, expected.den)), text
         assert parsed.numerator == expected.numerator, text
         assert parsed.denominator == expected.denominator, text
         assert str(parsed) == str(expected), text

@@ -20,7 +20,7 @@ from oscform.errors import (
     NotASurfaceInP3,
     SingularPoint,
 )
-from oscform.exactla import ExactMatrix, RationalField, Subspace, rank
+from oscform.exactla import ExactMatrix, RationalField, Subspace, kernel_basis, rank
 from oscform.jets import ImplicitVariety, Parameterization
 from oscform.polyring import Polynomial, parse_polynomial, parse_rational
 from oscform.ruled import (
@@ -282,14 +282,26 @@ def test_parameterized_chart_frame_runs_one_elimination(monkeypatch):
     assert len(calls) == 1
 
 
+def test_normal_kernel_is_the_canonical_kernel_basis():
+    rng = random.Random(29)
+    normals = [[Fraction(0)] * 4]
+    for _ in range(80):
+        normals.append([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() < 0.6
+                        else Fraction(0) for _ in range(4)])
+    for normal in normals:
+        expected = kernel_basis(ExactMatrix([normal], field=RationalField()))
+        kernel = ruled._normal_kernel(normal)
+        assert kernel == expected and kernel.basis == expected.basis, normal
+
+
 def test_implicit_chart_frame_runs_no_completion_elimination(monkeypatch):
     names = ("X0", "X1", "X2", "X3")
     quadric = ImplicitVariety([parse_polynomial("X0*X3 - X1*X2", names)], (1, 0, 0, 0))
     calls = count_eliminations(monkeypatch)
     monge_form(quadric, order=4)
-    # The tangent kernel and its canonical basis, the prefix ranks of the
-    # frame candidates, and the series solve's 1x1 Jacobian.
-    assert len(calls) == 4
+    # The prefix ranks of the frame candidates and the series solve's 1x1
+    # Jacobian; the tangent kernel is read off the gradient.
+    assert len(calls) == 2
 
 
 def test_implicit_ruled_diagnostic_at_high_order_reads_each_piece_once(monkeypatch):

@@ -31,6 +31,7 @@ from oscform.polyring import (
 )
 from oscform.polyring import intpoly, series
 from oscform.polyring.series import (
+    ZERO_PIECE,
     graph_series,
     solve_series_system,
     taylor_expansions,
@@ -261,10 +262,14 @@ def _graph_by_reversion(coords, mixing, order):
 
 def _graph_polynomial(pieces, variables):
     """The graph as one Polynomial, from the pieces graph_series returns;
-    checks that each piece m is a length m + 1 vector in lowest terms."""
+    checks that each piece m is a length m + 1 vector in lowest terms, or
+    the shared empty vector of a zero piece."""
     terms = {}
-    for m, (vector, den) in enumerate(pieces):
-        assert len(vector) == m + 1 and den > 0
+    for m, piece in enumerate(pieces):
+        if piece is ZERO_PIECE:
+            continue
+        vector, den = piece
+        assert len(vector) == m + 1 and den > 0 and any(vector)
         assert math.gcd(den, *vector) == 1
         terms.update({(m - i, i): Fraction(c, den) for i, c in enumerate(vector) if c})
     return Polynomial(variables, terms)
