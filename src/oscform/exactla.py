@@ -4,7 +4,8 @@ Matrices carry a field tag: either the rationals (Fraction entries) or
 the field of rational functions in a fixed variable tuple.  Elimination
 (`_eliminate`) is one fraction-free loop.  It first clears each row to
 integers, or to integer polynomials over Q(u): a row over Q is
-multiplied by the lcm of its denominators, a row over Q(u) by the
+multiplied by the lcm of its denominators (a row of ints is taken as it
+is), a row over Q(u) by the
 integer lcm of its scale denominators and the polynomial lcm of its
 `den` parts (most rows have none, so this is one multiply per entry).
 It then eliminates on those, by one of two integer rules:
@@ -32,8 +33,9 @@ Every question below costs one run of that loop:
   of the pivots over Z, the last pivot over Z[u], divided by what the
   clearing and the steps multiplied it by;
 - `rref(M)`: the reduced row echelon form, its rank and pivot columns;
-- `prefix_ranks(M, ends)`: the rank of every leading block of rows,
-  read off the pivot columns of one forward pass on the transpose;
+- `column_prefix_ranks(M, ends)`: the rank of every leading block of
+  columns, read off the pivot columns of one forward pass;
+  `prefix_ranks(M, ends)` gives those of the rows, from the transpose;
 - `kernel_vectors(M)`: a basis of the right kernel read off one RREF,
   one vector per free column (not canonical); the phibar check
   differentiates these (the fundamental forms need none: their
@@ -50,10 +52,15 @@ entrywise equality of bases.
 
 The public `ExactMatrix` constructor coerces every entry into the field
 and checks the shape.  Matrices whose entries are already field
-elements (a point jet matrix read off the integer series, a transpose,
-a block of rows, an RREF) are wrapped by the trusted
-`ExactMatrix._trusted` instead, as `Subspace._from_rref` wraps a basis
-that is already canonical.
+elements (a transpose, a block of rows, an RREF) are wrapped by the
+trusted `ExactMatrix._trusted` instead, as `Subspace._from_rref` wraps a
+basis that is already canonical.  A trusted matrix over Q may also hold
+rows of ints: the transposed point jet matrix, whose rows are Taylor
+numerators, goes to the loop with no Fraction built or cleared.  Every
+question answers on such a matrix as on the same matrix over Fractions
+(an RREF's entries are Fractions either way), and rank, pivot columns
+and RREF do not change when a row is scaled, so a caller may hand over
+rows scaled by their denominators.
 """
 
 from __future__ import annotations
@@ -241,16 +248,19 @@ class _IntegerRows:
         self.num = self.den = 1
         self.rows = [self._cleared(row) for row in matrix.rows]
 
-    def _cleared(self, row: Sequence[Fraction]) -> list[int]:
-        # Fraction's slots, read directly: its `numerator` and `denominator`
-        # properties cost a Python call per entry, which on the sparse
-        # point jet matrices is most of the cost of clearing a row.
-        dens = [e._denominator for e in row]
-        den = lcm(*dens)
-        if den == 1:
-            ints = [e._numerator for e in row]
+    def _cleared(self, row: Sequence[Fraction] | Sequence[int]) -> list[int]:
+        if row and type(row[0]) is int:
+            # A trusted row on integers (a point jet matrix's transpose).
+            ints, den = list(row), 1
         else:
-            ints = [e._numerator * (den // d) for e, d in zip(row, dens)]
+            # Fraction's slots, read directly: its `numerator` and
+            # `denominator` properties cost a Python call per entry.
+            dens = [e._denominator for e in row]
+            den = lcm(*dens)
+            if den == 1:
+                ints = [e._numerator for e in row]
+            else:
+                ints = [e._numerator * (den // d) for e, d in zip(row, dens)]
         content = gcd(*ints)
         if content > 1:
             ints = [v // content for v in ints]
@@ -542,15 +552,21 @@ def row_space(matrix: ExactMatrix) -> Subspace:
                                matrix.field)
 
 
-def prefix_ranks(matrix: ExactMatrix, ends: Sequence[int]) -> list[int]:
-    """Rank of the first `end` rows, for each end, from one elimination.
+def column_prefix_ranks(matrix: ExactMatrix, ends: Sequence[int]) -> list[int]:
+    """Rank of the first `end` columns, for each end, from one elimination.
 
-    The pivot columns of the RREF of the transpose are the rows that do
-    not lie in the span of the rows above them, so the rank of a leading
-    block of rows is the number of pivot columns inside it.
+    The pivot columns of an echelon form are the columns that do not lie
+    in the span of the columns left of them, so the rank of a leading
+    block of columns is the number of pivot columns inside it.
     """
-    pivots = _eliminate(matrix.transpose(), False)[1]
+    pivots = _eliminate(matrix, False)[1]
     return [sum(1 for p in pivots if p < end) for end in ends]
+
+
+def prefix_ranks(matrix: ExactMatrix, ends: Sequence[int]) -> list[int]:
+    """Rank of the first `end` rows, for each end: the column prefix
+    ranks of the transpose."""
+    return column_prefix_ranks(matrix.transpose(), ends)
 
 
 def kernel_vectors(matrix: ExactMatrix) -> list[list[Entry]]:

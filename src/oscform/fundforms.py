@@ -242,25 +242,25 @@ def _forms(jm: JetMatrix, orders: Sequence[int],
     Row j of M^T holds the jets of x_j, so an RREF row with its pivot
     among the |I| = m columns is sum_j g_j x_j with g in K_(m-1); cut to
     those columns, such rows are the canonical basis of |Phi_m|."""
-    echelon = rref(jm.matrix.transpose())
+    echelon = rref(jm.transposed)
     pivots = echelon.pivot_columns
+    ends = [jm.prefix_end(k) for k in range(jm.order + 1)]
     if jm.point is not None:
-        first = jm.prefix_end(1)
         _warn_unless_immersive(jm.point, len(jm.params),
-                               sum(1 for p in pivots if p < first))
+                               sum(1 for p in pivots if p < ends[1]))
     systems = []
     for m in orders:
-        start, end = jm.prefix_end(m - 1), jm.prefix_end(m)
+        start, end = ends[m - 1], ends[m]
         rows = tuple([row[start:end] for row, p in zip(echelon.matrix.rows, pivots)
                       if start <= p < end])
         # The dimension law, against an independent elimination of M_m.
-        expected = rank(jm.prefix(m)) - sum(1 for p in pivots if p < start)
+        expected = rank(jm.prefix_for_rank(m)) - sum(1 for p in pivots if p < start)
         if len(rows) != expected:
             raise InvariantViolation(
                 f"|Phi_{m}| has {len(rows)} independent generators but "
                 f"s({m}) - s({m - 1}) = {expected}; dimension law violated"
             )
-        span = Subspace._from_rref(end - start, rows, jm.matrix.field)
+        span = Subspace._from_rref(end - start, rows, echelon.matrix.field)
         systems.append(LinearSystem(m, tangent_vars, span,
                                     "generic" if jm.point is None else jm.point))
     return systems

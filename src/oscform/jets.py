@@ -8,10 +8,16 @@ space; its right kernel K_m consists of the hyperplanes osculating to
 order m.  Generically the rows are Hasse derivatives, iterated first
 partials divided by I!, for polynomial and rational coordinates alike.
 At a rational point the jets are Taylor coefficients, read straight off
-the integer series of the coordinates there (`taylor_jets`) into a
-trusted matrix, with no symbolic derivative and no Polynomial in
-between; `point_expansions` hands the same series to the Monge chart
-and the tangent cone, which read them by `coefficient(I)`.  Building a
+the integer series of the coordinates there (`taylor_jets`), with no
+symbolic derivative and no Polynomial in between.  The point jet matrix
+holds its transpose M^T on integers: row j is x_j's Taylor numerators
+with its denominator dropped, which changes no rank, pivot column or
+RREF, so order_ranks, the fundamental forms' RREF and the dimension
+law's rank read those rows as they are.  M itself, over Fractions, is
+built only when read (osculating_space's row space).  A generic jet
+matrix holds M, and M^T is its transpose.  `point_expansions` hands the
+same series to the Monge chart and the tangent cone, which read them by
+`coefficient(I)`.  Building a
 jet matrix ranks nothing: the NonImmersivePoint warning is raised by
 each question from the order-1 rank its own elimination gives.
 Implicit complete intersections enter through a truncated power-series
@@ -23,6 +29,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 from .errors import (
@@ -38,8 +45,8 @@ from .exactla import (
     FunctionField,
     RationalField,
     Subspace,
+    column_prefix_ranks,
     determinant,
-    prefix_ranks,
     rank,
     row_space,
 )
@@ -56,6 +63,8 @@ from .polyring import (
 )
 from .polyring.intpoly import MAX_DEGREE
 from .report import fmt_point
+
+_ZERO = Fraction(0)
 
 
 class NonImmersivePoint(UserWarning):
@@ -157,38 +166,82 @@ def _derivative_rows(f: Parameterization, indices: Sequence[Exponents]):
 
 
 class JetMatrix:
-    """Matrix of divided derivatives D_I x_j, |I| <= order."""
+    """Matrix of divided derivatives D_I x_j, |I| <= order.
 
-    __slots__ = ("order", "row_indices", "matrix", "point", "params")
+    `matrix` is M, one row per D_I and one column per coordinate, and
+    `transposed` is M^T, which rank, RREF and prefix ranks read.  A
+    generic jet matrix holds M, and M^T is its transpose.  A point jet
+    matrix holds M^T on integers: row j is x_j's Taylor numerators over
+    `dens[j]`, and a scaled row has the same rank, pivot columns and
+    RREF; M, over Fractions, is built from it when first read."""
 
-    def __init__(self, order: int, row_indices: tuple[Exponents, ...],
-                 matrix: ExactMatrix, point, params: tuple[str, ...]):
+    __slots__ = ("order", "row_indices", "point", "params", "_matrix", "_transposed",
+                 "_dens")
+
+    def __init__(self, order: int, row_indices: tuple[Exponents, ...], point,
+                 params: tuple[str, ...], matrix: ExactMatrix | None = None,
+                 transposed: ExactMatrix | None = None, dens: Sequence[int] = ()):
         self.order = order
         self.row_indices = row_indices
-        self.matrix = matrix
         self.point = point
         self.params = params
+        self._matrix = matrix
+        self._transposed = transposed
+        self._dens = dens
+
+    @property
+    def matrix(self) -> ExactMatrix:
+        if self._matrix is None:
+            columns = [[Fraction(v, d) if v else _ZERO for v in row]
+                       for row, d in zip(self._transposed.rows, self._dens)]
+            self._matrix = ExactMatrix._trusted(tuple(zip(*columns)), RationalField(),
+                                                len(columns))
+        return self._matrix
+
+    @matrix.setter
+    def matrix(self, value: ExactMatrix) -> None:
+        self._matrix = value
+        self._transposed = None
+
+    @property
+    def transposed(self) -> ExactMatrix:
+        if self._transposed is None:
+            self._transposed = self._matrix.transpose()
+        return self._transposed
 
     def prefix_end(self, order: int) -> int:
-        """Number of rows with |I| <= order; degree-major order puts
-
+        """Number of rows with |I| <= order, for order <= self.order:
+        C(r + order, order) in r parameters.  Degree-major order puts
         them first."""
-        return sum(1 for I in self.row_indices if sum(I) <= order)
+        return comb(len(self.params) + order, order) if order >= 0 else 0
 
     def prefix(self, order: int) -> ExactMatrix:
         """The order-`order` jet matrix: the rows with |I| <= order."""
         return self.matrix.submatrix_rows(range(self.prefix_end(order)))
 
+    def prefix_for_rank(self, order: int) -> ExactMatrix:
+        """A matrix with the rank of the order-`order` jet matrix, for an
+        elimination of its own: at a point the first prefix_end(order)
+        columns of the integer M^T, generically the rows of
+        prefix(order), which eliminate faster over Q(u) than the columns
+        of M^T (about 25% on the `generic` benchmark's jet matrices)."""
+        if self.point is None:
+            return self.prefix(order)
+        end = self.prefix_end(order)
+        t = self.transposed
+        return ExactMatrix._trusted(tuple([row[:end] for row in t.rows]), t.field, end)
+
     def order_ranks(self) -> list[int]:
         """Ranks of the order-0 through order-`order` jet matrices, from
 
         one elimination."""
-        return prefix_ranks(self.matrix,
-                            [self.prefix_end(i) for i in range(self.order + 1)])
+        return column_prefix_ranks(self.transposed,
+                                   [self.prefix_end(i) for i in range(self.order + 1)])
 
     def __repr__(self) -> str:
         where = "generic" if self.point is None else str(self.point)
-        return f"JetMatrix(order {self.order}, {self.matrix.nrows}x{self.matrix.ncols}, at {where})"
+        t = self.transposed
+        return f"JetMatrix(order {self.order}, {t.ncols}x{t.nrows}, at {where})"
 
 
 def _rational_point(f: Parameterization, point: Sequence) -> tuple[Fraction, ...]:
@@ -238,13 +291,15 @@ def jet_matrix(f: Parameterization, m: int, point: Sequence | None = None) -> Je
     if point is None:
         matrix = ExactMatrix._trusted(tuple([tuple(r) for r in _derivative_rows(f, indices)]),
                                       FunctionField(f.params), len(f.coords))
-        return JetMatrix(m, indices, matrix, None, f.params)
+        return JetMatrix(m, indices, None, f.params, matrix=matrix)
     point = _rational_point(f, point)
-    rows = taylor_jets(f.coords, point, m, indices)
-    # The first row is D_0: the coordinates' values at the point.
-    _check_projective(point, rows[0])
-    matrix = ExactMatrix._trusted(tuple(rows), RationalField(), len(f.coords))
-    return JetMatrix(m, indices, matrix, point, f.params)
+    jets = taylor_jets(f.coords, point, m, indices)
+    # The first column of M^T is D_0: the coordinates' values at the point.
+    _check_projective(point, [nums[0] for nums, _ in jets])
+    transposed = ExactMatrix._trusted(tuple([nums for nums, _ in jets]), RationalField(),
+                                      len(indices))
+    return JetMatrix(m, indices, point, f.params, transposed=transposed,
+                     dens=[den for _, den in jets])
 
 
 class OsculatingProfile:
@@ -257,7 +312,6 @@ class OsculatingProfile:
         dims = tuple(dims)
         if dims[0] != 0:
             raise InvariantViolation(f"s(0) = {dims[0]}, expected 0")
-        from math import comb
         for i in range(1, len(dims)):
             cap = min(ambient_dim, dims[i - 1] + comb(source_dim + i - 1, i))
             if dims[i] < dims[i - 1] or dims[i] > cap:
@@ -301,7 +355,7 @@ def osculating_space(f: Parameterization, m: int, point: Sequence) -> Subspace:
         raise DomainError("osculating_space requires an evaluation point")
     jm = jet_matrix(f, m, point)
     if m >= 1:
-        _warn_unless_immersive(jm.point, f.source_dim, rank(jm.prefix(1)))
+        _warn_unless_immersive(jm.point, f.source_dim, rank(jm.prefix_for_rank(1)))
     return row_space(jm.matrix)
 
 

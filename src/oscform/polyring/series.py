@@ -19,8 +19,9 @@ Truncation degrees are capped at `ip.MAX_DEGREE`, where the slots would
 overflow.
 
 Expansions stay integer series from the expansion to the answer:
-taylor_expansions returns them, taylor_jets reads jet rows off them,
-and graph_series takes them.  Conversion happens only where a public
+taylor_expansions returns them, taylor_jets reads the integer rows of a
+transposed jet matrix off them, and graph_series takes them.
+Conversion happens only where a public
 function takes or returns a Polynomial (truncated_multiply,
 truncated_compose, truncated_inverse, and the answer of
 solve_series_system), through intpoly's helpers: `_from_poly` clears
@@ -32,12 +33,20 @@ nothing is packed), and `_to_poly` builds one Fraction per coefficient
 (`ip.to_poly`).  The power cache of a composition holds the powers of
 the substituted series in integer form.
 
-taylor_expansions expands rational functions around a rational point:
-the shift u_k + p_k is built as a series directly (`_shift`), and the
-integer numerator and denominator of every RationalFunction, on the
-same packed keys, are composed with it as they are, through one power
-cache.  taylor_jets reads the Taylor coefficients of given multi-indices
-off those series, as the rows of a point jet matrix.
+taylor_expansions expands rational functions around a rational point
+p_k = a_k / b_k by the binomial theorem, with no composition: a term
+c * x^E of an integer numerator or denominator contributes
+c * prod(C(E_k, i_k) a_k^(E_k - i_k) b_k^(M_k - E_k + i_k)) at u^I, M_k the
+top exponent of x_k in the function, so each function sits over one
+denominator prod(b_k^M_k), which cancels in a quotient.  i_k stops at
+min(E_k, order), so a high exponent costs no more terms than a low one.
+The factor lists are cached per (variable, exponent, top exponent) for
+the call, and a function's series is brought to lowest terms once; a
+denominator other than 1 is then inverted as a series.  taylor_jets
+reads the Taylor numerators of given multi-indices off those series,
+one integer row and one denominator per function: the rows of a point
+jet matrix's transpose, scaled.  `_shift` and `_compose` remain for the
+Newton solve and truncated_compose.
 
 graph_series writes a parameterized surface chart as a graph
 x3 = f(x1, x2).  The chart coordinates are the identity to first order,
@@ -91,15 +100,11 @@ class _Series:
 
     def coefficient(self, I: tuple[int, ...]) -> Fraction:
         """The coefficient of the monomial with exponents I."""
-        return self._at(ip.pack(I))
-
-    def _at(self, key: int) -> Fraction:
-        num = self.nums.get(key)
+        num = self.nums.get(ip.pack(I))
         return Fraction(num, self.den) if num else _ZERO
 
 
 _ONE = _Series({0: 1}, 1)
-_UNIT = Fraction(1)
 
 
 def _check_degree(max_degree: int) -> None:
@@ -322,48 +327,120 @@ def _shift(point: Sequence[Fraction]) -> list[_Series]:
     return shift
 
 
+# The factor lists of _binomial_steps, by (variable, exponent, top exponent).
+Steps = dict[tuple[int, int, int], list[tuple[int, int, int]]]
+
+
 def taylor_expansions(functions: Sequence, point: tuple[Fraction, ...],
                       order: int) -> list[_Series]:
     """Expansions of RationalFunctions in the offsets u = x - point,
     through total degree `order`, as integer series: the coefficient of
     u^I is D_I of the function at the point.  Every numerator and
-    denominator is composed with the shift through one power cache; a
-    denominator other than 1 is inverted as a series, or raises
-    DenominatorVanishes."""
+    denominator is shifted by the binomial theorem (`_binomial_shift`)
+    over one denominator per function; a denominator other than 1 is
+    inverted as a series, or raises DenominatorVanishes."""
     _check_degree(order)
     nvars = len(point)
-    shift = _shift(point)
-    limit = ip.limit(nvars, order)
-    powers: PowerCache = {}
+    units = [ip.unit(k, nvars) for k in range(nvars)]
+    bases = [(p.numerator, p.denominator) for p in point]
+    steps: Steps = {}
     out = []
     for f in functions:
-        # f = scale * num / den on integer parts, composed as they are.
-        s = _compose(_unpacked(f.num, nvars), f.scale, shift, nvars, order, powers)
-        if not f.is_polynomial():
-            den = _compose(_unpacked(f.den, nvars), _UNIT, shift, nvars, order, powers)
-            if 0 not in den.nums:
-                raise DenominatorVanishes(f"denominator {f.denominator} vanishes at "
-                                          f"({', '.join(str(v) for v in point)})",
-                                          denominator=f.denominator)
-            s = _mul(s, _inverse(den, nvars, order), limit)
-        out.append(s)
+        # f = scale * num / den on integer parts.  Both are shifted times
+        # prod(b_k^tops[k]), b_k the denominator of point[k] and tops[k]
+        # the top exponent of u_k in num and den, so that factor cancels
+        # in the quotient; a polynomial keeps it as its denominator.
+        num = _unpacked(f.num, nvars)
+        den = None if f.is_polynomial() else _unpacked(f.den, nvars)
+        exponents = [e for e, _ in num + den] if den else [e for e, _ in num]
+        tops = [max(column) for column in zip(*exponents)] if exponents else [0] * nvars
+        scale = f.scale
+        shifted = _binomial_shift(num, scale.numerator, bases, tops, order, units, steps)
+        if den is None:
+            common = scale.denominator
+            for (_, b), top in zip(bases, tops):
+                if b != 1:
+                    common *= b ** top
+            out.append(_reduced(shifted, common))
+            continue
+        den_shifted = _binomial_shift(den, 1, bases, tops, order, units, steps)
+        if not den_shifted.get(0):
+            raise DenominatorVanishes(f"denominator {f.denominator} vanishes at "
+                                      f"({', '.join(str(v) for v in point)})",
+                                      denominator=f.denominator)
+        inverse = _inverse(_Series(den_shifted, 1), nvars, order)
+        out.append(_mul(_Series(shifted, scale.denominator), inverse,
+                        ip.limit(nvars, order)))
+    return out
+
+
+def _binomial_shift(terms: Terms, factor: int, bases: Sequence[tuple[int, int]],
+                    tops: Sequence[int], order: int, units: Sequence[int],
+                    steps: Steps) -> dict[int, int]:
+    """factor * prod(b_k^tops[k]) * g(u + point) through degree `order`,
+    for the integer polynomial g with (exponents, coefficient) `terms`,
+    point[k] = a_k / b_k in lowest terms as bases[k] = (a_k, b_k), and
+    tops[k] at least every exponent of u_k: integer numerators on packed
+    keys, zeros possibly among them.  A term c * x^E contributes
+    c * prod(C(E_k, I_k) a_k^(E_k - I_k) b_k^(tops[k] - E_k + I_k)) at u^I
+    for every I with I_k <= min(E_k, order) and |I| <= order.  `steps`
+    caches the factor lists by (k, E_k, tops[k]) for calls that share the
+    point."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    last = len(tops) - 1
+    for exps, c in terms:
+        # (key of u^I so far, coefficient so far, degree left)
+        partial = [(0, c * factor, order)]
+        for k, e in enumerate(exps):
+            key = (k, e, tops[k])
+            factors = steps.get(key)
+            if factors is None:
+                a, b = bases[k]
+                factors = steps[key] = _binomial_steps(a, b, e, tops[k], order, units[k])
+            if k < last:
+                partial = [(pk + sk, pv * f, rest - i) for pk, pv, rest in partial
+                           for i, sk, f in factors if i <= rest]
+                continue
+            for pk, pv, rest in partial:
+                for i, sk, f in factors:
+                    if i > rest:
+                        break
+                    pk_i = pk + sk
+                    acc[pk_i] = get(pk_i, 0) + pv * f
+    return acc
+
+
+def _binomial_steps(a: int, b: int, e: int, top: int, order: int,
+                    unit: int) -> list[tuple[int, int, int]]:
+    """The terms of b^top * (u + a/b)^e through u^order, top >= e, as
+    (i, key of u^i, C(e, i) * a^(e - i) * b^(top - e + i)), zero ones
+    left out.  Capping i at the order keeps a high exponent cheap."""
+    if not a:
+        return [(e, e * unit, b ** top)] if e <= order else []
+    out = []
+    binomial, a_power, b_power = 1, a ** e, b ** (top - e)
+    for i in range(min(e, order) + 1):
+        out.append((i, i * unit, binomial * a_power * b_power))
+        binomial = binomial * (e - i) // (i + 1)
+        a_power //= a
+        b_power *= b
     return out
 
 
 def taylor_jets(functions: Sequence, point: tuple[Fraction, ...], order: int,
-                indices: Sequence[tuple[int, ...]]) -> list[tuple[Fraction, ...]]:
-    """The Taylor coefficients D_I f at the point, one tuple per multi-index
-    I in `indices` (each of degree at most `order`) and one entry per
-    function: the rows of a point jet matrix, read off the series of
-    taylor_expansions; a missing term is one shared Fraction(0)."""
+                indices: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
+    """The Taylor coefficients D_I f at the point of each function, for
+    the multi-indices I in `indices` (each of degree at most `order`), on
+    integers: one (numerators, denominator) pair per function, with
+    D_I f = numerators[t] / denominator for I = indices[t], read off the
+    series of taylor_expansions.  The denominator is positive and has no
+    factor common to all of the series' numerators; those at `indices`
+    may share one.  The numerators are the rows of a point jet matrix's
+    transpose, scaled by the denominators."""
     series = taylor_expansions(functions, point, order)
-    # I is packed once per row, not once per series: per series, packing
-    # made the point benchmark's slowest tasks about 10% slower.
-    rows = []
-    for I in indices:
-        key = ip.pack(I)
-        rows.append(tuple(s._at(key) for s in series))
-    return rows
+    keys = [ip.pack(I) for I in indices]
+    return [(tuple([s.nums.get(k, 0) for k in keys]), s.den) for s in series]
 
 
 # A zero homogeneous piece of a graph: the empty vector over 1, one object

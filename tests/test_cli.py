@@ -413,6 +413,28 @@ def test_degree_at_the_packed_key_bound_runs(capsys, monkeypatch):
     assert "dim: 3" in out
 
 
+def test_high_exponents_at_a_rational_point_expand_fast():
+    # The Taylor shift caps each variable's binomial terms at the jet
+    # order, so x^60000*y^5000 at (2, 1/3) costs a few products of large
+    # integers.  Composing (u + 2)^60000 one factor at a time took about
+    # 2 s on a 2-core VM; this takes under 0.01 s.  The child times main()
+    # itself, so interpreter start-up is not counted.
+    src = Path(cli.__file__).resolve().parents[1]
+    script = ("import sys, time\n"
+              "from oscform.cli import main\n"
+              "start = time.perf_counter()\n"
+              "code = main(['osc', '--order', '3', '--max', '--at=2,1/3', '-'])\n"
+              "print(code, time.perf_counter() - start, file=sys.stderr)\n")
+    text = "kind: parameterization\nparams: x y\ncoords: 1, x, y, x^60000*y^5000 + x^2*y\n"
+    proc = subprocess.run([sys.executable, "-c", script], input=text,
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    code, elapsed = proc.stderr.split()
+    assert code == "0"
+    assert "dims: [0, 2, 3, 3]" in proc.stdout.splitlines()
+    assert float(elapsed) < 0.5
+
+
 TWISTED_CUBIC = "kind: parameterization\nparams: x\ncoords: 1, x, x^2, x^3\n"
 SEGRE_QUADRIC = ("kind: implicit\nvars: X0 X1 X2 X3\nequations: X0*X3 - X1*X2\n"
                  "point: 1,0,0,0\n")

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from oscform import exactla
 from oscform.errors import AmbientMismatch, ShapeMismatch
 from oscform.exactla import (
     ExactMatrix,
@@ -579,3 +580,26 @@ def test_reduced_entries_reaching_the_gcd_fallback_match_sympy(monkeypatch):
     assert reduced.pivot_columns == (0, 1)
     # About 0.1 s on a 2-core VM.
     assert elapsed < 2
+
+
+def test_integer_rows_eliminate_as_their_fraction_twin():
+    # A trusted matrix over Q may hold int entries (a point jet matrix's
+    # transpose): the kernel takes the rows as they are, and returns what
+    # it returns on the same matrix over Fractions.  Rows share factors,
+    # and some are zero.
+    rng = random.Random(77)
+    for trial in range(60):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        if trial % 3 == 0:
+            ncols = nrows
+        rows = []
+        for _ in range(nrows):
+            factor = rng.choice([0, 1, 2, 6, -4])
+            rows.append(tuple(factor * rng.randint(-5, 5) for _ in range(ncols)))
+        integer = ExactMatrix._trusted(tuple(rows), RationalField(), ncols)
+        twin = ExactMatrix(rows, field=RationalField())
+        assert all(type(e) is Fraction for row in twin.rows for e in row)
+        for reduce in (True, False):
+            assert exactla._eliminate(integer, reduce) == exactla._eliminate(twin, reduce)
+        if nrows == ncols:
+            assert determinant(integer) == naive_determinant(twin)

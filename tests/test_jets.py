@@ -25,7 +25,15 @@ from oscform.errors import (
     SingularPoint,
     TruncationOrderExceeded,
 )
-from oscform.exactla import ExactMatrix, RationalField, kernel_basis, rank, span_contains
+from oscform.exactla import (
+    ExactMatrix,
+    RationalField,
+    kernel_basis,
+    prefix_ranks,
+    rank,
+    rref,
+    span_contains,
+)
 from oscform.jets import (
     ImplicitVariety,
     NonImmersivePoint,
@@ -232,6 +240,49 @@ def test_point_jet_matrix_is_the_symbolic_one_evaluated():
         assert at_point.row_indices == generic.row_indices
         assert at_point.matrix.rows == tuple(
             tuple(entry.evaluate(point) for entry in row) for row in generic.matrix.rows)
+        checked += 1
+
+
+def test_integer_transpose_answers_as_the_fraction_matrix_does():
+    # A point jet matrix holds M^T as integer rows, each coordinate's
+    # Taylor numerators; M over Fractions is built from it when read.
+    # Rational coordinates bring different denominators, and one
+    # coordinate is identically zero.
+    rng = random.Random(2311)
+    checked = 0
+    while checked < 24:
+        nparams = 1 + checked % 3
+        m = 1 + checked % 4
+        f = random_parameterization(rng, nparams)
+        f = Parameterization(f.params, list(f.coords) + [0])
+        point = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                      for _ in range(nparams))
+        if any(not c.denominator.evaluate(point) for c in f.coords) or \
+                not any(c.evaluate(point) for c in f.coords):
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonImmersivePoint)
+            jm = jet_matrix(f, m, point)
+        _, expansions = jets.point_expansions(f, m, point)
+        # M is the table of Taylor coefficients, over Fractions.
+        assert jm.matrix.rows == tuple(tuple(e.coefficient(I) for e in expansions)
+                                       for I in jm.row_indices)
+        assert all(type(e) is Fraction for row in jm.matrix.rows for e in row)
+        integer = jm.transposed
+        assert integer.field == RationalField()
+        assert all(type(v) is int for row in integer.rows for v in row)
+        assert not any(integer.rows[-1])
+        fraction = jm.matrix.transpose()
+        ours, theirs = rref(integer), rref(fraction)
+        assert (ours.rank, ours.pivot_columns) == (theirs.rank, theirs.pivot_columns)
+        assert ours.matrix.rows == theirs.matrix.rows
+        ends = [jm.prefix_end(k) for k in range(m + 1)]
+        assert ends == [comb(nparams + k, k) for k in range(m + 1)]
+        assert jm.order_ranks() == prefix_ranks(jm.matrix, ends)
+        for k in range(m + 1):
+            # The dimension law's rank: M_k^T's columns, on integers.
+            block = ExactMatrix([row[:ends[k]] for row in fraction.rows])
+            assert rank(jm.prefix_for_rank(k)) == rank(block) == rank(jm.prefix(k))
         checked += 1
 
 

@@ -541,12 +541,80 @@ def test_jet_rows_are_the_coefficients_of_the_expansions():
         expansions = taylor_expansions(functions, point, order)
         assert _polynomials_of(expansions, variables, order) == expected
         rows = taylor_jets(functions, point, order, indices)
-        assert rows == [tuple(e.coefficient(I) for e in expansions) for I in indices]
-        assert all(type(c) is Fraction for row in rows for c in row)
+        assert len(rows) == len(functions)
+        for (nums, den), e in zip(rows, expansions):
+            assert [Fraction(v, den) for v in nums] == [e.coefficient(I) for I in indices]
+            assert den > 0 and all(type(v) is int for v in nums)
         # The reader serves any subset of the indices, in any order.
-        assert taylor_jets(functions, point, order, indices[::-2]) == rows[::-2]
+        assert taylor_jets(functions, point, order, indices[::-2]) == [
+            (nums[::-2], den) for nums, den in rows]
 
     check()
+
+
+def test_binomial_shift_matches_composition_with_the_shift():
+    # The reference: compose the numerator with u_k + p_k and multiply by
+    # the truncated inverse of the composed denominator, as Polynomials.
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    @st.composite
+    def cases(draw):
+        variables = ("x", "y", "z", "w")[:draw(st.integers(1, 4))]
+        n = len(variables)
+        point = tuple(draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(-2),
+                                            Fraction(3, 4), Fraction(-5, 3)]))
+                      for _ in variables)
+        exps = st.tuples(*[st.integers(0, 4)] * n)
+        coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+        def poly(min_size=0):
+            terms = draw(st.dictionaries(exps, coeffs, min_size=min_size, max_size=4))
+            return Polynomial(variables, terms)
+
+        numerator = poly()
+        kind = draw(st.sampled_from(["polynomial", "rational", "pole"]))
+        if kind == "polynomial":
+            f = RationalFunction(numerator)
+        else:
+            denominator = poly(1) + draw(st.integers(1, 3))
+            if kind == "pole":
+                denominator = denominator - denominator.evaluate(point)
+            if denominator.is_zero:
+                denominator = Polynomial.constant(variables, 2)
+            f = RationalFunction(numerator, denominator)
+        return variables, point, f, draw(st.integers(0, 5))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(cases())
+    def check(case):
+        variables, point, f, order = case
+        shift = [Polynomial.variable(variables, v) + p for v, p in zip(variables, point)]
+        numerator = truncated_compose(f.numerator, shift, order)
+        denominator = truncated_compose(f.denominator, shift, order)
+        if not denominator.constant_term():
+            with pytest.raises(DenominatorVanishes):
+                taylor_expansions([f], point, order)
+            return
+        expected = truncated_multiply(numerator, truncated_inverse(denominator, order), order)
+        [expansion] = taylor_expansions([f], point, order)
+        _assert_normalized(expansion)
+        assert _polynomials_of([expansion], variables, order) == [expected]
+
+    check()
+    # The corners drawn above, named: the zero polynomial, a scale other
+    # than 1, order 0, and a pole.
+    x, y = Polynomial.variable(XY, "x"), Polynomial.variable(XY, "y")
+    point = (Fraction(-2, 3), Fraction(0))
+    zero = taylor_expansions([RationalFunction(Polynomial.zero(XY))], point, 3)
+    assert (zero[0].nums, zero[0].den) == ({}, 1)
+    scaled = RationalFunction(x ** 2 * Fraction(6, 35) - y * Fraction(4, 7))
+    assert scaled.scale != 1
+    assert _polynomials_of(taylor_expansions([scaled], point, 2), XY, 2) == [
+        P("8/105 - 4/7*y - 8/35*x + 6/35*x^2")]
+    assert _polynomials_of(taylor_expansions([scaled], point, 0), XY, 0) == [P("8/105")]
+    with pytest.raises(DenominatorVanishes):
+        taylor_expansions([RationalFunction(y, x * 3 + 2)], point, 0)
 
 
 def test_order_0_expansion_at_zero_coordinates_is_the_value():
@@ -558,6 +626,6 @@ def test_order_0_expansion_at_zero_coordinates_is_the_value():
         value = f.evaluate(point)
         expansions = taylor_expansions([f], point, 0)
         assert _polynomials_of(expansions, XY, 0) == [Polynomial.constant(XY, value)]
-        assert taylor_jets([f], point, 0, [(0, 0)]) == [(value,)]
+        assert taylor_jets([f], point, 0, [(0, 0)]) == [((value.numerator,), value.denominator)]
     with pytest.raises(DenominatorVanishes):
         taylor_jets([RationalFunction(P("1"), x)], (Fraction(0), Fraction(1)), 0, [(0, 0)])
