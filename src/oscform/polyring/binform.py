@@ -7,8 +7,8 @@ v1^(d-i) * v2^i, so c_0 = 0 detects the zero (1:0) and c_d = 0 the zero
 
 The resultant, the rational zeros and evaluation run on integer
 coefficient vectors (`integer_form` clears denominators):
-- `sylvester_resultant` is one integer Sylvester determinant, scaled
-  back to the rational forms;
+- `sylvester_resultant` is one Sylvester determinant on trusted integer
+  rows (no entry becomes a Fraction), scaled back to the rational forms;
 - `integer_zeros` gives a linear factor's root directly, and a
   quadratic's roots when `math.isqrt` of its integer discriminant is
   exact.  Only degree 3 or more, which only the base locus of a pencil
@@ -240,9 +240,10 @@ def sylvester_resultant(f: Sequence[int], g: Sequence[int],
     from ..exactla import ExactMatrix, RationalField, determinant
 
     m, n = len(f) - 1, len(g) - 1
-    rows = [[0] * shift + list(f) + [0] * (n - 1 - shift) for shift in range(n)]
-    rows += [[0] * shift + list(g) + [0] * (m - 1 - shift) for shift in range(m)]
-    return determinant(ExactMatrix(rows, field=RationalField())) / (f_den ** n * g_den ** m)
+    rows = [(0,) * shift + tuple(f) + (0,) * (n - 1 - shift) for shift in range(n)]
+    rows += [(0,) * shift + tuple(g) + (0,) * (m - 1 - shift) for shift in range(m)]
+    sylvester = ExactMatrix._trusted(tuple(rows), RationalField(), m + n)
+    return determinant(sylvester) / (f_den ** n * g_den ** m)
 
 
 def resultant_binary(f: Polynomial, g: Polynomial) -> Fraction:

@@ -50,8 +50,10 @@ Newton solve and truncated_compose.
 
 graph_series writes a parameterized surface chart as a graph
 x3 = f(x1, x2).  The chart coordinates are the identity to first order,
-so f is solved degree by degree on integers, with no reversion; the
-residual left at the end certifies it.  It returns the homogeneous
+so f is solved degree by degree on integers, with no reversion: one
+`_combine` per degree subtracts the new piece of f, over cached products
+t1^a t2^b kept in lowest terms, which at the top degree are u1^a u2^b;
+the residual left at the end certifies it.  It returns the homogeneous
 pieces of f as integer coefficient vectors, which the ruledness
 diagnostic reads as they are; every zero piece is one shared empty
 vector (ZERO_PIECE), so a high order costs nothing per zero degree.
@@ -66,10 +68,11 @@ Jacobian there are compositions through degree 0.  When the solution is
 right through degree k, one sweep composes the residual through degree
 2k+1 (capped at the requested order) and the Jacobian only through
 degree k, since the residual has no terms below degree k+1; the two
-compositions share the powers of the substituted series.  Reaching
-order d takes ceil(log2(d+1)) sweeps, and only the last one works at
-full order.  A final residual check at full order certifies the result,
-and only the answer becomes Polynomials.
+compositions share the powers of the substituted series, built by
+squaring (about 2 log2(e) products for x^e).  Reaching order d takes
+ceil(log2(d+1)) sweeps, and only the last one works at full order.  A
+final residual check at full order certifies the result, and only the
+answer becomes Polynomials.
 """
 
 from __future__ import annotations
@@ -295,21 +298,24 @@ def _nested(terms: Terms, i: int, budget: int, args: Sequence[_Series], lowest: 
 
 def _arg_power(args: Sequence[_Series], i: int, e: int, nvars: int, max_degree: int,
                powers: PowerCache) -> _Series:
-    """args[i]^e through max_degree.  Each power from the highest one the
-    cache holds at that precision up to e is one product, and is cached."""
+    """args[i]^e through max_degree, by squaring: one product from a
+    cached args[i]^(e-1), else args[i]^(e//2) squared (times args[i] for
+    an odd e), so x^e costs about 2 log2(e) products.  Each is cached."""
     if e < 2:
         return args[i] if e else _ONE
-    low = e
-    while low >= 2:
-        cached = powers.get((i, low))
-        if cached is not None and cached[0] >= max_degree:
-            break
-        low -= 1
-    power = powers[(i, low)][1] if low >= 2 else args[i]
+    cached = powers.get((i, e))
+    if cached is not None and cached[0] >= max_degree:
+        return cached[1]
     limit = ip.limit(nvars, max_degree)
-    for k in range(max(low, 1) + 1, e + 1):
-        power = _mul(power, args[i], limit)
-        powers[(i, k)] = (max_degree, power)
+    previous = powers.get((i, e - 1))
+    if previous is not None and previous[0] >= max_degree:
+        power = _mul(previous[1], args[i], limit)
+    else:
+        half = _arg_power(args, i, e // 2, nvars, max_degree, powers)
+        power = _mul(half, half, limit)
+        if e % 2:
+            power = _mul(power, args[i], limit)
+    powers[(i, e)] = (max_degree, power)
     return power
 
 
@@ -431,14 +437,18 @@ def _binomial_steps(a: int, b: int, e: int, top: int, order: int,
 def taylor_jets(functions: Sequence, point: tuple[Fraction, ...], order: int,
                 indices: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
     """The Taylor coefficients D_I f at the point of each function, for
-    the multi-indices I in `indices` (each of degree at most `order`), on
-    integers: one (numerators, denominator) pair per function, with
-    D_I f = numerators[t] / denominator for I = indices[t], read off the
-    series of taylor_expansions.  The denominator is positive and has no
-    factor common to all of the series' numerators; those at `indices`
-    may share one.  The numerators are the rows of a point jet matrix's
-    transpose, scaled by the denominators."""
-    series = taylor_expansions(functions, point, order)
+    the multi-indices I in `indices` (each of degree at most `order`), as
+    `jet_rows` reads them off taylor_expansions: a point jet matrix's Mᵀ."""
+    return jet_rows(taylor_expansions(functions, point, order), indices)
+
+
+def jet_rows(series: Sequence[_Series], indices: Sequence[tuple[int, ...]]
+             ) -> list[tuple[tuple[int, ...], int]]:
+    """The coefficients at the multi-indices `indices` of each series, on
+    integers: one (numerators, denominator) pair per series, the
+    coefficient at I = indices[t] being numerators[t] / denominator.  The
+    denominator is positive and has no factor common to all of the
+    series' numerators; those at `indices` may share one."""
     keys = [ip.pack(I) for I in indices]
     return [(tuple([s.nums.get(k, 0) for k in keys]), s.den) for s in series]
 
@@ -473,10 +483,10 @@ def graph_series(expansions: Sequence[_Series], mixing: Sequence[Sequence[Fracti
     limit = ip.limit(nvars, order)
     z = []
     for row in mixing:
+        # z_i = sum(m * den * c) / den over the row's common denominator.
         den = math.lcm(*[m.denominator for m in row])
-        mixed = _combine([(m.numerator * (den // m.denominator), c)
-                          for m, c in zip(row, expansions) if m], limit)
-        z.append(_reduced(mixed.nums, mixed.den * den))
+        z.append(_combine([(m.numerator * (den // m.denominator), _Series(c.nums, c.den * den))
+                           for m, c in zip(row, expansions) if m], limit))
     if not z[0].nums.get(0):
         raise SingularPoint("chart normalization failed at the point")
     inverse_z0 = _inverse(z[0], nvars, order)
@@ -498,13 +508,16 @@ def graph_series(expansions: Sequence[_Series], mixing: Sequence[Sequence[Fracti
         vector = [0] * (d + 1)
         for k, v in block:
             vector[d - (k & ip.MASK)] = v
-        g = math.gcd(residual.den, *vector)
-        pieces[d] = ([c // g for c in vector], residual.den // g)
-        # f_d(t1, t2) = sum(v * product(k)) / residual.den
-        image = _combine([(v, _product(products, k, t1, t2, limit)) for k, v in block],
-                         limit)
-        residual = _combine([(1, residual), (-1, _Series(image.nums, image.den * residual.den))],
-                            limit)
+        den = residual.den
+        g = math.gcd(den, *vector)
+        pieces[d] = ([c // g for c in vector], den // g)
+        # residual - f_d(t1, t2), f_d(t1, t2) = sum(v * t1^a t2^b) / den.  At
+        # the top degree t1^a t2^b is u1^a u2^b, as t = u + O(2).
+        parts = [(1, residual)]
+        for k, v in block:
+            power = _product(products, k, t1, t2, limit) if d < order else _Series({k: 1}, 1)
+            parts.append((-v, _Series(power.nums, power.den * den)))
+        residual = _combine(parts, limit)
     if residual.nums:
         raise InvariantViolation("graph series residual does not vanish")
     return pieces

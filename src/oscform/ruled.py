@@ -15,7 +15,8 @@ at least 4; the output is evidence from finitely many points, never a
 proof.  The chart of a parameterized surface is the identity to first
 order in the parameters, so its graph is solved degree by degree
 (`polyring.series.graph_series`, certified by its final residual); one
-RREF completes its frame to a basis and inverts it.  An implicit
+RREF of integer rows, the frame's Taylor numerators read off the same
+series, completes the frame to a basis and inverts it.  An implicit
 surface's chart takes its completion from the gradient and runs the
 Newton series solve.  Either way the graph's homogeneous pieces are
 held as integer coefficient vectors, and the diagnostic runs on them
@@ -59,7 +60,7 @@ from .polyring import (
     truncated_compose,
 )
 from .polyring.intpoly import MAX_DEGREE
-from .polyring.series import ZERO_PIECE
+from .polyring.series import ZERO_PIECE, jet_rows
 from .report import fmt_point
 
 # Seed of the sample points and projections when the caller gives none.
@@ -429,29 +430,29 @@ def _check_surface_in_p3(surface: Union[Parameterization, ImplicitVariety]) -> N
         )
 
 
-def _complete_and_invert(frame: list[list[Fraction]], point: tuple[Fraction, ...]
+def _complete_and_invert(jets: list[tuple[tuple[int, ...], int]], point: tuple[Fraction, ...]
                          ) -> tuple[ExactMatrix, tuple[tuple[Fraction, ...], ...]]:
     """The chart: the three frame rows and the first e_k off their span;
     and the inverse of its transpose, both from one RREF of [frameᵀ | I].
 
-    For a frame of rank 3 the pivots are columns 0-2 and 3 + k, and the
-    last row is (0 | v) with v spanning the annihilator of the frame; e_j
-    lies in the span exactly when v_j = 0, so k picks the first e_k off
-    it.  The RREF clears column 3 + k above that row, so the right block
-    E sends e_k to the last unit vector as well as frameᵀ to the first
-    three: E = (chartᵀ)⁻¹.
+    `jets[j]` is x_j's value, D_(1,0) and D_(0,1) over den_j (`jet_rows`),
+    so row j times den_j is the integer row (numerators | den_j e_j), with
+    the same RREF.  For a frame of rank 3 the pivots are columns 0-2 and
+    3 + k, and the last row is (0 | v) with v spanning the annihilator of
+    the frame; e_j lies in the span exactly when v_j = 0, so k picks the
+    first e_k off it.  The RREF clears column 3 + k above that row, so the
+    right block E sends e_k to the last unit vector as well as frameᵀ to
+    the first three: E = (chartᵀ)⁻¹.
     """
-    one, zero = Fraction(1), Fraction(0)
-    reduced = rref(ExactMatrix(
-        [[row[j] for row in frame] + [one if i == j else zero for i in range(4)]
-         for j in range(4)],
-        field=RationalField(),
-    ))
+    rows = tuple([nums + tuple([den if i == j else 0 for i in range(4)])
+                  for j, (nums, den) in enumerate(jets)])
+    reduced = rref(ExactMatrix._trusted(rows, RationalField(), 7))
     pivots = reduced.pivot_columns
     if pivots[2] != 2:
         raise SingularPoint(f"the parameterization is not immersive at {fmt_point(point)}")
-    completion = [one if j == pivots[3] - 3 else zero for j in range(4)]
-    chart = ExactMatrix(frame + [completion], field=RationalField())
+    frame = [tuple([Fraction(nums[i], den) for nums, den in jets]) for i in range(3)]
+    completion = tuple([Fraction(int(j == pivots[3] - 3)) for j in range(4)])
+    chart = ExactMatrix._trusted(tuple(frame + [completion]), RationalField(), 4)
     return chart, tuple(row[3:] for row in reduced.matrix.rows)
 
 
@@ -460,12 +461,12 @@ def _monge_from_parameterization(f: Parameterization, point: Sequence,
     _check_surface_in_p3(f)
     point, coord_series = point_expansions(f, order, point)
     # The frame is the order-1 jet matrix: the values, then D_(1,0), D_(0,1).
-    frame = [[s.coefficient(I) for s in coord_series] for I in ((0, 0), (1, 0), (0, 1))]
-    chart, inverse = _complete_and_invert(frame, point)
+    chart, inverse = _complete_and_invert(jet_rows(coord_series, ((0, 0), (1, 0), (0, 1))),
+                                          point)
     # The chart coordinates z = inverse . coord_series are (1, u1, u2, 0)
     # to first order, so x_i = z_i / z_0 is a graph over (x1, x2).
     pieces = graph_series(coord_series, inverse, order)
-    return MongeData(tuple(frame[0]), point, chart, order, ("x1", "x2"),
+    return MongeData(chart.row(0), point, chart, order, ("x1", "x2"),
                      _without_constant_or_linear_part(pieces))
 
 

@@ -435,6 +435,29 @@ def test_high_exponents_at_a_rational_point_expand_fast():
     assert float(elapsed) < 0.5
 
 
+def test_high_exponents_in_a_newton_solve_take_few_products():
+    # The Newton sweeps build X1^65000 by squaring from cached powers,
+    # about 2 log2(e) products each; one product per power made 390,007
+    # of them and took about 1.9 s on a 2-core VM.  The child times main()
+    # itself, so interpreter start-up is not counted.
+    src = Path(cli.__file__).resolve().parents[1]
+    script = ("import sys, time\n"
+              "from oscform.cli import main\n"
+              "start = time.perf_counter()\n"
+              "code = main(['implicit-jet', '--order', '3', '-'])\n"
+              "print(code, time.perf_counter() - start, file=sys.stderr)\n")
+    text = ("kind: implicit\nvars: X0 X1 X2 X3\n"
+            "equations: X0^64999*X3 - X1^65000 + X2*X0^64999\npoint: 1,1,0,1\n")
+    proc = subprocess.run([sys.executable, "-c", script], input=text,
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    code, elapsed = proc.stderr.split()
+    assert code == "0"
+    assert ("coords: [1, X1 + 1, X2, 45768720855000*X1^3 + 2112467500*X1^2 + 65000*X1 "
+            "- X2 + 1]") in proc.stdout.splitlines()
+    assert float(elapsed) < 0.5
+
+
 TWISTED_CUBIC = "kind: parameterization\nparams: x\ncoords: 1, x, x^2, x^3\n"
 SEGRE_QUADRIC = ("kind: implicit\nvars: X0 X1 X2 X3\nequations: X0*X3 - X1*X2\n"
                  "point: 1,0,0,0\n")

@@ -38,6 +38,7 @@ from oscform.polyring import (
     rational_zeros,
     resultant_binary,
     solve_series_system,
+    sylvester_resultant,
     truncated_compose,
     truncated_inverse,
     truncated_multiply,
@@ -508,6 +509,55 @@ def test_resultant_multiplicative_in_linear_factors():
             for b in roots_b:
                 expected *= b - a
         assert resultant_binary(f, g) == expected
+
+
+def fraction_determinant(rows: list[list[Fraction]]) -> Fraction:
+    """Gaussian elimination in Fraction arithmetic, for an oracle."""
+    rows = [row[:] for row in rows]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        k = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if k is None:
+            return Fraction(0)
+        if k != c:
+            rows[c], rows[k] = rows[k], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, len(rows)):
+            factor = rows[i][c] / rows[c][c]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[c])]
+    return det
+
+
+def test_sylvester_resultant_matches_the_fraction_determinant():
+    # Integer vectors over f_den and g_den, of degrees 1-4 each, with
+    # vanishing extreme coefficients (zeros at (1:0) and (0:1), shared
+    # ones among them) and zero resultants from a common linear factor.
+    rng = random.Random(2502)
+    zero = nonzero = 0
+    for m in range(1, 5):
+        for n in range(1, 5):
+            for trial in range(12):
+                f = [rng.randint(-6, 6) for _ in range(m + 1)]
+                g = [rng.randint(-6, 6) for _ in range(n + 1)]
+                if trial % 3 == 1:
+                    f[0] = g[0] = 0
+                elif trial % 3 == 2:
+                    f[-1] = 0
+                if trial % 4 == 3 and m > 1 and n > 1:
+                    # (2 v1 - 3 v2) times random forms of degree m - 1, n - 1.
+                    f = [2 * a - 3 * b for a, b in zip(f[:m] + [0], [0] + f[:m])]
+                    g = [2 * a - 3 * b for a, b in zip(g[:n] + [0], [0] + g[:n])]
+                f_den, g_den = rng.randint(1, 9), rng.randint(1, 9)
+                rows = [[Fraction(0)] * shift + [Fraction(c, f_den) for c in f]
+                        + [Fraction(0)] * (n - 1 - shift) for shift in range(n)]
+                rows += [[Fraction(0)] * shift + [Fraction(c, g_den) for c in g]
+                         + [Fraction(0)] * (m - 1 - shift) for shift in range(m)]
+                expected = fraction_determinant(rows)
+                assert sylvester_resultant(f, g, f_den, g_den) == expected, (f, g, f_den, g_den)
+                zero += not expected
+                nonzero += bool(expected)
+    assert zero >= 40 and nonzero >= 40
 
 
 def test_resultant_rejects_non_forms():

@@ -220,11 +220,21 @@ def first_rank_raising_vector(rows: list[list[Fraction]]) -> list[Fraction]:
         if rank(ExactMatrix(rows + [e], field=RationalField())) > base)
 
 
+def frame_jets(frame: list[list[Fraction]], scale: int = 1) -> list[tuple[tuple[int, ...], int]]:
+    """The frame's columns as `jet_rows` gives them: integer numerators
+    over one denominator per coordinate, here times `scale`."""
+    jets = []
+    for column in zip(*frame):
+        den = math.lcm(*[c.denominator for c in column]) * scale
+        jets.append((tuple([int(c * den) for c in column]), den))
+    return jets
+
+
 def test_chart_completion_and_inverse_come_from_one_rref():
     # e_0 = (1,1,0,0) - e_1 is outside the span although column 0 is a pivot.
     frame = [[Fraction(v) for v in row]
              for row in ((1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
-    chart, _ = _complete_and_invert(frame, (0, 0))
+    chart, _ = _complete_and_invert(frame_jets(frame), (0, 0))
     assert list(chart.row(3)) == [1, 0, 0, 0]
     rng = random.Random(227)
     values = [Fraction(0)] * 4 + [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3)]
@@ -235,15 +245,73 @@ def test_chart_completion_and_inverse_come_from_one_rref():
         if rank(ExactMatrix(rows, field=RationalField())) < 3:
             singular += 1
             with pytest.raises(SingularPoint, match=r"not immersive at \(1/2, 3\)"):
-                _complete_and_invert(rows, (Fraction(1, 2), Fraction(3)))
+                _complete_and_invert(frame_jets(rows), (Fraction(1, 2), Fraction(3)))
             continue
-        chart, inverse = _complete_and_invert(rows, (0, 0))
+        chart, inverse = _complete_and_invert(frame_jets(rows), (0, 0))
         assert [list(row) for row in chart.rows] == rows + [first_rank_raising_vector(rows)]
         # The inverse of chart^T: inverse . chart^T = I.
         product = [[sum(inverse[i][k] * chart[j, k] for k in range(4)) for j in range(4)]
                    for i in range(4)]
         assert product == identity
     assert 0 < singular < 200
+
+
+def fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan elimination in Fraction arithmetic, for an oracle."""
+    rows = [row[:] for row in rows]
+    pivots = []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        pivot_row = rows[k]
+        rows[k] = rows[r]
+        rows[r] = [v / pivot_row[c] for v in pivot_row]
+        for i in range(len(rows)):
+            factor = rows[i][c]
+            if i != r and factor:
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def test_integer_chart_inverse_matches_the_fraction_rref():
+    # A frame whose span holds e_0, ..., e_(k-1) but not e_k completes
+    # with e_k; a random mix of its rows hides that, and a singular mix
+    # (every fifth) leaves a frame that is not immersive.  The jets are scaled by 1-3,
+    # as jet_rows may hand over numerators with a common factor.
+    rng = random.Random(2501)
+
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    completions, singular = set(), 0
+    for trial in range(160):
+        k = trial % 4
+        base = [[Fraction(int(i == j)) for j in range(4)] for i in range(k)]
+        base += [[entry() for _ in range(4)] for _ in range(3 - k)]
+        mix = [[entry() for _ in range(3)] for _ in range(3)]
+        if trial % 5 == 4:
+            mix[2] = [a - 2 * b for a, b in zip(mix[0], mix[1])]
+        frame = [[sum(m * row[j] for m, row in zip(mixing, base)) for j in range(4)]
+                 for mixing in mix]
+        expected, pivots = fraction_rref(
+            [[row[j] for row in frame] + [Fraction(int(i == j)) for i in range(4)]
+             for j in range(4)])
+        jets = frame_jets(frame, rng.randint(1, 3))
+        if pivots[2] != 2:
+            singular += 1
+            with pytest.raises(SingularPoint, match=r"not immersive at \(0, 1/2\)"):
+                _complete_and_invert(jets, (Fraction(0), Fraction(1, 2)))
+            continue
+        chart, inverse = _complete_and_invert(jets, (0, 0))
+        assert [list(row) for row in inverse] == [row[3:] for row in expected]
+        completion = [Fraction(int(j == pivots[3] - 3)) for j in range(4)]
+        assert [list(row) for row in chart.rows] == frame + [completion]
+        completions.add(pivots[3] - 3)
+    assert completions == {0, 1, 2, 3}
+    assert singular >= 32
 
 
 @pytest.mark.parametrize("equation, point, k", [

@@ -320,9 +320,9 @@ def test_graph_series_guards():
 
 
 def test_exponents_past_the_recursion_limit_expand():
-    # The power cache builds args[i]^e one product at a time in a loop,
-    # so an exponent past the interpreter's recursion limit needs no deep
-    # stack (a coordinate x^2000 at a point used to raise RecursionError).
+    # The binomial shift expands x^e with no recursion per factor, so an
+    # exponent past the interpreter's recursion limit needs no deep stack
+    # (a coordinate x^2000 at a point used to raise RecursionError).
     import sys
 
     e = sys.getrecursionlimit() + 10
@@ -331,6 +331,52 @@ def test_exponents_past_the_recursion_limit_expand():
     expansions = taylor_expansions([f], (Fraction(1), Fraction(0)), 2)
     assert _polynomials_of(expansions, uv, 2) == [
         P(f"1 + {e}*u + v + {e * (e - 1) // 2}*u^2", uv)]
+
+
+def test_graph_series_products_stay_in_lowest_terms(monkeypatch):
+    # Every product t1^a t2^b that the graph solve caches and combines is
+    # normalized; left unreduced, their numerators swell with the order
+    # (monge --order 40 on this chart took about 4x as long).
+    surface = Parameterization(("t", "s"), [
+        P(expr, ("t", "s")) for expr in ("1 + t*s", "t + s^2", "s - t^2", "t^3 + 2*s^3 - t*s")])
+    products = []
+    product = series._product
+
+    def recording(*args):
+        power = product(*args)
+        products.append(power)
+        return power
+
+    monkeypatch.setattr(series, "_product", recording)
+    md = monge_form(surface, (Fraction(1, 3), Fraction(2)), order=8)
+    assert md.piece(8).total_degree() == 8
+    # One per term of f_2, ..., f_7; the top degree builds none.
+    assert len(products) == 33
+    assert any(power.den > 1 for power in products)
+    for power in products:
+        assert math.gcd(power.den, *power.nums.values()) == 1
+        assert all(power.nums.values())
+
+
+def test_newton_powers_take_logarithmically_many_products(monkeypatch):
+    # x^e in the Newton solve is built by squaring from cached powers:
+    # about 2 log2(e) products per sweep, not e - 1.
+    names = ("X1", "X2", "X3")
+    calls = Counter()
+    mul = series._mul
+
+    def counting(*args):
+        calls["mul"] += 1
+        return mul(*args)
+
+    monkeypatch.setattr(series, "_mul", counting)
+    for e in (500, 4000, 65000):
+        # implicit-jet's affine chart X0 = 1 of X0^(e-1)*X3 - X1^e + X2*X0^(e-1).
+        g = P(f"X3 - X1^{e} + X2", names)
+        calls.clear()
+        (x3,) = solve_series_system([g], [0, 1], [2], [1, 0, 1], 3)
+        assert x3.coefficient((1, 0)) == e
+        assert calls["mul"] <= 12 * math.log2(e)
 
 
 def test_integer_core_leaves_no_cyclic_garbage():
