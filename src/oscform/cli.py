@@ -13,7 +13,6 @@ import random
 import sys
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 from .errors import DomainError, ParseError
 from .fundforms import (
@@ -52,7 +51,11 @@ from .varfile import build_variety, parse_variety
 def _read_text(path: str) -> tuple[str, str]:
     if path == "-":
         return sys.stdin.read(), "<stdin>"
-    return Path(path).read_text(encoding="utf-8"), path
+    # Not pathlib, which interns each part of the path: a process that
+    # reads many files then keeps rebuilding the interned-string table,
+    # holding the old and the new one at once.
+    with open(path, encoding="utf-8") as handle:
+        return handle.read(), path
 
 
 def _parse_rational_tuple(text: str, flag: str) -> tuple[Fraction, ...]:
@@ -293,9 +296,8 @@ def _cmd_monge(args) -> Report:
     if md.parameter_point is not None:
         report.add("parameter_point", fmt_point(md.parameter_point))
     report.add("chart_rows", [fmt_point(md.chart.row(i)) for i in range(4)])
-    report.add("f2", str(md.f2))
-    report.add("f3", str(md.f3))
-    report.add("f4", str(md.f4))
+    for m in (2, 3, 4):
+        report.add(f"f{m}", str(md.piece(m)) if m <= md.order else "not computed")
     try:
         fubini = fubini_intersection_test(md)
         report.add("resultant", fmt(fubini.resultant))

@@ -4,10 +4,10 @@ Matrices carry a field tag: either the rationals (Fraction entries) or
 the field of rational functions in a fixed variable tuple.  Elimination
 (`_eliminate`) is one fraction-free loop.  It first clears each row to
 integers, or to integer polynomials over Q(u): a row over Q is
-multiplied by the lcm of its denominators (a row of ints is taken as it
-is), a row over Q(u) by the
+multiplied by the lcm of its denominators, a row over Q(u) by the
 integer lcm of its scale denominators and the polynomial lcm of its
-`den` parts (most rows have none, so this is one multiply per entry).
+`den` parts (most rows have none, so this is one multiply per entry);
+a row of ints or of integer polynomials is taken as it is.
 It then eliminates on those, by one of two integer rules:
 
 - over Z, primitive rows: a row with head h is replaced by
@@ -22,9 +22,11 @@ At each column the pivot is the candidate of smallest absolute value
 over Z, of fewest terms over Z[u].  No sum pays a gcd: canonical field
 entries are built only where a caller reads them, at the end of a
 reduced pass, one `Fraction` or one `ratfunc._reduced` (one gcd) per
-entry.  The reduced row echelon form is unique for the row space, and
-rank and determinant are invariants, so results do not depend on the
-pivot order.
+entry; when the last pivot's primitive part is linear, hence
+irreducible, one exact division decides each entry instead of the gcd.
+The reduced row echelon form is unique for the row space, and rank and
+determinant are invariants, so results do not depend on the pivot
+order.
 
 Every question below costs one run of that loop:
 
@@ -37,9 +39,12 @@ Every question below costs one run of that loop:
   columns, read off the pivot columns of one forward pass;
   `prefix_ranks(M, ends)` gives those of the rows, from the transpose;
 - `kernel_vectors(M)`: a basis of the right kernel read off one RREF,
-  one vector per free column (not canonical); the phibar check
-  differentiates these (the fundamental forms need none: their
-  canonical basis is part of the RREF of the transposed jet matrix);
+  one vector per free column (not canonical; the fundamental forms need
+  none: their canonical basis is part of the RREF of the transposed jet
+  matrix);
+- `integer_kernel(M)`, over Q(u): the same basis times the last pivot,
+  on integer polynomials, read off the reduced pass before any entry
+  is divided; the phibar check differentiates these;
 - `row_space(M)`: the canonical basis of the row space.
 
 `kernel_basis(M)` wraps `kernel_vectors` in the checked `Subspace`
@@ -55,12 +60,14 @@ and checks the shape.  Matrices whose entries are already field
 elements (a transpose, a block of rows, an RREF) are wrapped by the
 trusted `ExactMatrix._trusted` instead, as `Subspace._from_rref` wraps a
 basis that is already canonical.  A trusted matrix over Q may also hold
-rows of ints: the transposed point jet matrix, whose rows are Taylor
-numerators, goes to the loop with no Fraction built or cleared.  Every
-question answers on such a matrix as on the same matrix over Fractions
-(an RREF's entries are Fractions either way), and rank, pivot columns
-and RREF do not change when a row is scaled, so a caller may hand over
-rows scaled by their denominators.
+rows of ints, and one over Q(u) rows of integer polynomials (`IntPoly`
+dicts): the transposed point jet matrix, whose rows are Taylor
+numerators, and the transposed generic jet matrix, whose rows are the
+jets of the cleared coordinates, go to the loop with nothing built or
+cleared.  Every question answers on such a matrix as on the same matrix
+over the field (an RREF's entries are field elements either way), and
+rank, pivot columns and RREF do not change when a row is scaled, so a
+caller may hand over rows scaled by their denominators.
 """
 
 from __future__ import annotations
@@ -72,8 +79,8 @@ from typing import Iterable, Sequence, Union
 from .errors import AmbientMismatch, InvariantViolation, ShapeMismatch
 from .polyring import Polynomial, RationalFunction
 from .polyring.gcd import _divide, cofactors
-from .polyring.intpoly import ONE, IntPoly, combine, is_one, mul, primitive
-from .polyring.ratfunc import _reduced, _zero
+from .polyring.intpoly import ONE, IntPoly, combine, is_one, mul, primitive, top
+from .polyring.ratfunc import _reduced, _reduced_by_linear, _zero
 
 Entry = Union[Fraction, RationalFunction]
 
@@ -332,7 +339,11 @@ class _PolynomialRows:
         self.prev = ONE
         self.rows = [self._cleared(row) for row in matrix.rows]
 
-    def _cleared(self, row: Sequence[RationalFunction]) -> list[IntPoly]:
+    def _cleared(self, row: Sequence[RationalFunction] | Sequence[IntPoly]) -> list[IntPoly]:
+        if row and type(row[0]) is dict:
+            # A trusted row on integer polynomials (a generic jet matrix's
+            # transpose).
+            return list(row)
         n = self.n
         nonzero = [e for e in row if e.num]
         if not nonzero:
@@ -407,7 +418,10 @@ class _PolynomialRows:
         zero = _zero(variables)
         content, d = primitive(self.prev)
         scale = Fraction(1, content)
-        out = [[_reduced(variables, scale, v, d) if v else zero for v in row]
+        # Every entry is v / d.  A linear d is irreducible: one exact
+        # division replaces the gcd.
+        entry = _reduced_by_linear if max(d) >> top(self.n) == 1 else _reduced
+        out = [[entry(variables, scale, v, d) if v else zero for v in row]
                for row in rows[:len(pivots)]]
         return out + [[zero] * len(row) for row in rows[len(pivots):]]
 
@@ -433,8 +447,17 @@ def _eliminate(matrix: ExactMatrix, reduce: bool) -> tuple[list[list] | None, li
         ring = _IntegerRows(matrix, track)
     else:
         ring = _PolynomialRows(matrix, track)
+    pivots, sign = _echelon(ring, matrix.ncols, reduce)
+    return (ring.reduced(ring.rows, pivots) if reduce else None, pivots,
+            ring.determinant(ring.rows, pivots, sign) if track else None)
+
+
+def _echelon(ring: Union[_IntegerRows, _PolynomialRows], ncols: int,
+             reduce: bool) -> tuple[list[int], int]:
+    """The elimination loop on `ring.rows`, in place: (pivot columns,
+    sign of the row permutation)."""
     rows, size = ring.rows, ring.size
-    nrows, ncols = matrix.nrows, matrix.ncols
+    nrows = len(rows)
     pivots: list[int] = []
     sign = 1
     r = 0
@@ -451,8 +474,35 @@ def _eliminate(matrix: ExactMatrix, reduce: bool) -> tuple[list[list] | None, li
         ring.clear(rows, r, c, 0 if reduce else r + 1)
         pivots.append(c)
         r += 1
-    return (ring.reduced(rows, pivots) if reduce else None, pivots,
-            ring.determinant(rows, pivots, sign) if track else None)
+    return pivots, sign
+
+
+def integer_kernel(matrix: ExactMatrix) -> tuple[list[list[IntPoly]], IntPoly]:
+    """A basis of the right kernel of a matrix over Q(u) on integer
+    polynomials, read off one reduced Bareiss pass, and that pass's last
+    pivot d.
+
+    After the pass every pivot equals d, so row i is d times row i of
+    the RREF.  There is one vector g per free column f: g[f] = d,
+    g[p_i] = -row_i[f] at the pivot column p_i of row i, and 0
+    elsewhere.  That is d times the vector `kernel_vectors` gives, with
+    no gcd and no rational function built."""
+    ring = _PolynomialRows(matrix, False)
+    pivots, _ = _echelon(ring, matrix.ncols, True)
+    d, rows = ring.prev, ring.rows
+    taken = set(pivots)
+    vectors = []
+    for free in range(matrix.ncols):
+        if free in taken:
+            continue
+        g: list[IntPoly] = [{}] * matrix.ncols
+        g[free] = d
+        for row, p in zip(rows, pivots):
+            v = row[free]
+            if v:
+                g[p] = {k: -c for k, c in v.items()}
+        vectors.append(g)
+    return vectors, d
 
 
 class RrefResult:

@@ -29,7 +29,7 @@ from .exactla import (
     FunctionField,
     RationalField,
     Subspace,
-    kernel_vectors,
+    integer_kernel,
     rank,
     rref,
     span_contains,
@@ -50,6 +50,8 @@ from .polyring import (
     multi_indices_upto,
 )
 from .polyring.binform import gen_gcd, rational_zeros
+from .polyring.intpoly import IntPoly, combine, dot, partial, primitive
+from .polyring.ratfunc import _reduced
 
 FieldElement = Union[Fraction, RationalFunction]
 
@@ -239,9 +241,11 @@ def _forms(jm: JetMatrix, orders: Sequence[int],
            tangent_vars: Sequence[str]) -> list[LinearSystem]:
     """|Phi_m| for each m in `orders`, read off one RREF of M^T.
 
-    Row j of M^T holds the jets of x_j, so an RREF row with its pivot
-    among the |I| = m columns is sum_j g_j x_j with g in K_(m-1); cut to
-    those columns, such rows are the canonical basis of |Phi_m|."""
+    Row j of M^T holds the jets of x_j (generically of the integer
+    numerator of Q x_j, which gives the same blocks), so an RREF row with
+    its pivot among the |I| = m columns is sum_j g_j x_j with g in
+    K_(m-1); cut to those columns, such rows are the canonical basis of
+    |Phi_m|."""
     echelon = rref(jm.transposed)
     pivots = echelon.pivot_columns
     ends = [jm.prefix_end(k) for k in range(jm.order + 1)]
@@ -352,7 +356,7 @@ def verify_phibar_relation(f: Parameterization, m: int,
     fundamental form.
 
     For every vector g of a kernel basis of the order-(m-1) jet matrix,
-    two identities are checked symbolically over the function field:
+    two identities are checked symbolically:
 
       (a) sum_j d(g_j)/du_k * D_I x_j = 0 for all |I| <= m-2 (the map
           factors through the symmetric-power inclusion);
@@ -360,50 +364,61 @@ def verify_phibar_relation(f: Parameterization, m: int,
           yields exactly -m times sum_j g_j D_I x_j on |I| = m.
 
     The multiset monomial du^I maps to v^I with coefficient 1; with that
-    convention the -m identity is exact.  When a point is supplied, both
-    sides are additionally specialized there.
+    convention the -m identity is exact.
 
-    Any basis over the function field will do.  If g = sum_i c_i b_i,
-    the extra terms sum_i d(c_i)/du_k (sum_j b_ij D_I x_j) vanish for
-    |I| <= m-1, so both identities hold for one basis exactly when they
-    hold for every other; the basis read off the RREF is used as is.
+    Both identities follow from sum_j g_j D_I x_j = 0, |I| <= m-1, by
+    d_k D_I = (I_k + 1) D_(I+e_k), for any parameterization of the
+    variety and any kernel basis: if g = sum_i c_i b_i, the extra terms
+    sum_i d(c_i)/du_k (sum_j b_ij D_I x_j) vanish for |I| <= m-1.  So they
+    are checked on the integer rows of the generic jet matrix, the jets
+    of y_j, a multiple of Q x_j (`jets._derivative_rows`), with the
+    kernel basis of one reduced Bareiss pass over Z[u]
+    (`exactla.integer_kernel`), as sums of integer polynomials: no
+    rational function is built.  When a point is supplied, the canonical
+    kernel entries, the RREF's, are built and evaluated there, which
+    raises DenominatorVanishes where the kernel does not specialize.
     """
     if m < 2:
         raise DomainError(f"the relation starts at m = 2, got {m}")
     jm = jet_matrix(f, m, None)
-    zero = jm.matrix.field.zero()
-    kernel_prev = kernel_vectors(jm.prefix(m - 1))
+    n = f.source_dim
+    # Generically prefix_for_rank gives the integer M_m itself: row I
+    # holds D_I y_j for every j.
+    jets = jm.prefix_for_rank(m)
+    kernel, d = integer_kernel(jets.submatrix_rows(range(jm.prefix_end(m - 1))))
+
+    point_tuple = None if point is None else tuple(Fraction(v) for v in point)
+    if point_tuple is not None:
+        # The identities are established symbolically below, hence at
+        # every point where the kernel specializes.  Its canonical
+        # entries are g_j / d in lowest terms.
+        content, divisor = primitive(d)
+        scale = Fraction(1, content)
+        for g in kernel:
+            for entry in g:
+                if entry:
+                    _reduced(f.params, scale, entry, divisor).evaluate(point_tuple)
 
     lower_ok = True
     symmetric_ok = True
-    point_tuple = None if point is None else tuple(Fraction(v) for v in point)
-    if point_tuple is not None:
-        # The identity is established symbolically below, hence at every
-        # point where the kernel specializes; evaluating the kernel here
-        # surfaces DenominatorVanishes for invalid points.
-        for g in kernel_prev:
-            for entry in g:
-                entry.evaluate(point_tuple)
-
-    for g in kernel_prev:
-        dg = [[entry.partial(k) for entry in g] for k in range(f.source_dim)]
-        phibar: dict[tuple[int, ...], RationalFunction] = {}
+    for g in kernel:
+        dg = [[partial(entry, k, n) for entry in g] for k in range(n)]
+        phibar: dict[tuple[int, ...], IntPoly] = {}
         # Degree-major rows: the |I| = m-1 rows fill phibar before the
         # |I| = m rows read it.
-        for I, row in zip(jm.row_indices, jm.matrix.rows):
+        for I, row in zip(jm.row_indices, jets.rows):
             if sum(I) <= m - 2:
                 # (a) lower-order components vanish identically.
-                lower_ok = lower_ok and not any(_pair(row, d, zero) for d in dg)
+                lower_ok = lower_ok and not any(dot(row, dk, n) for dk in dg)
             elif sum(I) == m - 1:
                 # (b) the symmetric component equals -m times the form.
-                for k, d in enumerate(dg):
+                for k, dk in enumerate(dg):
                     J = I[:k] + (I[k] + 1,) + I[k + 1:]
-                    phibar[J] = phibar.get(J, zero) + _pair(row, d, zero)
-            elif phibar.get(I, zero) + _pair(row, g, zero) * m:
+                    phibar[J] = combine(phibar.get(J, {}), 1, dot(row, dk, n), 1)
+            elif combine(phibar.get(I, {}), 1, dot(row, g, n), m):
                 symmetric_ok = False
     holds = lower_ok and symmetric_ok
-    return PhibarReport(m, holds, lower_ok, symmetric_ok,
-                        len(kernel_prev), m, point_tuple)
+    return PhibarReport(m, holds, lower_ok, symmetric_ok, len(kernel), m, point_tuple)
 
 
 @dataclass

@@ -5,23 +5,28 @@ per divided derivative D_I, |I| <= m, in degree-major order, and one
 column per homogeneous coordinate function.  Its rank at a point is
 s(m) + 1 where s(m) is the projective dimension of the m-th osculating
 space; its right kernel K_m consists of the hyperplanes osculating to
-order m.  Generically the rows are Hasse derivatives, iterated first
-partials divided by I!, for polynomial and rational coordinates alike.
-At a rational point the jets are Taylor coefficients, read straight off
-the integer series of the coordinates there (`taylor_jets`), with no
-symbolic derivative and no Polynomial in between.  The point jet matrix
-holds its transpose M^T on integers: row j is x_j's Taylor numerators
-with its denominator dropped, which changes no rank, pivot column or
-RREF, so order_ranks, the fundamental forms' RREF and the dimension
-law's rank read those rows as they are.  M itself, over Fractions, is
-built only when read (osculating_space's row space).  A generic jet
-matrix holds M, and M^T is its transpose.  `point_expansions` hands the
-same series to the Monge chart and the tangent cone, which read them by
-`coefficient(I)`.  Building a
-jet matrix ranks nothing: the NonImmersivePoint warning is raised by
-each question from the order-1 rank its own elimination gives.
-Implicit complete intersections enter through a truncated power-series
-chart solved at a smooth rational point.
+order m.  Every jet matrix holds its transpose M^T on integers, which
+order_ranks, the fundamental forms' RREF and the dimension law's rank
+read as they are; M itself is built only when read.
+- At a rational point the jets are Taylor coefficients, read straight
+  off the integer series of the coordinates there (`taylor_jets`), with
+  no symbolic derivative and no Polynomial in between: row j of M^T is
+  x_j's Taylor numerators with its denominator dropped, which changes no
+  rank, pivot column or RREF.  M is built over Fractions
+  (osculating_space's row space).
+- Generically, polynomial and rational coordinates take one path: row j
+  of M^T is the Hasse derivatives of y_j, the integer numerator of Q x_j
+  with Q the lcm of the coordinates' denominators, on integer
+  polynomials (`_derivative_rows`).  That changes no prefix rank, no
+  kernel beyond a scaling of its coordinates and no fundamental form.
+  M, the true D_I x_j over Q(u), is built by
+  `RationalFunction.hasse_derivative`.
+`point_expansions` hands the same series to the Monge chart and the
+tangent cone, which read them by `coefficient(I)`.  Building a jet
+matrix ranks nothing: the NonImmersivePoint warning is raised by each
+question from the order-1 rank its own elimination gives.  Implicit
+complete intersections enter through a truncated power-series chart
+solved at a smooth rational point.
 """
 
 from __future__ import annotations
@@ -54,14 +59,14 @@ from .polyring import (
     Exponents,
     Polynomial,
     RationalFunction,
-    multi_index_factorial,
     multi_indices_upto,
     solve_series_system,
     taylor_expansions,
     taylor_jets,
     truncated_compose,
 )
-from .polyring.intpoly import MAX_DEGREE
+from .polyring.gcd import _divide, cofactors
+from .polyring.intpoly import MAX_DEGREE, ONE, IntPoly, is_one, mul, partial
 from .report import fmt_point
 
 _ZERO = Fraction(0)
@@ -143,71 +148,79 @@ def _check_jet_order(f: Parameterization, m: int) -> None:
         )
 
 
-def _derivative_rows(f: Parameterization, indices: Sequence[Exponents]):
-    """D_I of every coordinate, one list per multi-index (generic rows)."""
-    rows = []
-    # Iterated first partials cached along the degree-major enumeration,
-    # then divided by I! to get the Hasse operator.
-    cache: dict[Exponents, list[RationalFunction]] = {}
-    zero_index = (0,) * f.source_dim
-    cache[zero_index] = list(f.coords)
+def _derivative_rows(f: Parameterization, indices: Sequence[Exponents]
+                     ) -> tuple[tuple[IntPoly, ...], ...]:
+    """The generic M^T on integer polynomials: row j is D_I y_j for I in
+    `indices`, where y_j = num_j * (Q / den_j) is the integer numerator
+    of Q x_j and Q the lcm of the coordinates' denominators (1 for
+    polynomial coordinates).
+
+    By the Leibniz rule for Hasse derivatives D_I(Q x_j) is the sum of
+    D_(I-J)(Q) D_J x_j over J <= I: M's rows change by one triangular
+    matrix with Q on its diagonal, and row j of M^T by the constant scale
+    of x_j that y_j drops.  So every prefix rank, every K_(m-1) up to
+    those scales, and the span of the forms sum_j g_j D_I x_j on
+    |I| = m, g in K_(m-1), which only Q multiplies, are those of M."""
+    n = f.source_dim
+    q = ONE
+    for x in f.coords:
+        if not (x.den == q or is_one(x.den)):
+            q = x.den if is_one(q) else mul(q, cofactors(q, x.den, n)[2], n)
+    cache: dict[Exponents, list[IntPoly]] = {
+        (0,) * n: [x.num if x.den == q else mul(x.num, _divide(q, x.den, n), n)
+                   for x in f.coords]}
+    # D_I = d_k D_(I - e_k) / I_k, k the first index I uses, along the
+    # degree-major enumeration; every division is exact.
     for I in indices:
         if I not in cache:
             k = next(i for i, e in enumerate(I) if e)
             parent = I[:k] + (I[k] - 1,) + I[k + 1:]
-            cache[I] = [entry.partial(k) for entry in cache[parent]]
-        factorial = multi_index_factorial(I)
-        if factorial == 1:
-            rows.append(list(cache[I]))
-        else:
-            scale = Fraction(1, factorial)
-            rows.append([entry * scale for entry in cache[I]])
-    return rows
+            cache[I] = [partial(entry, k, n, I[k]) for entry in cache[parent]]
+    # Through a list, as in ExactMatrix.transpose: tuple() of a zip
+    # resizes its result, which fills CPython's tuple free lists.
+    return tuple(list(zip(*[cache[I] for I in indices])))
 
 
 class JetMatrix:
     """Matrix of divided derivatives D_I x_j, |I| <= order.
 
-    `matrix` is M, one row per D_I and one column per coordinate, and
-    `transposed` is M^T, which rank, RREF and prefix ranks read.  A
-    generic jet matrix holds M, and M^T is its transpose.  A point jet
-    matrix holds M^T on integers: row j is x_j's Taylor numerators over
-    `dens[j]`, and a scaled row has the same rank, pivot columns and
-    RREF; M, over Fractions, is built from it when first read."""
+    `matrix` is M, one row per D_I and one column per coordinate.  Rank,
+    RREF and prefix ranks read `transposed`, M^T on integers: a scaled
+    row has the same rank, pivot columns and RREF.  At a point row j is
+    x_j's Taylor numerators, without their denominator.
+    Generically it is the jets of y_j, the integer numerator of Q x_j
+    (`_derivative_rows`), which give the same prefix ranks, kernels and
+    |I| = m echelon blocks.  M is built only when read: over Fractions
+    from the point rows, over Q(u) by `RationalFunction.hasse_derivative`
+    of the coordinates."""
 
-    __slots__ = ("order", "row_indices", "point", "params", "_matrix", "_transposed",
-                 "_dens")
+    __slots__ = ("order", "row_indices", "point", "params", "transposed", "_matrix",
+                 "_columns")
 
     def __init__(self, order: int, row_indices: tuple[Exponents, ...], point,
-                 params: tuple[str, ...], matrix: ExactMatrix | None = None,
-                 transposed: ExactMatrix | None = None, dens: Sequence[int] = ()):
+                 params: tuple[str, ...], transposed: ExactMatrix, columns: Sequence):
+        """`columns` gives M column by column: the coordinates
+        generically, the denominators of the rows of M^T at a point."""
         self.order = order
         self.row_indices = row_indices
         self.point = point
         self.params = params
-        self._matrix = matrix
-        self._transposed = transposed
-        self._dens = dens
+        self.transposed = transposed
+        self._matrix = None
+        self._columns = columns
 
     @property
     def matrix(self) -> ExactMatrix:
         if self._matrix is None:
-            columns = [[Fraction(v, d) if v else _ZERO for v in row]
-                       for row, d in zip(self._transposed.rows, self._dens)]
-            self._matrix = ExactMatrix._trusted(tuple(zip(*columns)), RationalField(),
-                                                len(columns))
+            if self.point is None:
+                rows = tuple([tuple([x.hasse_derivative(I) for x in self._columns])
+                              for I in self.row_indices])
+            else:
+                rows = tuple(zip(*[[Fraction(v, d) if v else _ZERO for v in row]
+                                   for row, d in zip(self.transposed.rows, self._columns)]))
+            self._matrix = ExactMatrix._trusted(rows, self.transposed.field,
+                                                self.transposed.nrows)
         return self._matrix
-
-    @matrix.setter
-    def matrix(self, value: ExactMatrix) -> None:
-        self._matrix = value
-        self._transposed = None
-
-    @property
-    def transposed(self) -> ExactMatrix:
-        if self._transposed is None:
-            self._transposed = self._matrix.transpose()
-        return self._transposed
 
     def prefix_end(self, order: int) -> int:
         """Number of rows with |I| <= order, for order <= self.order:
@@ -221,15 +234,14 @@ class JetMatrix:
 
     def prefix_for_rank(self, order: int) -> ExactMatrix:
         """A matrix with the rank of the order-`order` jet matrix, for an
-        elimination of its own: at a point the first prefix_end(order)
-        columns of the integer M^T, generically the rows of
-        prefix(order), which eliminate faster over Q(u) than the columns
-        of M^T (about 25% on the `generic` benchmark's jet matrices)."""
-        if self.point is None:
-            return self.prefix(order)
+        elimination of its own: the first prefix_end(order) columns of
+        the integer M^T; generically their transpose, which eliminates
+        faster over Z[u] (about 30% on the `generic` benchmark's jet
+        matrices)."""
         end = self.prefix_end(order)
         t = self.transposed
-        return ExactMatrix._trusted(tuple([row[:end] for row in t.rows]), t.field, end)
+        columns = ExactMatrix._trusted(tuple([row[:end] for row in t.rows]), t.field, end)
+        return columns.transpose() if self.point is None else columns
 
     def order_ranks(self) -> list[int]:
         """Ranks of the order-0 through order-`order` jet matrices, from
@@ -289,17 +301,16 @@ def jet_matrix(f: Parameterization, m: int, point: Sequence | None = None) -> Je
     _check_jet_order(f, m)
     indices = multi_indices_upto(f.source_dim, m)
     if point is None:
-        matrix = ExactMatrix._trusted(tuple([tuple(r) for r in _derivative_rows(f, indices)]),
-                                      FunctionField(f.params), len(f.coords))
-        return JetMatrix(m, indices, None, f.params, matrix=matrix)
+        transposed = ExactMatrix._trusted(_derivative_rows(f, indices),
+                                          FunctionField(f.params), len(indices))
+        return JetMatrix(m, indices, None, f.params, transposed, f.coords)
     point = _rational_point(f, point)
     jets = taylor_jets(f.coords, point, m, indices)
     # The first column of M^T is D_0: the coordinates' values at the point.
     _check_projective(point, [nums[0] for nums, _ in jets])
     transposed = ExactMatrix._trusted(tuple([nums for nums, _ in jets]), RationalField(),
                                       len(indices))
-    return JetMatrix(m, indices, point, f.params, transposed=transposed,
-                     dens=[den for _, den in jets])
+    return JetMatrix(m, indices, point, f.params, transposed, [den for _, den in jets])
 
 
 class OsculatingProfile:

@@ -7,7 +7,6 @@ from .poly import (
     Polynomial,
     degree_block,
     grlex_key,
-    multi_index_factorial,
     multi_indices_upto,
 )
 from .ratfunc import RationalFunction
@@ -48,7 +47,6 @@ __all__ = [
     "QuotientRingElement",
     "degree_block",
     "grlex_key",
-    "multi_index_factorial",
     "multi_indices_upto",
     "binary_coefficients",
     "binary_form_gcd",

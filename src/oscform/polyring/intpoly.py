@@ -121,6 +121,25 @@ def mul(a: IntPoly, b: IntPoly, n: int) -> IntPoly:
     return acc
 
 
+def dot(a: Iterable[IntPoly], b: Iterable[IntPoly], n: int) -> IntPoly:
+    """sum_i a_i * b_i, in one accumulator."""
+    acc: IntPoly = {}
+    get = acc.get
+    for x, y in zip(a, b):
+        if not (x and y):
+            continue
+        if (max(x) + max(y)) >> top(n) > MAX_DEGREE:
+            raise DomainError(f"polynomial degree exceeds {MAX_DEGREE}")
+        y_items = y.items()
+        for kx, cx in x.items():
+            for ky, cy in y_items:
+                k = kx + ky
+                acc[k] = get(k, 0) + cx * cy
+    if 0 in acc.values():
+        return {k: v for k, v in acc.items() if v}
+    return acc
+
+
 def power(p: IntPoly, e: int, n: int) -> IntPoly:
     result = ONE
     while e:
@@ -156,14 +175,15 @@ def divides(d: int, k: int, n: int) -> bool:
     return spare >= 0
 
 
-def partial(p: IntPoly, i: int, n: int) -> IntPoly:
-    """The first partial derivative in x_(i+1)."""
+def partial(p: IntPoly, i: int, n: int, divisor: int = 1) -> IntPoly:
+    """The first partial derivative in x_(i+1), divided by `divisor`,
+    which must divide each of its coefficients."""
     step = unit(i, n)
     out: IntPoly = {}
     for k, c in p.items():
         e = exponent(k, i, n)
         if e:
-            out[k - step] = c * e
+            out[k - step] = c * e // divisor
     # Distinct monomials have distinct derivatives: no cancellation.
     return out
 

@@ -10,14 +10,15 @@ lexicographic order, so for variables (x, y) the degree-2 block is
 x^2, x*y, y^2.
 
 A Polynomial takes ordinary partials.  The divided (Hasse) derivatives
-D_I = (1/I!) * d^I that build jet matrices are taken on
-`RationalFunction`, the type the coordinates are held in.
+D_I = (1/I!) * d^I that build generic jet matrices are taken on the
+coordinates' integer numerators (`jets._derivative_rows`), and on
+`RationalFunction`, the type the coordinates are held in, where the true
+D_I x_j is read.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -53,13 +54,6 @@ def multi_indices_upto(nvars: int, max_degree: int) -> tuple[Exponents, ...]:
     """Exponent tuples of degree 0..max_degree, degree-major order.
     Cached: callers share the tuple."""
     return tuple(exps for d in range(max_degree + 1) for exps in degree_block(nvars, d))
-
-
-def multi_index_factorial(exps: Exponents) -> int:
-    result = 1
-    for e in exps:
-        result *= math.factorial(e)
-    return result
 
 
 _ZERO = Fraction(0)

@@ -30,7 +30,7 @@ from typing import Sequence, Union
 
 from ..errors import DenominatorVanishes, VariableMismatch, ZeroDivisionRequested
 from . import intpoly as ip
-from .gcd import cofactors
+from .gcd import _divide, cofactors
 from .intpoly import ONE, IntPoly, is_one
 from .poly import Polynomial, _coerce_scalar
 
@@ -295,6 +295,20 @@ def _reduced(variables: tuple[str, ...], scale: Fraction, top: IntPoly,
     if not (is_one(den) or is_one(top)):
         _, top, den = cofactors(top, den, len(variables))
     return RationalFunction._trusted(variables, scale * content, top, den)
+
+
+def _reduced_by_linear(variables: tuple[str, ...], scale: Fraction, top: IntPoly,
+                      den: IntPoly) -> RationalFunction:
+    """_reduced for a primitive den of total degree 1.  Such a den is
+    irreducible, so gcd(top, den) is 1 or den, and one exact division
+    tells which: no gcd runs."""
+    if not top:
+        return _zero(variables)
+    content, top = ip.primitive(top)
+    quotient = _divide(top, den, len(variables))
+    if quotient is None:
+        return RationalFunction._trusted(variables, scale * content, top, den)
+    return RationalFunction._trusted(variables, scale * content, quotient, ONE)
 
 
 def _combination(sx: Fraction, a: IntPoly, sy: Fraction, b: IntPoly) -> tuple[Fraction, IntPoly]:

@@ -43,7 +43,15 @@ from .errors import (
     NotASurfaceInP3,
     SingularPoint,
 )
-from .exactla import ExactMatrix, RationalField, Subspace, prefix_ranks, rank, rref
+from .exactla import (
+    ExactMatrix,
+    RationalField,
+    Subspace,
+    column_prefix_ranks,
+    prefix_ranks,
+    rank,
+    rref,
+)
 from .fundforms import LinearSystem, fundamental_form
 from .jets import ImplicitVariety, JetMatrix, Parameterization, jet_matrix, point_expansions
 from .polyring import (
@@ -59,7 +67,7 @@ from .polyring import (
     sylvester_resultant,
     truncated_compose,
 )
-from .polyring.intpoly import MAX_DEGREE
+from .polyring.intpoly import MAX_DEGREE, IntPoly, pack
 from .polyring.series import ZERO_PIECE, jet_rows
 from .report import fmt_point
 
@@ -325,40 +333,39 @@ def pushdown_rank_check(spec: ScrollSpec, orders: Sequence[int]) -> list[Pushdow
     reproduce the binomial rows C(j,k) t^{j-k} blockwise.
     """
     jm = _scroll_jets(spec, orders)
-    params = jm.params
-    t = Polynomial.variable(params, "t")
-    one, zero = Polynomial.constant(params, 1), Polynomial.zero(params)
-    # Column c holds the coordinate s_b t^j for (b, j) = columns[c], with s_0 = 1.
+    # Row c of the integer M^T holds the jets of the coordinate s_b t^j
+    # for (b, j) = columns[c], with s_0 = 1; its scale is 1, so the row
+    # is those jets exactly.
     columns = [(b, j) for b, d in enumerate(spec.degrees) for j in range(d + 1)]
-    scales = [one] + [Polynomial.variable(params, s) for s in params[1:]]
     # The fiber exponents of s_b; those of s_0 = 1 are all zero.
     units = [tuple([int(i == b - 1) for i in range(spec.fiber_count)])
              for b in range(len(spec.degrees))]
 
-    def expected(k: int, fiber: tuple[int, ...], b: int, j: int) -> Polynomial:
+    def expected(k: int, fiber: tuple[int, ...], b: int, j: int) -> IntPoly:
         """D_(k, fiber)(s_b t^j): C(j,k) t^(j-k) times s_b when the fiber
         part is 0, times 1 when it is the unit vector of s_b, else 0."""
         if j < k:
-            return zero
+            return {}
         if not any(fiber):
-            return scales[b] * comb(j, k) * t ** (j - k)
-        return comb(j, k) * t ** (j - k) if fiber == units[b] else zero
+            return {pack((j - k,) + units[b]): comb(j, k)}
+        return {pack((j - k,) + units[0]): comb(j, k)} if fiber == units[b] else {}
 
     # The smallest |I| of a row off the pattern: the orders below it keep
     # their structure.
-    field = jm.matrix.field
-    broken = min((sum(I) for I, row in zip(jm.row_indices, jm.matrix.rows)
-                  if any(entry != field.coerce(expected(I[0], I[1:], b, j))
-                         for (b, j), entry in zip(columns, row))),
+    rows = jm.transposed.rows
+    broken = min((sum(I) for i, I in enumerate(jm.row_indices)
+                  if any(row[i] != expected(I[0], I[1:], b, j)
+                         for (b, j), row in zip(columns, rows))),
                  default=jm.order + 1)
 
-    pure_rows = [i for i, I in enumerate(jm.row_indices) if not any(I[1:])]
+    pure = [i for i, I in enumerate(jm.row_indices) if not any(I[1:])]
     ends = [m + 1 for m in orders]
     per_block = []
     lo = 0
     for d in spec.degrees:
-        block = [[jm.matrix[i, j] for j in range(lo, lo + d + 1)] for i in pure_rows]
-        per_block.append(prefix_ranks(ExactMatrix(block, field=field), ends))
+        block = tuple([tuple([row[i] for i in pure]) for row in rows[lo:lo + d + 1]])
+        per_block.append(column_prefix_ranks(
+            ExactMatrix._trusted(block, jm.transposed.field, len(pure)), ends))
         lo += d + 1
 
     reports = []

@@ -19,6 +19,7 @@ import pytest
 from oscform import cli, exactla, ruled
 from oscform.cli import main
 from oscform.gallery import example_names, example_text
+from oscform.polyring import RationalFunction, parse_rational
 from oscform.varfile import parse_variety, print_variety
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -670,3 +671,57 @@ def test_golden_reports(capsys, examples, name):
     code, out, err = run(capsys, argv)
     assert code == 0, err
     assert out == (GOLDEN / f"{name}.txt").read_text()
+
+
+def test_monge_prints_a_piece_above_the_order_as_not_computed(capsys, monkeypatch):
+    text = ("kind: parameterization\nparams: x y\n"
+            "coords: 1 + x*y, x + y^2, y - x^2, x^3 + 2*y^3 - x*y\n")
+    reports = {}
+    for order in ("3", "4"):
+        code, out, err = run_stdin(capsys, monkeypatch,
+                                   ["monge", "--order", order, "--at=1/3,2"], text)
+        assert code == 0, err
+        reports[order] = {line.split(": ")[0]: line for line in out.splitlines()}
+    assert reports["3"]["f4"] == "f4: not computed"
+    assert reports["4"]["f4"].startswith("f4: -31894754142/127187639389*x1^4 + ")
+    for key in ("f2", "f3", "resultant", "intersects"):
+        assert reports["3"][key] == reports["4"][key]
+
+
+# Rational surfaces in Q(x, y): the first has one denominator, the second
+# two coprime ones, so the product of the denominators is their lcm.
+RATIONAL_SURFACES = [
+    ["1", "x", "y", "x*y^2", "x^2*y", "y^2/(x - 1)"],
+    ["1", "x", "y", "x*y^2/(y + 1)", "x^2*y", "y^2/(x - 1) + x"],
+]
+
+
+@pytest.mark.parametrize("coords", RATIONAL_SURFACES, ids=["one-denominator", "two"])
+@pytest.mark.parametrize("argv", [
+    ["fundform", "--order", "2"],
+    ["fundform", "--order", "3"],
+    ["jacobian-check", "--order", "3"],
+    ["phibar-check", "--order", "2"],
+    ["phibar-check", "--order", "3"],
+    ["osc", "--order", "3", "--max"],
+], ids=" ".join)
+def test_generic_reports_of_a_rational_surface_equal_its_cleared_twins(
+        capsys, monkeypatch, coords, argv):
+    # Multiplying every coordinate by the common denominator Q changes
+    # the parameterization, not the surface: the generic reports agree
+    # byte for byte.
+    xy = ("x", "y")
+    values = [parse_rational(c, xy) for c in coords]
+    q = RationalFunction.from_scalar(xy, 1)
+    for v in values:
+        q = q * v.denominator
+    assert all((v * q).is_polynomial() for v in values)
+    twin = [str(v * q) for v in values]
+
+    def report(cs):
+        text = f"kind: parameterization\nparams: x y\ncoords: {', '.join(cs)}\n"
+        code, out, err = run_stdin(capsys, monkeypatch, argv, text)
+        assert code == 0, err
+        return out
+
+    assert report(coords) == report(twin)

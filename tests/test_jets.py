@@ -44,6 +44,7 @@ from oscform.jets import (
     osculating_space,
 )
 from oscform.gallery import example_names, example_text
+from oscform.polyring import intpoly
 from oscform.polyring import (
     Polynomial,
     RationalFunction,
@@ -241,6 +242,51 @@ def test_point_jet_matrix_is_the_symbolic_one_evaluated():
         assert at_point.matrix.rows == tuple(
             tuple(entry.evaluate(point) for entry in row) for row in generic.matrix.rows)
         checked += 1
+
+
+def assert_generic_rows_are_hasse_derivatives(f, m):
+    """Row j of the generic integer M^T is D_I y_j, with y_j a constant
+    multiple of Q x_j and Q one polynomial for all j; M is D_I x_j."""
+    jm = jet_matrix(f, m, None)
+    params = f.params
+
+    def rational(p):
+        return RationalFunction(intpoly.to_poly(p, params, Fraction(1)))
+
+    integer = jm.transposed
+    assert integer.nrows == len(f.coords) and integer.ncols == len(jm.row_indices)
+    assert all(type(e) is dict for row in integer.rows for e in row)
+    common = None
+    for x, row in zip(f.coords, integer.rows):
+        y = rational(row[0])
+        if x.is_zero:
+            assert not any(row)
+            continue
+        q = y / x
+        assert q.is_polynomial()
+        if common is None:
+            common = q
+        assert (q / common).is_constant()
+        for I, entry in zip(jm.row_indices, row):
+            assert rational(entry) == y.hasse_derivative(I)
+    assert jm.matrix.rows == tuple(tuple(x.hasse_derivative(I) for x in f.coords)
+                                   for I in jm.row_indices)
+    return common
+
+
+def test_generic_integer_rows_are_hasse_derivatives_of_the_cleared_coordinates():
+    rng = random.Random(2641)
+    rational = 0
+    for checked in range(24):
+        nparams = 1 + checked % 3
+        f = random_parameterization(rng, nparams)
+        f = Parameterization(f.params, list(f.coords) + [0])
+        common = assert_generic_rows_are_hasse_derivatives(f, 1 + checked % 4)
+        rational += not common.is_constant()
+    assert rational >= 12
+    # A truncated series chart: polynomial coordinates, so Q = 1.
+    series = jet_parameterize(circle(), 5)
+    assert assert_generic_rows_are_hasse_derivatives(series, 4).is_constant()
 
 
 def test_integer_transpose_answers_as_the_fraction_matrix_does():

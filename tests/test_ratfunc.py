@@ -13,7 +13,7 @@ import pytest
 
 from oscform.polyring import Polynomial, RationalFunction, parse_polynomial
 from oscform.polyring import gcd as G
-from oscform.polyring import intpoly
+from oscform.polyring import intpoly, ratfunc
 
 VARS = ("x", "y", "z")
 
@@ -384,3 +384,33 @@ def test_monomial_cofactors_match_the_oracle(monkeypatch, variables, pairs):
     point = tuple(Fraction(i + 2) for i in range(len(variables)))
     check_against_oracle(variables, pairs, point, (1,) * len(variables))
     assert any(len(a) > 1 or len(b) > 1 for a, b in calls)
+
+
+def test_reduction_by_a_linear_denominator_matches_the_gcd_path(monkeypatch):
+    # A linear denominator is irreducible, so one exact division stands in
+    # for the gcd: numerators it divides, negative leads, integer content
+    # and 1-3 variables, against `_reduced`, which runs the gcd.
+    rng = random.Random(2611)
+    checked = divided = 0
+    while checked < 400:
+        variables = VARS[: rng.randint(1, 3)]
+        n = len(variables)
+        linear = random_polynomial(rng, variables, max_degree=1, terms=3)
+        if linear.is_zero or linear.total_degree() != 1:
+            continue
+        den = intpoly.from_poly(linear)[1]
+        top = random_polynomial(rng, variables, max_degree=3, terms=rng.randint(0, 4))
+        top = {k: c * rng.choice((-6, -1, 1, 2)) for k, c in intpoly.from_poly(top)[1].items()}
+        if rng.random() < 0.5:
+            top = intpoly.mul(top, den, n)
+            divided += bool(top)
+        scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        expected = ratfunc._reduced(variables, scale, top, den)
+        assert ratfunc._reduced_by_linear(variables, scale, top, den) == expected
+        checked += 1
+    assert divided > 100
+    # No gcd runs on the way.
+    monkeypatch.setattr(ratfunc, "cofactors", None)
+    x = intpoly.from_poly(P("x - 2*y"))[1]
+    assert ratfunc._reduced_by_linear(VARS, Fraction(1), intpoly.mul(x, x, 3), x) == \
+        RationalFunction(P("x - 2*y"))

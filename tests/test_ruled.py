@@ -23,6 +23,7 @@ from oscform.errors import (
 from oscform.exactla import ExactMatrix, RationalField, Subspace, kernel_basis, rank
 from oscform.jets import ImplicitVariety, Parameterization
 from oscform.polyring import Polynomial, parse_polynomial, parse_rational
+from oscform.polyring import intpoly
 from oscform.ruled import (
     RuledParameterization,
     ScrollSpec,
@@ -113,16 +114,18 @@ def test_pushdown_blocks_match_line_bundle_ranks():
 
 @pytest.mark.parametrize("broken", [(1, 1), (2, 0), (0, 2)])
 def test_pushdown_structure_fails_from_the_order_of_a_broken_row(monkeypatch, broken):
-    # Perturb the first entry of one row of the jet matrix: the orders
-    # below that row's |I| keep their structure, the others lose it.
+    # Perturb the first entry of one row of the jet matrix, D_I of the
+    # first coordinate, in the integer M^T: the orders below that row's
+    # |I| keep their structure, the others lose it.
     original = ruled.jet_matrix
 
     def perturbed(f, m, point):
         jm = original(f, m, point)
-        rows = [list(row) for row in jm.matrix.rows]
+        t = jm.transposed
+        rows = [list(row) for row in t.rows]
         i = jm.row_indices.index(broken)
-        rows[i][0] = rows[i][0] + 1
-        jm.matrix = ExactMatrix(rows, field=jm.matrix.field)
+        rows[0][i] = intpoly.combine(rows[0][i], 1, intpoly.ONE, 1)
+        jm.transposed = ExactMatrix._trusted(tuple(map(tuple, rows)), t.field, t.ncols)
         return jm
 
     monkeypatch.setattr(ruled, "jet_matrix", perturbed)
