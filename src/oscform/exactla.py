@@ -316,11 +316,12 @@ class _IntegerRows:
 
 class _PolynomialRows:
     """A matrix over Q(u) as integer polynomial rows, for the loop in
-    `_eliminate`, by Bareiss's rule.
+    `_eliminate` and `integer_kernel`, by Bareiss's rule.
 
     Each row is multiplied by the integer lcm of its entries' scale
     denominators over the gcd of their numerators, and by the polynomial
-    lcm of their `den` parts.  A step replaces every entry a of a row,
+    lcm of their `den` parts; a trusted row of integer polynomials is
+    taken as it is.  A step replaces every entry a of a row,
     also one with head 0 and, in a reduced pass, one above the pivot, by
     (p a - h b) / prev: h is the row's head, b the pivot row's entry and
     prev the previous pivot.  The division is exact, since the entries
