@@ -78,7 +78,7 @@ from typing import Iterable, Sequence, Union
 
 from .errors import AmbientMismatch, InvariantViolation, ShapeMismatch
 from .polyring import Polynomial, RationalFunction
-from .polyring.gcd import _divide, cofactors
+from .polyring.gcd import _divide, polynomial_lcm
 from .polyring.intpoly import ONE, IntPoly, combine, is_one, mul, primitive, top
 from .polyring.ratfunc import _reduced, _reduced_by_linear, _zero
 
@@ -349,10 +349,7 @@ class _PolynomialRows:
         nonzero = [e for e in row if e.num]
         if not nonzero:
             return [e.num for e in row]
-        den = ONE
-        for e in nonzero:
-            if not (e.den == den or is_one(e.den)):
-                den = e.den if is_one(den) else mul(den, cofactors(den, e.den, n)[2], n)
+        den = polynomial_lcm([e.den for e in nonzero], n)
         scales = [e.scale for e in nonzero]
         top = gcd(*[s._numerator for s in scales])
         bottom = lcm(*[s._denominator for s in scales])

@@ -65,8 +65,8 @@ from .polyring import (
     taylor_jets,
     truncated_compose,
 )
-from .polyring.gcd import _divide, cofactors
-from .polyring.intpoly import MAX_DEGREE, ONE, IntPoly, is_one, mul, partial
+from .polyring.gcd import _divide, polynomial_lcm
+from .polyring.intpoly import MAX_DEGREE, IntPoly, mul, partial
 from .report import fmt_point
 
 _ZERO = Fraction(0)
@@ -162,10 +162,7 @@ def _derivative_rows(f: Parameterization, indices: Sequence[Exponents]
     those scales, and the span of the forms sum_j g_j D_I x_j on
     |I| = m, g in K_(m-1), which only Q multiplies, are those of M."""
     n = f.source_dim
-    q = ONE
-    for x in f.coords:
-        if not (x.den == q or is_one(x.den)):
-            q = x.den if is_one(q) else mul(q, cofactors(q, x.den, n)[2], n)
+    q = polynomial_lcm([x.den for x in f.coords], n)
     cache: dict[Exponents, list[IntPoly]] = {
         (0,) * n: [x.num if x.den == q else mul(x.num, _divide(q, x.den, n), n)
                    for x in f.coords]}

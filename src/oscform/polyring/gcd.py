@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 from math import gcd, isqrt
+from typing import Iterable
 
 from ..errors import InvariantViolation
 from .intpoly import (
@@ -62,6 +63,16 @@ def cofactors(a: IntPoly, b: IntPoly, n: int) -> tuple[IntPoly, IntPoly, IntPoly
         return ({k: -c for k, c in g.items()}, {k: -c for k, c in qa.items()},
                 {k: -c for k, c in qb.items()})
     return g, qa, qb
+
+
+def polynomial_lcm(polys: Iterable[IntPoly], n: int) -> IntPoly:
+    """The lcm of primitive polynomials in n variables, primitive; 1 for
+    none."""
+    out = ONE
+    for p in polys:
+        if not (p == out or p == ONE):
+            out = p if out == ONE else mul(out, cofactors(out, p, n)[2], n)
+    return out
 
 
 def _monomial_cofactors(a: IntPoly, b: IntPoly, n: int) -> tuple[IntPoly, IntPoly, IntPoly]:
