@@ -43,19 +43,30 @@ from .ruled import (
     ruled_surface_diagnostic,
     ruling_fixed_component_check,
     scroll,
+    scroll_jets,
     scroll_rank_check,
 )
 from .varfile import build_variety, parse_variety
 
 
+class _Unreadable(Exception):
+    """The input file could not be read; the CLI exits 1."""
+
+
 def _read_text(path: str) -> tuple[str, str]:
-    if path == "-":
-        return sys.stdin.read(), "<stdin>"
-    # Not pathlib, which interns each part of the path: a process that
-    # reads many files then keeps rebuilding the interned-string table,
-    # holding the old and the new one at once.
-    with open(path, encoding="utf-8") as handle:
-        return handle.read(), path
+    name = "<stdin>" if path == "-" else path
+    try:
+        if path == "-":
+            return sys.stdin.read(), name
+        # Not pathlib, which interns each part of the path: a process that
+        # reads many files then keeps rebuilding the interned-string table,
+        # holding the old and the new one at once.
+        with open(path, encoding="utf-8") as handle:
+            return handle.read(), name
+    except UnicodeDecodeError as exc:
+        raise _Unreadable(f"{name}: {exc}") from None
+    except OSError as exc:
+        raise _Unreadable(str(exc)) from None
 
 
 def _parse_rational_tuple(text: str, flag: str) -> tuple[Fraction, ...]:
@@ -232,7 +243,9 @@ def _cmd_scroll(args) -> Report:
         raise DomainError("the scroll command needs a file with kind: scroll")
     orders = list(range(1, spec.degrees[0] + 1)) if args.order is None else [args.order]
     report.mode = "generic-symbolic"
-    checks = list(zip(scroll_rank_check(spec, orders), pushdown_rank_check(spec, orders)))
+    jets = scroll_jets(spec, orders)
+    checks = list(zip(scroll_rank_check(spec, orders, jets),
+                      pushdown_rank_check(spec, orders, jets)))
     for rc, pd in checks:
         report.add(
             f"m={rc.order}",
@@ -523,7 +536,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except _Unreadable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -45,6 +45,9 @@ Every question below costs one run of that loop:
 - `integer_kernel(M)`, over Q(u): the same basis times the last pivot,
   on integer polynomials, read off the reduced pass before any entry
   is divided; the phibar check differentiates these;
+- `integer_rref(M)`, over Q: the RREF as integer rows over positive
+  denominators, read off the reduced pass as it stands; the Monge chart
+  of a parameterization reads its inverse there;
 - `row_space(M)`: the canonical basis of the row space.
 
 `kernel_basis(M)` wraps `kernel_vectors` in the checked `Subspace`
@@ -501,6 +504,24 @@ def integer_kernel(matrix: ExactMatrix) -> tuple[list[list[IntPoly]], IntPoly]:
                 g[p] = {k: -c for k, c in v.items()}
         vectors.append(g)
     return vectors, d
+
+
+def integer_rref(matrix: ExactMatrix) -> tuple[list[tuple[list[int], int]], list[int]]:
+    """The reduced row echelon form of a matrix over Q on integers, read
+    off one reduced pass of primitive rows, and its pivot columns.
+
+    After the pass row i holds its pivot p_i at column pivots[i] and
+    zeros at every other pivot column, so row i of the RREF is
+    row_i / p_i.  There is one (row, p) pair per pivot, the row negated
+    where needed so that p > 0; a row is primitive, so it shares no
+    factor with p.  That is `rref` with no Fraction built."""
+    ring = _IntegerRows(matrix, False)
+    pivots, _ = _echelon(ring, matrix.ncols, True)
+    out = []
+    for row, c in zip(ring.rows, pivots):
+        p = row[c]
+        out.append((row, p) if p > 0 else ([-v for v in row], -p))
+    return out, pivots
 
 
 class RrefResult:

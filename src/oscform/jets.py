@@ -67,6 +67,7 @@ from .polyring import (
 )
 from .polyring.gcd import _divide, polynomial_lcm
 from .polyring.intpoly import MAX_DEGREE, IntPoly, mul, partial
+from .polyring.series import jet_rows
 from .report import fmt_point
 
 _ZERO = Fraction(0)
@@ -275,7 +276,8 @@ def point_expansions(f: Parameterization, order: int, point: Sequence
     at the point."""
     point = _rational_point(f, point)
     expansions = taylor_expansions(f.coords, point, order)
-    _check_projective(point, [e.coefficient((0,) * f.source_dim) for e in expansions])
+    _check_projective(point, [nums[0] for nums, _ in
+                              jet_rows(expansions, ((0,) * f.source_dim,))])
     return point, expansions
 
 

@@ -49,11 +49,14 @@ jet matrix's transpose, scaled.  `_shift` and `_compose` remain for the
 Newton solve and truncated_compose.
 
 graph_series writes a parameterized surface chart as a graph
-x3 = f(x1, x2).  The chart coordinates are the identity to first order,
+x3 = f(x1, x2), from the chart inverse's integer rows over positive
+denominators.  The chart coordinates are the identity to first order,
 so f is solved degree by degree on integers, with no reversion: one
-`_combine` per degree subtracts the new piece of f, over cached products
-t1^a t2^b kept in lowest terms, which at the top degree are u1^a u2^b;
-the residual left at the end certifies it.  It returns the homogeneous
+`_combine` per degree below the top subtracts the new piece of f, over
+cached products t1^a t2^b kept in lowest terms, the cache starting from
+t1 and t2; at the top degree t1^a t2^b is u1^a u2^b, so the piece is
+the residual's top block and nothing is multiplied.  The residual left
+at the end certifies it.  It returns the homogeneous
 pieces of f as integer coefficient vectors, which the ruledness
 diagnostic reads as they are; every zero piece is one shared empty
 vector (ZERO_PIECE), so a high order costs nothing per zero degree.
@@ -459,7 +462,7 @@ def jet_rows(series: Sequence[_Series], indices: Sequence[tuple[int, ...]]
 ZERO_PIECE: tuple[list[int], int] = ([], 1)
 
 
-def graph_series(expansions: Sequence[_Series], mixing: Sequence[Sequence[Fraction]],
+def graph_series(expansions: Sequence[_Series], mixing: Sequence[tuple[Sequence[int], int]],
                  order: int) -> list[tuple[list[int], int]]:
     """The graph x3 = f(x1, x2) of a surface chart, through degree `order`,
     as its homogeneous pieces on integers: entry m, for m = 0..order, is
@@ -468,25 +471,25 @@ def graph_series(expansions: Sequence[_Series], mixing: Sequence[Sequence[Fracti
     zero f_m is the shared ZERO_PIECE, whose vector is empty.
 
     `expansions` are four series in two variables (u1, u2), as
-    taylor_expansions returns them.  The chart coordinates are
-    z = mixing . expansions and t_i = z_i / z_0, and the mixing must
-    make t1 = u1 + O(2) and t2 = u2 + O(2).  Then the f with
-    f(t1, t2) = t3 is unique, and its degree-d part is the degree-d part
-    of the running residual t3 - f_<d(t1, t2); each step subtracts
-    f_d(t1, t2), built from cached products t1^a t2^b.  Raises
-    SingularPoint when z_0 has no constant term, and InvariantViolation
-    unless the first-order condition holds and the final residual
-    vanishes through `order`.
+    taylor_expansions returns them.  `mixing` holds four integer rows,
+    each over a positive denominator, as `exactla.integer_rref` gives
+    them: the chart coordinates are z_i = (row_i . expansions) / den_i
+    and t_i = z_i / z_0, and the mixing must make t1 = u1 + O(2) and
+    t2 = u2 + O(2).  Then the f with f(t1, t2) = t3 is unique, and its
+    degree-d part is the degree-d part of the running residual
+    t3 - f_<d(t1, t2); each step subtracts f_d(t1, t2), built from
+    cached products t1^a t2^b, the cache starting from t1 and t2.
+    Raises SingularPoint when z_0 has no constant term, and
+    InvariantViolation unless the first-order condition holds and the
+    final residual vanishes through `order`.
     """
     _check_degree(order)
     nvars = 2
     limit = ip.limit(nvars, order)
-    z = []
-    for row in mixing:
-        # z_i = sum(m * den * c) / den over the row's common denominator.
-        den = math.lcm(*[m.denominator for m in row])
-        z.append(_combine([(m.numerator * (den // m.denominator), _Series(c.nums, c.den * den))
-                           for m, c in zip(row, expansions) if m], limit))
+    # z_i = sum(m * c) / den: each expansion c taken over c.den * den.
+    z = [_combine([(m, _Series(c.nums, c.den * den)) for m, c in zip(row, expansions) if m],
+                  limit)
+         for row, den in mixing]
     if not z[0].nums.get(0):
         raise SingularPoint("chart normalization failed at the point")
     inverse_z0 = _inverse(z[0], nvars, order)
@@ -497,7 +500,7 @@ def graph_series(expansions: Sequence[_Series], mixing: Sequence[Sequence[Fracti
             raise InvariantViolation("chart coordinates are not the identity to first order")
     # f and the t_i both have two variables, so the key of x1^a x2^b is
     # that of u1^a u2^b: products[k] holds t1^a t2^b for that key.
-    products = {0: _ONE}
+    products = {0: _ONE, _KEY_1: t1, _KEY_2: t2}
     pieces = [ZERO_PIECE] * (order + 1)
     for d in range(order + 1):
         low, high = ip.limit(nvars, d - 1), ip.limit(nvars, d)
@@ -511,11 +514,15 @@ def graph_series(expansions: Sequence[_Series], mixing: Sequence[Sequence[Fracti
         den = residual.den
         g = math.gcd(den, *vector)
         pieces[d] = ([c // g for c in vector], den // g)
-        # residual - f_d(t1, t2), f_d(t1, t2) = sum(v * t1^a t2^b) / den.  At
-        # the top degree t1^a t2^b is u1^a u2^b, as t = u + O(2).
+        if d == order:
+            # At the top degree t1^a t2^b is u1^a u2^b, as t = u + O(2), so
+            # subtracting f_d(t1, t2) leaves the residual's terms below it.
+            residual = _Series({k: v for k, v in residual.nums.items() if k < low}, den)
+            break
+        # residual - f_d(t1, t2), f_d(t1, t2) = sum(v * t1^a t2^b) / den.
         parts = [(1, residual)]
         for k, v in block:
-            power = _product(products, k, t1, t2, limit) if d < order else _Series({k: 1}, 1)
+            power = _product(products, k, t1, t2, limit)
             parts.append((-v, _Series(power.nums, power.den * den)))
         residual = _combine(parts, limit)
     if residual.nums:

@@ -5,8 +5,9 @@ ruledness diagnostic.
 A ruled parameterization separates its parameters into base and fiber
 variables with every coordinate affine-linear in the fiber block; the
 fiber directions form the subspace {v_base = 0} of the tangent space.
-Scrolls are the special case over the projective line; each scroll
-check builds one jet matrix at the largest order asked and reads every
+Scrolls are the special case over the projective line, with monomial
+coordinates s_b t^j; the `scroll` command builds one jet matrix at the
+largest order asked (`scroll_jets`), and both scroll checks read every
 order off its leading rows.  The ruledness diagnostic for surfaces in
 P^3 works in a Monge chart at each sample point: the quadratic piece f2
 and the Fubini cubic f3 must share a zero (detected by the resultant),
@@ -15,10 +16,13 @@ at least 4; the output is evidence from finitely many points, never a
 proof.  The chart of a parameterized surface is the identity to first
 order in the parameters, so its graph is solved degree by degree
 (`polyring.series.graph_series`, certified by its final residual); one
-RREF of integer rows, the frame's Taylor numerators read off the same
-series, completes the frame to a basis and inverts it.  An implicit
-surface's chart takes its completion from the gradient and runs the
-Newton series solve.  Either way the graph's homogeneous pieces are
+integer RREF (`exactla.integer_rref`) of the frame's Taylor numerators,
+read off the same series, completes the frame to a basis and gives the
+chart's inverse as integer rows over positive denominators, which the
+graph solve takes as they are.  The chart itself, over Q, is built only
+when read (`monge` prints it; the diagnostic never reads it).  An
+implicit surface's chart takes its completion from the gradient and
+runs the Newton series solve.  Either way the graph's homogeneous pieces are
 held as integer coefficient vectors, and the diagnostic runs on them
 from the chart to the verdict (`polyring.binform`): the resultant, the
 rational zeros of the quadratic f2 in closed form, and Horner
@@ -35,7 +39,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .errors import (
     DegenerateSecondForm,
@@ -48,9 +52,9 @@ from .exactla import (
     RationalField,
     Subspace,
     column_prefix_ranks,
+    integer_rref,
     prefix_ranks,
     rank,
-    rref,
 )
 from .fundforms import LinearSystem, fundamental_form
 from .jets import ImplicitVariety, JetMatrix, Parameterization, jet_matrix, point_expansions
@@ -67,12 +71,14 @@ from .polyring import (
     sylvester_resultant,
     truncated_compose,
 )
-from .polyring.intpoly import MAX_DEGREE, IntPoly, pack
+from .polyring.intpoly import MAX_DEGREE, ONE, IntPoly, pack, unpack
 from .polyring.series import ZERO_PIECE, jet_rows
 from .report import fmt_point
 
 # Seed of the sample points and projections when the caller gives none.
 DEFAULT_SEED = 104729
+
+_UNIT = Fraction(1)
 
 
 class ScrollSpec:
@@ -126,13 +132,16 @@ class RuledParameterization:
         params = base_params + fiber_params
         underlying = Parameterization(params, coords, label=label)
         fiber_positions = [params.index(t) for t in fiber_params]
+        n = len(params)
         for c in underlying.coords:
-            for exps in c.denominator.terms:
+            for k in c.den:
+                exps = unpack(k, n)
                 if any(exps[i] for i in fiber_positions):
                     raise DomainError(
                         f"coordinate denominator {c.denominator} involves fiber parameters"
                     )
-            for exps in c.numerator.terms:
+            for k in c.num:
+                exps = unpack(k, n)
                 if sum(exps[i] for i in fiber_positions) > 1:
                     raise DomainError(
                         f"coordinate {c} is not affine-linear in the fiber parameters"
@@ -168,7 +177,9 @@ class RuledParameterization:
 
 
 def scroll(spec: ScrollSpec) -> RuledParameterization:
-    """The standard chart (t, s_1..s_e) -> (1 : t : ... : t^d0 : s_1 : s_1 t : ...)."""
+    """The standard chart (t, s_1..s_e) -> (1 : t : ... : t^d0 : s_1 : s_1 t : ...).
+
+    Each coordinate s_b t^j (s_0 = 1) is built as one monomial."""
     e = spec.fiber_count
     if e == 0:
         warnings.warn(
@@ -180,16 +191,17 @@ def scroll(spec: ScrollSpec) -> RuledParameterization:
     base = ("t",)
     fibers = tuple([f"s{i}" for i in range(1, e + 1)])
     params = base + fibers
-    t = Polynomial.variable(params, "t")
-    coords: list[Polynomial] = []
-    for j in range(spec.degrees[0] + 1):
-        coords.append(t ** j)
-    for i, d in enumerate(spec.degrees[1:], start=1):
-        s = Polynomial.variable(params, f"s{i}")
-        for j in range(d + 1):
-            coords.append(s * t ** j)
+    units = _fiber_units(spec)
+    coords = [RationalFunction._trusted(params, _UNIT, {pack((j,) + units[b]): 1}, ONE)
+              for b, d in enumerate(spec.degrees) for j in range(d + 1)]
     label = "scroll" + "-".join(str(d) for d in spec.degrees)
     return RuledParameterization(base, fibers, coords, label=label)
+
+
+def _fiber_units(spec: ScrollSpec) -> list[tuple[int, ...]]:
+    """The fiber exponents of s_b for b = 0..e; those of s_0 = 1 are all zero."""
+    return [tuple([int(i == b - 1) for i in range(spec.fiber_count)])
+            for b in range(len(spec.degrees))]
 
 
 @dataclass
@@ -201,9 +213,9 @@ class ScrollRankReport:
     match: bool
 
 
-def _scroll_jets(spec: ScrollSpec, orders: Sequence[int]) -> JetMatrix:
+def scroll_jets(spec: ScrollSpec, orders: Sequence[int]) -> JetMatrix:
     """The generic jet matrix of the scroll at the largest of `orders`,
-    whose leading rows serve every smaller order.
+    whose leading rows serve every smaller order, and both scroll checks.
 
     The closed formulas are stated for 2 <= m <= d0 but also hold at
     m = 1 (immersion rank r + 1 = e + 2); orders above d0 are rejected.
@@ -216,10 +228,12 @@ def _scroll_jets(spec: ScrollSpec, orders: Sequence[int]) -> JetMatrix:
     return jet_matrix(scroll(spec).underlying, max(orders, default=0), None)
 
 
-def scroll_rank_check(spec: ScrollSpec, orders: Sequence[int]) -> list[ScrollRankReport]:
+def scroll_rank_check(spec: ScrollSpec, orders: Sequence[int],
+                      jets: JetMatrix | None = None) -> list[ScrollRankReport]:
     """Generic jet rank of a scroll against the closed formula m(e+1)+1,
-    one report per order, all read off one jet matrix."""
-    ranks = _scroll_jets(spec, orders).order_ranks()
+    one report per order, all read off one jet matrix: `jets`, as
+    `scroll_jets(spec, orders)` builds it, else one built here."""
+    ranks = (scroll_jets(spec, orders) if jets is None else jets).order_ranks()
     reports = []
     for m in orders:
         expected = m * (spec.fiber_count + 1) + 1
@@ -323,23 +337,23 @@ class PushdownReport:
     match: bool
 
 
-def pushdown_rank_check(spec: ScrollSpec, orders: Sequence[int]) -> list[PushdownReport]:
+def pushdown_rank_check(spec: ScrollSpec, orders: Sequence[int],
+                        jets: JetMatrix | None = None) -> list[PushdownReport]:
     """Block structure of the scroll jet matrix along the base line, one
-    report per order, all read off one jet matrix.
+    report per order, all read off one jet matrix: `jets`, as
+    `scroll_jets(spec, orders)` builds it, else one built here.
 
     The pure-t derivative rows, split into the coordinate blocks of the
     splitting type, must have block ranks min(m+1, d_i+1) — the jet
     ranks of the line bundles O(d_i) on the base — and every row must
     reproduce the binomial rows C(j,k) t^{j-k} blockwise.
     """
-    jm = _scroll_jets(spec, orders)
+    jm = scroll_jets(spec, orders) if jets is None else jets
     # Row c of the integer M^T holds the jets of the coordinate s_b t^j
     # for (b, j) = columns[c], with s_0 = 1; its scale is 1, so the row
     # is those jets exactly.
     columns = [(b, j) for b, d in enumerate(spec.degrees) for j in range(d + 1)]
-    # The fiber exponents of s_b; those of s_0 = 1 are all zero.
-    units = [tuple([int(i == b - 1) for i in range(spec.fiber_count)])
-             for b in range(len(spec.degrees))]
+    units = _fiber_units(spec)
 
     def expected(k: int, fiber: tuple[int, ...], b: int, j: int) -> IntPoly:
         """D_(k, fiber)(s_b t^j): C(j,k) t^(j-k) times s_b when the fiber
@@ -389,20 +403,34 @@ def pushdown_rank_check(spec: ScrollSpec, orders: Sequence[int]) -> list[Pushdow
 Piece = tuple[list[int], int]
 
 
-@dataclass
 class MongeData:
     """The chart of a surface at a point and the graph x3 = f(x1, x2) in
     it.  `pieces[m]`, for m = 0..order, is f_m as an integer coefficient
     vector over a positive denominator (`Piece`; empty when f_m = 0),
     which the ruledness diagnostic reads; the Polynomial faces are built
-    on demand."""
+    on demand.  `chart` is the 4x4 matrix over Q whose rows are the
+    point, the two tangent vectors of the frame and the completion: the
+    ruledness diagnostic never reads it, so `chart` may be given as a
+    function that builds it, called on the first read."""
 
-    ambient_point: tuple[Fraction, ...]
-    parameter_point: tuple[Fraction, ...] | None
-    chart: ExactMatrix
-    order: int
-    variables: tuple[str, str]
-    pieces: list[Piece]
+    __slots__ = ("ambient_point", "parameter_point", "_chart", "order", "variables", "pieces")
+
+    def __init__(self, ambient_point: tuple[Fraction, ...],
+                 parameter_point: tuple[Fraction, ...] | None,
+                 chart: ExactMatrix | Callable[[], ExactMatrix], order: int,
+                 variables: tuple[str, str], pieces: list[Piece]):
+        self.ambient_point = ambient_point
+        self.parameter_point = parameter_point
+        self._chart = chart
+        self.order = order
+        self.variables = variables
+        self.pieces = pieces
+
+    @property
+    def chart(self) -> ExactMatrix:
+        if not isinstance(self._chart, ExactMatrix):
+            self._chart = self._chart()
+        return self._chart
 
     def piece(self, m: int) -> Polynomial:
         if not 0 <= m <= self.order or not self.pieces[m][0]:
@@ -438,9 +466,10 @@ def _check_surface_in_p3(surface: Union[Parameterization, ImplicitVariety]) -> N
 
 
 def _complete_and_invert(jets: list[tuple[tuple[int, ...], int]], point: tuple[Fraction, ...]
-                         ) -> tuple[ExactMatrix, tuple[tuple[Fraction, ...], ...]]:
-    """The chart: the three frame rows and the first e_k off their span;
-    and the inverse of its transpose, both from one RREF of [frameᵀ | I].
+                         ) -> tuple[int, list[tuple[list[int], int]]]:
+    """The chart's completion, the first e_k off the span of the three
+    frame rows, and the inverse of the chart's transpose, both from one
+    integer RREF of [frameᵀ | I].
 
     `jets[j]` is x_j's value, D_(1,0) and D_(0,1) over den_j (`jet_rows`),
     so row j times den_j is the integer row (numerators | den_j e_j), with
@@ -449,18 +478,23 @@ def _complete_and_invert(jets: list[tuple[tuple[int, ...], int]], point: tuple[F
     the frame; e_j lies in the span exactly when v_j = 0, so k picks the
     first e_k off it.  The RREF clears column 3 + k above that row, so the
     right block E sends e_k to the last unit vector as well as frameᵀ to
-    the first three: E = (chartᵀ)⁻¹.
+    the first three: E = (chartᵀ)⁻¹.  Returns k and E's rows as
+    `integer_rref` gives them: integer rows over positive denominators,
+    which `graph_series` takes as they are.
     """
     rows = tuple([nums + tuple([den if i == j else 0 for i in range(4)])
                   for j, (nums, den) in enumerate(jets)])
-    reduced = rref(ExactMatrix._trusted(rows, RationalField(), 7))
-    pivots = reduced.pivot_columns
+    reduced, pivots = integer_rref(ExactMatrix._trusted(rows, RationalField(), 7))
     if pivots[2] != 2:
         raise SingularPoint(f"the parameterization is not immersive at {fmt_point(point)}")
+    return pivots[3] - 3, [(row[3:], den) for row, den in reduced]
+
+
+def _frame_chart(jets: list[tuple[tuple[int, ...], int]], k: int) -> ExactMatrix:
+    """The chart over Q: the three frame rows read off the jets, then e_k."""
     frame = [tuple([Fraction(nums[i], den) for nums, den in jets]) for i in range(3)]
-    completion = tuple([Fraction(int(j == pivots[3] - 3)) for j in range(4)])
-    chart = ExactMatrix._trusted(tuple(frame + [completion]), RationalField(), 4)
-    return chart, tuple(row[3:] for row in reduced.matrix.rows)
+    completion = tuple([Fraction(int(j == k)) for j in range(4)])
+    return ExactMatrix._trusted(tuple(frame + [completion]), RationalField(), 4)
 
 
 def _monge_from_parameterization(f: Parameterization, point: Sequence,
@@ -468,12 +502,13 @@ def _monge_from_parameterization(f: Parameterization, point: Sequence,
     _check_surface_in_p3(f)
     point, coord_series = point_expansions(f, order, point)
     # The frame is the order-1 jet matrix: the values, then D_(1,0), D_(0,1).
-    chart, inverse = _complete_and_invert(jet_rows(coord_series, ((0, 0), (1, 0), (0, 1))),
-                                          point)
+    jets = jet_rows(coord_series, ((0, 0), (1, 0), (0, 1)))
+    k, inverse = _complete_and_invert(jets, point)
     # The chart coordinates z = inverse . coord_series are (1, u1, u2, 0)
     # to first order, so x_i = z_i / z_0 is a graph over (x1, x2).
     pieces = graph_series(coord_series, inverse, order)
-    return MongeData(chart.row(0), point, chart, order, ("x1", "x2"),
+    return MongeData(tuple([Fraction(nums[0], den) for nums, den in jets]), point,
+                     lambda: _frame_chart(jets, k), order, ("x1", "x2"),
                      _without_constant_or_linear_part(pieces))
 
 

@@ -163,6 +163,23 @@ def test_missing_file_exits_1(capsys):
     assert "error:" in err
 
 
+def test_directory_input_exits_1(capsys, tmp_path):
+    code, out, err = run(capsys, ["osc", "--order", "2", str(tmp_path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+def test_input_that_is_not_utf8_exits_1(capsys, tmp_path):
+    # A UTF-16 byte order mark: ff fe is not UTF-8.
+    path = tmp_path / "utf16.var"
+    path.write_bytes("kind: parameterization\n".encode("utf-16"))
+    assert path.read_bytes()[:2] == b"\xff\xfe"
+    code, out, err = run(capsys, ["osc", "--order", "2", str(path)])
+    assert (code, out) == (1, "")
+    assert err == (f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                   "invalid start byte\n")
+
+
 def test_unknown_example_exits_1(capsys):
     code, _, err = run(capsys, ["example", "nonexistent"])
     assert code == 1
@@ -261,9 +278,9 @@ def test_scroll_report_builds_one_jet_matrix_per_check(capsys, monkeypatch, degr
                                f"kind: scroll\ndegrees: {degrees}\n")
     assert code == 0, err
     assert "all_match: true" in out
-    # The rank check and the pushdown check build one jet matrix each; the
+    # The rank check and the pushdown check share one jet matrix; the
     # ranks of every order are one elimination, the pushdown one per block.
-    assert len(builds) == 2
+    assert len(builds) == 1
     assert len(eliminations) == 1 + blocks
 
 

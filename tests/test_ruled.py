@@ -21,9 +21,10 @@ from oscform.errors import (
     SingularPoint,
 )
 from oscform.exactla import ExactMatrix, RationalField, Subspace, kernel_basis, rank
-from oscform.jets import ImplicitVariety, Parameterization
+from oscform.jets import ImplicitVariety, Parameterization, point_expansions
 from oscform.polyring import Polynomial, parse_polynomial, parse_rational
 from oscform.polyring import intpoly
+from oscform.polyring.series import jet_rows
 from oscform.ruled import (
     RuledParameterization,
     ScrollSpec,
@@ -233,12 +234,19 @@ def frame_jets(frame: list[list[Fraction]], scale: int = 1) -> list[tuple[tuple[
     return jets
 
 
+def inverse_fractions(inverse: list[tuple[list[int], int]]) -> list[list[Fraction]]:
+    """The chart inverse's integer rows over their positive denominators,
+    as Fractions."""
+    assert all(den > 0 for _, den in inverse)
+    return [[Fraction(v, den) for v in row] for row, den in inverse]
+
+
 def test_chart_completion_and_inverse_come_from_one_rref():
     # e_0 = (1,1,0,0) - e_1 is outside the span although column 0 is a pivot.
     frame = [[Fraction(v) for v in row]
              for row in ((1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
-    chart, _ = _complete_and_invert(frame_jets(frame), (0, 0))
-    assert list(chart.row(3)) == [1, 0, 0, 0]
+    k, _ = _complete_and_invert(frame_jets(frame), (0, 0))
+    assert list(ruled._frame_chart(frame_jets(frame), k).row(3)) == [1, 0, 0, 0]
     rng = random.Random(227)
     values = [Fraction(0)] * 4 + [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3)]
     identity = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
@@ -250,9 +258,11 @@ def test_chart_completion_and_inverse_come_from_one_rref():
             with pytest.raises(SingularPoint, match=r"not immersive at \(1/2, 3\)"):
                 _complete_and_invert(frame_jets(rows), (Fraction(1, 2), Fraction(3)))
             continue
-        chart, inverse = _complete_and_invert(frame_jets(rows), (0, 0))
+        k, inverse = _complete_and_invert(frame_jets(rows), (0, 0))
+        chart = ruled._frame_chart(frame_jets(rows), k)
         assert [list(row) for row in chart.rows] == rows + [first_rank_raising_vector(rows)]
         # The inverse of chart^T: inverse . chart^T = I.
+        inverse = inverse_fractions(inverse)
         product = [[sum(inverse[i][k] * chart[j, k] for k in range(4)) for j in range(4)]
                    for i in range(4)]
         assert product == identity
@@ -308,10 +318,10 @@ def test_integer_chart_inverse_matches_the_fraction_rref():
             with pytest.raises(SingularPoint, match=r"not immersive at \(0, 1/2\)"):
                 _complete_and_invert(jets, (Fraction(0), Fraction(1, 2)))
             continue
-        chart, inverse = _complete_and_invert(jets, (0, 0))
-        assert [list(row) for row in inverse] == [row[3:] for row in expected]
+        k, inverse = _complete_and_invert(jets, (0, 0))
+        assert inverse_fractions(inverse) == [row[3:] for row in expected]
         completion = [Fraction(int(j == pivots[3] - 3)) for j in range(4)]
-        assert [list(row) for row in chart.rows] == frame + [completion]
+        assert [list(row) for row in ruled._frame_chart(jets, k).rows] == frame + [completion]
         completions.add(pivots[3] - 3)
     assert completions == {0, 1, 2, 3}
     assert singular >= 32
@@ -333,15 +343,16 @@ def test_implicit_chart_completes_at_the_first_nonzero_gradient_entry(equation, 
 
 
 def count_eliminations(monkeypatch):
-    """Route every elimination (rank, rref, determinant) through a counter."""
+    """Route every elimination (rank, rref, determinant, and the integer
+    RREF and kernel) through a counter: each runs the loop `_echelon` once."""
     calls = []
-    original = exactla._eliminate
+    original = exactla._echelon
 
-    def counting(matrix, reduce):
-        calls.append(matrix.nrows)
-        return original(matrix, reduce)
+    def counting(ring, ncols, reduce):
+        calls.append(len(ring.rows))
+        return original(ring, ncols, reduce)
 
-    monkeypatch.setattr(exactla, "_eliminate", counting)
+    monkeypatch.setattr(exactla, "_echelon", counting)
     return calls
 
 
@@ -349,8 +360,35 @@ def test_parameterized_chart_frame_runs_one_elimination(monkeypatch):
     calls = count_eliminations(monkeypatch)
     md = monge_form(graph_surface("x*y + x^3 + y^4"), (1, 2), order=4)
     assert not md.f2.is_zero
-    # The RREF of [frame^T | I]: the graph solve eliminates nothing.
+    # The integer RREF of [frame^T | I]: the graph solve eliminates nothing.
     assert len(calls) == 1
+
+
+def test_ruled_diagnostic_on_a_parameterization_never_builds_the_fraction_chart(
+        monkeypatch):
+    built = []
+    frame_chart = ruled._frame_chart
+
+    def recording(jets, k):
+        built.append(k)
+        return frame_chart(jets, k)
+
+    monkeypatch.setattr(ruled, "_frame_chart", recording)
+    surface = graph_surface("x*y + x^3 + y^4")
+    diagnostic = ruled_surface_diagnostic(surface, [(1, 2), (Fraction(-1, 3), 2), (0, 1)])
+    assert [p.error for p in diagnostic.points] == [None] * 3
+    assert built == []
+    # monge's report reads the chart: it is built on the first read only,
+    # its first row is the ambient point, and its transpose is inverted
+    # by the chart's mixing rows.
+    md = monge_form(surface, (1, 2), order=4)
+    assert built == []
+    assert md.chart is md.chart and len(built) == 1
+    assert md.chart.row(0) == md.ambient_point == (1, 1, 2, 19)
+    jets = jet_rows(point_expansions(surface, 1, (1, 2))[1], ((0, 0), (1, 0), (0, 1)))
+    inverse = inverse_fractions(_complete_and_invert(jets, (1, 2))[1])
+    assert [[sum(a * b for a, b in zip(row, column)) for column in md.chart.rows]
+            for row in inverse] == [[int(i == j) for j in range(4)] for i in range(4)]
 
 
 def test_normal_kernel_is_the_canonical_kernel_basis():

@@ -260,6 +260,19 @@ def _graph_by_reversion(coords, mixing, order):
     return truncated_compose(chart[2], reversion, order)
 
 
+def _integer_rows(mixing):
+    """Fraction mixing rows as graph_series takes them: integer rows, each
+    over the lcm of its denominators."""
+    rows = []
+    for row in mixing:
+        den = math.lcm(*[m.denominator for m in row])
+        rows.append(([int(m * den) for m in row], den))
+    return rows
+
+
+_IDENTITY = [([int(i == j) for j in range(4)], 1) for i in range(4)]
+
+
 def _graph_polynomial(pieces, variables):
     """The graph as one Polynomial, from the pieces graph_series returns;
     checks that each piece m is a length m + 1 vector in lowest terms, or
@@ -296,8 +309,8 @@ def test_graph_series_equals_reversion_then_compose():
                   [zero, l11 / det, -l01 / det, zero],
                   [zero, -l10 / det, l00 / det, zero],
                   [zero, a, b, Fraction(1)]]
-        f = _graph_polynomial(graph_series(_expanded(coords, order), mixing, order),
-                              ("x1", "x2"))
+        f = _graph_polynomial(graph_series(_expanded(coords, order), _integer_rows(mixing),
+                                           order), ("x1", "x2"))
         assert f == _graph_by_reversion(coords, mixing, order)
 
     check()
@@ -305,17 +318,16 @@ def test_graph_series_equals_reversion_then_compose():
 
 def test_graph_series_guards():
     u = ("u1", "u2")
-    identity = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
     # x1 = 2*u1 to first order: not the identity.
     with pytest.raises(InvariantViolation):
-        graph_series(_expanded([P(e, u) for e in ("1", "2*u1", "u2", "u1^2")], 4), identity, 4)
+        graph_series(_expanded([P(e, u) for e in ("1", "2*u1", "u2", "u1^2")], 4), _IDENTITY, 4)
     # x1 = u1 + 1: a constant term is off the identity too.
     with pytest.raises(InvariantViolation):
-        graph_series(_expanded([P(e, u) for e in ("1", "u1 + 1", "u2", "u1^2")], 4), identity,
+        graph_series(_expanded([P(e, u) for e in ("1", "u1 + 1", "u2", "u1^2")], 4), _IDENTITY,
                      4)
     # z0 vanishes at the point.
     with pytest.raises(SingularPoint):
-        graph_series(_expanded([P(e, u) for e in ("u1 + u2", "u1", "u2", "u1^2")], 4), identity,
+        graph_series(_expanded([P(e, u) for e in ("u1 + u2", "u1", "u2", "u1^2")], 4), _IDENTITY,
                      4)
 
 
@@ -386,7 +398,6 @@ def test_integer_core_leaves_no_cyclic_garbage():
     import gc
 
     u = ("u1", "u2")
-    identity = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
     coords = [P(e, u) for e in ("1", "u1", "u2", "u1^2 + u1*u2^2")]
     quotient = RationalFunction(P("x^2 + y"), P("x + 2"))
     gc.collect()
@@ -394,7 +405,7 @@ def test_integer_core_leaves_no_cyclic_garbage():
     try:
         truncated_compose(P("x^3 + x*y + 2"), coords[1:3], 5)
         taylor_expansions([quotient], (Fraction(1), Fraction(0)), 4)
-        graph = graph_series(_expanded(coords, 5), identity, 5)
+        graph = graph_series(_expanded(coords, 5), _IDENTITY, 5)
         assert _graph_polynomial(graph, XY) == P("x^2 + x*y^2")
         assert gc.collect() == 0
     finally:
