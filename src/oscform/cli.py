@@ -35,6 +35,7 @@ from .report import Report, fmt, fmt_point, render
 from .ruled import (
     DEFAULT_SEED,
     RuledParameterization,
+    check_monge_order,
     fubini_intersection_test,
     heat_equation_check,
     monge_form,
@@ -288,28 +289,43 @@ def _cmd_ruling_check(args) -> Report:
 
 
 def _cmd_monge(args) -> Report:
+    """The Monge chart of a surface in P^3 at a point: the frame, the
+    pieces f2, f3 and f4, and the Fubini resultant.
+
+    The requested order is checked as `monge_form` checks it, with the
+    same errors at the same step, but the graph is solved only through
+    min(order, 4): the report prints no piece above f4, and the pieces
+    through f4 do not depend on the order of the solve.  The `order:`
+    line echoes the requested order, and an order of 3 prints
+    `f4: not computed`."""
     vf, report = _load(args)
     obj = build_variety(vf)
+    printed = (2, 3, 4)
+
+    def chart(surface, point):
+        check_monge_order(args.order)
+        return monge_form(surface, point, order=min(args.order, max(printed)))
+
     if isinstance(obj, ImplicitVariety):
         point = None
         if getattr(args, "at", None) is not None:
             point = _parse_rational_tuple(args.at, "--at")
-        md = monge_form(obj, point, order=args.order)
+        md = chart(obj, point)
     elif isinstance(obj, Parameterization):
         point = _parameter_point(args, obj) or vf.point
         if point is None:
             raise DomainError("monge needs --at or a point recorded in the file")
-        md = monge_form(obj, point, order=args.order)
+        md = chart(obj, point)
     else:
         f = scroll(obj).underlying
-        md = monge_form(f, _parameter_point(args, f), order=args.order)
+        md = chart(f, _parameter_point(args, f))
     report.mode = "point"
     report.inputs["order"] = args.order
     report.add("ambient_point", fmt_point(md.ambient_point))
     if md.parameter_point is not None:
         report.add("parameter_point", fmt_point(md.parameter_point))
     report.add("chart_rows", [fmt_point(md.chart.row(i)) for i in range(4)])
-    for m in (2, 3, 4):
+    for m in printed:
         report.add(f"f{m}", str(md.piece(m)) if m <= md.order else "not computed")
     try:
         fubini = fubini_intersection_test(md)
@@ -402,14 +418,14 @@ def _cmd_example(args):
     return text
 
 
-def _add_common(sub, order_default=None, order_required=False):
+def _add_common(sub, order_default=None, order_required=False,
+                order_help="jet / form order m"):
     sub.add_argument("file", help="variety file path, or - for stdin")
     if order_required:
-        sub.add_argument("--order", type=int, required=True,
-                         help="jet / form order m")
+        sub.add_argument("--order", type=int, required=True, help=order_help)
     else:
         sub.add_argument("--order", type=int, default=order_default,
-                         help=f"jet / form order m (default {order_default})")
+                         help=f"{order_help} (default {order_default})")
     sub.add_argument("--at", help="rational evaluation point, e.g. 1,-2/3")
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -475,7 +491,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_ruling_check)
 
     p = commands.add_parser("monge", help="local graph form of a surface in P^3")
-    _add_common(p, order_default=4)
+    _add_common(p, order_default=4,
+                order_help="Monge expansion order, at least 3; pieces above f4 are "
+                           "not printed, so they are not computed")
     p.set_defaults(handler=_cmd_monge)
 
     p = commands.add_parser("ruled-test", help="sampled ruledness diagnostic")

@@ -23,6 +23,7 @@ from .binform import (
     gen_trim,
     integer_form,
     integer_zeros,
+    quadratic_cubic_resultant,
     quadratic_divides,
     rational_zeros,
     resultant_binary,
@@ -59,6 +60,7 @@ __all__ = [
     "gen_trim",
     "integer_form",
     "integer_zeros",
+    "quadratic_cubic_resultant",
     "quadratic_divides",
     "rational_zeros",
     "resultant_binary",

@@ -9,6 +9,9 @@ The resultant, the rational zeros and evaluation run on integer
 coefficient vectors (`integer_form` clears denominators):
 - `sylvester_resultant` is one Sylvester determinant on trusted integer
   rows (no entry becomes a Fraction), scaled back to the rational forms;
+  `quadratic_cubic_resultant` gives the same number for a quadratic and
+  a cubic, the Fubini test's f2 and f3, in closed form with no
+  elimination;
 - `integer_zeros` gives a linear factor's root directly, and a
   quadratic's roots when `math.isqrt` of its integer discriminant is
   exact.  Only degree 3 or more, which only the base locus of a pencil
@@ -21,7 +24,8 @@ coefficient vectors (`integer_form` clears denominators):
   irreducible over Q, that is whether the form vanishes at both of its
   conjugate zeros.
 `resultant_binary` and `rational_zeros` are their faces on Polynomials;
-the ruledness diagnostic calls the vector routines on the Monge pieces.
+the ruledness diagnostic calls the vector routines on the Monge pieces,
+and `sylvester_resultant` stays the reference for the closed form.
 
 The gcd routine strips powers of the two variables first, then runs the
 Euclidean algorithm on dehomogenized coefficient lists and
@@ -244,6 +248,25 @@ def sylvester_resultant(f: Sequence[int], g: Sequence[int],
     rows += [(0,) * shift + tuple(g) + (0,) * (m - 1 - shift) for shift in range(m)]
     sylvester = ExactMatrix._trusted(tuple(rows), RationalField(), m + n)
     return determinant(sylvester) / (f_den ** n * g_den ** m)
+
+
+def quadratic_cubic_resultant(quadratic: Sequence[int], cubic: Sequence[int],
+                              quadratic_den: int = 1, cubic_den: int = 1) -> Fraction:
+    """Resultant of the quadratic form (a0, a1, a2) / quadratic_den and
+    the cubic form (b0, b1, b2, b3) / cubic_den, in closed form: the 13
+    terms of the expanded 5x5 Sylvester determinant that
+    `sylvester_resultant` eliminates, with the same sign and scaling.
+
+    The polynomial is exact for every integer vector, so vanishing
+    extreme coefficients need no case split."""
+    a0, a1, a2 = quadratic
+    b0, b1, b2, b3 = cubic
+    value = (a0 ** 3 * b3 * b3 + a2 ** 3 * b0 * b0 - a1 ** 3 * b0 * b3
+             + a0 * a0 * (a2 * b2 * b2 - a1 * b2 * b3 - 2 * a2 * b1 * b3)
+             + a2 * a2 * (a0 * b1 * b1 - a1 * b0 * b1 - 2 * a0 * b0 * b2)
+             + a0 * a1 * (a1 * b1 * b3 + 3 * a2 * b0 * b3 - a2 * b1 * b2)
+             + a1 * a1 * a2 * b0 * b2)
+    return Fraction(value, quadratic_den ** 3 * cubic_den ** 2)
 
 
 def resultant_binary(f: Polynomial, g: Polynomial) -> Fraction:

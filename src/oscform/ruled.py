@@ -24,9 +24,10 @@ when read (`monge` prints it; the diagnostic never reads it).  An
 implicit surface's chart takes its completion from the gradient and
 runs the Newton series solve.  Either way the graph's homogeneous pieces are
 held as integer coefficient vectors, and the diagnostic runs on them
-from the chart to the verdict (`polyring.binform`): the resultant, the
-rational zeros of the quadratic f2 in closed form, and Horner
-evaluation for the contact orders along them.  When f2 is irreducible
+from the chart to the verdict (`polyring.binform`), with no
+elimination: the resultant of the quadratic f2 and the cubic f3 and
+the rational zeros of f2, both in closed form, and Horner evaluation
+for the contact orders along them.  When f2 is irreducible
 over Q its zeros are a conjugate pair, and one integer divisibility
 test by f2 (`quadratic_divides`) decides both whether the pair is
 shared with f3 and which pieces vanish along it.
@@ -66,9 +67,9 @@ from .polyring import (
     graph_series,
     integer_form,
     integer_zeros,
+    quadratic_cubic_resultant,
     quadratic_divides,
     solve_series_system,
-    sylvester_resultant,
     truncated_compose,
 )
 from .polyring.intpoly import MAX_DEGREE, ONE, IntPoly, pack, unpack
@@ -580,7 +581,8 @@ def _without_constant_or_linear_part(pieces: list[Piece]) -> list[Piece]:
     return pieces
 
 
-def _check_monge_order(order: int) -> None:
+def check_monge_order(order: int) -> None:
+    """Raise `DomainError` for a Monge order below 3 or above `MAX_DEGREE`."""
     if order < 3:
         raise DomainError(f"Monge order must be at least 3, got {order}")
     if order > MAX_DEGREE:
@@ -597,7 +599,7 @@ def monge_form(surface: Union[Parameterization, ImplicitVariety],
     kept as computed, with no further normalization, so all arithmetic
     stays rational.
     """
-    _check_monge_order(order)
+    check_monge_order(order)
     if isinstance(surface, Parameterization):
         if point is None:
             raise DomainError("a parameter-space point is required")
@@ -618,14 +620,17 @@ class FubiniReport:
 
 def fubini_intersection_test(md: MongeData) -> FubiniReport:
     """Common zeros of f2 and the Fubini cubic f3, via the resultant of
-    their integer coefficient vectors."""
+    their integer coefficient vectors, evaluated in closed form
+    (`quadratic_cubic_resultant`): no elimination runs, so the chart's
+    one integer RREF is the only elimination at a sample point of a
+    parameterized surface."""
     (f2, d2), (f3, d3) = md.pieces[2], md.pieces[3]
     if not any(f2):
         raise DegenerateSecondForm("f2 vanishes; the second-order test is undefined")
     if not any(f3):
         return FubiniReport(Fraction(0), True,
                             "f3 is identically zero: every direction is common")
-    value = sylvester_resultant(f2, f3, d2, d3)
+    value = quadratic_cubic_resultant(f2, f3, d2, d3)
     return FubiniReport(value, value == 0,
                         "resultant of f2 and f3 over the tangent directions")
 
@@ -772,7 +777,7 @@ def ruled_surface_diagnostic(surface: Union[Parameterization, ImplicitVariety],
     no surface in P^3 after projection) raises before any point is
     examined.
     """
-    _check_monge_order(order)
+    check_monge_order(order)
     if not samples:
         raise DomainError("the ruledness test needs at least one sample point")
     used_projection = None

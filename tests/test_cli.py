@@ -12,6 +12,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -703,6 +704,64 @@ def test_monge_prints_a_piece_above_the_order_as_not_computed(capsys, monkeypatc
     assert reports["4"]["f4"].startswith("f4: -31894754142/127187639389*x1^4 + ")
     for key in ("f2", "f3", "resultant", "intersects"):
         assert reports["3"][key] == reports["4"][key]
+
+
+MONGE_SURFACE = ("kind: parameterization\nparams: x y\n"
+                 "coords: 1 + x*y, x + y^2, y - x^2, x^3 + 2*y^3 - x*y\n")
+MONGE_QUARTIC = ("kind: implicit\nvars: X0 X1 X2 X3\n"
+                 "equations: X0^3*X3 - X0^2*(X1^2 - 2*X2^2) - X0*X1*(X1^2 - 2*X2^2) - X1^4\n"
+                 "point: 1,0,0,0\n")
+
+
+@pytest.mark.parametrize("text, argv", [(MONGE_SURFACE, ["--at=1/3,2"]), (MONGE_QUARTIC, [])],
+                         ids=["parameterization", "implicit"])
+def test_monge_at_a_high_order_solves_only_the_printed_pieces(capsys, monkeypatch, text, argv):
+    # monge prints f2, f3, f4 and the resultant, so --order 40 gives the
+    # report of --order 4 but for its order line, and solves the graph
+    # through degree 4 only: solving all 40 degrees took about 9 s on the
+    # parameterization on a 2-core VM.
+    orders = []
+    monge_form = cli.monge_form
+
+    def recording(surface, point=None, order=4):
+        orders.append(order)
+        return monge_form(surface, point, order)
+
+    monkeypatch.setattr(cli, "monge_form", recording)
+    reports = {}
+    for order in ("4", "40"):
+        start = time.perf_counter()
+        code, out, err = run_stdin(capsys, monkeypatch, ["monge", "--order", order] + argv, text)
+        elapsed = time.perf_counter() - start
+        assert code == 0, err
+        assert elapsed < 2, (order, elapsed)
+        reports[order] = out
+    assert orders == [4, 4]
+    assert reports["40"] == reports["4"].replace("\norder: 4\n", "\norder: 40\n", 1)
+    assert "order: 40" in reports["40"].splitlines()
+    assert not any(line.endswith("not computed") for line in reports["40"].splitlines())
+    code, out, err = run_stdin(capsys, monkeypatch, ["monge", "--order", "3"] + argv, text)
+    assert code == 0, err
+    assert "f4: not computed" in out.splitlines()
+    assert orders[-1] == 3
+
+
+@pytest.mark.parametrize("text, argv", [(MONGE_SURFACE, ["--at=1/3,2"]), (MONGE_QUARTIC, [])],
+                         ids=["parameterization", "implicit"])
+@pytest.mark.parametrize("order, message", [
+    ("2", "Monge order must be at least 3, got 2"),
+    ("65536", "Monge order 65536 exceeds 65535, the largest degree a packed monomial key holds"),
+], ids=["below-3", "past-the-key-bound"])
+def test_monge_checks_the_requested_order_not_the_solved_one(capsys, monkeypatch, text, argv,
+                                                             order, message):
+    code, out, err = run_stdin(capsys, monkeypatch, ["monge", "--order", order] + argv, text)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_monge_parses_the_file_before_checking_the_order(capsys, monkeypatch):
+    code, out, err = run_stdin(capsys, monkeypatch, ["monge", "--order", "2", "--at=1,2"],
+                               "kind: parameterization\nparams: x y\ncoords: 1, x, y, 2x\n")
+    assert (code, out) == (2, "")
 
 
 # Rational surfaces in Q(x, y): the first has one denominator, the second

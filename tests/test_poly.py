@@ -34,6 +34,7 @@ from oscform.polyring import (
     multi_indices_upto,
     parse_polynomial,
     parse_rational,
+    quadratic_cubic_resultant,
     quadratic_divides,
     rational_zeros,
     resultant_binary,
@@ -558,6 +559,79 @@ def test_sylvester_resultant_matches_the_fraction_determinant():
                 zero += not expected
                 nonzero += bool(expected)
     assert zero >= 40 and nonzero >= 40
+
+
+def _quadratic_cubic_draws(rng):
+    """(quadratic, cubic) integer vectors: random ones, with the first or
+    last coefficients zero on one or both, sharing a rational linear
+    factor, an irreducible quadratic dividing the cubic, and 60-digit
+    coefficients."""
+    def coeffs(k, digits=1):
+        return [rng.randint(-10 ** digits, 10 ** digits) for _ in range(k)]
+
+    for trial in range(240):
+        kind = trial % 8
+        digits = 60 if kind == 7 else rng.randint(1, 3)
+        f, g = coeffs(3, digits), coeffs(4, digits)
+        if kind == 1:
+            f[0] = 0
+        elif kind == 2:
+            g[-1] = 0
+        elif kind == 3:
+            f[0] = g[0] = 0
+        elif kind == 4:
+            f[-1] = g[-1] = 0
+            if trial % 16 == 4:
+                f[0] = g[0] = 0
+        elif kind == 5:
+            # (p v1 + q v2) times a random linear and a random quadratic form.
+            p, q = rng.randint(-9, 9) or 1, rng.randint(-9, 9)
+            lin, quad = coeffs(2, digits), coeffs(3, digits)
+            f = [p * lin[0], p * lin[1] + q * lin[0], q * lin[1]]
+            g = [p * quad[0], p * quad[1] + q * quad[0], p * quad[2] + q * quad[1],
+                 q * quad[2]]
+        elif kind == 6:
+            # v1^2 + b v1 v2 + c v2^2 with a negative discriminant, times a
+            # random linear form.
+            b = rng.randint(-5, 5)
+            f = [1, b, b * b // 4 + rng.randint(1, 9)]
+            lin = coeffs(2, digits)
+            g = [lin[0] * f[0], lin[0] * f[1] + lin[1] * f[0],
+                 lin[0] * f[2] + lin[1] * f[1], lin[1] * f[2]]
+        yield kind, f, g
+
+
+def test_quadratic_cubic_resultant_matches_sylvester_and_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+    a, b = sympy.symbols("a0:3"), sympy.symbols("b0:4")
+    # sympy's resultant of the generic quadratic and cubic in t; at
+    # t = v1 / v2 it is the resultant of the forms for every value of the
+    # coefficients, vanishing leading ones included.
+    generic = sympy.Poly(sympy.resultant(sum(a[i] * t ** (2 - i) for i in range(3)),
+                                         sum(b[i] * t ** (3 - i) for i in range(4)), t),
+                         *a, *b).terms()
+    rng = random.Random(2801)
+    seen = {kind: 0 for kind in range(8)}
+    zero = 0
+    for kind, f, g in _quadratic_cubic_draws(rng):
+        f_den, g_den = rng.randint(1, 30), rng.randint(1, 30)
+        got = quadratic_cubic_resultant(f, g, f_den, g_den)
+        assert got == sylvester_resultant(f, g, f_den, g_den), (f, g, f_den, g_den)
+        value = sum(int(c) * math.prod(v ** e for v, e in zip(f + g, exps))
+                    for exps, c in generic)
+        assert got == Fraction(value, f_den ** 3 * g_den ** 2), (f, g)
+        if f[0] and g[0]:
+            F = sympy.Poly([sympy.Rational(c, f_den) for c in f], t)
+            G = sympy.Poly([sympy.Rational(c, g_den) for c in g], t)
+            expected = sympy.resultant(F, G)
+            assert got == Fraction(int(sympy.numer(expected)), int(sympy.denom(expected)))
+        if kind in (3, 4, 5, 6):
+            assert got == 0, (kind, f, g)
+        seen[kind] += 1
+        zero += not got
+    assert all(count == 30 for count in seen.values())
+    assert 120 <= zero < 240
 
 
 def test_resultant_rejects_non_forms():

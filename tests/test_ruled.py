@@ -364,6 +364,16 @@ def test_parameterized_chart_frame_runs_one_elimination(monkeypatch):
     assert len(calls) == 1
 
 
+def test_ruled_diagnostic_on_a_parameterization_runs_one_elimination_per_point(monkeypatch):
+    calls = count_eliminations(monkeypatch)
+    samples = [(1, 2), (Fraction(-1, 3), 2), (0, 1), (2, -5)]
+    diagnostic = ruled_surface_diagnostic(graph_surface("x*y + x^3 + y^4"), samples)
+    # f3 is nonzero at every point, so each one reaches the resultant.
+    assert all(p.error is None and p.resultant for p in diagnostic.points)
+    # The chart's integer RREF; the Fubini resultant is in closed form.
+    assert len(calls) == len(samples)
+
+
 def test_ruled_diagnostic_on_a_parameterization_never_builds_the_fraction_chart(
         monkeypatch):
     built = []
