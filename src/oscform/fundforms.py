@@ -44,12 +44,11 @@ from .jets import (
 )
 from .polyring import (
     Exponents,
-    Polynomial,
     RationalFunction,
     degree_block,
     multi_indices_upto,
 )
-from .polyring.binform import gen_gcd, rational_zeros
+from .polyring.binform import form_gcd, integer_form, integer_zeros, nonzero_span
 from .polyring.intpoly import IntPoly, combine, dot, partial, primitive
 from .polyring.ratfunc import _reduced
 
@@ -117,15 +116,6 @@ class TangentForm:
         out = {exps: value for exps, value in self.coeffs.items()
                if all(exps[i] == 0 for i in index_set)}
         return TangentForm(self.tangent_vars, self.degree, out, self.field)
-
-    def scaled_monic(self) -> "TangentForm":
-        """Divide by the leading coefficient (graded-lex leading monomial)."""
-        if self.is_zero:
-            return self
-        lead = max(self.coeffs, key=lambda e: (sum(e), e))
-        inv = self.coeffs[lead] ** (-1)
-        return TangentForm(self.tangent_vars, self.degree,
-                           {e: v * inv for e, v in self.coeffs.items()}, self.field)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TangentForm):
@@ -431,7 +421,11 @@ class BaseLocusReport:
 
 
 def base_locus_pencil(system: LinearSystem) -> BaseLocusReport:
-    """Base locus of a system of binary forms via the generator gcd."""
+    """Base locus of a system of binary forms via the generator gcd.
+
+    The listed base points are the factor's zeros at (0:1) and (1:0),
+    then, when its coefficients are constants, its rational zeros
+    (1:t) by increasing t."""
     if len(system.tangent_vars) != 2:
         raise UnsupportedAmbient(
             f"base locus detection needs binary forms; tangent space has "
@@ -440,53 +434,29 @@ def base_locus_pencil(system: LinearSystem) -> BaseLocusReport:
     if system.is_empty:
         return BaseLocusReport(True, None, -1, [],
                                "empty system: every direction is a base point")
-    field = system.field
-    # Common powers of the two tangent variables across all generators.
-    val1 = min(min(e[0] for e in g.coeffs) for g in system.generators)
-    val2 = min(min(e[1] for e in g.coeffs) for g in system.generators)
-    stripped_degree = system.degree - val1 - val2
-    lists = []
-    for g in system.generators:
-        coeffs = [field.zero()] * (stripped_degree + 1)
-        for (e1, e2), value in g.coeffs.items():
-            coeffs[e2 - val2] = value
-        lists.append(coeffs)
-    common = lists[0]
-    for other in lists[1:]:
-        common = gen_gcd(common, other)
-        if len(common) == 1:
-            break
-    gcd_degree = len(common) - 1
-    factor_coeffs = {}
-    for i, value in enumerate(common):
-        factor_coeffs[(val1 + gcd_degree - i, val2 + i)] = value
-    factor = TangentForm(system.tangent_vars, val1 + val2 + gcd_degree,
-                         factor_coeffs, field).scaled_monic()
+    # In degree_block order the basis rows are binary coefficient vectors.
+    common = form_gcd(system.coefficient_span.basis)
+    factor = TangentForm.from_vector(system.tangent_vars, len(common) - 1, common,
+                                     system.field)
+    lo, hi = nonzero_span(common)
     base_points: list[tuple[Fraction, Fraction]] = []
-    if val1:
+    if hi < factor.degree:
         base_points.append((Fraction(0), Fraction(1)))
-    if val2:
+    if lo:
         base_points.append((Fraction(1), Fraction(0)))
-    note_parts = []
-    if gcd_degree > 0:
-        constant = all(
-            not isinstance(v, RationalFunction) or v.is_constant()
-            for v in common
-        )
-        if constant:
-            scalar = [Fraction(v.as_scalar()) if isinstance(v, RationalFunction)
-                      else Fraction(v) for v in common]
-            inner = Polynomial(system.tangent_vars,
-                               {(gcd_degree - i, i): c for i, c in enumerate(scalar)})
-            for z in rational_zeros(inner):
-                if z not in base_points:
-                    base_points.append(z)
-            note_parts.append("non-monomial gcd factor with constant coefficients")
-        else:
-            note_parts.append("gcd factor varies with the base point")
     has_base = factor.degree > 0
-    note = "; ".join(note_parts) if note_parts else (
-        "nontrivial common factor" if has_base else "generators share no factor")
+    core = common[lo:hi + 1]
+    if len(core) == 1:
+        note = "nontrivial common factor" if has_base else "generators share no factor"
+    elif all(not isinstance(v, RationalFunction) or v.is_constant() for v in core):
+        # The core vanishes at neither (1:0) nor (0:1): its zeros are interior.
+        scalars = [Fraction(v.as_scalar()) if isinstance(v, RationalFunction) else v
+                   for v in core]
+        base_points += [(Fraction(1), Fraction(p, q))
+                        for q, p in integer_zeros(integer_form(scalars)[0])]
+        note = "non-monomial gcd factor with constant coefficients"
+    else:
+        note = "gcd factor varies with the base point"
     return BaseLocusReport(has_base, factor if has_base else None,
                            factor.degree if has_base else 0, base_points, note)
 

@@ -31,7 +31,6 @@ solved at a smooth rational point.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from fractions import Fraction
 from math import comb
@@ -51,9 +50,9 @@ from .exactla import (
     RationalField,
     Subspace,
     column_prefix_ranks,
-    determinant,
     rank,
     row_space,
+    rref,
 )
 from .polyring import (
     Exponents,
@@ -373,9 +372,11 @@ class ImplicitVariety:
     """Complete intersection given by homogeneous equations and a smooth
 
     rational point.  The chart checks (point on the variety, Jacobian of
-    the dehomogenized system of full rank) run at construction."""
+    the dehomogenized system of full rank) run at construction, and the
+    same elimination splits the affine coordinates into free and
+    dependent ones for `jet_parameterize`."""
 
-    __slots__ = ("equations", "point", "label", "variables")
+    __slots__ = ("equations", "point", "label", "variables", "chart")
 
     def __init__(self, equations: Sequence[Polynomial], point: Sequence,
                  label: str | None = None):
@@ -405,18 +406,31 @@ class ImplicitVariety:
                 f"{len(equations)} equations in P^{len(variables) - 1} leave no "
                 "positive-dimensional complete intersection"
             )
-        object.__setattr__(self, "equations", equations)
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "variables", variables)
-        affine_eqs, affine_point, _, _ = self._chart()
-        jac = [[g.partial(j).evaluate(affine_point) for j in range(len(affine_point))]
+        # Dehomogenize at the first nonzero point coordinate.
+        pivot = next(i for i, v in enumerate(point) if v)
+        affine_eqs = [g.substitute_subset({variables[pivot]: 1}) for g in equations]
+        affine_point = [v / point[pivot] for i, v in enumerate(point) if i != pivot]
+        affine_names = variables[:pivot] + variables[pivot + 1:]
+        # One elimination of the Jacobian with its columns last to first
+        # certifies full rank and picks the dependent coordinates: its pivot
+        # columns are the greedy basis from the right, which is Gale-maximal
+        # (Gale, J. Combin. Theory 4, 1968), so the other columns are the
+        # lexicographically first free split with an invertible block.
+        n = len(affine_point)
+        jac = [[g.partial(j).evaluate(affine_point) for j in reversed(range(n))]
                for g in affine_eqs]
-        if rank(ExactMatrix(jac)) < len(equations):
+        pivots = rref(ExactMatrix(jac)).pivot_columns
+        if len(pivots) < len(equations):
             raise SingularPoint(
                 f"Jacobian rank below {len(equations)} at {fmt_point(point)}; the point is "
                 "singular or the equations are not transverse there"
             )
+        dep = sorted(n - 1 - c for c in pivots)
+        object.__setattr__(self, "equations", equations)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "chart", (affine_eqs, affine_point, affine_names, pivot, dep))
 
     def __setattr__(self, name, value):
         raise AttributeError("ImplicitVariety is immutable")
@@ -433,17 +447,6 @@ class ImplicitVariety:
     def dim(self) -> int:
         return self.ambient_dim - self.codim
 
-    def _chart(self):
-        """Dehomogenize at the first nonzero point coordinate."""
-        pivot = next(i for i, v in enumerate(self.point) if v)
-        scale = self.point[pivot]
-        scaled = [v / scale for v in self.point]
-        pivot_name = self.variables[pivot]
-        affine_eqs = [g.substitute_subset({pivot_name: 1}) for g in self.equations]
-        affine_point = [v for i, v in enumerate(scaled) if i != pivot]
-        affine_names = tuple([v for i, v in enumerate(self.variables) if i != pivot])
-        return affine_eqs, affine_point, affine_names, pivot
-
     def __repr__(self) -> str:
         name = self.label or "implicit variety"
         return f"ImplicitVariety({name}: {self.codim} equations in P^{self.ambient_dim})"
@@ -456,20 +459,13 @@ def jet_parameterize(iv: ImplicitVariety, order: int) -> Parameterization:
     Newton iteration on truncated series.  The parameters are the free
     affine coordinates, measured as offsets from the point; the free
     slots are the lexicographically first choice whose complementary
-    Jacobian block is invertible.
+    Jacobian block is invertible, read off the chart that the variety's
+    constructor built.
     """
     if order < 1:
         raise DomainError(f"truncation order must be positive, got {order}")
-    affine_eqs, affine_point, affine_names, pivot = iv._chart()
-    n_affine = len(affine_names)
-    for candidate in itertools.combinations(range(n_affine), iv.dim):
-        dep = [i for i in range(n_affine) if i not in candidate]
-        jac = [[g.partial(j).evaluate(affine_point) for j in dep] for g in affine_eqs]
-        if determinant(ExactMatrix(jac, field=RationalField())):
-            free = list(candidate)
-            break
-    else:
-        raise SingularPoint("no coordinate split has an invertible Jacobian block")
+    affine_eqs, affine_point, affine_names, pivot, dep = iv.chart
+    free = [i for i in range(len(affine_names)) if i not in dep]
 
     series_vars = tuple(affine_names[i] for i in free)
     solution = solve_series_system(affine_eqs, free, dep, affine_point, order)

@@ -16,6 +16,7 @@ from .binform import (
     binary_form_gcd,
     check_binary_form,
     form_from_coefficients,
+    form_gcd,
     form_value,
     gen_divmod,
     gen_gcd,
@@ -27,7 +28,6 @@ from .binform import (
     quadratic_divides,
     rational_zeros,
     resultant_binary,
-    strip_valuations,
     sylvester_resultant,
 )
 from .exprparse import parse_polynomial, parse_rational
@@ -53,6 +53,7 @@ __all__ = [
     "binary_form_gcd",
     "check_binary_form",
     "form_from_coefficients",
+    "form_gcd",
     "form_value",
     "gen_divmod",
     "gen_gcd",
@@ -64,7 +65,6 @@ __all__ = [
     "quadratic_divides",
     "rational_zeros",
     "resultant_binary",
-    "strip_valuations",
     "sylvester_resultant",
     "parse_polynomial",
     "parse_rational",

@@ -27,16 +27,21 @@ coefficient vectors (`integer_form` clears denominators):
 the ruledness diagnostic calls the vector routines on the Monge pieces,
 and `sylvester_resultant` stays the reference for the closed form.
 
-The gcd routine strips powers of the two variables first, then runs the
-Euclidean algorithm on dehomogenized coefficient lists and
-rehomogenizes; with both inputs stripped no zeros can hide at infinity.
+`form_gcd` is the one gcd of binary forms, on coefficient vectors over
+any field.  A vector's leading zeros are its power of v2 and its
+trailing zeros its power of v1 (`nonzero_span`, the scan `integer_zeros`
+and the base locus read too); the Euclidean algorithm runs on the parts
+in between, which vanish at neither (1:0) nor (0:1), and the smallest
+powers are put back.  It has two callers: `binary_form_gcd`, its face
+on Polynomials, and `fundforms.base_locus_pencil`, which passes the
+canonical basis rows of a pencil over Q or Q(u) as they are.
 
 The list-level helpers (gen_trim, gen_divmod, gen_gcd, gen_gcdex) only
 use field operations through operators, so they also run on coefficient
-lists of rational functions; the fundamental-form module uses them that
-way.  `gen_gcdex` serves only `QuotientRingElement`, which no command
-reaches since the ruled diagnostic decides its conjugate zeros by
-`quadratic_divides`.
+lists of rational functions, as `form_gcd` runs them for the base locus
+of a generic pencil.  `gen_gcdex` serves only `QuotientRingElement`,
+which no command reaches since the ruled diagnostic decides its
+conjugate zeros by `quadratic_divides`.
 """
 
 from __future__ import annotations
@@ -154,39 +159,49 @@ def form_from_coefficients(variables, coeffs) -> Polynomial:
     return Polynomial(variables, terms)
 
 
-def variable_valuations(p: Polynomial) -> tuple[int, int]:
-    """Largest powers of each variable dividing the form."""
-    v1 = min(e[0] for e in p.terms)
-    v2 = min(e[1] for e in p.terms)
-    return v1, v2
+def nonzero_span(coeffs: Sequence) -> tuple[int, int]:
+    """Indices (lo, hi) of the first and last nonzero entries of the
+    vector of a nonzero binary form: its powers of v2 and v1 are lo and
+    len(coeffs) - 1 - hi."""
+    lo = next(i for i, c in enumerate(coeffs) if c)
+    hi = next(i for i in range(len(coeffs) - 1, lo - 1, -1) if coeffs[i])
+    return lo, hi
 
 
-def strip_valuations(p: Polynomial) -> tuple[int, int, Polynomial]:
-    v1, v2 = variable_valuations(p)
-    if v1 or v2:
-        p = p.exact_div(Polynomial.monomial(p.variables, (v1, v2)))
-    return v1, v2, p
+def form_gcd(vectors: Sequence[Sequence]) -> list:
+    """Gcd of nonzero binary forms given as coefficient vectors over any
+    field, scaled so that its first nonzero entry is 1 (monic under
+    graded lex).
+
+    `gen_gcd` runs on the parts of the vectors between their first and
+    last nonzero entries; the smallest powers of v2 (leading zeros) and
+    of v1 (trailing zeros) are put back around the result."""
+    spans = [nonzero_span(v) for v in vectors]
+    common = None
+    for v, (lo, hi) in zip(vectors, spans):
+        core = v[lo:hi + 1]
+        common = core if common is None else gen_gcd(common, core)
+        if len(common) == 1:
+            break
+    inv = common[0] ** (-1)
+    zero = common[0] * 0
+    return ([zero] * min(lo for lo, _ in spans) + [c * inv for c in common]
+            + [zero] * min(len(v) - 1 - hi for v, (_, hi) in zip(vectors, spans)))
 
 
 def binary_form_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Greatest common divisor of two binary forms, monic under graded lex.
+    """Greatest common divisor of two binary forms over the same
+    variables, monic under graded lex: `form_gcd` on their coefficient
+    vectors.
 
     The zero polynomial is absorbed: gcd(f, 0) is f made monic.
     """
     if f.is_zero and g.is_zero:
         raise ZeroDivisionRequested("gcd of two zero forms")
-    if f.is_zero or g.is_zero:
-        p = g if f.is_zero else f
-        check_binary_form(p)
-        _, lead = p.leading_term()
-        return p / lead
-    a1, a2, f0 = strip_valuations(f)
-    b1, b2, g0 = strip_valuations(g)
-    common = gen_gcd(binary_coefficients(f0), binary_coefficients(g0))
-    h = form_from_coefficients(f.variables, common)
-    h = h * Polynomial.monomial(f.variables, (min(a1, b1), min(a2, b2)))
-    _, lead = h.leading_term()
-    return h / lead
+    vectors = [binary_coefficients(p) for p in (f, g) if not p.is_zero]
+    if f.variables != g.variables:
+        raise NotHomogeneous("binary forms over different variables")
+    return form_from_coefficients(f.variables, form_gcd(vectors))
 
 
 def integer_form(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -293,8 +308,7 @@ def integer_zeros(coeffs: Sequence[int]) -> list[tuple[int, int]]:
     of the rational-root theorem, by trial division of the extreme
     coefficients: that search grows as their square roots.
     """
-    lo = next(i for i, c in enumerate(coeffs) if c)
-    hi = max(i for i, c in enumerate(coeffs) if c)
+    lo, hi = nonzero_span(coeffs)
     core = coeffs[lo:hi + 1]
     if len(core) == 1:
         roots = []

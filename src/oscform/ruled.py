@@ -54,7 +54,6 @@ from .exactla import (
     Subspace,
     column_prefix_ranks,
     integer_rref,
-    prefix_ranks,
     rank,
 )
 from .fundforms import LinearSystem, fundamental_form
@@ -518,15 +517,13 @@ def _monge_from_implicit(iv: ImplicitVariety, order: int) -> MongeData:
     g = iv.equations[0]
     point = list(iv.point)
     gradient = [g.partial(j).evaluate(point) for j in range(4)]
-    # The point, then the first two tangent vectors off the span of the
-    # rows above them: the rows where the prefix rank rises.
-    candidates = [point] + [list(v) for v in _normal_kernel(gradient).basis]
-    ranks = prefix_ranks(ExactMatrix(candidates, field=RationalField()),
-                         range(1, len(candidates) + 1))
-    frame_rows = [row for row, r, before in zip(candidates, ranks, [0] + ranks)
-                  if r > before][:3]
-    if len(frame_rows) < 3:
-        raise SingularPoint(f"tangent plane is degenerate at {tuple(point)}")
+    # The tangent kernel's rows are canonical with pivots j != l, so the
+    # point is the sum of point[j] * row_j over them.  With t the last
+    # pivot where point[t] != 0, the point and the other two rows are a
+    # basis of the tangent plane; row t is the only row nonzero at t.
+    last = max(j for j, v in enumerate(gradient) if v)
+    t = max(j for j, v in enumerate(point) if v and j != last)
+    frame_rows = [point] + [list(row) for row in _normal_kernel(gradient).basis if not row[t]]
     # The frame spans the tangent plane {gradient . x = 0}, which holds the
     # point by Euler's relation, so e_k lies off it exactly when g_k != 0.
     k = next(j for j, v in enumerate(gradient) if v)

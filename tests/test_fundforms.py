@@ -184,6 +184,37 @@ def test_base_locus_with_interior_rational_point():
     assert locus.base_points == [(Fraction(1), Fraction(1))]
 
 
+def test_base_locus_lists_coordinate_points_then_interior_zeros_by_slope():
+    # The common factor v1*v2*(v1 - 2*v2)*(v1 + 3*v2) vanishes at (0:1),
+    # (1:0), (1:1/2) and (1:-1/3).
+    common = "v1*v2*(v1 - 2*v2)*(v1 + 3*v2)"
+    system = LinearSystem.from_forms(
+        5, V, forms(f"{common}*v1", f"{common}*(v1 + v2)"), (0, 0), RationalField())
+    locus = base_locus_pencil(system)
+    assert locus.factor_degree == 4
+    assert locus.common_factor == forms(common)[0]
+    assert locus.base_points == [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)),
+                                 (Fraction(1), Fraction(-1, 3)), (Fraction(1), Fraction(1, 2))]
+    assert locus.note == "non-monomial gcd factor with constant coefficients"
+
+
+def test_base_locus_factor_that_varies_with_the_base_point():
+    # Over Q(u) the pencil v1*(v1 - u*v2)*{v1, v2} shares v1*(v1 - u*v2):
+    # its zero (1:1/u) moves with u, so only (0:1) is a listed base point.
+    U = ("u",)
+    u = parse_rational("u", U)
+    one, zero = parse_rational("1", U), parse_rational("0", U)
+    factor = TangentForm.from_vector(V, 2, [one, -u, zero], exactla.FunctionField(U))
+    system = LinearSystem.from_vectors(
+        3, V, [[one, -u, zero, zero], [zero, one, -u, zero]], "generic",
+        exactla.FunctionField(U))
+    locus = base_locus_pencil(system)
+    assert locus.has_base_point and locus.factor_degree == 2
+    assert locus.common_factor == factor
+    assert locus.base_points == [(Fraction(0), Fraction(1))]
+    assert locus.note == "gcd factor varies with the base point"
+
+
 def test_base_locus_absent_for_togliatti():
     system = fundamental_form(togliatti(), 2, point=(1, 1))
     locus = base_locus_pencil(system)

@@ -6,6 +6,7 @@ locally in the test, and the symbolic jet matrix evaluated entrywise,
 for the point matrix read off Taylor expansions.
 """
 
+import itertools
 import random
 import re
 import warnings
@@ -28,6 +29,7 @@ from oscform.errors import (
 from oscform.exactla import (
     ExactMatrix,
     RationalField,
+    determinant,
     kernel_basis,
     prefix_ranks,
     rank,
@@ -430,6 +432,67 @@ def test_implicit_variety_rejects_singular_point():
     g = parse_polynomial("X0*X2^2 - X1^3", CIRCLE_VARS)
     with pytest.raises(SingularPoint):
         ImplicitVariety([g], (1, 0, 0))
+
+
+def _first_free_split(jac, dim):
+    """The dependent columns of the lexicographically first choice of
+    `dim` free columns whose complementary block is invertible, by trying
+    every choice in order; None when there is none."""
+    n = len(jac[0])
+    for free in itertools.combinations(range(n), dim):
+        dep = [j for j in range(n) if j not in free]
+        if determinant(ExactMatrix([[row[j] for j in dep] for row in jac],
+                                   field=RationalField())):
+            return dep
+    return None
+
+
+def test_implicit_split_is_the_first_invertible_choice():
+    # Linear equations through a point, so the affine Jacobian is their
+    # coefficient block: random entries with zero columns and columns that
+    # are combinations of others, at points whose first coordinates may
+    # vanish (which moves the dehomogenizing coordinate); a dependent row
+    # leaves no invertible block, so the point is singular.
+    rng = random.Random(2376)
+    seen = {"split": 0, "singular": 0}
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        codim = rng.randint(1, n - 1)
+        jac = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(codim)]
+        for _ in range(rng.randint(0, 2)):
+            j = rng.randrange(n)
+            a, b = rng.choices([k for k in range(n) if k != j], k=2)
+            for row in jac:
+                row[j] = rng.randint(0, 2) * row[a] + rng.randint(-1, 1) * row[b]
+        if rng.random() < 0.3:
+            for row in jac:
+                row[rng.randrange(n)] = Fraction(0)
+        if codim >= 2 and rng.random() < 0.25:
+            jac[-1] = [2 * x - y for x, y in zip(jac[0], jac[1])]
+        if not all(any(row) for row in jac):
+            continue
+        pivot = rng.randint(0, n)
+        point = [Fraction(0)] * pivot + [Fraction(rng.choice([-2, -1, 1, 3]))]
+        point += [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n - pivot)]
+        names = tuple(f"X{k}" for k in range(n + 1))
+        slots = [k for k in range(n + 1) if k != pivot]
+        equations = []
+        for row in jac:
+            terms = {tuple(int(k == slot) for k in range(n + 1)): c for slot, c in zip(slots, row)}
+            terms[tuple(int(k == pivot) for k in range(n + 1))] = \
+                -sum(c * point[slot] for slot, c in zip(slots, row)) / point[pivot]
+            equations.append(Polynomial(names, terms))
+        expected = _first_free_split(jac, n - codim)
+        if expected is None:
+            seen["singular"] += 1
+            with pytest.raises(SingularPoint):
+                ImplicitVariety(equations, point)
+            continue
+        seen["split"] += 1
+        free = [slots[j] for j in range(n) if j not in expected]
+        assert jet_parameterize(ImplicitVariety(equations, point), 1).params == \
+            tuple(names[k] for k in free), (jac, point)
+    assert seen["split"] >= 150 and seen["singular"] >= 10, seen
 
 
 def test_jet_parameterize_circle_matches_binomial_series():

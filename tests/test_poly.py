@@ -28,6 +28,7 @@ from oscform.polyring import (
     binary_form_gcd,
     degree_block,
     form_from_coefficients,
+    form_gcd,
     gen_divmod,
     gen_gcd,
     gen_gcdex,
@@ -700,6 +701,94 @@ def test_binary_form_gcd_agrees_with_sympy():
                               *s, domain="QQ").monic()
         got = sympy.Poly(_to_sympy(sympy, binary_form_gcd(f, g), s), *s, domain="QQ")
         assert got == expected, (f, g)
+
+
+def test_form_gcd_of_several_vectors_agrees_with_sympy():
+    # Three to five forms of mixed degrees, with powers of v1 and v2 (zeros
+    # at both ends of the vectors); the shared factor is sometimes squared,
+    # and sometimes a scalar, leaving only what the cofactors share.
+    sympy = pytest.importorskip("sympy")
+    s = sympy.symbols("s1 s2")
+    rng = random.Random(8103)
+    v1, v2 = Polynomial.variable(V, "v1"), Polynomial.variable(V, "v2")
+    seen = {"trivial": 0, "repeated": 0, "both_ends": 0, "mixed_degrees": 0}
+    for _ in range(80):
+        common = _random_form(rng, rng.randint(0, 3))
+        if rng.random() < 0.3:
+            common = common * common
+            seen["repeated"] += common.total_degree() > 0
+        vectors = [binary_coefficients(common * _random_form(rng, rng.randint(0, 3))
+                                       * v1 ** rng.randint(0, 2) * v2 ** rng.randint(0, 2))
+                   for _ in range(rng.randint(3, 5))]
+        got = form_gcd(vectors)
+        expected = sympy.Poly(
+            sympy.gcd_list([_to_sympy(sympy, form_from_coefficients(V, v), s) for v in vectors]),
+            *s, domain="QQ").monic()
+        got_poly = sympy.Poly(_to_sympy(sympy, form_from_coefficients(V, got), s), *s, domain="QQ")
+        assert got_poly == expected, vectors
+        assert len(got) - 1 == expected.total_degree(), vectors
+        assert got[next(i for i, c in enumerate(got) if c)] == 1
+        seen["trivial"] += len(got) == 1
+        seen["both_ends"] += not got[0] and not got[-1]
+        seen["mixed_degrees"] += len({len(v) for v in vectors}) > 1
+    assert all(count >= 5 for count in seen.values()), seen
+
+
+def _random_coefficient(rng):
+    """A rational function of x and y, zero about a tenth of the time."""
+    if rng.random() < 0.1:
+        return parse_rational("0", VARS)
+    num = f"{rng.randint(-4, 4)}*x + {rng.randint(-4, 4)}*y + {rng.randint(1, 4)}"
+    den = f"{rng.randint(0, 3)}*x*y + {rng.randint(1, 3)}"
+    return parse_rational(f"({num})/({den})", VARS)
+
+
+def _convolve(a, b):
+    """The vector of the product of two binary forms."""
+    out = [a[0] * 0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def test_form_gcd_over_rational_functions_recovers_the_built_factor():
+    # Forms h*c1, h*c2, h*c3 over Q(x, y): c1 and c2 are products of
+    # distinct linear factors (v1 - t*v2) with disjoint sets of t, and of
+    # powers of v1 in c1 only and of v2 in c2 only, so they are coprime and
+    # the gcd is h made monic.  h has rational function coefficients and
+    # sometimes a v1 or v2 factor of its own.
+    rng = random.Random(8104)
+    one, zero = parse_rational("1", VARS), parse_rational("0", VARS)
+    for _ in range(25):
+        h = [one]
+        for _ in range(rng.randint(1, 3)):
+            a, b = _random_coefficient(rng), _random_coefficient(rng)
+            h = _convolve(h, [a, b] if a or b else [one, zero])
+        for monomial in ([one, zero], [zero, one]):
+            if rng.random() < 0.3:
+                h = _convolve(h, monomial)
+        slopes = rng.sample(range(-6, 7), 4)
+        cofactors = [[one], [one], [_random_coefficient(rng) or one]]
+        for k, t in enumerate(slopes):
+            cofactors[k % 2] = _convolve(cofactors[k % 2], [one, parse_rational(str(-t), VARS)])
+        cofactors[0] = _convolve(cofactors[0], [one, zero])
+        cofactors[1] = _convolve(cofactors[1], [zero, one])
+        for _ in range(rng.randint(0, 2)):
+            cofactors[2] = _convolve(cofactors[2], [_random_coefficient(rng), one])
+        got = form_gcd([_convolve(h, c) for c in cofactors])
+        lead = next(c for c in h if c)
+        assert got == [c / lead for c in h], h
+
+
+def test_binary_form_gcd_rejects_forms_over_different_variables():
+    f = parse_polynomial("v1^2 - v2^2", V)
+    g = parse_polynomial("a - b", ("a", "b"))
+    for fn in (binary_form_gcd, resultant_binary):
+        with pytest.raises(NotHomogeneous, match="different variables"):
+            fn(f, g)
+    with pytest.raises(NotHomogeneous, match="different variables"):
+        binary_form_gcd(f, Polynomial.zero(("a", "b")))
 
 
 def _euclid_resultant(f, g):

@@ -418,9 +418,9 @@ def test_implicit_chart_frame_runs_no_completion_elimination(monkeypatch):
     quadric = ImplicitVariety([parse_polynomial("X0*X3 - X1*X2", names)], (1, 0, 0, 0))
     calls = count_eliminations(monkeypatch)
     monge_form(quadric, order=4)
-    # The prefix ranks of the frame candidates and the series solve's 1x1
-    # Jacobian; the tangent kernel is read off the gradient.
-    assert len(calls) == 2
+    # Only the series solve's 1x1 Jacobian: the tangent kernel is read off
+    # the gradient, and the frame off the kernel rows and the point.
+    assert len(calls) == 1
 
 
 def test_implicit_ruled_diagnostic_at_high_order_reads_each_piece_once(monkeypatch):
