@@ -101,12 +101,13 @@ def _at_point(text: str, count: int, what: str) -> tuple[Fraction, ...]:
     return point
 
 
-def _parameter_point(args, f: Parameterization):
-    """The evaluation point: --at, else the point recorded in the file."""
+def _parameter_point(args, vf, f: Parameterization):
+    """The evaluation point: --at, else the point recorded in the file
+    (None when there is neither)."""
     at = getattr(args, "at", None)
     if at is not None:
         return _at_point(at, f.source_dim, "parameters")
-    return None
+    return vf.point
 
 
 def _resolve_surface(vf, args, report: Report, needed_order: int):
@@ -121,13 +122,8 @@ def _resolve_surface(vf, args, report: Report, needed_order: int):
         report.inputs["point"] = fmt_point(obj.point)
         report.inputs["series_order"] = needed_order + 1
         return f, tuple(Fraction(0) for _ in f.params)
-    if isinstance(obj, Parameterization):
-        point = _parameter_point(args, obj)
-        if point is None:
-            point = vf.point
-        return obj, point
-    f = scroll(obj).underlying
-    return f, _parameter_point(args, f)
+    f = obj if isinstance(obj, Parameterization) else scroll(obj).underlying
+    return f, _parameter_point(args, vf, f)
 
 
 def _record_point_mode(report: Report, point) -> None:
@@ -267,7 +263,7 @@ def _cmd_ruling_check(args) -> Report:
         ruled = _as_ruled(obj)
     else:
         raise DomainError("ruling-check needs a parameterization or scroll file")
-    point = _parameter_point(args, ruled.underlying)
+    point = _parameter_point(args, vf, ruled.underlying)
     result = ruling_fixed_component_check(ruled, args.order, point=point)
     # dim |Phi_m| in the report's own mode; the bound holds at every point.
     dim = result.system.projective_dim
@@ -312,13 +308,13 @@ def _cmd_monge(args) -> Report:
             point = _parse_rational_tuple(args.at, "--at")
         md = chart(obj, point)
     elif isinstance(obj, Parameterization):
-        point = _parameter_point(args, obj) or vf.point
+        point = _parameter_point(args, vf, obj)
         if point is None:
             raise DomainError("monge needs --at or a point recorded in the file")
         md = chart(obj, point)
     else:
         f = scroll(obj).underlying
-        md = chart(f, _parameter_point(args, f))
+        md = chart(f, _parameter_point(args, vf, f))
     report.mode = "point"
     report.inputs["order"] = args.order
     report.add("ambient_point", fmt_point(md.ambient_point))

@@ -6,9 +6,11 @@ the order-(m-1) jet matrix.  Their canonical echelon basis is read off
 one RREF of the transposed jet matrix, which serves every order.  At a
 rational point the coefficients are rationals; at the generic point they
 are rational functions of the parameters.  Both cases share one
-representation: a homogeneous form in the tangent variables whose
-coefficients are field elements, plus the canonical echelon basis of the
-coefficient span.
+representation, the canonical echelon rows of the coefficient span over
+the degree-m monomials in graded order, from the echelon to the report:
+the Jacobian containment and the ruling checks read those rows, and the
+rows become homogeneous forms in the tangent variables only when a
+report prints them.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from .exactla import (
     RationalField,
     Subspace,
     integer_kernel,
+    prefix_ranks,
     rank,
     rref,
-    span_contains,
 )
 from .jets import (
     JetMatrix,
@@ -82,10 +84,6 @@ class TangentForm:
         self.coeffs = clean
         self.field = field
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def coefficient_vector(self) -> list:
         zero = self.field.zero()
         return [self.coeffs.get(exps, zero)
@@ -97,25 +95,6 @@ class TangentForm:
         basis = degree_block(len(tuple(tangent_vars)), degree)
         return cls(tangent_vars, degree,
                    {exps: value for exps, value in zip(basis, vector)}, field)
-
-    def partial(self, k: int) -> "TangentForm":
-        """Ordinary first derivative in the k-th tangent variable."""
-        if self.degree == 0:
-            raise DomainError("cannot differentiate a degree-0 form to negative degree")
-        out = {}
-        for exps, value in self.coeffs.items():
-            e = exps[k]
-            if e:
-                key = exps[:k] + (e - 1,) + exps[k + 1:]
-                out[key] = value * e
-        return TangentForm(self.tangent_vars, self.degree - 1, out, self.field)
-
-    def restrict_zero(self, indices: Sequence[int]) -> "TangentForm":
-        """Substitute zero for the given tangent variables."""
-        index_set = set(indices)
-        out = {exps: value for exps, value in self.coeffs.items()
-               if all(exps[i] == 0 for i in index_set)}
-        return TangentForm(self.tangent_vars, self.degree, out, self.field)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TangentForm):
@@ -169,24 +148,22 @@ class TangentForm:
 
 class LinearSystem:
     """Linear system of degree-m forms on the tangent space, held by the
-    canonical echelon basis of its coefficient span."""
+    canonical echelon basis of its coefficient span alone: the counts
+    read the span, and `generators` reads its rows as forms, built on
+    first read."""
 
-    __slots__ = ("degree", "tangent_vars", "generators", "point", "field",
-                 "coefficient_span")
+    __slots__ = ("degree", "tangent_vars", "point", "field", "coefficient_span",
+                 "_generators")
 
     def __init__(self, degree: int, tangent_vars: Sequence[str], span: Subspace, point):
         """`span` is already canonical, over the degree-`degree` monomials
         in graded order; `from_vectors` and `from_forms` make it so."""
-        tangent_vars = tuple(tangent_vars)
         self.degree = degree
-        self.tangent_vars = tangent_vars
-        self.generators = tuple([
-            TangentForm.from_vector(tangent_vars, degree, row, span.field)
-            for row in span.basis
-        ])
+        self.tangent_vars = tuple(tangent_vars)
         self.point = point
         self.field = span.field
         self.coefficient_span = span
+        self._generators = None
 
     @classmethod
     def from_vectors(cls, degree: int, tangent_vars: Sequence[str],
@@ -201,17 +178,27 @@ class LinearSystem:
                                 [f.coefficient_vector() for f in forms], point, field)
 
     @property
+    def generators(self) -> tuple[TangentForm, ...]:
+        """The canonical basis rows as forms, in basis order."""
+        if self._generators is None:
+            self._generators = tuple([
+                TangentForm.from_vector(self.tangent_vars, self.degree, row, self.field)
+                for row in self.coefficient_span.basis
+            ])
+        return self._generators
+
+    @property
     def generator_count(self) -> int:
-        return len(self.generators)
+        return self.coefficient_span.dim
 
     @property
     def projective_dim(self) -> int:
         """dim |L| as a projective linear system (-1 when empty)."""
-        return len(self.generators) - 1
+        return self.coefficient_span.dim - 1
 
     @property
     def is_empty(self) -> bool:
-        return not self.generators
+        return self.coefficient_span.is_zero
 
     def __repr__(self) -> str:
         return (f"LinearSystem(degree {self.degree}, {self.generator_count} "
@@ -281,16 +268,25 @@ def fundamental_form(f: Parameterization, m: int,
     return _forms(jet_matrix(f, m, point), [m], tangent_vars)[0]
 
 
+def _partial_rows(system: LinearSystem) -> tuple[tuple, ...]:
+    """The coefficient rows of the first partials of the generators, over
+    the degree-(m-1) monomials in graded order: d/dv_k sends the row c to
+    the row whose entry at J is (J_k + 1) c_(J+e_k)."""
+    r, m = len(system.tangent_vars), system.degree
+    position = {exps: i for i, exps in enumerate(degree_block(r, m))}
+    lower = degree_block(r, m - 1)
+    maps = [[(position[J[:k] + (J[k] + 1,) + J[k + 1:]], J[k] + 1) for J in lower]
+            for k in range(r)]
+    return tuple([tuple([row[i] * e if e > 1 else row[i] for i, e in index_map])
+                  for row in system.coefficient_span.basis for index_map in maps])
+
+
 def jacobian_system(system: LinearSystem) -> LinearSystem:
     """Linear system spanned by all first partials of the generators."""
     if system.degree < 1:
         raise DomainError("Jacobian of a degree-0 system is undefined")
-    forms = []
-    for g in system.generators:
-        for k in range(len(system.tangent_vars)):
-            forms.append(g.partial(k))
-    return LinearSystem.from_forms(system.degree - 1, system.tangent_vars,
-                                   forms, system.point, system.field)
+    return LinearSystem.from_vectors(system.degree - 1, system.tangent_vars,
+                                     _partial_rows(system), system.point, system.field)
 
 
 @dataclass
@@ -311,21 +307,32 @@ def check_jacobian_containment(f: Parameterization, m: int,
                                point: Sequence | None = None) -> JacobianReport:
     """Check Jacobian(|Phi_m|) inside |Phi_{m-1}|; true by theorem, so a
 
-    failure indicates an arithmetic bug or an invalid evaluation point."""
+    failure indicates an arithmetic bug or an invalid evaluation point.
+
+    One prefix-rank pass over the partials' rows (`_partial_rows` of
+    |Phi_m|'s canonical rows) stacked on |Phi_(m-1)|'s gives the
+    Jacobian's dimension and that of the sum, which equals dim
+    |Phi_(m-1)| exactly when the containment holds."""
     if m < 3:
         raise DomainError(f"containment Jacobian(Phi_m) in Phi_(m-1) needs m >= 3, got {m}")
     current, previous = _forms(jet_matrix(f, m, point), [m, m - 1],
                                default_tangent_vars(f.source_dim))
-    jac = jacobian_system(current)
-    contained = span_contains(previous.coefficient_span, jac.coefficient_span)
-    equal = contained and jac.generator_count == previous.generator_count
+    previous_dim = previous.generator_count
+    jacobian_dim, contained = 0, True
+    if not current.is_empty:
+        partials = _partial_rows(current)
+        stacked = ExactMatrix._trusted(
+            partials + previous.coefficient_span.basis,
+            current.field, previous.coefficient_span.ambient_dim)
+        jacobian_dim, total = prefix_ranks(stacked, [len(partials), stacked.nrows])
+        contained = total == previous_dim
+    equal = contained and jacobian_dim == previous_dim
     if contained:
         note = "containment holds"
     else:
         note = ("containment FAILED: the theorem guarantees it, so this "
                 "signals an arithmetic bug or an invalid point")
-    return JacobianReport(m, contained, equal, jac.generator_count,
-                          previous.generator_count, note)
+    return JacobianReport(m, contained, equal, jacobian_dim, previous_dim, note)
 
 
 @dataclass
@@ -372,8 +379,8 @@ def verify_phibar_relation(f: Parameterization, m: int,
         raise DomainError(f"the relation starts at m = 2, got {m}")
     jm = jet_matrix(f, m, None)
     n = f.source_dim
-    # Generically prefix_for_rank gives the integer M_m itself: row I
-    # holds D_I y_j for every j.
+    # prefix_for_rank gives the integer M_m: row I holds D_I y_j for
+    # every j.
     jets = jm.prefix_for_rank(m)
     kernel, d = integer_kernel(jets.submatrix_rows(range(jm.prefix_end(m - 1))))
 

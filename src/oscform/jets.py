@@ -6,8 +6,9 @@ column per homogeneous coordinate function.  Its rank at a point is
 s(m) + 1 where s(m) is the projective dimension of the m-th osculating
 space; its right kernel K_m consists of the hyperplanes osculating to
 order m.  Every jet matrix holds its transpose M^T on integers, which
-order_ranks, the fundamental forms' RREF and the dimension law's rank
-read as they are; M itself is built only when read.
+order_ranks and the fundamental forms' RREF read as they are, and whose
+leading columns, transposed, are the M_m the dimension law ranks; M
+itself is built only when read.
 - At a rational point the jets are Taylor coefficients, read straight
   off the integer series of the coordinates there (`taylor_jets`), with
   no symbolic derivative and no Polynomial in between: row j of M^T is
@@ -230,15 +231,14 @@ class JetMatrix:
         return self.matrix.submatrix_rows(range(self.prefix_end(order)))
 
     def prefix_for_rank(self, order: int) -> ExactMatrix:
-        """A matrix with the rank of the order-`order` jet matrix, for an
-        elimination of its own: the first prefix_end(order) columns of
-        the integer M^T; generically their transpose, which eliminates
-        faster over Z[u] (about 30% on the `generic` benchmark's jet
-        matrices)."""
+        """M_order on integers, for an elimination of its own: row I holds
+        D_I of every coordinate, scaled as in `transposed`.  At a point
+        as generically; over Z[u] this orientation eliminates faster than
+        M^T's columns (about 30% on the `generic` benchmark's matrices)."""
         end = self.prefix_end(order)
         t = self.transposed
-        columns = ExactMatrix._trusted(tuple([row[:end] for row in t.rows]), t.field, end)
-        return columns.transpose() if self.point is None else columns
+        return ExactMatrix._trusted(tuple([row[:end] for row in t.rows]), t.field,
+                                    end).transpose()
 
     def order_ranks(self) -> list[int]:
         """Ranks of the order-0 through order-`order` jet matrices, from

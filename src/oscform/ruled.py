@@ -61,6 +61,7 @@ from .jets import ImplicitVariety, JetMatrix, Parameterization, jet_matrix, poin
 from .polyring import (
     Polynomial,
     RationalFunction,
+    degree_block,
     form_from_coefficients,
     form_value,
     graph_series,
@@ -262,31 +263,25 @@ def ruling_fixed_component_check(f: RuledParameterization, m: int,
     (b) the monomial support satisfies v-degree >= m-1 and fiber-degree
     <= 1; (c) for base dimension >= 2 and m >= 3 the generators are
     additionally singular along the fiber subspace.
+
+    All three read the lowest base (v-)degree of a monomial in the
+    canonical rows: a form vanishes on {v = 0} exactly when it has no
+    monomial of base degree 0, and all its first partials do exactly
+    when it has none of base degree <= 1.
     """
     if m < 2:
         raise DomainError(f"fundamental forms start at m = 2, got {m}")
     tangent = f.tangent_vars()
     system = fundamental_form(f.underlying, m, point, tangent_vars=tangent)
     n = f.base_count
-    base_indices = list(range(n))
-    contains = all(g.restrict_zero(base_indices).is_zero for g in system.generators)
-    support_ok = True
-    for g in system.generators:
-        for exps in g.coeffs:
-            v_deg = sum(exps[:n])
-            w_deg = sum(exps[n:])
-            if v_deg < m - 1 or w_deg > 1:
-                support_ok = False
-    singular: bool | None = None
-    if n >= 2 and m >= 3:
-        singular = True
-        for g in system.generators:
-            for k in range(len(tangent)):
-                if not g.partial(k).restrict_zero(base_indices).is_zero:
-                    singular = False
-    fixed = None
-    if n == 1 and contains and system.generators:
-        fixed = tangent[0]
+    monomials = degree_block(len(tangent), m)
+    support = {i for row in system.coefficient_span.basis for i, c in enumerate(row) if c}
+    lowest = min([sum(monomials[i][:n]) for i in support], default=m)
+    contains = lowest >= 1
+    # Of degree m, fiber degree <= 1 is v-degree >= m - 1.
+    support_ok = lowest >= m - 1
+    singular = lowest >= 2 if n >= 2 and m >= 3 else None
+    fixed = tangent[0] if n == 1 and contains and support else None
     return RulingReport(m, contains, support_ok, singular, fixed,
                         system.generator_count, system)
 

@@ -210,6 +210,17 @@ def test_ruling_check_at_a_point_eliminates_only_over_the_rationals(
     assert "dim: 1\nbound: 1\nwithin_bound: true" in out
 
 
+def test_ruling_check_reads_the_recorded_point(capsys, tmp_path):
+    path = tmp_path / "ruled.var"
+    path.write_text("kind: parameterization\nparams: t s\n"
+                    "coords: 1, t, t^2, s, s*t, s*t^2\npoint: 1, 2\n")
+    recorded = run(capsys, ["ruling-check", "--order", "2", str(path)])
+    at = run(capsys, ["ruling-check", "--order", "2", "--at=1,2", str(path)])
+    assert recorded == at
+    assert recorded[0] == 0
+    assert "mode: point\n" in recorded[1] and "at: (1, 2)\n" in recorded[1]
+
+
 FOLD = "kind: parameterization\nparams: x y\ncoords: 1, x^2, x^3, y, y^2, x^2*y\n"
 
 

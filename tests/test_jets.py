@@ -328,10 +328,24 @@ def test_integer_transpose_answers_as_the_fraction_matrix_does():
         assert ends == [comb(nparams + k, k) for k in range(m + 1)]
         assert jm.order_ranks() == prefix_ranks(jm.matrix, ends)
         for k in range(m + 1):
-            # The dimension law's rank: M_k^T's columns, on integers.
+            # The dimension law's rank: M_k, on integers.
             block = ExactMatrix([row[:ends[k]] for row in fraction.rows])
             assert rank(jm.prefix_for_rank(k)) == rank(block) == rank(jm.prefix(k))
         checked += 1
+
+
+@pytest.mark.parametrize("point", [(1, 2), None], ids=["point", "generic"])
+def test_dimension_law_matrix_has_one_row_per_jet_index(point):
+    # At a point as generically, prefix_for_rank(k) is M_k: one row per
+    # D_I with |I| <= k, in the rows' order, each holding D_I of every
+    # coordinate as the integer M^T does.
+    jm = jet_matrix(togliatti(), 3, point)
+    for k in range(4):
+        end = jm.prefix_end(k)
+        mk = jm.prefix_for_rank(k)
+        assert (mk.nrows, mk.ncols) == (end, len(togliatti().coords))
+        assert mk.rows == tuple(zip(*[row[:end] for row in jm.transposed.rows]))
+        assert mk.field == jm.transposed.field
 
 
 def test_point_jet_matrix_reads_the_series_without_conversions(monkeypatch):

@@ -21,8 +21,9 @@ from oscform.errors import (
     SingularPoint,
 )
 from oscform.exactla import ExactMatrix, RationalField, Subspace, kernel_basis, rank
+from oscform.fundforms import LinearSystem
 from oscform.jets import ImplicitVariety, Parameterization, point_expansions
-from oscform.polyring import Polynomial, parse_polynomial, parse_rational
+from oscform.polyring import Polynomial, degree_block, parse_polynomial, parse_rational
 from oscform.polyring import intpoly
 from oscform.polyring.series import jet_rows
 from oscform.ruled import (
@@ -179,6 +180,86 @@ def test_random_ruled_surfaces_keep_fixed_component():
             continue
         assert report.all_members_contain_ruling
         assert report.monomial_support_ok
+
+
+def sympy_ruling_oracle(f, report):
+    """(all_members_contain_ruling, monomial_support_ok, singular_along_ruling)
+    from the printed generators, by sympy: each restricted to {v = 0}, its
+    monomials' degrees, and each of its first partials restricted to {v = 0}."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.parsing.sympy_parser import parse_expr
+
+    tangent = sympy.symbols(f.tangent_vars())
+    names = {str(s): s for s in sympy.symbols(f.underlying.params) + tangent}
+    n, m = f.base_count, report.order
+    on_fibers = {v: 0 for v in tangent[:n]}
+    generators = [parse_expr(str(g).replace("^", "**"), local_dict=names)
+                  for g in report.system.generators]
+    contains = all(g.subs(on_fibers) == 0 for g in generators)
+    support_ok = all(sum(k[:n]) >= m - 1 and sum(k[n:]) <= 1
+                     for g in generators for k in sympy.Poly(g, *tangent).as_dict())
+    singular = None
+    if n >= 2 and m >= 3:
+        singular = all(sympy.diff(g, v).subs(on_fibers) == 0
+                       for g in generators for v in tangent)
+    return contains, support_ok, singular
+
+
+def test_ruling_structure_matches_the_sympy_oracle():
+    from test_acceptance import random_ruled
+
+    for seed in range(8):
+        rng = random.Random(seed)
+        f = random_ruled(rng, *rng.choice([(1, 1), (1, 2), (2, 1), (2, 2)]))
+        point = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                      for _ in f.underlying.params)
+        for m in (2, 3):
+            for where in (point, None):
+                report = ruling_fixed_component_check(f, m, where)
+                assert report.generator_count > 0
+                got = (report.all_members_contain_ruling, report.monomial_support_ok,
+                       report.singular_along_ruling)
+                assert got == sympy_ruling_oracle(f, report), (seed, m, where)
+
+
+TWO_BASE = ("1", "u1", "u2", "t", "u1*t", "u2*t", "u1^2 + u2*t", "u1*u2 + u1^2*t")
+
+
+@pytest.mark.parametrize("base, m, offending, expected", [
+    # Base degree 0: w1^2 does not vanish on the ruling.
+    (1, 2, "w1^2", (False, False, None, None)),
+    # Base degree 1 with n = 2, m = 3: d/dv1 of v1*w1^2 is w1^2.
+    (2, 3, "v1*w1^2", (True, False, False, None)),
+    # Fiber degree 2, above the bound of 1 for a ruled variety.
+    (1, 3, "v*w1^2", (True, False, None, "v")),
+], ids=["base degree 0", "base degree 1", "fiber degree 2"])
+def test_ruling_check_flags_one_offending_monomial(monkeypatch, base, m, offending,
+                                                     expected):
+    if base == 1:
+        f = scroll(ScrollSpec([3, 3]))
+    else:
+        names = ("u1", "u2", "t")
+        f = RuledParameterization(("u1", "u2"), ("t",),
+                                  [parse_polynomial(s, names) for s in TWO_BASE])
+    tangent = f.tangent_vars()
+    monomials = degree_block(len(tangent), m)
+
+    def row(text):
+        terms = parse_polynomial(text, tangent).terms
+        return [terms.get(k, 0) for k in monomials]
+
+    # v^m (v1^m) lies in every such system; the offending monomial rides
+    # along in a second generator.
+    good = "v^" if base == 1 else "v1^"
+    vectors = [row(f"{good}{m}"), row(f"{good}{m - 1}*w1 + {offending}")]
+    system = LinearSystem.from_vectors(m, tangent, vectors, "generic", RationalField())
+    monkeypatch.setattr(ruled, "fundamental_form", lambda *args, **kwargs: system)
+    report = ruling_fixed_component_check(f, m)
+    assert report.system is system
+    got = (report.all_members_contain_ruling, report.monomial_support_ok,
+           report.singular_along_ruling, report.fixed_component)
+    assert got == expected
+    assert got[:3] == sympy_ruling_oracle(f, report)
 
 
 def test_dim_bound_attained_by_scrolls():
