@@ -307,14 +307,12 @@ def _cmd_monge(args) -> Report:
         if getattr(args, "at", None) is not None:
             point = _parse_rational_tuple(args.at, "--at")
         md = chart(obj, point)
-    elif isinstance(obj, Parameterization):
-        point = _parameter_point(args, vf, obj)
+    else:
+        f = obj if isinstance(obj, Parameterization) else scroll(obj).underlying
+        point = _parameter_point(args, vf, f)
         if point is None:
             raise DomainError("monge needs --at or a point recorded in the file")
-        md = chart(obj, point)
-    else:
-        f = scroll(obj).underlying
-        md = chart(f, _parameter_point(args, vf, f))
+        md = chart(f, point)
     report.mode = "point"
     report.inputs["order"] = args.order
     report.add("ambient_point", fmt_point(md.ambient_point))

@@ -49,10 +49,12 @@ from .polyring import (
     RationalFunction,
     degree_block,
     multi_indices_upto,
+    taylor_expansions,
 )
 from .polyring.binform import form_gcd, integer_form, integer_zeros, nonzero_span
 from .polyring.intpoly import IntPoly, combine, dot, partial, primitive
 from .polyring.ratfunc import _reduced
+from .polyring.series import jet_rows
 
 FieldElement = Union[Fraction, RationalFunction]
 
@@ -203,15 +205,6 @@ class LinearSystem:
     def __repr__(self) -> str:
         return (f"LinearSystem(degree {self.degree}, {self.generator_count} "
                 f"generators, at {self.point})")
-
-
-def _pair(row: Sequence, vector: Sequence, zero):
-    """sum_j row_j * vector_j, skipping zero factors."""
-    total = zero
-    for a, b in zip(row, vector):
-        if a and b:
-            total = total + a * b
-    return total
 
 
 def _forms(jm: JetMatrix, orders: Sequence[int],
@@ -480,13 +473,15 @@ def hyperplane_tangent_cone(f: Parameterization, h: Sequence,
                             max_order: int = 12) -> TangentConeReport:
     """Initial form of a hyperplane section at the point.
 
-    The section sum_j h_j x_j is expanded at the point through order
-    `max_order`; its lowest nonzero homogeneous piece, of degree m, is
-    sum_{|I|=m} (sum_j h_j D_I x_j) v^I, the projectivized tangent cone
-    of the section, and a member of |Phi_m|.  The constant term must
-    vanish (the hyperplane must pass through the point).  h is a vector
-    of rationals.  Generically the section has no expansion to read: it
-    either misses the generic point or vanishes identically.
+    The section s = sum_j h_j x_j, built once as a rational function, is
+    expanded at the point through order `max_order`; its lowest nonzero
+    homogeneous piece, of degree m, is sum_{|I|=m} (sum_j h_j D_I x_j) v^I,
+    the projectivized tangent cone of the section, and a member of |Phi_m|.
+    The constant term must vanish (the hyperplane must pass through the
+    point).  h is a vector of rationals.  The coordinates are expanded
+    through order 1 only, for the point check and the immersion warning.
+    Generically the section has no expansion to read: it either misses
+    the generic point or vanishes identically.
     """
     if len(h) != len(f.coords):
         raise DomainError(
@@ -498,20 +493,21 @@ def hyperplane_tangent_cone(f: Parameterization, h: Sequence,
         cap = min(cap, f.truncated_order - 1)
     _check_jet_order(f, cap)
     h = [RationalField().coerce(e) for e in h]
+    section = sum((x * c for x, c in zip(f.coords, h) if c), FunctionField(f.params).zero())
     if point is None:
         # Generically the section is its own order-0 value.
-        pieces = [(0, {(0,) * f.source_dim: _pair(f.coords, h, FunctionField(f.params).zero())})]
+        pieces = [(0, {(0,) * f.source_dim: section})]
     else:
-        point, jets = point_expansions(f, cap, point)
+        point, expansions = point_expansions(f, min(cap, 1), point)
         if cap >= 1:
-            first = ExactMatrix([[e.coefficient(I) for e in jets]
-                                 for I in multi_indices_upto(f.source_dim, 1)],
-                                field=RationalField())
-            _warn_unless_immersive(point, f.source_dim, rank(first))
+            first = multi_indices_upto(f.source_dim, 1)
+            _warn_unless_immersive(point, f.source_dim, rank(ExactMatrix._trusted(
+                tuple([nums for nums, _ in jet_rows(expansions, first)]), RationalField(),
+                len(first))))
         # The section's coefficients one degree at a time, read up to the
         # first nonzero degree only.
-        pieces = ((m, {I: _pair([e.coefficient(I) for e in jets], h, Fraction(0))
-                       for I in degree_block(f.source_dim, m)})
+        [series] = taylor_expansions([section], point, cap)
+        pieces = ((m, {I: series.coefficient(I) for I in degree_block(f.source_dim, m)})
                   for m in range(cap + 1))
     for m, coeffs in pieces:
         if any(coeffs.values()):

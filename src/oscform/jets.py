@@ -10,10 +10,10 @@ order_ranks and the fundamental forms' RREF read as they are, and whose
 leading columns, transposed, are the M_m the dimension law ranks; M
 itself is built only when read.
 - At a rational point the jets are Taylor coefficients, read straight
-  off the integer series of the coordinates there (`taylor_jets`), with
-  no symbolic derivative and no Polynomial in between: row j of M^T is
-  x_j's Taylor numerators with its denominator dropped, which changes no
-  rank, pivot column or RREF.  M is built over Fractions
+  off the integer series of the coordinates there (`point_expansions`),
+  with no symbolic derivative and no Polynomial in between: row j of
+  M^T is x_j's Taylor numerators with its denominator dropped, which
+  changes no rank, pivot column or RREF.  M is built over Fractions
   (osculating_space's row space).
 - Generically, polynomial and rational coordinates take one path: row j
   of M^T is the Hasse derivatives of y_j, the integer numerator of Q x_j
@@ -22,12 +22,14 @@ itself is built only when read.
   kernel beyond a scaling of its coordinates and no fundamental form.
   M, the true D_I x_j over Q(u), is built by
   `RationalFunction.hasse_derivative`.
-`point_expansions` hands the same series to the Monge chart and the
-tangent cone, which read them by `coefficient(I)`.  Building a jet
-matrix ranks nothing: the NonImmersivePoint warning is raised by each
-question from the order-1 rank its own elimination gives.  Implicit
-complete intersections enter through a truncated power-series chart
-solved at a smooth rational point.
+`point_expansions` is the one entry of a point into the coordinates'
+series, with its parse and projective check; the tangent cone reads it
+only through order 1 and expands its section h.x itself.  Building a
+jet matrix ranks nothing: the NonImmersivePoint warning is raised by
+each question from the order-1 rank its own elimination gives.
+Implicit complete intersections enter through a truncated power-series
+chart solved at a smooth rational point, certified once, by the Newton
+solve.
 """
 
 from __future__ import annotations
@@ -62,8 +64,6 @@ from .polyring import (
     multi_indices_upto,
     solve_series_system,
     taylor_expansions,
-    taylor_jets,
-    truncated_compose,
 )
 from .polyring.gcd import _divide, polynomial_lcm
 from .polyring.intpoly import MAX_DEGREE, IntPoly, mul, partial
@@ -253,30 +253,20 @@ class JetMatrix:
         return f"JetMatrix(order {self.order}, {t.ncols}x{t.nrows}, at {where})"
 
 
-def _rational_point(f: Parameterization, point: Sequence) -> tuple[Fraction, ...]:
+def point_expansions(f: Parameterization, order: int, point: Sequence
+                     ) -> tuple[tuple[Fraction, ...], list]:
+    """The point as rationals, and each coordinate's Taylor expansion there
+    through total degree `order`, as the integer series `jet_rows` reads.
+    Raises DenominatorVanishes for the first coordinate with a pole at
+    the point, and DomainError where all of them vanish."""
     point = tuple(Fraction(v) for v in point)
     if len(point) != f.source_dim:
         raise DomainError(
             f"point {fmt_point(point)} has wrong length for {f.source_dim} parameters")
-    return point
-
-
-def _check_projective(point: tuple[Fraction, ...], values: Sequence[Fraction]) -> None:
-    if not any(values):
+    expansions = taylor_expansions(f.coords, point, order)
+    if not any(nums[0] for nums, _ in jet_rows(expansions, ((0,) * f.source_dim,))):
         raise DomainError(
             f"all coordinates vanish at {fmt_point(point)}; not a projective point")
-
-
-def point_expansions(f: Parameterization, order: int, point: Sequence
-                     ) -> tuple[tuple[Fraction, ...], list]:
-    """The point as rationals, and each coordinate's Taylor expansion there
-    through total degree `order`, as the integer series of
-    `taylor_expansions`: `coefficient(I)` of the series of x_j is D_I x_j
-    at the point."""
-    point = _rational_point(f, point)
-    expansions = taylor_expansions(f.coords, point, order)
-    _check_projective(point, [nums[0] for nums, _ in
-                              jet_rows(expansions, ((0,) * f.source_dim,))])
     return point, expansions
 
 
@@ -302,10 +292,8 @@ def jet_matrix(f: Parameterization, m: int, point: Sequence | None = None) -> Je
         transposed = ExactMatrix._trusted(_derivative_rows(f, indices),
                                           FunctionField(f.params), len(indices))
         return JetMatrix(m, indices, None, f.params, transposed, f.coords)
-    point = _rational_point(f, point)
-    jets = taylor_jets(f.coords, point, m, indices)
-    # The first column of M^T is D_0: the coordinates' values at the point.
-    _check_projective(point, [nums[0] for nums, _ in jets])
+    point, expansions = point_expansions(f, m, point)
+    jets = jet_rows(expansions, indices)
     transposed = ExactMatrix._trusted(tuple([nums for nums, _ in jets]), RationalField(),
                                       len(indices))
     return JetMatrix(m, indices, point, f.params, transposed, [den for _, den in jets])
@@ -460,7 +448,9 @@ def jet_parameterize(iv: ImplicitVariety, order: int) -> Parameterization:
     affine coordinates, measured as offsets from the point; the free
     slots are the lexicographically first choice whose complementary
     Jacobian block is invertible, read off the chart that the variety's
-    constructor built.
+    constructor built.  `solve_series_system`'s final residual check
+    certifies the chart, once: with X_pivot = 1 the equations on these
+    coordinates are the dehomogenized system on the same series.
     """
     if order < 1:
         raise DomainError(f"truncation order must be positive, got {order}")
@@ -477,11 +467,5 @@ def jet_parameterize(iv: ImplicitVariety, order: int) -> Parameterization:
                                      + affine_point[idx])
     for k, idx in enumerate(dep):
         coords[affine_slots[idx]] = solution[k]
-    for g in iv.equations:
-        residual = truncated_compose(g, coords, order)
-        if not residual.is_zero:
-            raise InvariantViolation(
-                f"series chart leaves residual {residual} in {g}"
-            )
     label = f"order-{order} chart of {iv.label}" if iv.label else f"order-{order} chart"
     return Parameterization(series_vars, coords, label=label, truncated_order=order)

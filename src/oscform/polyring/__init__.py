@@ -35,7 +35,6 @@ from .series import (
     graph_series,
     solve_series_system,
     taylor_expansions,
-    taylor_jets,
     truncated_compose,
     truncated_inverse,
     truncated_multiply,
@@ -71,7 +70,6 @@ __all__ = [
     "graph_series",
     "solve_series_system",
     "taylor_expansions",
-    "taylor_jets",
     "truncated_compose",
     "truncated_inverse",
     "truncated_multiply",

@@ -7,9 +7,9 @@ operations, and a result is brought to lowest terms once, by one
 `math.gcd(den, *nums)`, instead of once per coefficient as Fraction
 arithmetic does.  Every `_Series` a helper returns is normalized: its
 numerators are nonzero and the denominator is coprime to them all.
-`coefficient(I)` reads one coefficient as a Fraction; the callers
-outside this module read series only through it, so the format below
-is known here alone.
+`coefficient(I)` reads one coefficient as a Fraction and `jet_rows` the
+integer numerators at given indices; callers outside this module read
+series only through them, so the format below is known here alone.
 
 The dict keys are the packed monomial keys of intpoly.py: the total
 degree in the top slot, then the exponents, so multiplying monomials
@@ -19,7 +19,7 @@ Truncation degrees are capped at `ip.MAX_DEGREE`, where the slots would
 overflow.
 
 Expansions stay integer series from the expansion to the answer:
-taylor_expansions returns them, taylor_jets reads the integer rows of a
+taylor_expansions returns them, jet_rows reads the integer rows of a
 transposed jet matrix off them, and graph_series takes them.
 Conversion happens only where a public
 function takes or returns a Polynomial (truncated_multiply,
@@ -42,11 +42,12 @@ denominator prod(b_k^M_k), which cancels in a quotient.  i_k stops at
 min(E_k, order), so a high exponent costs no more terms than a low one.
 The factor lists are cached per (variable, exponent, top exponent) for
 the call, and a function's series is brought to lowest terms once; a
-denominator other than 1 is then inverted as a series.  taylor_jets
+denominator other than 1 is then inverted as a series.  jet_rows
 reads the Taylor numerators of given multi-indices off those series,
 one integer row and one denominator per function: the rows of a point
-jet matrix's transpose, scaled.  `_shift` and `_compose` remain for the
-Newton solve and truncated_compose.
+jet matrix's transpose, scaled; a tangent cone expands its section h.x
+alone, the coordinates only through order 1.  `_shift` and `_compose`
+remain for the Newton solve and truncated_compose.
 
 graph_series writes a parameterized surface chart as a graph
 x3 = f(x1, x2), from the chart inverse's integer rows over positive
@@ -435,14 +436,6 @@ def _binomial_steps(a: int, b: int, e: int, top: int, order: int,
         a_power //= a
         b_power *= b
     return out
-
-
-def taylor_jets(functions: Sequence, point: tuple[Fraction, ...], order: int,
-                indices: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
-    """The Taylor coefficients D_I f at the point of each function, for
-    the multi-indices I in `indices` (each of degree at most `order`), as
-    `jet_rows` reads them off taylor_expansions: a point jet matrix's Mᵀ."""
-    return jet_rows(taylor_expansions(functions, point, order), indices)
 
 
 def jet_rows(series: Sequence[_Series], indices: Sequence[tuple[int, ...]]

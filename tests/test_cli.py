@@ -332,8 +332,11 @@ def test_ruled_test_rejects_input_no_sample_point_can_serve(capsys, monkeypatch,
     code, out, err = run_stdin(capsys, monkeypatch, ["ruled-test"] + argv, text)
     assert (code, out, err) == (1, "", f"error: {message}\n")
     if "--samples" not in argv:
-        # monge rejects the same input with the same message.
-        code, out, err = run_stdin(capsys, monkeypatch, ["monge"] + argv, text)
+        # monge rejects the same input with the same message.  A scroll
+        # file records no point, which monge needs and reports missing
+        # first, so monge is given one.
+        point = ["--at=1,2"] if "kind: scroll" in text else []
+        code, out, err = run_stdin(capsys, monkeypatch, ["monge"] + argv + point, text)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
@@ -773,6 +776,46 @@ def test_monge_parses_the_file_before_checking_the_order(capsys, monkeypatch):
     code, out, err = run_stdin(capsys, monkeypatch, ["monge", "--order", "2", "--at=1,2"],
                                "kind: parameterization\nparams: x y\ncoords: 1, x, y, 2x\n")
     assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("text", [
+    example_text("scroll-1-1"),
+    "kind: parameterization\nparams: t s\ncoords: 1, t, s, s*t\n",
+], ids=["scroll", "parameterization"])
+@pytest.mark.parametrize("argv", [[], ["--order", "2"]], ids=["default-order", "order-2"])
+def test_monge_without_a_point_says_so_for_every_parameterized_kind(capsys, monkeypatch,
+                                                                    text, argv):
+    # A scroll is its underlying parameterization: the missing point is
+    # reported first, before the order is checked.
+    code, out, err = run_stdin(capsys, monkeypatch, ["monge"] + argv, text)
+    assert (code, out, err) == (
+        1, "", "error: monge needs --at or a point recorded in the file\n")
+
+
+# Every coordinate vanishes at the origin, so (0, 0) is no projective point.
+VANISHING = "kind: parameterization\nparams: x y\ncoords: x, y, x*y, x^2 + y^2\n"
+NOT_PROJECTIVE = "all coordinates vanish at (0, 0); not a projective point"
+
+
+@pytest.mark.parametrize("argv", [
+    ["osc", "--order", "2", "--max"],
+    ["fundform", "--order", "2"],
+    ["jacobian-check", "--order", "3"],
+    ["base-locus", "--order", "2"],
+    ["tangent-cone", "--hyperplane=1,0,0,0"],
+    ["monge", "--order", "4"],
+], ids=lambda argv: argv[0])
+def test_point_commands_reject_a_point_where_every_coordinate_vanishes(capsys, monkeypatch,
+                                                                       argv):
+    code, out, err = run_stdin(capsys, monkeypatch, argv + ["--at=0,0"], VANISHING)
+    assert (code, out, err) == (1, "", f"error: {NOT_PROJECTIVE}\n")
+
+
+def test_ruled_test_reports_a_point_where_every_coordinate_vanishes(capsys, monkeypatch):
+    code, out, err = run_stdin(capsys, monkeypatch, ["ruled-test", "--samples", "0",
+                                                     "--at=0,0"], VANISHING)
+    assert code == 0, err
+    assert f"point (0, 0): error: DomainError: {NOT_PROJECTIVE}" in out.splitlines()
 
 
 # Rational surfaces in Q(x, y): the first has one denominator, the second

@@ -494,6 +494,38 @@ def test_tangent_cone_builds_no_jet_matrix(monkeypatch):
     assert builds == [] and rows == []
 
 
+def test_point_tangent_cone_expands_the_coordinates_to_order_one_and_the_section(
+        monkeypatch):
+    # What each call expands: (number of functions, order).  The
+    # coordinates go through min(cap, 1), for the point check and the
+    # order-1 rank; the section alone goes through the cap.
+    XYZW = ("X", "Y", "Z", "W")
+    sphere = ImplicitVariety([parse_polynomial("X^2 + Y^2 + Z^2 - W^2", XYZW)],
+                             (0, 0, 1, 1))
+    chart = jet_parameterize(sphere, 4)
+    calls = count_calls(monkeypatch, jets, "taylor_expansions", fundforms)
+    transverse = (1, 0, 0, 0, 0, -1)
+    cases = [
+        (lambda: hyperplane_tangent_cone(togliatti(), transverse, point=(1, 1)),
+         [(6, 1), (1, 12)]),
+        (lambda: hyperplane_tangent_cone(togliatti(), transverse, point=(1, 1),
+                                         max_order=0),
+         [(6, 0), (1, 0)]),
+        # The chart is truncated at degree 4, which caps the order at 3.
+        (lambda: hyperplane_tangent_cone(chart, (1, 0, 0, 0), point=(0, 0)),
+         [(4, 1), (1, 3)]),
+    ]
+    for compute, expected in cases:
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonImmersivePoint)
+            try:
+                compute()
+            except HyperplaneContainsAllOsculating:
+                pass
+        assert [(len(functions), order) for functions, _, order in calls] == expected
+
+
 def tangent_cone_oracle(f, h, point, max_order):
     """The jet-matrix algorithm: pair h with every row of one order-cap
     jet matrix, then look for the first order with a nonzero pairing."""

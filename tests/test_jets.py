@@ -9,6 +9,7 @@ for the point matrix read off Taylor expansions.
 import itertools
 import random
 import re
+import sys
 import warnings
 from fractions import Fraction
 from math import comb
@@ -21,6 +22,7 @@ from oscform.cli import main
 from oscform.errors import (
     DenominatorVanishes,
     DomainError,
+    InvariantViolation,
     NotHomogeneous,
     PointNotOnVariety,
     SingularPoint,
@@ -46,7 +48,7 @@ from oscform.jets import (
     osculating_space,
 )
 from oscform.gallery import example_names, example_text
-from oscform.polyring import intpoly
+from oscform.polyring import intpoly, series
 from oscform.polyring import (
     Polynomial,
     RationalFunction,
@@ -54,6 +56,7 @@ from oscform.polyring import (
     parse_polynomial,
     parse_rational,
 )
+from oscform.varfile import build_variety, parse_variety
 
 XY = ("x", "y")
 
@@ -535,6 +538,68 @@ def test_jet_parameterize_quadric_surface():
     f = jet_parameterize(iv, 3)
     assert f.params == ("X1", "X2")
     assert f.coords[3] == parse_polynomial("X1*X2", ("X1", "X2"))
+
+
+def spy_everywhere(monkeypatch, original):
+    """Route calls of `original` through a recorder in every oscform
+    module that binds it; returns the recorded argument tuples."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "oscform" or name.startswith("oscform."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, spy)
+    return calls
+
+
+def cone_quadric() -> ImplicitVariety:
+    names = ("X0", "X1", "X2", "X3")
+    return ImplicitVariety([parse_polynomial("X0*X3 - X1^2 + 2*X2^2", names)],
+                           (1, 0, 0, 0))
+
+
+def dye() -> ImplicitVariety:
+    return build_variety(parse_variety(example_text("dye")))
+
+
+def test_jet_parameterize_certifies_the_chart_once(monkeypatch):
+    # The Newton solve's final full-order check is the certificate; the
+    # homogeneous equations are not composed a second time.
+    composes = spy_everywhere(monkeypatch, series.truncated_compose)
+    for iv, order in ((cone_quadric(), 3), (circle(), 4), (dye(), 4)):
+        jet_parameterize(iv, order)
+    assert composes == []
+
+
+@pytest.mark.parametrize("variety, order", [(cone_quadric, 3), (dye, 4)],
+                         ids=["quadric", "dye"])
+def test_jet_parameterize_rejects_a_wrong_last_newton_step(monkeypatch, variety, order):
+    # One extra top-degree monomial in the first correction of the last
+    # sweep leaves a residual at degree `order`, since the dependent
+    # Jacobian is invertible at the point.
+    original = series._solve_linear_series
+    corrupted = []
+
+    def solve(matrix, rhs, nvars, matrix_degree, max_degree):
+        delta = original(matrix, rhs, nvars, matrix_degree, max_degree)
+        if max_degree == order:
+            first = delta[0]
+            key = intpoly.pack((order,) + (0,) * (nvars - 1))
+            delta[0] = series._Series({**first.nums, key: first.nums.get(key, 0) + first.den},
+                                      first.den)
+            corrupted.append(max_degree)
+        return delta
+
+    monkeypatch.setattr(series, "_solve_linear_series", solve)
+    iv = variety()
+    with pytest.raises(InvariantViolation):
+        jet_parameterize(iv, order)
+    assert corrupted == [order]
 
 
 def test_circle_chart_osculating_dimensions():

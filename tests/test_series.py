@@ -33,9 +33,9 @@ from oscform.polyring import intpoly, series
 from oscform.polyring.series import (
     ZERO_PIECE,
     graph_series,
+    jet_rows,
     solve_series_system,
     taylor_expansions,
-    taylor_jets,
     truncated_compose,
     truncated_inverse,
     truncated_multiply,
@@ -593,17 +593,17 @@ def test_jet_rows_are_the_coefficients_of_the_expansions():
             with pytest.raises(DenominatorVanishes):
                 taylor_expansions(functions, point, order)
             with pytest.raises(DenominatorVanishes):
-                taylor_jets(functions, point, order, indices)
+                jet_rows(taylor_expansions(functions, point, order), indices)
             return
         expansions = taylor_expansions(functions, point, order)
         assert _polynomials_of(expansions, variables, order) == expected
-        rows = taylor_jets(functions, point, order, indices)
+        rows = jet_rows(taylor_expansions(functions, point, order), indices)
         assert len(rows) == len(functions)
         for (nums, den), e in zip(rows, expansions):
             assert [Fraction(v, den) for v in nums] == [e.coefficient(I) for I in indices]
             assert den > 0 and all(type(v) is int for v in nums)
         # The reader serves any subset of the indices, in any order.
-        assert taylor_jets(functions, point, order, indices[::-2]) == [
+        assert jet_rows(taylor_expansions(functions, point, order), indices[::-2]) == [
             (nums[::-2], den) for nums, den in rows]
 
     check()
@@ -683,6 +683,8 @@ def test_order_0_expansion_at_zero_coordinates_is_the_value():
         value = f.evaluate(point)
         expansions = taylor_expansions([f], point, 0)
         assert _polynomials_of(expansions, XY, 0) == [Polynomial.constant(XY, value)]
-        assert taylor_jets([f], point, 0, [(0, 0)]) == [((value.numerator,), value.denominator)]
+        assert jet_rows(taylor_expansions([f], point, 0), [(0, 0)]) == [
+            ((value.numerator,), value.denominator)]
     with pytest.raises(DenominatorVanishes):
-        taylor_jets([RationalFunction(P("1"), x)], (Fraction(0), Fraction(1)), 0, [(0, 0)])
+        jet_rows(taylor_expansions([RationalFunction(P("1"), x)], (Fraction(0), Fraction(1)), 0),
+                 [(0, 0)])
