@@ -19,11 +19,14 @@ It then eliminates on those, by one of two integer rules:
   an InvariantViolation).
 
 At each column the pivot is the candidate of smallest absolute value
-over Z, of fewest terms over Z[u].  No sum pays a gcd: canonical field
-entries are built only where a caller reads them, at the end of a
-reduced pass, one `Fraction` or one `ratfunc._reduced` (one gcd) per
-entry; when the last pivot's primitive part is linear, hence
-irreducible, one exact division decides each entry instead of the gcd.
+over Z, of fewest terms over Z[u].  A pivot clears the rows below it; a
+reduced pass also clears the rows above it, from a start column on (0
+for the whole matrix), back to the first row pivoting there.  No sum
+pays a gcd: canonical field entries are built only where a caller reads
+them, from the rows of a reduced pass (`field_rows`), one `Fraction` or
+one `ratfunc._reduced` (one gcd) per entry; when the pivot's primitive
+part is linear, hence irreducible, one exact division decides each
+entry instead of the gcd.
 The reduced row echelon form is unique for the row space, and rank and
 determinant are invariants, so results do not depend on the pivot
 order.
@@ -35,19 +38,25 @@ Every question below costs one run of that loop:
   of the pivots over Z, the last pivot over Z[u], divided by what the
   clearing and the steps multiplied it by;
 - `rref(M)`: the reduced row echelon form, its rank and pivot columns;
+- `reduced_pass(M, start)`: the integer rows of a pass reduced only
+  from column `start` on, and its pivot columns; the rows from the first
+  pivoting at or after `start` are those of a full reduced pass, each
+  its RREF row times its pivot entry.  The fundamental forms read their
+  blocks there, and `integer_rref` and `integer_kernel` read the full
+  pass (start 0);
 - `column_prefix_ranks(M, ends)`: the rank of every leading block of
   columns, read off the pivot columns of one forward pass;
   `prefix_ranks(M, ends)` gives those of the rows, from the transpose;
 - `kernel_vectors(M)`: a basis of the right kernel read off one RREF,
   one vector per free column (not canonical; the fundamental forms need
-  none: their canonical basis is part of the RREF of the transposed jet
-  matrix);
+  none: their canonical basis is a block of the RREF of the transposed
+  jet matrix);
 - `integer_kernel(M)`, over Q(u): the same basis times the last pivot,
-  on integer polynomials, read off the reduced pass before any entry
+  on integer polynomials, read off `reduced_pass(M)` before any entry
   is divided; the phibar check differentiates these;
 - `integer_rref(M)`, over Q: the RREF as integer rows over positive
-  denominators, read off the reduced pass as it stands; the Monge chart
-  of a parameterization reads its inverse there;
+  denominators, read off `reduced_pass(M)` as it stands; the Monge
+  chart of a parameterization reads its inverse there;
 - `row_space(M)`: the canonical basis of the row space.
 
 `kernel_basis(M)` wraps `kernel_vectors` in the checked `Subspace`
@@ -242,7 +251,7 @@ class ExactMatrix:
 
 class _IntegerRows:
     """A matrix over Q as primitive integer rows, for the loop in
-    `_eliminate`.
+    `_eliminate` and `reduced_pass`.
 
     Each row is multiplied by the lcm of its denominators and divided by
     its content.  A step replaces a row with head h by
@@ -303,11 +312,6 @@ class _IntegerRows:
                 self.den *= a
             rows[i] = new
 
-    def reduced(self, rows: list[list[int]], pivots: list[int]) -> list[list[Fraction]]:
-        out = [[Fraction(v, row[c]) if v else _ZERO for v in row]
-               for row, c in zip(rows, pivots)]
-        return out + [[_ZERO] * len(row) for row in rows[len(pivots):]]
-
     def determinant(self, rows: list[list[int]], pivots: list[int], sign: int) -> Fraction:
         if len(pivots) < len(rows):
             return _ZERO
@@ -319,7 +323,7 @@ class _IntegerRows:
 
 class _PolynomialRows:
     """A matrix over Q(u) as integer polynomial rows, for the loop in
-    `_eliminate` and `integer_kernel`, by Bareiss's rule.
+    `_eliminate` and `reduced_pass`, by Bareiss's rule.
 
     Each row is multiplied by the integer lcm of its entries' scale
     denominators over the gcd of their numerators, and by the polynomial
@@ -413,24 +417,18 @@ class _PolynomialRows:
             out.append(self._exact(t, prev))
         return out
 
-    def reduced(self, rows: list[list[IntPoly]],
-                pivots: list[int]) -> list[list[RationalFunction]]:
-        variables = self.variables
-        zero = _zero(variables)
-        content, d = primitive(self.prev)
-        scale = Fraction(1, content)
-        # Every entry is v / d.  A linear d is irreducible: one exact
-        # division replaces the gcd.
-        entry = _reduced_by_linear if max(d) >> top(self.n) == 1 else _reduced
-        out = [[entry(variables, scale, v, d) if v else zero for v in row]
-               for row in rows[:len(pivots)]]
-        return out + [[zero] * len(row) for row in rows[len(pivots):]]
-
     def determinant(self, rows: list[list[IntPoly]], pivots: list[int],
                     sign: int) -> RationalFunction:
         if len(pivots) < len(rows):
             return _zero(self.variables)
         return _reduced(self.variables, sign * self.scale, self.prev, self.den)
+
+
+def _ring(matrix: ExactMatrix, track: bool) -> Union[_IntegerRows, _PolynomialRows]:
+    """The matrix's cleared rows, under the rule of its field."""
+    if isinstance(matrix.field, RationalField):
+        return _IntegerRows(matrix, track)
+    return _PolynomialRows(matrix, track)
 
 
 def _eliminate(matrix: ExactMatrix, reduce: bool) -> tuple[list[list] | None, list[int], Entry | None]:
@@ -444,24 +442,31 @@ def _eliminate(matrix: ExactMatrix, reduce: bool) -> tuple[list[list] | None, li
     smallest absolute value over Z, of fewest terms over Z[u].
     """
     track = not reduce and matrix.nrows == matrix.ncols
-    if isinstance(matrix.field, RationalField):
-        ring = _IntegerRows(matrix, track)
-    else:
-        ring = _PolynomialRows(matrix, track)
-    pivots, sign = _echelon(ring, matrix.ncols, reduce)
-    return (ring.reduced(ring.rows, pivots) if reduce else None, pivots,
-            ring.determinant(ring.rows, pivots, sign) if track else None)
+    ring = _ring(matrix, track)
+    pivots, sign = _echelon(ring, matrix.ncols, 0 if reduce else None)
+    if not reduce:
+        return None, pivots, ring.determinant(ring.rows, pivots, sign) if track else None
+    zero = matrix.field.zero()
+    rows = list(field_rows(ring.rows[:len(pivots)], matrix.field))
+    rows += [(zero,) * matrix.ncols for _ in range(matrix.nrows - len(pivots))]
+    return rows, pivots, None
 
 
 def _echelon(ring: Union[_IntegerRows, _PolynomialRows], ncols: int,
-             reduce: bool) -> tuple[list[int], int]:
+             reduce_from: int | None) -> tuple[list[int], int]:
     """The elimination loop on `ring.rows`, in place: (pivot columns,
-    sign of the row permutation)."""
+    sign of the row permutation).
+
+    A pivot clears the rows below it.  A pivot at or after column
+    `reduce_from` also clears the rows above it, back to the first row
+    whose pivot lies there; `reduce_from` 0 gives a reduced pass, None
+    a forward pass."""
     rows, size = ring.rows, ring.size
     nrows = len(rows)
     pivots: list[int] = []
     sign = 1
     r = 0
+    back = None
     for c in range(ncols):
         if r == nrows:
             break
@@ -472,25 +477,72 @@ def _echelon(ring: Union[_IntegerRows, _PolynomialRows], ncols: int,
         if k != r:
             rows[r], rows[k] = rows[k], rows[r]
             sign = -sign
-        ring.clear(rows, r, c, 0 if reduce else r + 1)
+        if reduce_from is not None and c >= reduce_from:
+            back = r if back is None else back
+            ring.clear(rows, r, c, back)
+        else:
+            ring.clear(rows, r, c, r + 1)
         pivots.append(c)
         r += 1
     return pivots, sign
 
 
+def reduced_pass(matrix: ExactMatrix, reduce_from: int = 0) -> tuple[list[list], list[int]]:
+    """One fraction-free pass over the cleared rows of `matrix`, reduced
+    from column `reduce_from` on: (rows, pivot columns).
+
+    Columns before `reduce_from` are eliminated forward only.  Each row
+    from the first whose pivot lies at or after `reduce_from` is updated
+    at every step from then on, so these rows are those of a full reduced
+    pass (`reduce_from` 0), entry for entry: zero at every other pivot
+    column, and each divided by its entry at its own pivot (its first
+    nonzero entry) is the RREF row of the same index (`field_rows`).
+    Over Z[u] every such entry equals the last pivot.  The rows are ints
+    over Q and integer polynomials over Q(u); the rows above are left
+    partly reduced."""
+    ring = _ring(matrix, False)
+    pivots, _ = _echelon(ring, matrix.ncols, reduce_from)
+    return ring.rows, pivots
+
+
+def field_rows(rows: Sequence[Sequence], field) -> tuple[tuple[Entry, ...], ...]:
+    """Rows of a reduced pass (`reduced_pass`), ints over Q or integer
+    polynomials over Q(u), each divided by its first nonzero entry: the
+    canonical RREF rows they stand for, one `Fraction` or one
+    `ratfunc._reduced` (one gcd) per nonzero entry.  A row may be cut to
+    a block of columns that holds its pivot."""
+    if isinstance(field, RationalField):
+        out = []
+        for row in rows:
+            p = next(v for v in row if v)
+            out.append(tuple([Fraction(v, p) if v else _ZERO for v in row]))
+        return tuple(out)
+    variables = field.variables
+    n = len(variables)
+    zero = _zero(variables)
+    out = []
+    for row in rows:
+        content, d = primitive(next(v for v in row if v))
+        scale = Fraction(1, content)
+        # Every entry is v / d.  A linear d is irreducible: one exact
+        # division replaces the gcd.
+        entry = _reduced_by_linear if max(d) >> top(n) == 1 else _reduced
+        out.append(tuple([entry(variables, scale, v, d) if v else zero for v in row]))
+    return tuple(out)
+
+
 def integer_kernel(matrix: ExactMatrix) -> tuple[list[list[IntPoly]], IntPoly]:
     """A basis of the right kernel of a matrix over Q(u) on integer
-    polynomials, read off one reduced Bareiss pass, and that pass's last
-    pivot d.
+    polynomials, read off one reduced Bareiss pass (`reduced_pass`), and
+    that pass's last pivot d.
 
     After the pass every pivot equals d, so row i is d times row i of
     the RREF.  There is one vector g per free column f: g[f] = d,
     g[p_i] = -row_i[f] at the pivot column p_i of row i, and 0
     elsewhere.  That is d times the vector `kernel_vectors` gives, with
     no gcd and no rational function built."""
-    ring = _PolynomialRows(matrix, False)
-    pivots, _ = _echelon(ring, matrix.ncols, True)
-    d, rows = ring.prev, ring.rows
+    rows, pivots = reduced_pass(matrix)
+    d = rows[0][pivots[0]] if pivots else ONE
     taken = set(pivots)
     vectors = []
     for free in range(matrix.ncols):
@@ -508,17 +560,17 @@ def integer_kernel(matrix: ExactMatrix) -> tuple[list[list[IntPoly]], IntPoly]:
 
 def integer_rref(matrix: ExactMatrix) -> tuple[list[tuple[list[int], int]], list[int]]:
     """The reduced row echelon form of a matrix over Q on integers, read
-    off one reduced pass of primitive rows, and its pivot columns.
+    off one reduced pass of primitive rows (`reduced_pass`), and its
+    pivot columns.
 
     After the pass row i holds its pivot p_i at column pivots[i] and
     zeros at every other pivot column, so row i of the RREF is
     row_i / p_i.  There is one (row, p) pair per pivot, the row negated
     where needed so that p > 0; a row is primitive, so it shares no
     factor with p.  That is `rref` with no Fraction built."""
-    ring = _IntegerRows(matrix, False)
-    pivots, _ = _echelon(ring, matrix.ncols, True)
+    rows, pivots = reduced_pass(matrix)
     out = []
-    for row, c in zip(ring.rows, pivots):
+    for row, c in zip(rows, pivots):
         p = row[c]
         out.append((row, p) if p > 0 else ([-v for v in row], -p))
     return out, pivots

@@ -2,14 +2,17 @@
 
 The m-th fundamental form at x is spanned by the degree-m forms
 sum_{|I|=m} (sum_j g_j D_I x_j) v^I, one for each kernel vector g of
-the order-(m-1) jet matrix.  Their canonical echelon basis is read off
-one RREF of the transposed jet matrix, which serves every order.  At a
-rational point the coefficients are rationals; at the generic point they
-are rational functions of the parameters.  Both cases share one
-representation, the canonical echelon rows of the coefficient span over
-the degree-m monomials in graded order, from the echelon to the report:
-the Jacobian containment and the ruling checks read those rows, and the
-rows become homogeneous forms in the tangent variables only when a
+the order-(m-1) jet matrix.  They are read off one fraction-free pass
+over the transposed jet matrix, reduced only from the first column of
+the lowest order asked for (`exactla.reduced_pass`).  Both cases share
+one representation, from the pass to the report: a system is its echelon
+rows over the degree-m monomials in graded order as the pass leaves
+them, integers at a rational point and integer polynomials at the
+generic point, and each row over its pivot entry is a row of the
+canonical echelon basis.  The Jacobian containment and the ruling checks
+read those integer rows.  Field entries (rationals, or rational
+functions of the parameters) are built only for printed generators, and
+the rows become homogeneous forms in the tangent variables only when a
 report prints them.
 """
 
@@ -31,10 +34,12 @@ from .exactla import (
     FunctionField,
     RationalField,
     Subspace,
+    column_prefix_ranks,
+    field_rows,
     integer_kernel,
-    prefix_ranks,
     rank,
-    rref,
+    reduced_pass,
+    row_space,
 )
 from .jets import (
     JetMatrix,
@@ -149,35 +154,59 @@ class TangentForm:
 
 
 class LinearSystem:
-    """Linear system of degree-m forms on the tangent space, held by the
-    canonical echelon basis of its coefficient span alone: the counts
-    read the span, and `generators` reads its rows as forms, built on
-    first read."""
+    """Linear system of degree-m forms on the tangent space, held by rows
+    in echelon form over the degree-m monomials in graded order: each row
+    divided by its first nonzero entry is a row of the canonical echelon
+    basis of the coefficient span.  `_forms` hands over the integer rows
+    of its pass (ints at a point, integer polynomials generically),
+    `from_vectors` that basis itself.  The counts, the Jacobian
+    containment and the ruling checks read the rows; the canonical basis
+    (`coefficient_span`) and the generators, its rows as forms, are built
+    on first read, for what a report prints."""
 
-    __slots__ = ("degree", "tangent_vars", "point", "field", "coefficient_span",
+    __slots__ = ("degree", "tangent_vars", "point", "field", "rows", "_span",
                  "_generators")
 
-    def __init__(self, degree: int, tangent_vars: Sequence[str], span: Subspace, point):
-        """`span` is already canonical, over the degree-`degree` monomials
-        in graded order; `from_vectors` and `from_forms` make it so."""
+    def __init__(self, degree: int, tangent_vars: Sequence[str], rows: tuple, point,
+                 field):
+        """`rows` are echelon rows of a reduced pass (`exactla.reduced_pass`)
+        or canonical ones, one entry per degree-`degree` monomial."""
         self.degree = degree
         self.tangent_vars = tuple(tangent_vars)
         self.point = point
-        self.field = span.field
-        self.coefficient_span = span
+        self.field = field
+        self.rows = rows
+        self._span = None
         self._generators = None
+
+    @classmethod
+    def _of_span(cls, degree: int, tangent_vars: Sequence[str], span: Subspace,
+                 point) -> "LinearSystem":
+        system = cls(degree, tangent_vars, span.basis, point, span.field)
+        system._span = span
+        return system
 
     @classmethod
     def from_vectors(cls, degree: int, tangent_vars: Sequence[str],
                      vectors: Sequence[Sequence], point, field) -> "LinearSystem":
         size = len(degree_block(len(tangent_vars), degree))
-        return cls(degree, tangent_vars, Subspace(size, list(vectors), field=field), point)
+        return cls._of_span(degree, tangent_vars,
+                            Subspace(size, list(vectors), field=field), point)
 
     @classmethod
     def from_forms(cls, degree: int, tangent_vars: Sequence[str],
                    forms: Sequence, point, field) -> "LinearSystem":
         return cls.from_vectors(degree, tangent_vars,
                                 [f.coefficient_vector() for f in forms], point, field)
+
+    @property
+    def coefficient_span(self) -> Subspace:
+        """The canonical echelon basis of the rows' span."""
+        if self._span is None:
+            size = len(degree_block(len(self.tangent_vars), self.degree))
+            self._span = Subspace._from_rref(size, field_rows(self.rows, self.field),
+                                             self.field)
+        return self._span
 
     @property
     def generators(self) -> tuple[TangentForm, ...]:
@@ -191,16 +220,16 @@ class LinearSystem:
 
     @property
     def generator_count(self) -> int:
-        return self.coefficient_span.dim
+        return len(self.rows)
 
     @property
     def projective_dim(self) -> int:
         """dim |L| as a projective linear system (-1 when empty)."""
-        return self.coefficient_span.dim - 1
+        return len(self.rows) - 1
 
     @property
     def is_empty(self) -> bool:
-        return self.coefficient_span.is_zero
+        return not self.rows
 
     def __repr__(self) -> str:
         return (f"LinearSystem(degree {self.degree}, {self.generator_count} "
@@ -209,34 +238,37 @@ class LinearSystem:
 
 def _forms(jm: JetMatrix, orders: Sequence[int],
            tangent_vars: Sequence[str]) -> list[LinearSystem]:
-    """|Phi_m| for each m in `orders`, read off one RREF of M^T.
+    """|Phi_m| for each m in `orders`, read off one pass over M^T, reduced
+    only from the first |I| = min(orders) column on.
 
     Row j of M^T holds the jets of x_j (generically of the integer
-    numerator of Q x_j, which gives the same blocks), so an RREF row with
-    its pivot among the |I| = m columns is sum_j g_j x_j with g in
-    K_(m-1); cut to those columns, such rows are the canonical basis of
-    |Phi_m|."""
-    echelon = rref(jm.transposed)
-    pivots = echelon.pivot_columns
+    numerator of Q x_j, which gives the same blocks), so an echelon row
+    with its pivot among the |I| = m columns is sum_j g_j x_j with g in
+    K_(m-1).  Those rows come after every row pivoting in a lower order,
+    so the pass reduces them as a full reduced pass would
+    (`exactla.reduced_pass`); cut to the |I| = m columns they are the
+    integer rows of |Phi_m|, each its canonical basis row times its
+    pivot entry."""
     ends = [jm.prefix_end(k) for k in range(jm.order + 1)]
+    rows, pivots = reduced_pass(jm.transposed, ends[min(orders) - 1])
     if jm.point is not None:
         _warn_unless_immersive(jm.point, len(jm.params),
                                sum(1 for p in pivots if p < ends[1]))
     systems = []
     for m in orders:
         start, end = ends[m - 1], ends[m]
-        rows = tuple([row[start:end] for row, p in zip(echelon.matrix.rows, pivots)
-                      if start <= p < end])
+        block = tuple([tuple(row[start:end]) for row, p in zip(rows, pivots)
+                       if start <= p < end])
         # The dimension law, against an independent elimination of M_m.
         expected = rank(jm.prefix_for_rank(m)) - sum(1 for p in pivots if p < start)
-        if len(rows) != expected:
+        if len(block) != expected:
             raise InvariantViolation(
-                f"|Phi_{m}| has {len(rows)} independent generators but "
+                f"|Phi_{m}| has {len(block)} independent generators but "
                 f"s({m}) - s({m - 1}) = {expected}; dimension law violated"
             )
-        span = Subspace._from_rref(end - start, rows, echelon.matrix.field)
-        systems.append(LinearSystem(m, tangent_vars, span,
-                                    "generic" if jm.point is None else jm.point))
+        systems.append(LinearSystem(m, tangent_vars, block,
+                                    "generic" if jm.point is None else jm.point,
+                                    jm.transposed.field))
     return systems
 
 
@@ -246,7 +278,8 @@ def fundamental_form(f: Parameterization, m: int,
     """The m-th fundamental form |Phi_m| at a point or generically.
 
     The generators are the |I| = m parts of the RREF rows of the
-    transposed jet matrix M_m^T whose pivots lie in the |I| = m columns:
+    transposed jet matrix M_m^T whose pivots lie in the |I| = m columns
+    (`_forms` reads them off a pass reduced from those columns on):
     the canonical basis of the forms sum_{|I|=m} (sum_j g_j D_I x_j) v^I,
     g in the kernel of M_(m-1).  The generator count always equals
     s(m) - s(m-1) = rank(M_m) - rank(M_(m-1)); this dimension law is
@@ -262,24 +295,59 @@ def fundamental_form(f: Parameterization, m: int,
 
 
 def _partial_rows(system: LinearSystem) -> tuple[tuple, ...]:
-    """The coefficient rows of the first partials of the generators, over
-    the degree-(m-1) monomials in graded order: d/dv_k sends the row c to
-    the row whose entry at J is (J_k + 1) c_(J+e_k)."""
+    """The rows of the first partials of the system's rows, over the
+    degree-(m-1) monomials in graded order: d/dv_k sends the row c to the
+    row whose entry at J is (J_k + 1) c_(J+e_k).  On integer rows they
+    stay integer rows."""
     r, m = len(system.tangent_vars), system.degree
     position = {exps: i for i, exps in enumerate(degree_block(r, m))}
     lower = degree_block(r, m - 1)
     maps = [[(position[J[:k] + (J[k] + 1,) + J[k + 1:]], J[k] + 1) for J in lower]
             for k in range(r)]
-    return tuple([tuple([row[i] * e if e > 1 else row[i] for i, e in index_map])
-                  for row in system.coefficient_span.basis for index_map in maps])
+    return tuple([tuple([_times(row[i], e) for i, e in index_map])
+                  for row in system.rows for index_map in maps])
+
+
+def _times(value, e: int):
+    """e * value, for an int, a field element or an integer polynomial."""
+    if e == 1:
+        return value
+    if type(value) is dict:
+        return {k: c * e for k, c in value.items()}
+    return value * e
 
 
 def jacobian_system(system: LinearSystem) -> LinearSystem:
     """Linear system spanned by all first partials of the generators."""
     if system.degree < 1:
         raise DomainError("Jacobian of a degree-0 system is undefined")
-    return LinearSystem.from_vectors(system.degree - 1, system.tangent_vars,
-                                     _partial_rows(system), system.point, system.field)
+    size = len(degree_block(len(system.tangent_vars), system.degree - 1))
+    partials = ExactMatrix._trusted(_partial_rows(system), system.field, size)
+    return LinearSystem._of_span(system.degree - 1, system.tangent_vars,
+                                 row_space(partials), system.point)
+
+
+def _columns_over_pivot(columns: tuple[tuple[IntPoly, ...], ...],
+                        d: IntPoly) -> tuple[tuple[IntPoly, ...], ...]:
+    """Columns of integer polynomial rows of one generic pass, each divided
+    by the pass's pivot d where every entry is an integer multiple of d.
+
+    Every row is d times its canonical row, so an entry read off a pivot
+    position is such a multiple, and a column holding only those is d
+    times a column of small integers, as in the canonical rows.  Scaling
+    a column changes no rank."""
+    key, lead = next(iter(d.items()))
+
+    def factor(v: IntPoly) -> int | None:
+        q = v.get(key, 0) // lead
+        return q if not v or v == {k: q * c for k, c in d.items()} else None
+
+    out = []
+    for column in columns:
+        factors = [factor(v) for v in column]
+        out.append(column if None in factors
+                   else tuple([{0: q} if q else {} for q in factors]))
+    return tuple(out)
 
 
 @dataclass
@@ -303,9 +371,11 @@ def check_jacobian_containment(f: Parameterization, m: int,
     failure indicates an arithmetic bug or an invalid evaluation point.
 
     One prefix-rank pass over the partials' rows (`_partial_rows` of
-    |Phi_m|'s canonical rows) stacked on |Phi_(m-1)|'s gives the
-    Jacobian's dimension and that of the sum, which equals dim
-    |Phi_(m-1)| exactly when the containment holds."""
+    |Phi_m|'s integer rows) stacked on |Phi_(m-1)|'s integer rows gives
+    the Jacobian's dimension and that of the sum, which equals dim
+    |Phi_(m-1)| exactly when the containment holds: no field entry is
+    built.  Generically the columns read off pivot positions alone are
+    first divided by the pivot (`_columns_over_pivot`)."""
     if m < 3:
         raise DomainError(f"containment Jacobian(Phi_m) in Phi_(m-1) needs m >= 3, got {m}")
     current, previous = _forms(jet_matrix(f, m, point), [m, m - 1],
@@ -314,10 +384,12 @@ def check_jacobian_containment(f: Parameterization, m: int,
     jacobian_dim, contained = 0, True
     if not current.is_empty:
         partials = _partial_rows(current)
-        stacked = ExactMatrix._trusted(
-            partials + previous.coefficient_span.basis,
-            current.field, previous.coefficient_span.ambient_dim)
-        jacobian_dim, total = prefix_ranks(stacked, [len(partials), stacked.nrows])
+        columns = tuple(zip(*(partials + previous.rows)))
+        if point is None:
+            columns = _columns_over_pivot(columns, next(v for v in current.rows[0] if v))
+        jacobian_dim, total = column_prefix_ranks(
+            ExactMatrix._trusted(columns, current.field, len(partials) + previous_dim),
+            [len(partials), len(partials) + previous_dim])
         contained = total == previous_dim
     equal = contained and jacobian_dim == previous_dim
     if contained:
@@ -364,7 +436,9 @@ def verify_phibar_relation(f: Parameterization, m: int,
     of y_j, a multiple of Q x_j (`jets._derivative_rows`), with the
     kernel basis of one reduced Bareiss pass over Z[u]
     (`exactla.integer_kernel`), as sums of integer polynomials: no
-    rational function is built.  When a point is supplied, the canonical
+    rational function is built.  When a point is supplied, it is checked
+    as every point command checks it (`point_expansions`: a pole of a
+    coordinate, or every coordinate vanishing), then the canonical
     kernel entries, the RREF's, are built and evaluated there, which
     raises DenominatorVanishes where the kernel does not specialize.
     """
@@ -377,11 +451,12 @@ def verify_phibar_relation(f: Parameterization, m: int,
     jets = jm.prefix_for_rank(m)
     kernel, d = integer_kernel(jets.submatrix_rows(range(jm.prefix_end(m - 1))))
 
-    point_tuple = None if point is None else tuple(Fraction(v) for v in point)
-    if point_tuple is not None:
+    point_tuple = None
+    if point is not None:
         # The identities are established symbolically below, hence at
-        # every point where the kernel specializes.  Its canonical
-        # entries are g_j / d in lowest terms.
+        # every projective point where the kernel specializes.  Its
+        # canonical entries are g_j / d in lowest terms.
+        point_tuple, _ = point_expansions(f, 0, point)
         content, divisor = primitive(d)
         scale = Fraction(1, content)
         for g in kernel:

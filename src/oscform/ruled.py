@@ -265,7 +265,8 @@ def ruling_fixed_component_check(f: RuledParameterization, m: int,
     additionally singular along the fiber subspace.
 
     All three read the lowest base (v-)degree of a monomial in the
-    canonical rows: a form vanishes on {v = 0} exactly when it has no
+    system's rows (the integer rows of its pass, which have the canonical
+    rows' support): a form vanishes on {v = 0} exactly when it has no
     monomial of base degree 0, and all its first partials do exactly
     when it has none of base degree <= 1.
     """
@@ -275,7 +276,7 @@ def ruling_fixed_component_check(f: RuledParameterization, m: int,
     system = fundamental_form(f.underlying, m, point, tangent_vars=tangent)
     n = f.base_count
     monomials = degree_block(len(tangent), m)
-    support = {i for row in system.coefficient_span.basis for i, c in enumerate(row) if c}
+    support = {i for row in system.rows for i, c in enumerate(row) if c}
     lowest = min([sum(monomials[i][:n]) for i in support], default=m)
     contains = lowest >= 1
     # Of degree m, fiber degree <= 1 is v-degree >= m - 1.

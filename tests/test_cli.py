@@ -195,14 +195,14 @@ def test_example_prints_variety_file(capsys):
 
 def test_ruling_check_at_a_point_eliminates_only_over_the_rationals(
         capsys, examples, monkeypatch):
-    original = exactla._eliminate
+    original = exactla._echelon
 
-    def rationals_only(matrix, reduce):
-        if not isinstance(matrix.field, exactla.RationalField):
-            pytest.fail(f"point-mode ruling-check eliminated over {matrix.field.name}")
-        return original(matrix, reduce)
+    def rationals_only(ring, ncols, reduce_from):
+        if not isinstance(ring, exactla._IntegerRows):
+            pytest.fail(f"point-mode ruling-check eliminated over {type(ring).__name__}")
+        return original(ring, ncols, reduce_from)
 
-    monkeypatch.setattr(exactla, "_eliminate", rationals_only)
+    monkeypatch.setattr(exactla, "_echelon", rationals_only)
     code, out, err = run(capsys, ["ruling-check", "--order", "2", "--at", "1,2",
                                   str(examples / "scroll-3-3.var")])
     assert code == 0, err
@@ -804,6 +804,7 @@ NOT_PROJECTIVE = "all coordinates vanish at (0, 0); not a projective point"
     ["base-locus", "--order", "2"],
     ["tangent-cone", "--hyperplane=1,0,0,0"],
     ["monge", "--order", "4"],
+    ["phibar-check", "--order", "2"],
 ], ids=lambda argv: argv[0])
 def test_point_commands_reject_a_point_where_every_coordinate_vanishes(capsys, monkeypatch,
                                                                        argv):

@@ -10,6 +10,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -603,3 +604,136 @@ def test_integer_rows_eliminate_as_their_fraction_twin():
             assert exactla._eliminate(integer, reduce) == exactla._eliminate(twin, reduce)
         if nrows == ncols:
             assert determinant(integer) == naive_determinant(twin)
+
+
+# -- the pass reduced from a start column ---------------------------------
+
+
+def _random_rational_rows(rng):
+    """Rows over Q with zero entries, zero columns and, often, a row that
+    depends on two others."""
+    nrows, ncols = rng.randint(1, 7), rng.randint(1, 9)
+    rows = [[Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 5]))
+             if rng.random() < 0.7 else Fraction(0) for _ in range(ncols)]
+            for _ in range(nrows)]
+    for j in rng.sample(range(ncols), rng.randint(0, ncols // 3)):
+        for row in rows:
+            row[j] = Fraction(0)
+    if nrows >= 3 and rng.random() < 0.5:
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        rows[-1] = [a + c * b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+def _random_function_rows(rng, names):
+    field = FunctionField(names)
+    nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
+    rows = [[_random_rational_function(rng, names) if rng.random() < 0.75
+             else field.zero() for _ in range(ncols)] for _ in range(nrows)]
+    if ncols >= 3 and rng.random() < 0.4:
+        j = rng.randrange(ncols)
+        for row in rows:
+            row[j] = field.zero()
+    if nrows >= 3 and rng.random() < 0.5:
+        c = _random_rational_function(rng, names)
+        rows[-1] = [a + c * b for a, b in zip(rows[0], rows[1])]
+    return ExactMatrix(rows, field=field)
+
+
+def _partial_pass_against_rref(m: ExactMatrix, start: int):
+    """reduced_pass(m, start) against rref(m): the same pivots, and the
+    rows from the first pivoting at or after `start`, whole or cut to the
+    columns from `start` on, canonical exactly as the RREF's rows of the
+    same index.  Returns (those rows, their pivot columns, the RREF's
+    rows)."""
+    rows, pivots = exactla.reduced_pass(m, start)
+    full = rref(m)
+    assert tuple(pivots) == full.pivot_columns
+    first = sum(1 for p in pivots if p < start)
+    kept, expected = rows[first:len(pivots)], full.matrix.rows[first:len(pivots)]
+    assert exactla.field_rows(kept, m.field) == expected
+    assert exactla.field_rows([row[start:] for row in kept], m.field) == \
+        tuple([row[start:] for row in expected])
+    return kept, pivots[first:], expected
+
+
+def test_pass_reduced_from_every_start_column_matches_rref_over_q():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(191)
+    seen = {"negative": 0, "non-unit": 0, "empty block": 0, "rank-deficient": 0}
+    for trial in range(60):
+        rows = _random_rational_rows(rng)
+        fractions = ExactMatrix(rows, field=RationalField())
+        # The same rows scaled to integers, trusted as a point jet
+        # matrix's transpose is.
+        integers = ExactMatrix._trusted(
+            tuple([tuple([v.numerator * (lcm(*[e.denominator for e in row]) // v.denominator)
+                          for v in row]) for row in rows]),
+            RationalField(), fractions.ncols)
+        seen["rank-deficient"] += rank(fractions) < min(fractions.nrows, fractions.ncols)
+        for m in (fractions, integers):
+            for start in range(m.ncols + 1):
+                kept, pivots, expected = _partial_pass_against_rref(m, start)
+                seen["empty block"] += not kept and rank(m) > 0
+                for row, p, canonical in zip(kept, pivots, expected):
+                    assert all(v == 0 for v in row[:p])
+                    # Each row over its own pivot entry is the RREF row.
+                    assert tuple([Fraction(v, row[p]) for v in row]) == canonical
+                    seen["negative"] += row[p] < 0
+                    seen["non-unit"] += abs(row[p]) != 1
+        if trial % 4 == 0:
+            dm = DomainMatrix([[_rational_to_sympy(e) for e in row] for row in rows],
+                              (fractions.nrows, fractions.ncols), sympy.QQ)
+            reduced, _ = dm.rref()
+            for start in range(fractions.ncols + 1):
+                rows_, pivots = exactla.reduced_pass(fractions, start)
+                first = sum(1 for p in pivots if p < start)
+                canonical = exactla.field_rows(rows_[first:len(pivots)], fractions.field)
+                for i, row in enumerate(canonical, first):
+                    assert [_rational_to_sympy(e) for e in row] == \
+                        [reduced[i, j].element for j in range(fractions.ncols)]
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")])
+def test_pass_reduced_from_every_start_column_matches_rref_over_q_u(names):
+    from oscform.polyring.intpoly import to_poly
+
+    rng = random.Random(193 + len(names))
+    domain, to_sympy = _sympy_function_field(names)
+    from sympy.polys.matrices import DomainMatrix
+
+    seen = {"non-constant pivot": 0, "empty block": 0, "rank-deficient": 0}
+    for trial in range(14):
+        m = _random_function_rows(rng, names)
+        seen["rank-deficient"] += rank(m) < min(m.nrows, m.ncols)
+
+        def poly(v):
+            return RationalFunction(to_poly(v, names, Fraction(1)))
+
+        for start in range(m.ncols + 1):
+            kept, pivots, expected = _partial_pass_against_rref(m, start)
+            seen["empty block"] += not kept and rank(m) > 0
+            if not kept:
+                continue
+            # Every kept row's pivot entry is the pass's last pivot d, and
+            # the row over d is the RREF row.
+            d = kept[-1][pivots[-1]]
+            seen["non-constant pivot"] += len(d) > 1
+            for row, p, canonical in zip(kept, pivots, expected):
+                assert row[p] == d
+                assert all(poly(v) == e * poly(d) for v, e in zip(row, canonical))
+        if trial % 3 == 0:
+            dm = DomainMatrix([[to_sympy(e) for e in row] for row in m.rows],
+                              (m.nrows, m.ncols), domain)
+            reduced, _ = dm.rref()
+            start = rng.randint(0, m.ncols)
+            rows, pivots = exactla.reduced_pass(m, start)
+            first = sum(1 for p in pivots if p < start)
+            for i, row in enumerate(exactla.field_rows(rows[first:len(pivots)], m.field),
+                                    first):
+                assert [to_sympy(e) for e in row] == \
+                    [reduced[i, j].element for j in range(m.ncols)]
+    assert all(seen.values()), seen

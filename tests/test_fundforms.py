@@ -374,15 +374,17 @@ def test_tangent_form_partial():
 
 
 def count_eliminations(monkeypatch):
-    """Route every elimination (rank, rref, determinant) through a counter."""
+    """Route every elimination (rank, rref, determinant, and the reduced
+    passes of the fundamental forms and the integer kernel) through a
+    counter: each runs the loop `_echelon` once."""
     calls = []
-    original = exactla._eliminate
+    original = exactla._echelon
 
-    def counting(matrix, reduce):
-        calls.append(matrix.nrows)
-        return original(matrix, reduce)
+    def counting(ring, ncols, reduce_from):
+        calls.append(len(ring.rows))
+        return original(ring, ncols, reduce_from)
 
-    monkeypatch.setattr(exactla, "_eliminate", counting)
+    monkeypatch.setattr(exactla, "_echelon", counting)
     return calls
 
 
@@ -668,3 +670,160 @@ def test_tangent_cone_pole_and_non_rational_hyperplane():
     for point in ((2, 1), None):
         with pytest.raises(TypeError):
             hyperplane_tangent_cone(f, h, point=point)
+
+
+# -- forms read off one pass reduced only from the lowest block ------------
+
+
+def forms_cases():
+    """(label, parameterization, order, point) for the differential test
+    of `_forms` against the full RREF: the gallery at its points and
+    generically, six seeded ruled draws at a point and generically, and
+    the threefold T of test_acceptance."""
+    from test_acceptance import THREEFOLD, random_ruled
+
+    cases = []
+    for name, f, point in (("togliatti", togliatti(), (1, 1)), ("shifrin", shifrin(), (0, 0))):
+        cases += [(name, f, 3, point), (f"{name} generic", f, 3, None),
+                  (f"{name} 4", f, 4, point)]
+    for name in ("dye", "togliatti-implicit"):
+        implicit = build_variety(parse_variety(example_text(name)))
+        for m in (3, 4):
+            cases.append((f"{name} {m}", jet_parameterize(implicit, m + 1), m, (0, 0)))
+    for degrees, m in (([2, 2], 3), ([3, 3], 4)):
+        cases.append((f"scroll {degrees}", scroll(ScrollSpec(degrees)).underlying, m, None))
+    for seed in range(6):
+        rng = random.Random(seed)
+        n, e = rng.choice([(1, 1), (1, 2), (2, 1), (2, 2)])
+        f = random_ruled(rng, n, e).underlying
+        point = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in f.params)
+        cases += [(f"ruled {seed}", f, 3, point), (f"ruled {seed} generic", f, 3, None)]
+    threefold = build_variety(parse_variety(THREEFOLD))
+    cases += [("T", threefold, 3, (1, 2, 3)), ("T generic", threefold, 3, None)]
+    return cases
+
+
+def test_forms_off_the_partial_pass_match_the_full_rref_and_the_references():
+    # `_forms` reduces M^T only from the first |I| = m - 1 column on; its
+    # canonical blocks must be those of the full RREF, and the containment
+    # pass on its integer rows must answer as `jacobian_system` and
+    # `span_contains` on the canonical ones.
+    failures = set()
+    for label, f, m, point in forms_cases():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonImmersivePoint)
+            jm = jet_matrix(f, m, point)
+            echelon = exactla.rref(jm.transposed)
+            systems = fundforms._forms(jm, [m, m - 1], default_tangent_vars(f.source_dim))
+            singles = [fundamental_form(f, k, point) for k in (m, m - 1)]
+            report = check_jacobian_containment(f, m, point)
+        for k, system, single in zip((m, m - 1), systems, singles):
+            start, end = jm.prefix_end(k - 1), jm.prefix_end(k)
+            expected = tuple([row[start:end] for row, p in
+                              zip(echelon.matrix.rows, echelon.pivot_columns)
+                              if start <= p < end])
+            assert system.coefficient_span.basis == expected, (label, k)
+            assert single.coefficient_span.basis == expected, (label, k)
+            assert system.generator_count == len(expected), (label, k)
+        current, previous = systems
+        jacobian = jacobian_system(current)
+        contained = span_contains(previous.coefficient_span, jacobian.coefficient_span)
+        assert (report.jacobian_dim, report.contained, report.equal, report.previous_dim) \
+            == (jacobian.generator_count, contained,
+                contained and jacobian.coefficient_span == previous.coefficient_span,
+                previous.generator_count), label
+        if not contained:
+            failures.add(label)
+    # Both charts' points are not general: dye's dims stall at order 3,
+    # and togliatti's |Phi_2| is empty at x = y = 0.
+    assert failures == {"dye 4", "togliatti-implicit 3"}
+
+
+def count_reductions(monkeypatch):
+    """Route every canonical Q(u) entry built (`ratfunc._reduced` and
+    `ratfunc._reduced_by_linear`, in every module that binds them)
+    through a counter."""
+    import sys
+
+    from oscform.polyring import ratfunc
+
+    calls = []
+    for name in ("_reduced", "_reduced_by_linear"):
+        original = getattr(ratfunc, name)
+
+        def counting(*args, _original=original):
+            calls.append(args)
+            return _original(*args)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("oscform") \
+                    and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def run_generic(capsys, monkeypatch, name, argv):
+    """The CLI on a gallery file without its point: (exit code, report)."""
+    import io
+
+    from oscform import cli
+
+    text = "".join(line for line in example_text(name).splitlines(keepends=True)
+                   if not line.startswith("point:"))
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code = cli.main(argv + ["-"])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["togliatti", "shifrin"])
+def test_generic_jacobian_check_builds_no_canonical_entry(capsys, monkeypatch, name):
+    # Both forms and the containment pass stay on integer polynomials:
+    # jacobian-check prints no entry, so it builds none.
+    calls = count_reductions(monkeypatch)
+    code, out = run_generic(capsys, monkeypatch, name,
+                            ["jacobian-check", "--order", "3"])
+    assert code == 0
+    assert "mode: generic-symbolic\n" in out and "contained: true\n" in out
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["togliatti", "shifrin"])
+def test_generic_fundform_builds_only_the_printed_entries(capsys, monkeypatch, name):
+    # One canonical entry per nonzero entry of the printed generators, over
+    # the |I| = 2 columns only: at most generator_count x 3.
+    calls = count_reductions(monkeypatch)
+    code, out = run_generic(capsys, monkeypatch, name, ["fundform", "--order", "2"])
+    assert code == 0
+    count = int(out.split("generator_count: ")[1].split("\n")[0])
+    assert 0 < len(calls) <= count * 3
+
+
+def test_jacobian_check_builds_no_canonical_basis(monkeypatch):
+    # The containment reads both systems' integer rows, at a point as
+    # generically: no canonical row is built.
+    def refuse(*args):
+        pytest.fail("a canonical basis was built")
+
+    monkeypatch.setattr(fundforms, "field_rows", refuse)
+    monkeypatch.setattr(Subspace, "__init__", refuse)
+    cases = [case for case in forms_cases() if not case[0].startswith("T")]
+    for label, f, m, point in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonImmersivePoint)
+            check_jacobian_containment(f, m, point)
+    assert any(point is not None for _, _, _, point in cases)
+
+
+def test_generic_containment_divides_the_pivot_columns_by_the_pivot():
+    # A column whose entries all sit at pivot positions is d times small
+    # integers and becomes them; a column with any other entry stays.
+    from oscform.polyring.intpoly import pack
+
+    x, y, one = pack((1, 0)), pack((0, 1)), pack((0, 0))
+    d = {x: 3, y: -2, one: 1}
+    v = {x: 1, one: 5}
+    columns = ((d, {k: 2 * c for k, c in d.items()}, {}),
+               ({k: -c for k, c in d.items()}, v, d),
+               ({}, {}, {}))
+    assert fundforms._columns_over_pivot(columns, d) == (
+        ({one: 1}, {one: 2}, {}), columns[1], ({}, {}, {}))
